@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .fuchsian import GroupBall, Mat2
-from .minkowski import RP1Point
+from .minkowski import RP1Point, adjugate
 from .quakes import CircleMap
 
 EPS = 1e-9
@@ -55,10 +55,6 @@ def vec_of(m):
     if isinstance(m, Mat2):
         m = m.m
     return np.asarray(m, dtype=float).reshape(4)
-
-
-def _adj(m):
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
 def segre(left, right):
@@ -132,18 +128,6 @@ class ProjectivePlane:
         return "ProjectivePlane(%s)" % np.array2string(self.label, precision=6)
 
 
-def plane_classify(plane):
-    if not isinstance(plane, ProjectivePlane):
-        plane = ProjectivePlane(plane)
-    return plane.classify()
-
-
-def dual_point(plane):
-    if not isinstance(plane, ProjectivePlane):
-        plane = ProjectivePlane(plane)
-    return plane.dual_point()
-
-
 def chart_coords(v):
     """Standard affine chart (X, Y, Z) = (y/w, z/w, u/w) with
     w = (a+d)/2, z = (a-d)/2, y = (b+c)/2, u = (b-c)/2.  The quadric
@@ -185,10 +169,6 @@ class CircleGraph:
 
     def __len__(self):
         return len(self.samples)
-
-    @classmethod
-    def from_circle_map(cls, cm):
-        return cls(cm.samples)
 
     @classmethod
     def from_map(cls, fn, n):
@@ -395,7 +375,7 @@ def _face_plane_label(chart_mat_inv, normal, offset):
     C = mat_of(cov)
     # incidence(v) = tr(C^T m^{-1} v); the label's adjugate matches 2 C^T m^{-1}
     m = np.linalg.inv(chart_mat_inv)
-    return vec_of(m @ _adj(C.T))
+    return vec_of(m @ adjugate(C.T))
 
 
 def convex_hull(graph, chart_plane=None):
@@ -510,12 +490,11 @@ def bending_data(hull):
 class ExtractedEarthquake:
     """Left-earthquake data read off the future boundary of a hull."""
 
-    def __init__(self, reference, face_ids, left_factors, right_factors,
+    def __init__(self, reference, face_ids, left_factors,
                  boundary_map, shear_edges, dominant_shear=0.0):
         self.reference = reference
         self.face_ids = face_ids
         self.left_factors = left_factors
-        self.right_factors = right_factors
         self.boundary_map = boundary_map
         self.shear_edges = shear_edges
         self.dominant_shear = dominant_shear
@@ -529,7 +508,7 @@ class ExtractedEarthquake:
 def _face_mobius(dual):
     """Mobius map whose graph is the face plane's quadric conic: the
     plane of dual m meets the quadric in {(x, R adj(m) x)}."""
-    return Mat2(ROTATION_GENERATOR @ _adj(dual.m))
+    return Mat2(ROTATION_GENERATOR @ adjugate(dual.m))
 
 
 def extract_left_earthquake(hull):
@@ -544,8 +523,7 @@ def extract_left_earthquake(hull):
         mob = _face_mobius(plane.dual_mat2())
         cm = CircleMap([(tl, RP1Point.from_theta(tl).apply(mob).theta)
                         for tl, _ in samples])
-        return ExtractedEarthquake(0, [0], [Mat2.identity()], [Mat2.identity()],
-                                   cm, [], 0.0)
+        return ExtractedEarthquake(0, [0], [Mat2.identity()], cm, [], 0.0)
 
     # near-tangent sliver faces of the sampled hull classify as null;
     # they carry no dual point and are skipped
@@ -554,11 +532,7 @@ def extract_left_earthquake(hull):
         raise ValueError("hull has no spacelike future faces")
     ref = max(order, key=lambda i: len(hull.faces[i].vertex_ids))
     m_ref = hull.faces[ref].dual
-    left_factors, right_factors = [], []
-    for i in order:
-        m_t = hull.faces[i].dual
-        left_factors.append(m_ref @ m_t.inverse())
-        right_factors.append(m_t.inverse() @ m_ref)
+    left_factors = [m_ref @ hull.faces[i].dual.inverse() for i in order]
 
     # assign each sample to the future face of its nearest hull vertex
     face_of_vertex = {}
@@ -601,8 +575,7 @@ def extract_left_earthquake(hull):
     if len(by_size) >= 2:
         rel = hull.faces[by_size[0]].dual @ hull.faces[by_size[1]].dual.inverse()
         dominant = 2.0 * math.acosh(max(abs(rel.trace()) / 2.0, 1.0))
-    return ExtractedEarthquake(ref, order, left_factors, right_factors,
-                               cm, shear_edges, dominant)
+    return ExtractedEarthquake(ref, order, left_factors, cm, shear_edges, dominant)
 
 
 def _attracting_theta(m):
@@ -625,31 +598,9 @@ def sample_conjugacy(rep_l, rep_r, L, dedup=1e-4):
     representations: the attracting fixed point of rep_l(w) pairs with
     that of rep_r(w) over all nontrivial ball-L words."""
     ball = GroupBall(rep_l, L)
-    pairs = []
-    gens_r = []
-    for i, g in enumerate(rep_r.generators):
-        gens_r.append(g.m)
-    cache = {(): np.eye(2)}
-
-    def eval_r(word):
-        if word in cache:
-            return cache[word]
-        head = eval_r(word[:-1])
-        x = word[-1]
-        g = gens_r[abs(x) - 1]
-        if x < 0:
-            g = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]])
-        out = head @ g
-        cache[word] = out
-        return out
-
-    for word, m_l in ball.items():
-        if not word:
-            continue
-        tl = _attracting_theta(m_l.m)
-        tr = _attracting_theta(eval_r(word))
-        pairs.append((tl, tr))
-    pairs.sort()
+    mats_r = ball.evaluate(rep_r)
+    pairs = sorted((_attracting_theta(ball.elements[i]), _attracting_theta(mats_r[i]))
+                   for i in range(1, len(ball)))
     kept = []
     for tl, tr in pairs:
         if kept and tl - kept[-1][0] < dedup:
@@ -657,6 +608,9 @@ def sample_conjugacy(rep_l, rep_r, L, dedup=1e-4):
         kept.append((tl, tr))
     if len(kept) > 1 and (kept[0][0] - kept[-1][0]) % 1.0 < dedup:
         kept.pop()
+    if len(kept) < 3:
+        raise ValueError("the radius-%d ball gives %d conjugacy samples; "
+                         "need at least 3" % (L, len(kept)))
 
     # cyclic monotonicity of the right angles, tolerating tiny jitter
     clean = [kept[0]]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import adshull, flatspace, quakes
 from . import laminations as lamins
-from .fuchsian import Representation, euler_class, milnor_wood_ok
+from .fuchsian import GroupBall, Representation, euler_class, milnor_wood_ok
 from .minkowski import CausalClass, classify
 
 SCHEMA_PREFIX = "lorentz21"
@@ -90,7 +90,7 @@ def cmd_euler(args):
 
 
 def _cocycle_checks(rep, coc, ball_radius, tol):
-    ball = lamins._ball(rep, min(2, ball_radius))
+    ball = GroupBall(rep, min(2, ball_radius))
     worst = flatspace.cocycle_identity_sweep(rep, coc, ball)
     return [
         _check("cocycle-identity", worst, tol),

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import laminations as lam
-from .fuchsian import Mat2, concat, reduce_word, surface_relator, Representation
+from .fuchsian import concat, reduce_word, Representation
 from .minkowski import (
     LorentzIsometry,
     adjoint_to_so21,
@@ -39,9 +39,9 @@ class TranslationCocycle:
 
     Stored as one vector per generator; values on words are computed by
     the extension rule, so the cocycle identity holds identically on
-    free words.  Whether the values descend to the group is measured by
-    relator_residual and by cocycle_residual on canonical ball
-    representatives.
+    free words.  relator_residual decides whether the values descend to
+    the group; cocycle_residual samples the same question on canonical
+    ball representatives.
     """
 
     def __init__(self, rep, gen_vectors):
@@ -91,20 +91,6 @@ class TranslationCocycle:
         return {"t": [[float(v) for v in t] for t in self.gen_vectors]}
 
 
-def _eval_cached(rep, w):
-    """Word evaluation with a prefix cache stored on the representation;
-    residual sweeps over all ball pairs revisit many products."""
-    cache = getattr(rep, "_eval_cache", None)
-    if cache is None:
-        cache = {(): Mat2.identity()}
-        rep._eval_cache = cache
-    out = cache.get(w)
-    if out is None:
-        out = _eval_cached(rep, w[:-1]) @ rep.evaluate(w[-1:])
-        cache[w] = out
-    return out
-
-
 def zero_cocycle(rep):
     return TranslationCocycle(rep, [np.zeros(3)] * (2 * rep.genus))
 
@@ -141,7 +127,7 @@ def cocycle_residual(rep, coc, alpha, beta, ball=None):
     beta = reduce_word(beta)
     prod = concat(alpha, beta)
     if ball is not None:
-        hit = ball.lookup(_eval_cached(rep, prod))
+        hit = ball.lookup(rep.evaluate(prod))
         if hit is not None:
             prod = hit[0]
     res = coc.value(prod) - coc.value(alpha) - coc.linear(alpha) @ coc.value(beta)
@@ -152,49 +138,44 @@ def cocycle_identity_sweep(rep, coc, ball):
     """Max cocycle-identity residual over all word pairs of the ball.
 
     Equivalent to looping cocycle_residual over every pair, but batched:
-    product matrices are formed in one matmul per row and canonical ball
-    representatives are resolved through the ball's key map.
+    product matrices are formed in one matmul per row and resolved to
+    canonical ball representatives in one ball.find call per row.
     """
-    items = ball.items()
-    words = [w for w, _ in items]
-    mats = np.array([m.m for _, m in items])
+    words = ball.words()
+    mats = ball.elements
     # extended precision throughout: the three terms are exponentially
     # large in word length and cancel to near machine zero
     T = np.array([coc.value(w) for w in words], dtype=np.longdouble)
     F = np.array([coc.linear(w) for w in words], dtype=np.longdouble)
-    digits = ball._key_digits
-    index = {m.key(digits): k for k, (w, m) in enumerate(items)}
     worst = 0.0
     free_vals = {}
     for i, alpha in enumerate(words):
-        prods = mats[i] @ mats
+        hits = ball.find(mats[i] @ mats)
+        vals = T[hits]
+        for j in np.flatnonzero(hits < 0):
+            w = concat(alpha, words[j])
+            val = free_vals.get(w)
+            if val is None:
+                val = coc.value(w)
+                free_vals[w] = val
+            vals[j] = val
         base = T[i] + T @ F[i].T
-        for j, beta in enumerate(words):
-            m = prods[j]
-            flat = m.ravel()
-            for x in flat:
-                if abs(x) > 1e-12:
-                    if x < 0:
-                        flat = -flat
-                    break
-            key = (round(flat[0], digits), round(flat[1], digits),
-                   round(flat[2], digits), round(flat[3], digits))
-            k = index.get(key)
-            if k is not None and abs(mats[k] - flat.reshape(2, 2)).max() < 1e-5:
-                val = T[k]
-            else:
-                w = concat(alpha, beta)
-                val = free_vals.get(w)
-                if val is None:
-                    val = coc.value(w)
-                    free_vals[w] = val
-            r = float(np.max(np.abs(val - base[j])))
-            if r > worst:
-                worst = r
+        worst = max(worst, float(np.max(np.abs(vals - base))))
     return worst
 
 
 def relator_residual(rep, coc):
+    """Max norm of t_r, the cocycle's value on the surface relator r.
+
+    This is the deciding descent check.  A TranslationCocycle lives on
+    the free group on the generators, where the cocycle identity holds
+    by construction.  When f(r) = I (a valid representation), it
+    descends to the surface group exactly when t_r = 0: then
+    t_{g r g^-1} = f(g) t_r vanishes on every conjugate of r, hence on
+    the normal closure, and t_{g n} = t_g there.  The ball sweeps
+    (cocycle_residual, cocycle_identity_sweep) only sample this on the
+    pairs whose product has a shorter canonical representative.
+    """
     return float(np.max(np.abs(coc.value(rep.relator()))))
 
 
@@ -245,30 +226,11 @@ def develop_surface(rep, mc, radius=1.5, density=200, basepoint=None, L=3, seed=
     if basepoint is None:
         basepoint = lam.default_basepoint(rep, mc, L)
 
-    # stabilize the leaf set against the sampled disc: grow the radius
-    # until two consecutive increments add no leaves meeting the disc.
     # |<n, b>| = sinh(distance from b to the leaf), so the cutoff below
     # keeps exactly the leaves within reach of the samples
     reach = math.sinh(radius + 0.5)
-
-    def leaves_at(r):
-        out = {}
-        for leaf, w, _ in lam.multicurve_lifts(rep, mc, r):
-            if abs(leaf.side(basepoint)) < reach:
-                out[leaf.key(7)] = (leaf, w)
-        return out
-
-    r = min(L, lam.HARD_CAP)
-    cur = leaves_at(r)
-    stable = 0
-    while stable < 2:
-        if r >= lam.HARD_CAP:
-            raise lam.EnumerationCapError("leaf set did not stabilize below the cap")
-        r += 1
-        nxt = leaves_at(r)
-        stable = stable + 1 if len(nxt) == len(cur) else 0
-        cur = nxt
-    leaves = list(cur.values())
+    leaves = lam.stable_lifts(
+        rep, mc, L, lambda leaf, w: (leaf, w) if abs(leaf.side(basepoint)) < reach else None)
 
     rng = np.random.default_rng(seed)
     pts = []
@@ -444,7 +406,3 @@ class StandardTorusSpacetime:
     def contains(p):
         p = np.asarray(p, dtype=float)
         return p[2] > 0 and p[2] * p[2] > p[0] * p[0]
-
-
-def standard_torus(lam_, e, mu, f):
-    return StandardTorusSpacetime(lam_, e, mu, f)

@@ -20,7 +20,7 @@ import random
 
 import numpy as np
 
-from .minkowski import Mat2, RP1Point
+from .minkowski import Mat2, RP1Point, adjugate
 
 
 class EllipticDegeneracyError(RuntimeError):
@@ -213,54 +213,108 @@ def regular_polygon_rep(g):
     return rep
 
 
+def _canonical_signs(mats, tol=1e-12):
+    """Mat2's sign rule on a stack: the first entry (row-major) larger
+    than tol in absolute value is made positive."""
+    flat = mats.reshape(-1, 4)
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > tol, axis=1)]
+    return mats * np.where(lead < 0, -1.0, 1.0)[:, None, None]
+
+
 class GroupBall:
-    """All reduced words of length <= radius with deduplicated matrices."""
+    """All reduced words of length <= radius, one per distinct matrix.
+
+    Stored as arrays in breadth-first order: `elements` holds the
+    (N, 2, 2) canonical matrices, and element i is element `parent[i]`
+    times the generator `letter[i]` (signed index; 0 for the identity).
+    Words of length r occupy `offsets[r]:offsets[r + 1]`, so the first
+    `offsets[r + 1]` entries are exactly the radius-r ball.  Matrices
+    are identified by their entries rounded to `key_digits`; each level
+    extends only the new elements of the level before, since a word
+    equal to an earlier one has no new products.
+    """
 
     def __init__(self, rep, radius, key_digits=6):
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        self.rep = rep
         self.radius = radius
         self._key_digits = key_digits
-        elements = {}  # matrix key -> (word, Mat2)
-        frontier = [((), Mat2.identity())]
-        elements[Mat2.identity().key(key_digits)] = ((), Mat2.identity())
-        gens = []
-        for i, m in enumerate(rep.generators):
-            gens.append((i + 1, m))
-            gens.append((-(i + 1), m.inverse()))
+        letters = np.array([s * (i + 1) for i in range(2 * rep.genus) for s in (1, -1)])
+        steps = np.array([g.m for m in rep.generators for g in (m, m.inverse())])
+        mats, lets = np.eye(2)[None], np.array([0])
+        levels = [(mats, np.array([-1]), lets)]
+        keys = self._keys(mats)
+        self.offsets = [0, 1]
         for _ in range(radius):
-            nxt = []
-            for w, m in frontier:
-                for x, gm in gens:
-                    if w and w[-1] == -x:
-                        continue
-                    w2 = w + (x,)
-                    m2 = m @ gm
-                    k = m2.key(key_digits)
-                    if k not in elements:
-                        elements[k] = (w2, m2)
-                    nxt.append((w2, m2))
-            frontier = nxt
-        self.elements = elements
+            prods = (mats[:, None] @ steps[None]).reshape(-1, 2, 2)
+            par = np.repeat(np.arange(len(mats)), len(letters))
+            let = np.tile(letters, len(mats))
+            reduced = lets[par] != -let
+            prods, par, let = prods[reduced], par[reduced], let[reduced]
+            # Mat2's normalization: determinant one, canonical sign
+            det = prods[:, 0, 0] * prods[:, 1, 1] - prods[:, 0, 1] * prods[:, 1, 0]
+            prods = _canonical_signs(prods / np.sqrt(det)[:, None, None])
+            level_keys = self._keys(prods)
+            # first occurrence of each key in the level, minus known keys
+            first = np.sort(np.unique(level_keys, return_index=True)[1])
+            first = first[~np.isin(level_keys[first], keys)]
+            mats, lets = prods[first], let[first]
+            levels.append((mats, par[first] + self.offsets[-2], lets))
+            keys = np.concatenate([keys, level_keys[first]])
+            self.offsets.append(self.offsets[-1] + len(first))
+        self.elements, self.parent, self.letter = (np.concatenate(a) for a in zip(*levels))
+        self._key_order = np.argsort(keys)
+        self._sorted_keys = keys[self._key_order]
+
+    def _keys(self, mats):
+        """One comparable key per matrix: its entries rounded to
+        key_digits (with -0.0 folded into 0.0), viewed as bytes."""
+        flat = np.round(mats.reshape(-1, 4), self._key_digits) + 0.0
+        return np.ascontiguousarray(flat).view(np.dtype((np.void, 32))).ravel()
 
     def __len__(self):
         return len(self.elements)
 
-    def items(self):
-        return list(self.elements.values())
+    def word(self, i):
+        out = []
+        while i > 0:
+            out.append(int(self.letter[i]))
+            i = self.parent[i]
+        return tuple(reversed(out))
 
     def words(self):
-        return [w for w, _ in self.elements.values()]
+        return [self.word(i) for i in range(len(self))]
+
+    def find(self, mats):
+        """Ball index of each matrix in a (M, 2, 2) stack, or -1 where
+        the matrix (up to sign) is not in the ball."""
+        mats = _canonical_signs(np.asarray(mats, dtype=float))
+        keys = self._keys(mats)
+        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), len(self) - 1)
+        idx = self._key_order[pos]
+        hit = (self._sorted_keys[pos] == keys) & (
+            np.abs(self.elements[idx] - mats).max(axis=(1, 2)) < 1e-5)
+        return np.where(hit, idx, -1)
 
     def lookup(self, m):
         """Canonical (word, Mat2) of the ball element equal to m, or None."""
         if not isinstance(m, Mat2):
             m = Mat2(m)
-        hit = self.elements.get(m.key(self._key_digits))
-        if hit is not None and hit[1].dist(m) < 1e-5:
-            return hit
-        return None
+        i = int(self.find(m.m[None])[0])
+        return None if i < 0 else (self.word(i), Mat2(self.elements[i]))
+
+    def evaluate(self, rep):
+        """Matrices of another representation along the ball's words,
+        one level at a time from the parent products; inverse letters
+        use the exact adjugate and nothing is renormalized."""
+        gens = np.array([g.m for g in rep.generators])
+        steps = np.stack([gens, adjugate(gens)], axis=1).reshape(-1, 2, 2)
+        step = 2 * (np.abs(self.letter) - 1) + (self.letter < 0)
+        out = np.empty_like(self.elements)
+        out[0] = np.eye(2)
+        for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
+            out[lo:hi] = out[self.parent[lo:hi]] @ steps[step[lo:hi]]
+        return out
 
 
 def axis(m):

@@ -2,20 +2,25 @@
 
 A multicurve is a list of conjugacy classes (words) with positive
 weights.  Leaves of the lifted lamination are axes of conjugates of the
-class representatives, enumerated over word balls with adaptive radius.
-The transverse vector of a segment is the weighted sum of oriented unit
-normals of the leaves the segment crosses, which is the atomic-measure
-form of the transverse integral defining translation cocycles.
+class representatives over a prefix-closed GroupBall.  A memo, alive as
+long as its representation object, keeps each representation's largest
+ball and, per class word, the leaves in first-seen order; any smaller
+radius reads a prefix, a larger one rebuilds the entry.  Every consumer
+grows its radius through one routine, `stable_lifts`.  The transverse
+vector of a segment is the weighted sum of oriented unit normals of the
+leaves the segment crosses, which is the atomic-measure form of the
+transverse integral defining translation cocycles.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
-import math
+import weakref
 
 import numpy as np
 
-from .minkowski import EPS, RP1Point, geodesic_normal, inner
+from .minkowski import RP1Point, geodesic_normal, inner
 from .fuchsian import GroupBall, axis, parse_word, format_word, reduce_word
 
 HARD_CAP = 8
@@ -44,15 +49,18 @@ class GeodesicH2:
         return float(inner(self.normal, p))
 
     def key(self, ndigits=9):
-        t = sorted((round(self.end1.theta, ndigits) % 1.0,
-                    round(self.end2.theta, ndigits) % 1.0))
-        return (t[0], t[1])
+        return _ends_key(self.end1, self.end2, ndigits)
 
     def apply(self, m):
         return GeodesicH2(self.end1.apply(m), self.end2.apply(m))
 
     def __repr__(self):
         return "GeodesicH2(%.6f, %.6f)" % (self.end1.theta, self.end2.theta)
+
+
+def _ends_key(end1, end2, ndigits):
+    t = sorted((round(end1.theta, ndigits) % 1.0, round(end2.theta, ndigits) % 1.0))
+    return (t[0], t[1])
 
 
 def endpoints_linked(g1, g2, tol=1e-9):
@@ -124,49 +132,51 @@ class CrossingRecord:
         return "CrossingRecord(s=%.4f, w=%.3f, %r)" % (self.parameter, self.weight, self.leaf)
 
 
-def _ball(rep, radius):
-    cache = getattr(rep, "_ball_cache", None)
-    if cache is None:
-        cache = {}
-        rep._ball_cache = cache
-    if radius not in cache:
-        cache[radius] = GroupBall(rep, radius)
-    return cache[radius]
+def _class_word(rep, w):
+    """w as a word in rep's generators; a letter outside them is invalid."""
+    w = parse_word(w, rep.genus) if isinstance(w, str) else tuple(w)
+    if any(not 0 < abs(x) <= 2 * rep.genus for x in w):
+        raise ValueError("word %r out of range for genus %d" % (format_word(w), rep.genus))
+    return w
 
 
 def closed_geodesic_of(rep, w):
     """Axis geodesic of the holonomy of a word."""
-    if isinstance(w, str):
-        w = parse_word(w, rep.genus)
-    att, repp, _ = axis(rep.evaluate(w))
+    att, repp, _ = axis(rep.evaluate(_class_word(rep, w)))
     return GeodesicH2(att, repp)
 
 
+# representation -> (largest GroupBall so far, {class word: (leaves in
+# first-seen order, ball index where each was first seen)})
+_LIFTS = weakref.WeakKeyDictionary()
+
+
 def leaf_lifts(rep, w, radius):
-    """Distinct conjugate axes of the class of w over the radius-ball."""
-    if isinstance(w, str):
-        w = parse_word(w, rep.genus)
-    cache = getattr(rep, "_lift_cache", None)
-    if cache is None:
-        cache = {}
-        rep._lift_cache = cache
-    if (w, radius) in cache:
-        return cache[(w, radius)]
-    base = closed_geodesic_of(rep, w)
-    seen = {}
-    for _, m in _ball(rep, radius).items():
-        e1, e2 = base.end1.apply(m), base.end2.apply(m)
-        # deep conjugates collapse toward the circle; such leaves subtend
-        # a vanishing boundary arc and cannot meet a bounded query region
-        if e1.dist(e2) < 1e-6:
-            continue
-        g = GeodesicH2(e1, e2)
-        k = g.key(7)
-        if k not in seen:
-            seen[k] = g
-    out = list(seen.values())
-    cache[(w, radius)] = out
-    return out
+    """Distinct conjugate axes of the class of w over the radius-ball,
+    in first-seen order."""
+    w = _class_word(rep, w)
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    if rep not in _LIFTS or _LIFTS[rep][0].radius < radius:
+        _LIFTS[rep] = (GroupBall(rep, radius), {})
+    ball, by_word = _LIFTS[rep]
+    if w not in by_word:
+        base = closed_geodesic_of(rep, w)
+        seen, leaves, first = set(), [], []
+        for i, m in enumerate(ball.elements):
+            e1, e2 = base.end1.apply(m), base.end2.apply(m)
+            # deep conjugates collapse toward the circle; such leaves subtend
+            # a vanishing boundary arc and cannot meet a bounded query region
+            if e1.dist(e2) < 1e-6:
+                continue
+            k = _ends_key(e1, e2, 7)
+            if k not in seen:
+                seen.add(k)
+                leaves.append(GeodesicH2(e1, e2))
+                first.append(i)
+        by_word[w] = (leaves, first)
+    leaves, first = by_word[w]
+    return leaves[:bisect.bisect_left(first, ball.offsets[radius + 1])]
 
 
 def multicurve_lifts(rep, mc, radius):
@@ -206,16 +216,11 @@ def _separating(leaf, p, q, eps=1e-9):
     return sp / (sp - sq)
 
 
-def crossings(rep, mc, p, q, L):
-    """All leaf lifts separating p from q, sorted along the segment.
-
-    The enumeration radius starts at L and grows until two consecutive
-    increments add no crossings, up to the hard cap.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if float(np.max(np.abs(p - q))) < 1e-14:
-        return []
+def stable_lifts(rep, mc, L, pick):
+    """Records pick(leaf, weight) of the leaf lifts it accepts (returns
+    not None), enumerated over a radius grown from L until two
+    consecutive increments add no record, up to the hard cap.  A leaf
+    keeps its first record; records come in first-seen order."""
 
     def collect(radius):
         recs = {}
@@ -223,11 +228,9 @@ def crossings(rep, mc, p, q, L):
             k = leaf.key(7)
             if k in recs:
                 continue
-            s = _separating(leaf, p, q)
-            if s is None:
-                continue
-            n = leaf.normal if inner(leaf.normal, p) < 0 else -leaf.normal
-            recs[k] = CrossingRecord(leaf, s, n, weight)
+            rec = pick(leaf, weight)
+            if rec is not None:
+                recs[k] = rec
         return recs
 
     radius = min(L, HARD_CAP)
@@ -236,12 +239,30 @@ def crossings(rep, mc, p, q, L):
     while stable < 2:
         if radius >= HARD_CAP:
             raise EnumerationCapError(
-                "crossing set did not stabilize at radius cap %d" % HARD_CAP)
+                "leaf set did not stabilize at radius cap %d" % HARD_CAP)
         radius += 1
         nxt = collect(radius)
         stable = stable + 1 if len(nxt) == len(recs) else 0
         recs = nxt
-    return sorted(recs.values(), key=lambda r: r.parameter)
+    return list(recs.values())
+
+
+def crossings(rep, mc, p, q, L):
+    """All leaf lifts separating p from q, sorted along the segment,
+    stabilized by stable_lifts from radius L."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if float(np.max(np.abs(p - q))) < 1e-14:
+        return []
+
+    def pick(leaf, weight):
+        s = _separating(leaf, p, q)
+        if s is None:
+            return None
+        n = leaf.normal if inner(leaf.normal, p) < 0 else -leaf.normal
+        return CrossingRecord(leaf, s, n, weight)
+
+    return sorted(stable_lifts(rep, mc, L, pick), key=lambda r: r.parameter)
 
 
 def transverse_vector(rep, mc, p, q, L):

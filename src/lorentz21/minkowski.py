@@ -83,22 +83,17 @@ class Mat2:
         if m.shape != (2, 2):
             raise ValueError("Mat2 expects a 2x2 matrix")
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det <= 0 or abs(det - 1.0) > 1e-6:
-            # tolerate scaled input: renormalize if determinant is positive
-            if det <= 0:
-                raise ValueError("matrix must have positive determinant")
-            m = m / math.sqrt(det)
-        else:
-            m = m / math.sqrt(det)
-        self.m = _canonical_sign(m)
+        if det <= 0:
+            raise ValueError("matrix must have positive determinant")
+        # tolerate scaled input: renormalize to determinant one
+        self.m = _canonical_sign(m / math.sqrt(det))
 
     @classmethod
     def identity(cls):
         return cls(np.eye(2))
 
     def inverse(self):
-        a, b, c, d = self.m.ravel()
-        return Mat2(np.array([[d, -b], [-c, a]]))
+        return Mat2(adjugate(self.m))
 
     def __matmul__(self, other):
         return Mat2(self.m @ other.m)
@@ -123,6 +118,14 @@ class Mat2:
         return "Mat2([[%.6g, %.6g], [%.6g, %.6g]])" % (a, b, c, d)
 
 
+def adjugate(m):
+    """Adjugate [[d, -b], [-c, a]] of a 2x2 matrix, or of each matrix in
+    a stack: the exact inverse of a determinant-one matrix."""
+    m = np.asarray(m, dtype=float)
+    entries = [m[..., 1, 1], -m[..., 0, 1], -m[..., 1, 0], m[..., 0, 0]]
+    return np.stack(entries, axis=-1).reshape(m.shape)
+
+
 def _canonical_sign(m, tol=1e-12):
     for x in m.ravel():
         if abs(x) > tol:
@@ -139,7 +142,7 @@ def adjoint_to_so21(m):
     if not isinstance(m, Mat2):
         m = Mat2(m)
     a = m.m
-    ainv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
+    ainv = adjugate(a)
     cols = []
     for E in SL2_BASIS:
         X = a @ E @ ainv

@@ -196,12 +196,10 @@ class EarthquakeMap:
 
 
 class CircleMap:
-    """Sampled monotone degree-one circle map, with optional
-    piecewise-Mobius pieces."""
+    """Sampled monotone degree-one circle map."""
 
-    def __init__(self, samples, pieces=None):
+    def __init__(self, samples):
         self.samples = [(float(a), float(b)) for a, b in samples]
-        self.pieces = pieces
 
     def __len__(self):
         return len(self.samples)
@@ -259,13 +257,9 @@ class EquivariantEarthquakeMap(EarthquakeMap):
         return [(r.parameter, r.leaf, r.weight) for r in recs]
 
 
-def earthquake_along(lamination, side="left", scale=1.0):
-    return EarthquakeMap(lamination, side, scale)
-
-
 def boundary_value(quake, samples=256):
     """Boundary circle map of an earthquake, sampled away from leaf
-    endpoints, plus the per-region Mobius pieces."""
+    endpoints."""
     ends = set()
     for leaf, _ in quake.lamination.leaves:
         ends.add(round(leaf.end1.theta, 12))
@@ -302,25 +296,9 @@ def equivariant_lamination(rep, mc, radius=1.5, L=3):
     apex, enumeration stabilized as in the development pipeline."""
     basepoint = lamins.default_basepoint(rep, mc, L)
     reach = math.sinh(radius)
-
-    def leaves_at(r):
-        out = {}
-        for leaf, w, _ in lamins.multicurve_lifts(rep, mc, r):
-            if abs(leaf.side(basepoint)) < reach:
-                out[leaf.key(7)] = (leaf, w)
-        return out
-
-    r = min(L, lamins.HARD_CAP)
-    cur = leaves_at(r)
-    stable = 0
-    while stable < 2:
-        if r >= lamins.HARD_CAP:
-            raise lamins.EnumerationCapError("leaf enumeration hit the radius cap")
-        r += 1
-        nxt = leaves_at(r)
-        stable = stable + 1 if len(nxt) == len(cur) else 0
-        cur = nxt
-    return FiniteLaminationH2(list(cur.values()), basepoint)
+    leaves = lamins.stable_lifts(
+        rep, mc, L, lambda leaf, w: (leaf, w) if abs(leaf.side(basepoint)) < reach else None)
+    return FiniteLaminationH2(leaves, basepoint)
 
 
 def rep_after_earthquake(rep, mc, scale, side="left", L=3):

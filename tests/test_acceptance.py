@@ -131,7 +131,7 @@ def test_criterion_5_earthquake_anchors():
                                  quakes.real_boundary_point(None))
         lamination = quakes.FiniteLaminationH2([(leaf, math.log(s))],
                                                quakes.uhp_point(-1.0, 1.0))
-        quake = quakes.earthquake_along(lamination, side="left")
+        quake = quakes.EarthquakeMap(lamination, side="left")
         for rr in (-2.0, -0.5, 0.5, 3.0):
             x = quake.boundary_point(quakes.real_boundary_point(rr))
             u, v = x.v

@@ -12,10 +12,8 @@ from lorentz21.adshull import (
     convex_hull,
     dependence_membership,
     disjoint_spacelike_plane,
-    dual_point,
     extract_left_earthquake,
     lemma5_configuration,
-    plane_classify,
     plane_separates,
     plane_z_equals,
     qform,
@@ -96,9 +94,9 @@ def test_rulings_roundtrip_random():
 
 
 def test_plane_classify_examples():
-    assert plane_classify([0.0, 1.0, -1.0, 0.0]) == "spacelike"
-    assert plane_classify([1.0, 0.0, 0.0, 0.0]) == "null"
-    assert plane_classify([0.0, 1.0, 1.0, 0.0]) == "lorentzian"
+    assert ProjectivePlane([0.0, 1.0, -1.0, 0.0]).classify() == "spacelike"
+    assert ProjectivePlane([1.0, 0.0, 0.0, 0.0]).classify() == "null"
+    assert ProjectivePlane([0.0, 1.0, 1.0, 0.0]).classify() == "lorentzian"
 
 
 def test_dual_point_examples():

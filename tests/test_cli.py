@@ -173,3 +173,20 @@ def test_ads_between_same_rep_flat(capsys):
     assert report["values"]["flat"] is True
     assert report["values"]["total_shear"] == 0.0
     assert "notice" in report["values"]
+
+
+def test_flat_check_out_of_range_generator(tmp_path, capsys):
+    mc = tmp_path / "mc.json"
+    mc.write_text(json.dumps({"curves": [{"word": "a9", "weight": 1.0}]}))
+    code, report = run_cli(["flat", "check", lorentz21.bundled("octagon_rep.json"),
+                            str(mc)], capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"
+    assert "out of range" in report["error"]
+
+
+def test_ads_between_ball_zero(capsys):
+    rep = lorentz21.bundled("octagon_rep.json")
+    code, report = run_cli(["ads", "between", rep, rep, "--ball", "0"], capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"

@@ -16,7 +16,6 @@ from lorentz21.flatspace import (
     graph_slope_check,
     injectivity_gap,
     relator_residual,
-    standard_torus,
     support_planes,
     zero_cocycle,
 )
@@ -168,7 +167,7 @@ def test_support_planes_exclude_past(patch):
 
 
 def test_standard_torus():
-    st = standard_torus(1.0, 0.5, 2.0, 3.0)
+    st = StandardTorusSpacetime(1.0, 0.5, 2.0, 3.0)
     # holonomies commute and preserve the region
     ab = st.A.compose(st.B)
     ba = st.B.compose(st.A)
@@ -180,7 +179,7 @@ def test_standard_torus():
     assert not StandardTorusSpacetime.contains(np.array([2.0, 0.0, 1.0]))
     assert not StandardTorusSpacetime.contains(np.array([0.0, 0.0, -1.0]))
     with pytest.raises(ValueError):
-        standard_torus(1.0, 0.5, 2.0, 1.0)
+        StandardTorusSpacetime(1.0, 0.5, 2.0, 1.0)
 
 
 def test_cocycle_requires_generator_count(octagon):

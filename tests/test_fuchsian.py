@@ -85,6 +85,50 @@ def test_group_ball_counts(octagon):
     assert len(ball) == 65
 
 
+def growth_series(genus, radius):
+    """Cumulative ball sizes from the Floyd-Plotnick / Cannon rational
+    growth function of the genus-g surface group (Invent. Math. 88,
+    1987): (1 + 2z + ... + 2z^{2g-1} + z^{2g}) /
+    (1 - (4g-2)(z + ... + z^{2g-1}) + z^{2g})."""
+    n = 2 * genus
+    num = [1] + [2] * (n - 1) + [1]
+    den = [1] + [-(4 * genus - 2)] * (n - 1) + [1]
+    spheres = []
+    for k in range(radius + 1):
+        s = num[k] if k <= n else 0
+        s -= sum(den[j] * spheres[k - j] for j in range(1, min(k, n) + 1))
+        spheres.append(s)
+    return list(np.cumsum(spheres))
+
+
+def test_group_ball_growth_series():
+    assert growth_series(2, 5) == [1, 9, 65, 457, 3193, 22289]
+    assert growth_series(3, 4) == [1, 13, 145, 1597, 17569]
+    for genus, radius in ((2, 5), (3, 4)):
+        ball = GroupBall(regular_polygon_rep(genus), radius)
+        assert ball.offsets[1:] == growth_series(genus, radius)
+
+
+def test_group_ball_prefix_closed(octagon):
+    big = GroupBall(octagon, 5)
+    big_words = big.words()
+    for r in range(5):
+        small = GroupBall(octagon, r)
+        n = big.offsets[r + 1]
+        assert len(small) == n
+        assert small.words() == big_words[:n]
+        assert np.array_equal(small.elements, big.elements[:n])
+
+
+def test_group_ball_find_and_evaluate(octagon):
+    ball = GroupBall(octagon, 3)
+    assert np.array_equal(ball.find(ball.elements), np.arange(len(ball)))
+    assert np.array_equal(ball.find(-ball.elements), np.arange(len(ball)))
+    mats = ball.evaluate(octagon)
+    for i in (1, 7, 100, len(ball) - 1):
+        assert Mat2(mats[i]).dist(octagon.evaluate(ball.word(i))) < 1e-9
+
+
 def test_group_ball_lookup(octagon):
     ball = GroupBall(octagon, 3)
     m = octagon.evaluate((1, 2, -1))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,30 @@ def test_leaf_lifts_dedup(octagon):
     assert len(keys) == len(lifts)
     # conjugating by a1 itself fixes the axis, so fewer lifts than ball elements
     assert len(lifts) < 9
+
+
+def test_leaf_lifts_independent_of_memo():
+    # fresh representations, so the memo starts empty for each
+    first = leaf_lifts(regular_polygon_rep(2), "a1", 3)
+    rep = regular_polygon_rep(2)
+    leaf_lifts(rep, "a1", 5)
+    after = leaf_lifts(rep, "a1", 3)
+    assert [(g.end1.theta, g.end2.theta) for g in after] == \
+        [(g.end1.theta, g.end2.theta) for g in first]
+
+
+def test_leaf_lift_memo_lives_as_long_as_its_representation():
+    rep = regular_polygon_rep(2)
+    leaf_lifts(rep, "a1", 2)
+    alive = weakref.ref(rep)
+    del rep
+    gc.collect()
+    assert alive() is None
+
+
+def test_leaf_lifts_rejects_out_of_range_generator(octagon):
+    with pytest.raises(ValueError, match="out of range"):
+        leaf_lifts(octagon, (17,), 1)
 
 
 def test_disjointness(octagon):

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from lorentz21.fuchsian import Mat2, regular_polygon_rep
-from lorentz21.laminations import GeodesicH2, WeightedMulticurve
-from lorentz21.minkowski import RP1Point, adjoint_to_so21, hyperboloid_normalize
+from lorentz21.laminations import GeodesicH2, WeightedMulticurve, crossings
+from lorentz21.minkowski import RP1Point, adjoint_to_so21, hyperboloid_normalize, inner
 from lorentz21.quakes import (
     CircleMap,
     EarthquakeMap,
     EquivariantEarthquakeMap,
     FiniteLaminationH2,
     boundary_value,
-    earthquake_along,
+    equivariant_lamination,
     lamination_from_json,
     lamination_to_json,
     quadric_action_example,
@@ -51,7 +51,7 @@ def test_single_leaf_boundary_anchor(s):
     """Left quake along (0, infinity) with weight log s and base on the
     negatives: identity on the negative reals, multiplication by s on
     the positives."""
-    quake = earthquake_along(single_leaf(math.log(s)), side="left")
+    quake = EarthquakeMap(single_leaf(math.log(s)), side="left")
     for r in (-3.0, -0.5, -17.0):
         assert abs(bpoint(quake, r) - r) < 1e-12
     for r in (0.5, 1.0, 7.0):
@@ -62,7 +62,7 @@ def test_single_leaf_boundary_anchor(s):
 
 def test_single_leaf_interior_points():
     s = 4.0
-    quake = earthquake_along(single_leaf(math.log(s)))
+    quake = EarthquakeMap(single_leaf(math.log(s)))
     p = uhp_point(-2.0, 1.0)
     assert np.max(np.abs(quake(p) - p)) < 1e-12
     q = uhp_point(1.0, 1.0)
@@ -72,17 +72,17 @@ def test_single_leaf_interior_points():
 
 def test_scale_additivity():
     lamination = single_leaf(0.3)
-    q1 = earthquake_along(lamination, scale=1.0)
-    q2 = earthquake_along(lamination, scale=2.5)
-    q35 = earthquake_along(lamination, scale=3.5)
+    q1 = EarthquakeMap(lamination, scale=1.0)
+    q2 = EarthquakeMap(lamination, scale=2.5)
+    q35 = EarthquakeMap(lamination, scale=3.5)
     p = uhp_point(2.0, 1.5)
     assert np.max(np.abs(q35(p) - q1(q2(p)))) < 1e-12
 
 
 def test_right_after_left_fixes_base_side():
     lamination = single_leaf(0.7)
-    left = earthquake_along(lamination, side="left")
-    right = earthquake_along(lamination, side="right")
+    left = EarthquakeMap(lamination, side="left")
+    right = EarthquakeMap(lamination, side="right")
     # the two quakes are inverse on every region
     for u, v in [(-1.0, 1.0), (2.0, 0.5), (0.3, 2.0)]:
         p = uhp_point(u, v)
@@ -90,14 +90,14 @@ def test_right_after_left_fixes_base_side():
 
 
 def test_scale_zero_is_identity():
-    quake = earthquake_along(single_leaf(1.0), scale=0.0)
+    quake = EarthquakeMap(single_leaf(1.0), scale=0.0)
     p = uhp_point(3.0, 2.0)
     assert np.max(np.abs(quake(p) - p)) < 1e-15
 
 
 def test_on_leaf_point_two_valued():
     lamination = single_leaf(math.log(2.0))
-    quake = earthquake_along(lamination)
+    quake = EarthquakeMap(lamination)
     p = uhp_point(0.0, 1.0)  # on the leaf
     with pytest.raises(ValueError):
         quake.apply(p)
@@ -117,8 +117,8 @@ def test_mobius_equivariance():
     base = uhp_point(0.3, 0.8)
     lam1 = FiniteLaminationH2([(leaf, 0.6)], base)
     lam2 = FiniteLaminationH2([(leaf.apply(g), 0.6)], A @ base)
-    q1 = earthquake_along(lam1)
-    q2 = earthquake_along(lam2)
+    q1 = EarthquakeMap(lam1)
+    q2 = EarthquakeMap(lam2)
     p = uhp_point(1.7, 0.4)
     assert np.max(np.abs(q2(A @ p) - A @ q1(p))) < 1e-12
 
@@ -127,9 +127,9 @@ def test_boundary_map_monotone():
     leaf1 = GeodesicH2(RP1Point.from_theta(0.1), RP1Point.from_theta(0.4))
     leaf2 = GeodesicH2(RP1Point.from_theta(0.55), RP1Point.from_theta(0.8))
     lamination = FiniteLaminationH2([(leaf1, 0.9), (leaf2, 1.4)])
-    cm = boundary_value(earthquake_along(lamination), samples=128)
+    cm = boundary_value(EarthquakeMap(lamination), samples=128)
     assert cm.is_monotone()
-    cm_r = boundary_value(earthquake_along(lamination, side="right"), samples=128)
+    cm_r = boundary_value(EarthquakeMap(lamination, side="right"), samples=128)
     assert cm_r.is_monotone()
 
 
@@ -209,3 +209,20 @@ def test_equivariant_quake_equivariance(octagon):
         lhs = quake(adjoint_to_so21(octagon.generators[i]) @ p)
         rhs = adjoint_to_so21(out.generators[i]) @ quake(p)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+def test_equivariant_lamination_holds_leaves_within_reach(octagon):
+    mc = WeightedMulticurve([("a1", 0.4)])
+    lamination = equivariant_lamination(octagon, mc, radius=2.0, L=3)
+    b = lamination.basepoint
+    assert all(abs(leaf.side(b)) < math.sinh(2.0) and w == 0.4
+               for leaf, w in lamination.leaves)
+    # every leaf met on a geodesic segment of length 1.9 from b is held
+    held = {leaf.key(7) for leaf, _ in lamination.leaves}
+    crossed = []
+    for k in range(8):
+        v = np.array([math.cos(k * math.pi / 4), math.sin(k * math.pi / 4), 0.0])
+        u = v + inner(v, b) * b
+        q = math.cosh(1.9) * b + math.sinh(1.9) * u / math.sqrt(inner(u, u))
+        crossed += [rec.leaf.key(7) for rec in crossings(octagon, mc, b, q, 3)]
+    assert crossed and set(crossed) <= held
