@@ -22,7 +22,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .fuchsian import GroupBall, Mat2
-from .minkowski import RP1Point, adjugate
+from .minkowski import RP1Point, adjugate, finite
 from .quakes import CircleMap
 
 EPS = 1e-9
@@ -223,6 +223,7 @@ class CircleGraph:
                 continue
             a, b = row.split(",")
             samples.append((float(a), float(b)))
+        finite(samples, "graph samples")
         return cls(samples)
 
 

@@ -15,12 +15,10 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import adshull, flatspace, quakes
 from . import laminations as lamins
 from .fuchsian import GroupBall, Representation, euler_class, milnor_wood_ok
-from .minkowski import CausalClass, classify
+from .minkowski import CausalClass, classify, finite
 
 SCHEMA_PREFIX = "lorentz21"
 
@@ -167,7 +165,7 @@ def cmd_quake(args):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                p = np.array([float(v) for v in line.split(",")])
+                p = finite([float(v) for v in line.split(",")], "point")
                 try:
                     q = quake.apply(p)
                     rows.append("%.12f,%.12f,%.12f,%.12f,%.12f,%.12f,ok"

@@ -160,8 +160,9 @@ def cocycle_identity_sweep(rep, coc, ball):
                 free_vals[w] = val
             vals[j] = val
         base = T[i] + T @ F[i].T
-        worst = max(worst, float(np.max(np.abs(vals - base))))
-    return worst
+        # np.maximum, unlike max(), carries a NaN residual through
+        worst = np.maximum(worst, np.max(np.abs(vals - base)))
+    return float(worst)
 
 
 def relator_residual(rep, coc):
@@ -230,37 +231,35 @@ def develop_surface(rep, mc, radius=1.5, density=200, basepoint=None, L=3, seed=
     # keeps exactly the leaves within reach of the samples
     reach = math.sinh(radius + 0.5)
     leaves = lam.stable_lifts(
-        rep, mc, L, lambda leaf, w: (leaf, w) if abs(leaf.side(basepoint)) < reach else None)
+        rep, mc, L, lambda lv: np.abs(inner(lv.normals, basepoint)) < reach)
 
     rng = np.random.default_rng(seed)
-    pts = []
-    flags = []
-    n = 0
-    while n < density:
+    boost = _transport_to(basepoint)
+    pts, flags = [], []
+    for _ in range(density):
         u, v = rng.random(), rng.random()
         d = math.acosh(1.0 + (math.cosh(radius) - 1.0) * u)
         ang = 2.0 * math.pi * v
         # walk distance d from the apex, then recenter at the basepoint
         p = np.array([math.sinh(d) * math.cos(ang), math.sinh(d) * math.sin(ang), math.cosh(d)])
-        p = _transport_to(basepoint) @ p
+        p = boost @ p
         flag = False
         for _ in range(50):
-            if all(abs(inner(leaf.normal, p)) > 1e-7 for leaf, _ in leaves):
+            if np.all(np.abs(inner(leaves.normals, p)) > 1e-7):
                 break
             p = hyperboloid_normalize(p + np.array([1e-5, 2e-5, 0.0]))
             flag = True
         pts.append(p)
         flags.append(flag)
-        n += 1
-    pts = np.array(pts)
+    pts = np.array(pts).reshape(-1, 3)
 
+    s0 = inner(leaves.normals, basepoint)
+    crossed = s0 * inner(pts[:, None], leaves.normals) < 0
     xvals = np.zeros((len(pts), 3))
-    for leaf, w in leaves:
-        s0 = float(inner(leaf.normal, basepoint))
-        sp = pts @ (leaf.normal * np.array([1.0, 1.0, -1.0]))
-        crossed = s0 * sp < 0
-        orient = -np.sign(s0)  # away from the basepoint side
-        xvals[crossed] += w * orient * leaf.normal
+    # leaf by leaf, so each sample sums its crossed normals in leaf order;
+    # -sign(s0) orients each normal away from the basepoint side
+    for n, w, s, hit in zip(leaves.normals, leaves.weights, s0, crossed.T):
+        xvals[hit] += w * -np.sign(s) * n
     return DevelopedSurfacePatch(rep, mc, basepoint, pts, xvals, flags)
 
 

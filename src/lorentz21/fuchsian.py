@@ -20,7 +20,7 @@ import random
 
 import numpy as np
 
-from .minkowski import Mat2, RP1Point, adjugate
+from .minkowski import Mat2, RP1Point, adjugate, finite
 
 
 class EllipticDegeneracyError(RuntimeError):
@@ -142,7 +142,7 @@ class Representation:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["genus"]), [np.array(g, dtype=float) for g in data["generators"]])
+        return cls(int(data["genus"]), [finite(g, "generator entries") for g in data["generators"]])
 
     @classmethod
     def load(cls, path):

@@ -2,25 +2,40 @@
 
 A multicurve is a list of conjugacy classes (words) with positive
 weights.  Leaves of the lifted lamination are axes of conjugates of the
-class representatives over a prefix-closed GroupBall.  A memo, alive as
-long as its representation object, keeps each representation's largest
-ball and, per class word, the leaves in first-seen order; any smaller
-radius reads a prefix, a larger one rebuilds the entry.  Every consumer
-grows its radius through one routine, `stable_lifts`.  The transverse
-vector of a segment is the weighted sum of oriented unit normals of the
-leaves the segment crosses, which is the atomic-measure form of the
+class representatives over a prefix-closed GroupBall.  They are held as
+a LeafSet, one array row per leaf: unit end vectors, circle parameters,
+identifying keys, unit normals, the ball index where the leaf was first
+seen, weight and class.  Each class's LeafSet is built in one
+vectorized pass over the ball's matrices and kept in a memo that lives
+as long as its representation object, next to that representation's
+largest ball; any smaller radius reads a prefix, a larger one rebuilds
+the entry.  Consumers (crossings, disjointness, basepoints,
+development) work on the arrays; every one that grows its radius does
+so through `stable_lifts`.  GeodesicH2 is the scalar type: leaves of a
+finite lamination, leaves handed to earthquakes, and the reference
+that the array routines are tested against.  The transverse vector of
+a segment is the weighted sum of oriented unit normals of the leaves
+the segment crosses, which is the atomic-measure form of the
 transverse integral defining translation cocycles.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import weakref
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .minkowski import RP1Point, geodesic_normal, inner
+from .minkowski import (
+    RP1Point,
+    finite,
+    geodesic_normal,
+    hyperboloid_normalize,
+    inner,
+    null_vectors,
+    rp1_stack,
+)
 from .fuchsian import GroupBall, axis, parse_word, format_word, reduce_word
 
 HARD_CAP = 8
@@ -31,7 +46,8 @@ class EnumerationCapError(RuntimeError):
 
 
 class GeodesicH2:
-    """Complete geodesic of H^2 given by two distinct ideal endpoints."""
+    """Complete geodesic of H^2 given by two distinct ideal endpoints:
+    the scalar leaf of finite laminations."""
 
     def __init__(self, end1, end2):
         if not isinstance(end1, RP1Point):
@@ -49,18 +65,14 @@ class GeodesicH2:
         return float(inner(self.normal, p))
 
     def key(self, ndigits=9):
-        return _ends_key(self.end1, self.end2, ndigits)
+        return tuple(sorted((round(self.end1.theta, ndigits) % 1.0,
+                             round(self.end2.theta, ndigits) % 1.0)))
 
     def apply(self, m):
         return GeodesicH2(self.end1.apply(m), self.end2.apply(m))
 
     def __repr__(self):
         return "GeodesicH2(%.6f, %.6f)" % (self.end1.theta, self.end2.theta)
-
-
-def _ends_key(end1, end2, ndigits):
-    t = sorted((round(end1.theta, ndigits) % 1.0, round(end2.theta, ndigits) % 1.0))
-    return (t[0], t[1])
 
 
 def endpoints_linked(g1, g2, tol=1e-9):
@@ -92,7 +104,7 @@ class WeightedMulticurve:
             w = reduce_word(w)
             if not w:
                 raise ValueError("trivial word is not a curve")
-            if weight <= 0:
+            if finite(weight, "weight") <= 0:
                 raise ValueError("weights must be positive")
             self.curves.append((w, float(weight)))
 
@@ -146,14 +158,70 @@ def closed_geodesic_of(rep, w):
     return GeodesicH2(att, repp)
 
 
-# representation -> (largest GroupBall so far, {class word: (leaves in
-# first-seen order, ball index where each was first seen)})
+@dataclass(frozen=True)
+class LeafSet:
+    """Leaves as arrays, one row per leaf: unit end vectors `end1`,
+    `end2` (N, 2) normalized as RP1Point does, their circle parameters
+    `thetas` (N, 2), the identifying `keys` (N, 2) of GeodesicH2.key(7),
+    unit `normals` (N, 3), the ball index where each leaf was `first`
+    seen, and the multicurve `weights` and `classes`."""
+
+    end1: np.ndarray
+    end2: np.ndarray
+    thetas: np.ndarray
+    keys: np.ndarray
+    normals: np.ndarray
+    first: np.ndarray
+    weights: np.ndarray
+    classes: np.ndarray
+
+    def __len__(self):
+        return len(self.first)
+
+    def __getitem__(self, rows):
+        """The rows selected by a slice, mask or index array."""
+        return LeafSet(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def geodesic(self, i):
+        """Row i as a GeodesicH2 with the same end vectors."""
+        return GeodesicH2(RP1Point.normalized(self.end1[i]),
+                          RP1Point.normalized(self.end2[i]))
+
+
+def _first_rows(keys):
+    """Ascending index of the first row of each distinct (N, 2) key."""
+    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, 2 * keys.itemsize)))
+    return np.sort(np.unique(rows.ravel(), return_index=True)[1])
+
+
+def _lift_class(ball, base):
+    """Distinct conjugate axes m(base) over the ball's matrices m, in
+    first-seen order, as a LeafSet of one class of weight one."""
+    end1, theta1 = rp1_stack(ball.elements @ base.end1.v)
+    end2, theta2 = rp1_stack(ball.elements @ base.end2.v)
+    d = np.abs(theta1 - theta2)
+    # deep conjugates collapse toward the circle; such leaves subtend
+    # a vanishing boundary arc and cannot meet a bounded query region
+    rows = np.flatnonzero(np.minimum(d, 1.0 - d) >= 1e-6)
+    thetas = np.stack([theta1[rows], theta2[rows]], axis=1)
+    # round(), as GeodesicH2.key does; np.round can differ in the last digit
+    keys = np.sort(np.array([[round(t, 7) % 1.0 for t in pair]
+                             for pair in thetas.tolist()]).reshape(-1, 2), axis=1)
+    keep = _first_rows(keys)
+    rows = rows[keep]
+    end1, end2 = end1[rows], end2[rows]
+    return LeafSet(end1, end2, thetas[keep], keys[keep],
+                   geodesic_normal(null_vectors(end1), null_vectors(end2)), rows,
+                   np.ones(len(rows)), np.zeros(len(rows), dtype=int))
+
+
+# representation -> (largest GroupBall so far, {class word: LeafSet})
 _LIFTS = weakref.WeakKeyDictionary()
 
 
 def leaf_lifts(rep, w, radius):
-    """Distinct conjugate axes of the class of w over the radius-ball,
-    in first-seen order."""
+    """LeafSet of the distinct conjugate axes of the class of w over the
+    radius-ball, in first-seen order."""
     w = _class_word(rep, w)
     if radius < 0:
         raise ValueError("radius must be >= 0")
@@ -161,80 +229,70 @@ def leaf_lifts(rep, w, radius):
         _LIFTS[rep] = (GroupBall(rep, radius), {})
     ball, by_word = _LIFTS[rep]
     if w not in by_word:
-        base = closed_geodesic_of(rep, w)
-        seen, leaves, first = set(), [], []
-        for i, m in enumerate(ball.elements):
-            e1, e2 = base.end1.apply(m), base.end2.apply(m)
-            # deep conjugates collapse toward the circle; such leaves subtend
-            # a vanishing boundary arc and cannot meet a bounded query region
-            if e1.dist(e2) < 1e-6:
-                continue
-            k = _ends_key(e1, e2, 7)
-            if k not in seen:
-                seen.add(k)
-                leaves.append(GeodesicH2(e1, e2))
-                first.append(i)
-        by_word[w] = (leaves, first)
-    leaves, first = by_word[w]
-    return leaves[:bisect.bisect_left(first, ball.offsets[radius + 1])]
+        by_word[w] = _lift_class(ball, closed_geodesic_of(rep, w))
+    leaves = by_word[w]
+    return leaves[:np.searchsorted(leaves.first, ball.offsets[radius + 1])]
+
+
+_NO_LEAVES = LeafSet(*[np.zeros((0, k)) for k in (2, 2, 2, 2, 3)],
+                     np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int))
 
 
 def multicurve_lifts(rep, mc, radius):
-    """List of (leaf, weight, class index) over all classes of mc."""
-    out = []
-    for ci, (w, weight) in enumerate(mc.curves):
-        for g in leaf_lifts(rep, w, radius):
-            out.append((g, weight, ci))
-    return out
+    """LeafSet of the lifts of every class of mc, class by class."""
+    # the empty record keeps the concatenation defined for no classes
+    parts = [_NO_LEAVES] + [leaf_lifts(rep, w, radius) for w, _ in mc.curves]
+    sizes = [len(part) for part in parts[1:]]
+    leaves = LeafSet(*(np.concatenate([getattr(part, f.name) for part in parts])
+                       for f in fields(LeafSet)))
+    return replace(leaves, weights=np.repeat([wt for _, wt in mc.curves], sizes),
+                   classes=np.repeat(np.arange(len(sizes)), sizes))
+
+
+def first_crossing_pair(thetas, classes, same_tol=1e-7, tol=1e-9):
+    """First pair (i, j), i < j, of leaves with end parameters thetas
+    (N, 2) that are one geodesic within same_tol but of two classes or,
+    being distinct, cross; None if there is none.  Leaf i is tested
+    against all later leaves at once, exactly as the pairwise
+    same_geodesic(g_i, g_j, same_tol), then endpoints_linked(g_i, g_j,
+    tol)."""
+    for i in range(len(thetas) - 1):
+        a, b = thetas[i]
+        later = thetas[i + 1:]
+        d = np.abs(later[:, :, None] - thetas[i])  # d[j, k, l] = |later_jk - end_l|
+        near = np.minimum(d, 1.0 - d) < same_tol
+        same = (near[:, 0, 0] & near[:, 1, 1]) | (near[:, 1, 0] & near[:, 0, 1])
+        u, span = (later - a) % 1.0, (b - a) % 1.0
+        # a shared endpoint is tangential, not linked
+        touch = ((u < tol) | (np.abs(u - span) < tol) | (1.0 - u < tol)).any(axis=1)
+        linked = ~touch & ((u[:, 0] < span) != (u[:, 1] < span))
+        bad = np.where(same, classes[i + 1:] != classes[i], linked)
+        if bad.any():
+            return i, i + 1 + int(np.argmax(bad))
+    return None
 
 
 def disjointness_check(rep, mc, L):
     """True iff no two leaf lifts cross (and no leaf is shared between
     distinct classes), over conjugates from the radius-L ball."""
-    lifts = multicurve_lifts(rep, mc, L)
-    for i in range(len(lifts)):
-        g1, _, c1 = lifts[i]
-        for j in range(i + 1, len(lifts)):
-            g2, _, c2 = lifts[j]
-            if same_geodesic(g1, g2, 1e-7):
-                if c1 != c2:
-                    return False
-                continue
-            if endpoints_linked(g1, g2):
-                return False
-    return True
+    leaves = multicurve_lifts(rep, mc, L)
+    return first_crossing_pair(leaves.thetas, leaves.classes) is None
 
 
-def _separating(leaf, p, q, eps=1e-9):
-    """Crossing parameter in (0,1) if the leaf plane separates p from q,
-    else None.  Raises if either endpoint is on the plane within eps."""
-    sp, sq = leaf.side(p), leaf.side(q)
-    if abs(sp) < eps or abs(sq) < eps:
-        raise ValueError("segment endpoint lies on a leaf within tolerance")
-    if sp * sq > 0:
-        return None
-    return sp / (sp - sq)
-
-
-def stable_lifts(rep, mc, L, pick):
-    """Records pick(leaf, weight) of the leaf lifts it accepts (returns
-    not None), enumerated over a radius grown from L until two
-    consecutive increments add no record, up to the hard cap.  A leaf
-    keeps its first record; records come in first-seen order."""
+def stable_lifts(rep, mc, L, keep):
+    """The leaf lifts selected by keep(leaves), a boolean mask over a
+    LeafSet, enumerated over a radius grown from L until two
+    consecutive increments select no new leaf, up to the hard cap.  A
+    leaf shared between classes keeps its first row; rows come in
+    first-seen order."""
 
     def collect(radius):
-        recs = {}
-        for leaf, weight, _ in multicurve_lifts(rep, mc, radius):
-            k = leaf.key(7)
-            if k in recs:
-                continue
-            rec = pick(leaf, weight)
-            if rec is not None:
-                recs[k] = rec
-        return recs
+        leaves = multicurve_lifts(rep, mc, radius)
+        leaves = leaves[_first_rows(leaves.keys)]
+        return leaves[keep(leaves)]
 
     radius = min(L, HARD_CAP)
-    recs = collect(radius)
+    leaves = collect(radius)
     stable = 0
     while stable < 2:
         if radius >= HARD_CAP:
@@ -242,27 +300,34 @@ def stable_lifts(rep, mc, L, pick):
                 "leaf set did not stabilize at radius cap %d" % HARD_CAP)
         radius += 1
         nxt = collect(radius)
-        stable = stable + 1 if len(nxt) == len(recs) else 0
-        recs = nxt
-    return list(recs.values())
+        stable = stable + 1 if len(nxt) == len(leaves) else 0
+        leaves = nxt
+    return leaves
 
 
 def crossings(rep, mc, p, q, L):
     """All leaf lifts separating p from q, sorted along the segment,
-    stabilized by stable_lifts from radius L."""
+    stabilized by stable_lifts from radius L.  Raises if either
+    endpoint is on a leaf plane within 1e-9."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if float(np.max(np.abs(p - q))) < 1e-14:
         return []
 
-    def pick(leaf, weight):
-        s = _separating(leaf, p, q)
-        if s is None:
-            return None
-        n = leaf.normal if inner(leaf.normal, p) < 0 else -leaf.normal
-        return CrossingRecord(leaf, s, n, weight)
+    def separating(leaves):
+        sp, sq = inner(leaves.normals, p), inner(leaves.normals, q)
+        if np.any(np.abs(sp) < 1e-9) or np.any(np.abs(sq) < 1e-9):
+            raise ValueError("segment endpoint lies on a leaf within tolerance")
+        return sp * sq <= 0
 
-    return sorted(stable_lifts(rep, mc, L, pick), key=lambda r: r.parameter)
+    leaves = stable_lifts(rep, mc, L, separating)
+    sp, sq = inner(leaves.normals, p), inner(leaves.normals, q)
+    s = sp / (sp - sq)
+    normals = np.where((sp < 0)[:, None], leaves.normals, -leaves.normals)
+    # a stable sort keeps first-seen order among equal parameters
+    return [CrossingRecord(leaves.geodesic(i), float(s[i]), normals[i],
+                           float(leaves.weights[i]))
+            for i in np.argsort(s, kind="stable")]
 
 
 def transverse_vector(rep, mc, p, q, L):
@@ -274,17 +339,21 @@ def transverse_vector(rep, mc, p, q, L):
     return out
 
 
-def default_basepoint(rep, mc, L, eps=1e-6):
-    """Hyperboloid apex, nudged off all leaf planes if necessary."""
-    from .minkowski import hyperboloid_normalize
-
-    lifts = multicurve_lifts(rep, mc, min(L + 2, HARD_CAP))
+def basepoint_off(normals, eps=1e-6):
+    """The hyperboloid apex or, failing that, the first of its nudges
+    along (0.0131 k, 0.0271 k), k < 200, farther than eps from every
+    leaf plane of the (N, 3) normals."""
     p = np.array([0.0, 0.0, 1.0])
     step = 1
-    while any(abs(leaf.side(p)) < eps for leaf, _, _ in lifts):
+    while np.any(np.abs(inner(normals, p)) < eps):
         p = hyperboloid_normalize(
             np.array([0.0131 * step, 0.0271 * step, 1.0]))
         step += 1
         if step > 200:
             raise RuntimeError("could not find a basepoint off all leaves")
     return p
+
+
+def default_basepoint(rep, mc, L, eps=1e-6):
+    """Hyperboloid apex, nudged off all leaf planes if necessary."""
+    return basepoint_off(multicurve_lifts(rep, mc, min(L + 2, HARD_CAP)).normals, eps)

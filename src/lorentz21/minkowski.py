@@ -37,6 +37,15 @@ SL2_BASIS = (
 )
 
 
+def finite(values, what):
+    """values as a float array (a scalar stays 0-d); NaN or an infinite
+    entry is invalid input, reported by name."""
+    out = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("%s must be finite" % what)
+    return out
+
+
 def inner(u, v):
     """Minkowski inner product <u,v> = ux vx + uy vy - ut vt."""
     u = np.asarray(u, dtype=float)
@@ -251,6 +260,13 @@ class RP1Point:
         self.v = v
 
     @classmethod
+    def normalized(cls, v):
+        """The point of a vector already normalized as above, bit for bit."""
+        out = cls.__new__(cls)
+        out.v = v
+        return out
+
+    @classmethod
     def from_theta(cls, theta):
         a = (theta % 1.0) * math.pi
         return cls(np.array([math.cos(a), math.sin(a)]))
@@ -269,9 +285,7 @@ class RP1Point:
     def null_vector(self):
         """Future null direction of this ideal point under the fixed
         sl(2) <-> R^{2+1} identification, normalized to t = 1."""
-        x, y = self.v
-        n = np.array([-2.0 * x * y, x * x - y * y, x * x + y * y])
-        return n / n[2]
+        return null_vectors(self.v)
 
     def dist(self, other):
         d = abs(self.theta - other.theta)
@@ -281,26 +295,45 @@ class RP1Point:
         return "RP1Point(theta=%.6f)" % self.theta
 
 
+def rp1_stack(vs):
+    """RP1Point(v).v and RP1Point(v).theta of each row v of a (N, 2)
+    stack, by RP1Point's own math.hypot and math.atan2 (numpy's differ
+    in the last bit)."""
+    vs = np.asarray(vs, dtype=float)
+    vs = vs / np.array([math.hypot(x, y) for x, y in vs.tolist()]).reshape(-1, 1)
+    vs[(vs[:, 1] < 0) | ((vs[:, 1] == 0) & (vs[:, 0] < 0))] *= -1.0
+    a = np.array([math.atan2(y, x) for x, y in vs.tolist()])
+    return vs, (np.where(a < 0, a + math.pi, a) / math.pi) % 1.0
+
+
+def null_vectors(vs):
+    """RP1Point.null_vector of a unit 2-vector, or of each in a stack."""
+    x, y = vs[..., 0], vs[..., 1]
+    n = np.stack([-2.0 * x * y, x * x - y * y, x * x + y * y], axis=-1)
+    return n / n[..., 2:]
+
+
 def geodesic_normal(end1, end2, toward=None):
     """Unit spacelike normal of the plane through the origin spanned by
-    two distinct ideal points (null directions).
+    two distinct ideal points (null directions), or of each pair in two
+    (N, 3) stacks of null vectors.
 
     If `toward` is given, the sign is fixed so <n, toward> > 0, i.e. the
     normal points into the side containing `toward`.
     """
     u = end1.null_vector() if isinstance(end1, RP1Point) else np.asarray(end1, float)
     v = end2.null_vector() if isinstance(end2, RP1Point) else np.asarray(end2, float)
-    cr = np.cross(u, v)
-    n = G @ cr
+    n = np.cross(u, v) @ G
     # the direct <n,n> cancels catastrophically for nearby endpoints;
-    # the Lagrange identity form stays accurate down to tiny gaps
-    q = float(inner(u, v)) ** 2 - float(inner(u, u)) * float(inner(v, v))
-    scale = float(np.dot(u, u)) * float(np.dot(v, v))
-    if q <= 1e-25 * scale:
+    # the Lagrange identity form stays accurate down to tiny gaps.
+    # float_power squares by C pow, as Python's ** does, where x * x
+    # can differ in the last bit
+    q = np.float_power(inner(u, v), 2) - inner(u, u) * inner(v, v)
+    scale = np.sum(u * u, axis=-1) * np.sum(v * v, axis=-1)
+    if np.any(q <= 1e-25 * scale):
         raise ValueError("ideal endpoints coincide")
-    n = n / math.sqrt(q)
+    n = n / np.sqrt(q)[..., None]
     if toward is not None:
         s = inner(n, np.asarray(toward, dtype=float))
-        if s < 0:
-            n = -n
+        n = np.where((s < 0)[..., None], -n, n)
     return n

@@ -20,6 +20,7 @@ from .minkowski import (
     G,
     RP1Point,
     adjoint_to_so21,
+    finite,
     hyperboloid_normalize,
     inner,
 )
@@ -49,17 +50,14 @@ class FiniteLaminationH2:
             if w <= 0:
                 raise ValueError("weights must be positive")
             self.leaves.append((g, float(w)))
-        for i in range(len(self.leaves)):
-            for j in range(i + 1, len(self.leaves)):
-                gi, gj = self.leaves[i][0], self.leaves[j][0]
-                if lamins.same_geodesic(gi, gj) or lamins.endpoints_linked(gi, gj):
-                    raise ValueError("leaves %d and %d are not disjoint" % (i, j))
+        thetas = np.array([[g.end1.theta, g.end2.theta] for g, _ in self.leaves])
+        pair = lamins.first_crossing_pair(thetas.reshape(-1, 2), np.arange(len(self.leaves)),
+                                          same_tol=1e-9)
+        if pair is not None:
+            raise ValueError("leaves %d and %d are not disjoint" % pair)
         if basepoint is None:
-            basepoint = np.array([0.0, 0.0, 1.0])
-            k = 1
-            while any(abs(g.side(basepoint)) < 1e-9 for g, _ in self.leaves):
-                basepoint = hyperboloid_normalize(np.array([0.013 * k, 0.027 * k, 1.0]))
-                k += 1
+            normals = np.array([g.normal for g, _ in self.leaves]).reshape(-1, 3)
+            basepoint = lamins.basepoint_off(normals)
         self.basepoint = np.asarray(basepoint, dtype=float)
 
 
@@ -76,12 +74,12 @@ def lamination_to_json(lamination):
 def lamination_from_json(data):
     leaves = []
     for rec in data["leaves"]:
-        g = lamins.GeodesicH2(RP1Point.from_theta(float(rec["end1"])),
-                              RP1Point.from_theta(float(rec["end2"])))
-        leaves.append((g, float(rec["weight"])))
+        end1, end2, w = finite([rec["end1"], rec["end2"], rec["weight"]], "leaf")
+        leaves.append((lamins.GeodesicH2(RP1Point.from_theta(end1), RP1Point.from_theta(end2)),
+                       float(w)))
     basepoint = data.get("basepoint")
     if basepoint is not None:
-        basepoint = np.asarray(basepoint, dtype=float)
+        basepoint = finite(basepoint, "basepoint")
     return FiniteLaminationH2(leaves, basepoint)
 
 
@@ -297,8 +295,9 @@ def equivariant_lamination(rep, mc, radius=1.5, L=3):
     basepoint = lamins.default_basepoint(rep, mc, L)
     reach = math.sinh(radius)
     leaves = lamins.stable_lifts(
-        rep, mc, L, lambda leaf, w: (leaf, w) if abs(leaf.side(basepoint)) < reach else None)
-    return FiniteLaminationH2(leaves, basepoint)
+        rep, mc, L, lambda lv: np.abs(inner(lv.normals, basepoint)) < reach)
+    return FiniteLaminationH2(
+        [(leaves.geodesic(i), w) for i, w in enumerate(leaves.weights)], basepoint)
 
 
 def rep_after_earthquake(rep, mc, scale, side="left", L=3):

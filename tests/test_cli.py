@@ -190,3 +190,52 @@ def test_ads_between_ball_zero(capsys):
     code, report = run_cli(["ads", "between", rep, rep, "--ball", "0"], capsys)
     assert code == 2
     assert report["schema"] == "lorentz21/error/1"
+
+
+def _nan_rep(path):
+    data = json.load(open(lorentz21.bundled("octagon_rep.json")))
+    data["generators"][1][0][1] = math.nan
+    path.write_text(json.dumps(data))
+    return ["euler", str(path)]
+
+
+def _weight(value):
+    def argv(path):
+        path.write_text(json.dumps({"curves": [{"word": "a1", "weight": value}]}))
+        return ["flat", "check", lorentz21.bundled("octagon_rep.json"), str(path)]
+    return argv
+
+
+def _lamination(field, value):
+    def argv(path):
+        data = json.load(open(lorentz21.bundled("single_leaf_lamination.json")))
+        if field == "basepoint":
+            data["basepoint"] = [value, 0.0, 1.0]
+        else:
+            data["leaves"][0][field] = value
+        path.write_text(json.dumps(data))
+        return ["quake", str(path), "1.0", "--density", "8"]
+    return argv
+
+
+def _points(path):
+    path.write_text("1.0,0.5,1.5\nnan,0.5,1.5\n")
+    return ["quake", lorentz21.bundled("single_leaf_lamination.json"), "1.0",
+            "--points", str(path), "--density", "8"]
+
+
+def _graph(path):
+    path.write_text("0.0,0.0\n0.25,nan\n0.5,0.5\n0.75,0.75\n")
+    return ["ads", "hull", str(path)]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _nan_rep, _weight(math.nan), _weight(math.inf), _lamination("end1", math.nan),
+    _lamination("weight", math.inf), _lamination("basepoint", -math.inf), _points, _graph],
+    ids=["rep-nan", "weight-nan", "weight-inf", "end-nan", "leaf-weight-inf",
+         "basepoint-inf", "point-nan", "graph-nan"])
+def test_non_finite_input_is_invalid(tmp_path, capsys, make_argv):
+    code, report = run_cli(make_argv(tmp_path / "input"), capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"
+    assert "must be finite" in report["error"]

@@ -78,6 +78,17 @@ def test_identity_sweep_matches_pair_loop(octagon, lam_cocycle):
                - all_pair_residual(octagon, lam_cocycle, ball1)) < 1e-12
 
 
+def test_identity_sweep_carries_nan(octagon):
+    from lorentz21.cli import _check
+    from lorentz21.flatspace import cocycle_identity_sweep
+
+    vecs = [np.array([math.nan, 0.0, 0.0])] + [np.zeros(3)] * 3
+    worst = cocycle_identity_sweep(octagon, TranslationCocycle(octagon, vecs),
+                                   GroupBall(octagon, 1))
+    assert math.isnan(worst)
+    assert not _check("cocycle-identity", worst, 1e-8)["ok"]
+
+
 def test_perturbed_cocycle_fails(octagon, lam_cocycle, ball2):
     vecs = [np.array(v, dtype=float) for v in lam_cocycle.to_json()["t"]]
     vecs[0] = vecs[0] + np.array([0.05, 0.0, 0.0])

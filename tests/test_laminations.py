@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from lorentz21.fuchsian import regular_polygon_rep
+from lorentz21.fuchsian import GroupBall, regular_polygon_rep
 from lorentz21.laminations import (
     GeodesicH2,
     WeightedMulticurve,
@@ -13,6 +13,7 @@ from lorentz21.laminations import (
     default_basepoint,
     disjointness_check,
     endpoints_linked,
+    first_crossing_pair,
     leaf_lifts,
     multicurve_lifts,
     same_geodesic,
@@ -68,7 +69,7 @@ def test_closed_geodesic_is_axis(octagon):
 
 def test_leaf_lifts_dedup(octagon):
     lifts = leaf_lifts(octagon, "a1", 1)
-    keys = {g.key(7) for g in lifts}
+    keys = {tuple(k) for k in lifts.keys.tolist()}
     assert len(keys) == len(lifts)
     # conjugating by a1 itself fixes the axis, so fewer lifts than ball elements
     assert len(lifts) < 9
@@ -80,8 +81,7 @@ def test_leaf_lifts_independent_of_memo():
     rep = regular_polygon_rep(2)
     leaf_lifts(rep, "a1", 5)
     after = leaf_lifts(rep, "a1", 3)
-    assert [(g.end1.theta, g.end2.theta) for g in after] == \
-        [(g.end1.theta, g.end2.theta) for g in first]
+    assert after.thetas.tolist() == first.thetas.tolist()
 
 
 def test_leaf_lift_memo_lives_as_long_as_its_representation():
@@ -162,5 +162,67 @@ def test_transverse_vector_additive_along_segment(octagon):
 def test_default_basepoint_off_leaves(octagon):
     mc = WeightedMulticurve([("a1", 1.0)])
     p = default_basepoint(octagon, mc, 3)
-    for leaf, _, _ in multicurve_lifts(octagon, mc, 3):
-        assert abs(leaf.side(p)) > 1e-6
+    assert np.all(np.abs(inner(multicurve_lifts(octagon, mc, 3).normals, p)) > 1e-6)
+
+
+def scalar_lifts(rep, word, radius):
+    """The reference leaf set: a GeodesicH2 per ball element, dropping
+    collapsed leaves and repeated key(7)s, with the first ball index."""
+    base = closed_geodesic_of(rep, word)
+    ball = GroupBall(rep, radius)
+    seen, out = set(), []
+    for i, m in enumerate(ball.elements):
+        e1, e2 = base.end1.apply(m), base.end2.apply(m)
+        if e1.dist(e2) < 1e-6:
+            continue
+        g = GeodesicH2(e1, e2)
+        if g.key(7) not in seen:
+            seen.add(g.key(7))
+            out.append((g, i))
+    return out
+
+
+@pytest.mark.parametrize("word", ["a1", "b1", "a2 b2"])
+def test_leaf_record_matches_scalar_reference(octagon, word):
+    ref = scalar_lifts(octagon, word, 5)
+    offsets = GroupBall(octagon, 5).offsets
+    for radius in (3, 5):
+        rows = [(g, i) for g, i in ref if i < offsets[radius + 1]]
+        lifts = leaf_lifts(octagon, word, radius)
+        assert len(lifts) == len(rows)
+        assert lifts.first.tolist() == [i for _, i in rows]
+        # bit for bit, not to a tolerance
+        assert np.array_equal(lifts.end1, [g.end1.v for g, _ in rows])
+        assert np.array_equal(lifts.end2, [g.end2.v for g, _ in rows])
+        assert np.array_equal(lifts.normals, [g.normal for g, _ in rows])
+        assert lifts.thetas.tolist() == [[g.end1.theta, g.end2.theta] for g, _ in rows]
+        assert [tuple(k) for k in lifts.keys.tolist()] == [g.key(7) for g, _ in rows]
+    g = lifts.geodesic(7)
+    assert np.array_equal(g.normal, lifts.normals[7]) and np.array_equal(g.end1.v, lifts.end1[7])
+
+
+def pairwise_first_crossing(leaves):
+    """The scalar reference for disjointness_check: the first pair that
+    is one geodesic of two classes, or two crossing leaves."""
+    geos = [leaves.geodesic(i) for i in range(len(leaves))]
+    for i in range(len(geos)):
+        for j in range(i + 1, len(geos)):
+            if same_geodesic(geos[i], geos[j], 1e-7):
+                if leaves.classes[i] != leaves.classes[j]:
+                    return i, j
+                continue
+            if endpoints_linked(geos[i], geos[j]):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("curves, disjoint", [
+    (["a1"], True), (["a1", "a2"], True), (["a1", "b1"], False),
+    # A1 is the inverse class: every leaf is shared between the two classes
+    (["a1", "A1"], False)])
+def test_disjointness_matches_pairwise_loop(octagon, curves, disjoint):
+    mc = WeightedMulticurve([(c, 1.0) for c in curves])
+    leaves = multicurve_lifts(octagon, mc, 3)
+    pair = first_crossing_pair(leaves.thetas, leaves.classes)
+    assert pair == pairwise_first_crossing(leaves)
+    assert disjointness_check(octagon, mc, 3) == disjoint == (pair is None)

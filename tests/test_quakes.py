@@ -142,6 +142,23 @@ def test_lamination_disjointness_enforced():
         FiniteLaminationH2([(leaf1, -1.0)])
 
 
+def test_lamination_basepoint_leaves_a_leaf_through_the_apex():
+    leaf = GeodesicH2(RP1Point.from_theta(0.0), RP1Point.from_theta(0.5))
+    assert abs(leaf.side(np.array([0.0, 0.0, 1.0]))) < 1e-12
+    lamination = FiniteLaminationH2([(leaf, 1.0)])
+    assert abs(leaf.side(lamination.basepoint)) > 1e-6
+    assert abs(inner(lamination.basepoint, lamination.basepoint) + 1.0) < 1e-12
+
+
+def test_lamination_disjointness_names_the_leaves():
+    leaves = [GeodesicH2(RP1Point.from_theta(a), RP1Point.from_theta(b))
+              for a, b in ((0.1, 0.2), (0.3, 0.5), (0.6, 0.7), (0.4, 0.65))]
+    with pytest.raises(ValueError, match="leaves 1 and 3 are not disjoint"):
+        FiniteLaminationH2([(g, 1.0) for g in leaves])
+    with pytest.raises(ValueError, match="leaves 0 and 1 are not disjoint"):
+        FiniteLaminationH2([(leaves[0], 1.0), (leaves[0], 2.0)])
+
+
 def test_lamination_json_roundtrip():
     lamination = single_leaf(0.8)
     data = lamination_to_json(lamination)
