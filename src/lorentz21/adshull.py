@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .fuchsian import GroupBall, Mat2
-from .minkowski import RP1Point, adjugate, finite
+from .minkowski import RP1Point, adjugate, finite, rp1_from_thetas, rp1_stack
 from .quakes import CircleMap
 
 EPS = 1e-9
@@ -170,21 +169,23 @@ class CircleGraph:
     def __len__(self):
         return len(self.samples)
 
-    @classmethod
-    def from_map(cls, fn, n):
-        return cls([((k + 0.5) / n, fn((k + 0.5) / n)) for k in range(n)])
-
     def points(self):
         """(N, 4) array of quadric points, one per sample, with
         representative signs aligned along the curve so that incidence
         sign patterns are meaningful."""
         if self._points is None:
-            out = np.empty((len(self.samples), 4))
-            for i, (tl, tr) in enumerate(self.samples):
-                out[i] = segre(RP1Point.from_theta(tl), RP1Point.from_theta(tr))
-                if i > 0 and float(np.dot(out[i], out[i - 1])) < 0:
-                    out[i] = -out[i]
-            self._points = out
+            tl, tr = zip(*self.samples)
+            l, r = rp1_from_thetas(tl), rp1_from_thetas(tr)
+            raw = (l[:, :, None] * r[:, None, :]).reshape(-1, 4)
+            # a point is negated when its dot product with the previous
+            # signed point is negative: a running product of the signs of
+            # consecutive raw dot products (the stacked matmul equals
+            # np.dot bit for bit), restarted at +1 after an exact zero
+            dots = (raw[1:, None, :] @ raw[:-1, :, None])[:, 0, 0]
+            flips = np.concatenate([[0], np.cumsum(dots < 0)])
+            restart = np.concatenate([[True], ~((dots < 0) | (dots > 0))])
+            start = np.maximum.accumulate(np.where(restart, np.arange(len(raw)), 0))
+            self._points = raw * np.where((flips - flips[start]) % 2 == 1, -1.0, 1.0)[:, None]
         return self._points
 
     def is_monotone(self, tol=1e-9):
@@ -201,15 +202,9 @@ class CircleGraph:
         """Consecutive samples must be mutually spacelike on the quadric,
         which for graph points means both ruling coordinates step in the
         same direction."""
-        n = len(self.samples)
-        for i in range(n):
-            tl0, tr0 = self.samples[i]
-            tl1, tr1 = self.samples[(i + 1) % n]
-            dl = (tl1 - tl0 + 0.5) % 1.0 - 0.5
-            dr = (tr1 - tr0 + 0.5) % 1.0 - 0.5
-            if dl * dr < -tol:
-                return False
-        return True
+        s = np.array(self.samples)
+        step = (np.roll(s, -1, axis=0) - s + 0.5) % 1.0 - 0.5
+        return not np.any(step[:, 0] * step[:, 1] < -tol)
 
     def to_csv_rows(self):
         return ["%.12f,%.12f" % s for s in self.samples]
@@ -299,18 +294,17 @@ class BendingDatum:
 class HullComplex:
     """Convex hull of a circle graph in an affine chart.
 
-    Fields: the graph, the chart plane and its Mat2 dual (points are
-    transported by v -> m^{-1} v before taking the standard chart), the
+    Fields: the graph, the chart plane (points are transported by
+    v -> m^{-1} v, m its dual, before taking the standard chart), the
     chart coordinates of all samples, the merged faces, and the vertex
     ids that are hull vertices.  Flat (planar) graphs produce a complex
     with flat = True, a single plane, and no faces.
     """
 
-    def __init__(self, graph, chart_plane, chart_mat, chart_points,
+    def __init__(self, graph, chart_plane, chart_points,
                  faces, vertex_ids, flat=False, flat_plane=None):
         self.graph = graph
         self.chart_plane = chart_plane
-        self.chart_mat = chart_mat
         self.chart_points = chart_points
         self.faces = faces
         self.vertex_ids = vertex_ids
@@ -367,6 +361,15 @@ class HullComplex:
         return "\n".join(lines) + "\n"
 
 
+def ConvexHull(points, qhull_options=None):
+    """scipy.spatial.ConvexHull, imported on first use so that commands
+    that build no hull do not load scipy.  It keeps scipy's name, under
+    which perfbench's tracer counts the QJ fallback."""
+    from scipy.spatial import ConvexHull as qhull
+
+    return qhull(points, qhull_options=qhull_options)
+
+
 def _face_plane_label(chart_mat_inv, normal, offset):
     """Projective label of the chart plane normal . X + offset = 0,
     pulled back through the chart transport v -> m^{-1} v."""
@@ -401,8 +404,10 @@ def convex_hull(graph, chart_plane=None):
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[-1] < 1e-9 * max(sv[0], 1.0):
         plane = _flat_plane(graph)
-        return HullComplex(graph, chart_plane, Mat2(m), chart_pts, [],
+        return HullComplex(graph, chart_plane, chart_pts, [],
                            np.arange(len(graph)), flat=True, flat_plane=plane)
+
+    from scipy.spatial import QhullError
 
     try:
         hull = ConvexHull(chart_pts)
@@ -435,7 +440,7 @@ def convex_hull(graph, chart_plane=None):
                            0.5 * (dp[1] - dp[2])])
             flow += float(np.dot(normal, (d3 - chart_pts[i] * dw) / wp))
         faces.append(HullFace(plane, normal, offset, ids, future=flow > 0))
-    return HullComplex(graph, chart_plane, Mat2(m), chart_pts, faces,
+    return HullComplex(graph, chart_plane, chart_pts, faces,
                        np.array(sorted(int(i) for i in hull.vertices)))
 
 
@@ -491,10 +496,7 @@ def bending_data(hull):
 class ExtractedEarthquake:
     """Left-earthquake data read off the future boundary of a hull."""
 
-    def __init__(self, reference, face_ids, left_factors,
-                 boundary_map, shear_edges, dominant_shear=0.0):
-        self.reference = reference
-        self.face_ids = face_ids
+    def __init__(self, left_factors, boundary_map, shear_edges, dominant_shear=0.0):
         self.left_factors = left_factors
         self.boundary_map = boundary_map
         self.shear_edges = shear_edges
@@ -512,86 +514,82 @@ def _face_mobius(dual):
     return Mat2(ROTATION_GENERATOR @ adjugate(dual.m))
 
 
+def _boundary_map(tls, mobs):
+    """CircleMap of tl -> RP1Point.from_theta(tl).apply(m).theta, with
+    one Mobius matrix m per sample (or one for all), in one stacked
+    pass that equals the per-sample RP1Point arithmetic bit for bit."""
+    v = rp1_from_thetas(tls)
+    return CircleMap(zip(tls, rp1_stack((mobs @ v[:, :, None])[:, :, 0])[1].tolist()))
+
+
 def extract_left_earthquake(hull):
     """Per-face left/right factors relative to the largest future face,
     the recovered boundary circle map, and the shear weights (twice the
     bending weights) of the future-boundary edges."""
-    samples = hull.graph.samples
+    tls = [tl for tl, _ in hull.graph.samples]
     if hull.flat:
         plane = hull.flat_plane
         if plane.classify() != "spacelike":
             raise ValueError("flat hull on a non-spacelike plane")
-        mob = _face_mobius(plane.dual_mat2())
-        cm = CircleMap([(tl, RP1Point.from_theta(tl).apply(mob).theta)
-                        for tl, _ in samples])
-        return ExtractedEarthquake(0, [0], [Mat2.identity()], cm, [], 0.0)
+        cm = _boundary_map(tls, _face_mobius(plane.dual_mat2()).m)
+        return ExtractedEarthquake([Mat2.identity()], cm, [], 0.0)
 
     # near-tangent sliver faces of the sampled hull classify as null;
     # they carry no dual point and are skipped
     order = [i for i, f in enumerate(hull.faces) if f.future and f.dual is not None]
     if not order:
         raise ValueError("hull has no spacelike future faces")
-    ref = max(order, key=lambda i: len(hull.faces[i].vertex_ids))
-    m_ref = hull.faces[ref].dual
+    by_size = sorted(order, key=lambda i: -len(hull.faces[i].vertex_ids))
+    m_ref = hull.faces[by_size[0]].dual
     left_factors = [m_ref @ hull.faces[i].dual.inverse() for i in order]
 
     # assign each sample to the future face of its nearest hull vertex
-    face_of_vertex = {}
-    for i in order:
-        for v in hull.faces[i].vertex_ids:
-            face_of_vertex.setdefault(int(v), i)
-    vids = np.array(sorted(face_of_vertex))
-    vthetas = np.array([samples[v][0] for v in vids])
-    srt = np.argsort(vthetas)
-    vids, vthetas = vids[srt], vthetas[srt]
+    # (ties to the earlier vertex by theta); a vertex belongs to the
+    # first face of `order` that holds it
+    face_of = np.full(len(tls), -1)
+    for pos in reversed(range(len(order))):
+        face_of[hull.faces[order[pos]].vertex_ids] = pos
+    theta = np.array(tls)
+    vids = np.flatnonzero(face_of >= 0)
+    vids = vids[np.argsort(theta[vids])]
+    vthetas = theta[vids]
+    k = np.searchsorted(vthetas, theta)
+    near = np.stack([(k - 1) % len(vids), k % len(vids)])
+    d = np.abs(vthetas[near] - theta)
+    d = np.minimum(d, 1.0 - d)
+    nearest = vids[np.where(d[1] < d[0], near[1], near[0])]
+    pos = np.where(face_of >= 0, face_of, face_of[nearest])
+    mobs = np.array([_face_mobius(hull.faces[i].dual).m for i in order])
+    cm = _boundary_map(tls, mobs[pos])
 
-    out_samples = []
-    for si, (tl, tr) in enumerate(samples):
-        if si in face_of_vertex:
-            fi = face_of_vertex[si]
-        else:
-            k = int(np.searchsorted(vthetas, tl))
-            best, bestd = None, 2.0
-            for kk in (k - 1, k % len(vids)):
-                d = abs(vthetas[kk] - tl)
-                d = min(d, 1.0 - d)
-                if d < bestd:
-                    best, bestd = int(vids[kk]), d
-            fi = face_of_vertex[best]
-        mob = _face_mobius(hull.faces[fi].dual)
-        out_samples.append((tl, RP1Point.from_theta(tl).apply(mob).theta))
-    cm = CircleMap(out_samples)
-
-    shear_edges = []
-    for datum in bending_data(hull):
-        if datum.weight is None:
-            continue
-        shear_edges.append((2.0 * datum.weight, datum.face_i, datum.face_j))
+    shear_edges = [(2.0 * b.weight, b.face_i, b.face_j)
+                   for b in bending_data(hull) if b.weight is not None]
 
     # the dominant leaf separates the two largest regions of the bent
     # surface; sampling slivers can hide their shared edge, so measure
     # the shear between their duals directly
-    by_size = sorted(order, key=lambda i: -len(hull.faces[i].vertex_ids))
     dominant = 0.0
     if len(by_size) >= 2:
         rel = hull.faces[by_size[0]].dual @ hull.faces[by_size[1]].dual.inverse()
         dominant = 2.0 * math.acosh(max(abs(rel.trace()) / 2.0, 1.0))
-    return ExtractedEarthquake(ref, order, left_factors, cm, shear_edges, dominant)
+    return ExtractedEarthquake(left_factors, cm, shear_edges, dominant)
 
 
-def _attracting_theta(m):
-    """Angle parameter of the attracting fixed point of a hyperbolic
-    matrix, computed in closed form."""
-    a, b, c, d = m.ravel()
+def attracting_thetas(mats):
+    """Angle parameter of the attracting fixed point of each hyperbolic
+    matrix in a (N, 2, 2) stack, in closed form: the eigenvector
+    (b, lam - a) of the larger eigenvalue lam, or (lam - d, c) where
+    that is nearly zero (near-diagonal matrices)."""
+    a, b, c, d = (mats[:, i, j] for i in (0, 1) for j in (0, 1))
     t = a + d
     disc = t * t - 4.0
-    if disc <= 0:
-        raise ValueError("element is not hyperbolic (trace %.6f)" % t)
-    lam = 0.5 * (t + math.copysign(math.sqrt(disc), t))
-    v = np.array([b, lam - a])
-    if np.max(np.abs(v)) < 1e-12 * max(abs(lam), 1.0):
-        v = np.array([lam - d, c])
-    return RP1Point(v).theta
+    if np.any(disc <= 0):
+        raise ValueError("element is not hyperbolic (trace %.6f)" % t[np.argmax(disc <= 0)])
+    lam = 0.5 * (t + np.copysign(np.sqrt(disc), t))
+    v = np.stack([b, lam - a], axis=1)
+    near = np.max(np.abs(v), axis=1) < 1e-12 * np.maximum(np.abs(lam), 1.0)
+    v[near] = np.stack([lam - d, c], axis=1)[near]
+    return rp1_stack(v)[1]
 
 
 def sample_conjugacy(rep_l, rep_r, L, dedup=1e-4):
@@ -599,11 +597,11 @@ def sample_conjugacy(rep_l, rep_r, L, dedup=1e-4):
     representations: the attracting fixed point of rep_l(w) pairs with
     that of rep_r(w) over all nontrivial ball-L words."""
     ball = GroupBall(rep_l, L)
-    mats_r = ball.evaluate(rep_r)
-    pairs = sorted((_attracting_theta(ball.elements[i]), _attracting_theta(mats_r[i]))
-                   for i in range(1, len(ball)))
+    thetas = np.stack([attracting_thetas(ball.elements[1:]),
+                       attracting_thetas(ball.evaluate(rep_r)[1:])], axis=1)
+    # sorted by (left, right); the dedup and jitter passes are sequential
     kept = []
-    for tl, tr in pairs:
+    for tl, tr in thetas[np.lexsort((thetas[:, 1], thetas[:, 0]))].tolist():
         if kept and tl - kept[-1][0] < dedup:
             continue
         kept.append((tl, tr))
@@ -632,8 +630,6 @@ def dependence_membership(p, graph, eps=EPS):
     when the test is indeterminate (planar graph, or a sample within
     eps of the plane).
     """
-    if isinstance(p, Mat2):
-        p = vec_of(p)
     p = vec_of(p)
     if graph.is_planar():
         return None

@@ -197,10 +197,7 @@ def cyclic_boost_cocycle(lam_, weight, L=1):
 class DevelopedSurfacePatch:
     """Samples of the deformed development f(p) = p + x(p)."""
 
-    def __init__(self, rep, mc, basepoint, points, xvals, perturbed):
-        self.rep = rep
-        self.mc = mc
-        self.basepoint = basepoint
+    def __init__(self, points, xvals, perturbed):
         self.points = np.asarray(points, dtype=float)
         self.xvals = np.asarray(xvals, dtype=float)
         self.fvals = self.points + self.xvals
@@ -260,7 +257,7 @@ def develop_surface(rep, mc, radius=1.5, density=200, basepoint=None, L=3, seed=
     # -sign(s0) orients each normal away from the basepoint side
     for n, w, s, hit in zip(leaves.normals, leaves.weights, s0, crossed.T):
         xvals[hit] += w * -np.sign(s) * n
-    return DevelopedSurfacePatch(rep, mc, basepoint, pts, xvals, flags)
+    return DevelopedSurfacePatch(pts, xvals, flags)
 
 
 def _transport_to(b):
@@ -338,9 +335,6 @@ class NullSupportPlane:
     def contains(self, y, tol=0.0):
         return float(inner(self.normal, y)) >= self.offset - tol
 
-    def slack(self, y):
-        return float(inner(self.normal, y)) - self.offset
-
 
 def support_planes(patch, count=64):
     """One null support plane per sampled null direction.
@@ -394,10 +388,6 @@ class StandardTorusSpacetime:
     def __init__(self, lam_, e, mu, f):
         if abs(lam_ * f - mu * e) < 1e-12:
             raise ValueError("(lam, e) and (mu, f) must be independent")
-        self.lam = float(lam_)
-        self.e = float(e)
-        self.mu = float(mu)
-        self.f = float(f)
         self.A = LorentzIsometry(boost_y_axis(lam_), np.array([0.0, e, 0.0]))
         self.B = LorentzIsometry(boost_y_axis(mu), np.array([0.0, f, 0.0]))
 

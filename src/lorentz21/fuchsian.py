@@ -238,6 +238,7 @@ class GroupBall:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         self.radius = radius
+        self.genus = rep.genus
         self._key_digits = key_digits
         letters = np.array([s * (i + 1) for i in range(2 * rep.genus) for s in (1, -1)])
         steps = np.array([g.m for m in rep.generators for g in (m, m.inverse())])
@@ -307,6 +308,9 @@ class GroupBall:
         """Matrices of another representation along the ball's words,
         one level at a time from the parent products; inverse letters
         use the exact adjugate and nothing is renormalized."""
+        if rep.genus != self.genus:
+            raise ValueError("a genus-%d representation cannot be evaluated on "
+                             "genus-%d words" % (rep.genus, self.genus))
         gens = np.array([g.m for g in rep.generators])
         steps = np.stack([gens, adjugate(gens)], axis=1).reshape(-1, 2, 2)
         step = 2 * (np.abs(self.letter) - 1) + (self.letter < 0)

@@ -306,6 +306,14 @@ def rp1_stack(vs):
     return vs, (np.where(a < 0, a + math.pi, a) / math.pi) % 1.0
 
 
+def rp1_from_thetas(thetas):
+    """RP1Point.from_theta(t).v of each entry of a sequence of circle
+    parameters, as a (N, 2) stack: the same math.cos and math.sin per
+    entry, then rp1_stack."""
+    angles = [(t % 1.0) * math.pi for t in thetas]
+    return rp1_stack(np.array([[math.cos(a), math.sin(a)] for a in angles]).reshape(-1, 2))[0]
+
+
 def null_vectors(vs):
     """RP1Point.null_vector of a unit 2-vector, or of each in a stack."""
     x, y = vs[..., 0], vs[..., 1]

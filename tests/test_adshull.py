@@ -6,6 +6,7 @@ import pytest
 from lorentz21.adshull import (
     CircleGraph,
     ProjectivePlane,
+    attracting_thetas,
     bending_data,
     chart_coords,
     chart_quadric_point,
@@ -23,7 +24,7 @@ from lorentz21.adshull import (
     segre,
     vec_of,
 )
-from lorentz21.fuchsian import Mat2, euler_class, regular_polygon_rep
+from lorentz21.fuchsian import GroupBall, Mat2, axis, euler_class, regular_polygon_rep
 from lorentz21.laminations import WeightedMulticurve
 from lorentz21.minkowski import RP1Point
 from lorentz21.quakes import rep_after_earthquake
@@ -211,6 +212,48 @@ def test_hull_obj_export():
     assert lines[0].startswith("#")
     assert sum(1 for l in lines if l.startswith("v ")) == len(hull.vertex_ids)
     assert sum(1 for l in lines if l.startswith("f ")) == len(hull.faces)
+
+
+def scalar_points(samples):
+    """The per-sample Segre points with signs aligned one at a time."""
+    out = np.empty((len(samples), 4))
+    for i, (tl, tr) in enumerate(samples):
+        out[i] = segre(RP1Point.from_theta(tl), RP1Point.from_theta(tr))
+        if i > 0 and float(np.dot(out[i], out[i - 1])) < 0:
+            out[i] = -out[i]
+    return out
+
+
+def test_graph_points_match_scalar_segre():
+    # the last two samples lie half a turn apart on the left, and their
+    # raw dot product is exactly zero: the sign run restarts at +1 there
+    g = CircleGraph([(0.0, 0.8), (0.25, 0.25), (0.75, 0.25)])
+    raw = [segre(RP1Point.from_theta(tl), RP1Point.from_theta(tr)) for tl, tr in g.samples]
+    assert float(np.dot(raw[1], raw[0])) < 0
+    assert float(np.dot(raw[2], raw[1])) == 0.0
+    ref = scalar_points(g.samples)
+    assert np.array_equal(g.points(), ref)
+    assert np.array_equal(ref, np.array(raw) * np.array([[1.0], [-1.0], [1.0]]))
+    rng = np.random.default_rng(3)
+    for graph in (shear_graph(3.0), CircleGraph(rng.random((40, 2)))):
+        assert np.array_equal(graph.points(), scalar_points(graph.samples))
+
+
+def test_attracting_thetas_match_axis(octagon):
+    mats = GroupBall(octagon, 4).elements[1:]
+    thetas = attracting_thetas(mats)
+    for m, t in zip(mats, thetas):
+        d = abs(axis(m)[0].theta - t)
+        assert min(d, 1.0 - d) < 1e-12
+
+
+def test_attracting_thetas_near_diagonal():
+    # (b, lam - a) vanishes for diag(2, 1/2): the fallback (lam - d, c)
+    # gives the x-axis
+    mats = np.array([np.diag([2.0, 0.5]), np.diag([0.5, 2.0]), -np.diag([2.0, 0.5])])
+    assert attracting_thetas(mats).tolist() == [0.0, 0.5, 0.0]
+    with pytest.raises(ValueError, match="not hyperbolic"):
+        attracting_thetas(np.array([np.diag([2.0, 0.5]), np.eye(2)]))
 
 
 def test_graph_monotone_and_spacelike():

@@ -8,6 +8,7 @@ import pytest
 
 import lorentz21
 from lorentz21.cli import main
+from lorentz21.fuchsian import regular_polygon_rep
 
 
 def run_cli(args, capsys):
@@ -190,6 +191,27 @@ def test_ads_between_ball_zero(capsys):
     code, report = run_cli(["ads", "between", rep, rep, "--ball", "0"], capsys)
     assert code == 2
     assert report["schema"] == "lorentz21/error/1"
+
+
+@pytest.mark.parametrize("genus", [1, 3])
+def test_ads_between_genus_mismatch(tmp_path, capsys, genus):
+    if genus == 1:
+        other = {"genus": 1, "generators": [[[1.0, 0.0], [0.0, 1.0]]] * 2}
+    else:
+        other = regular_polygon_rep(3).to_json()
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(other))
+    rep = lorentz21.bundled("octagon_rep.json")
+    code, report = run_cli(["ads", "between", rep, str(path), "--ball", "2"], capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"
+    assert "genus" in report["error"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only the hull needs scipy; euler and flat never pay for it
+    code = "import sys, lorentz21.cli; sys.exit(int('scipy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def _nan_rep(path):

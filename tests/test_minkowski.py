@@ -19,6 +19,8 @@ from lorentz21.minkowski import (
     inner,
     is_lorentz_linear,
     rotation_t_axis,
+    rp1_from_thetas,
+    rp1_stack,
 )
 
 
@@ -114,6 +116,19 @@ def test_hyperboloid_normalize_and_distance():
 def test_rp1_theta_roundtrip():
     for theta in [0.0, 0.1, 0.25, 0.5, 0.9, 0.999]:
         assert abs(RP1Point.from_theta(theta).theta - theta) < 1e-12
+
+
+def test_rp1_stacks_match_scalar_points():
+    rng = np.random.default_rng(11)
+    vs = rng.normal(size=(50, 2))
+    vs[:3] = [[-1.0, 0.0], [2.0, -0.0], [0.0, -3.0]]
+    units, thetas = rp1_stack(vs)
+    for v, u, t in zip(vs, units, thetas):
+        p = RP1Point(v)
+        assert np.array_equal(u, p.v) and t == p.theta
+    ts = rng.random(20).tolist() + [0.0, 0.5, 1.25, -0.3]
+    for t, u in zip(ts, rp1_from_thetas(ts)):
+        assert np.array_equal(u, RP1Point.from_theta(t).v)
 
 
 def test_rp1_null_vector():
