@@ -370,16 +370,16 @@ def ConvexHull(points, qhull_options=None):
     return qhull(points, qhull_options=qhull_options)
 
 
-def _face_plane_label(chart_mat_inv, normal, offset):
+def _face_plane_label(chart_mat, normal, offset):
     """Projective label of the chart plane normal . X + offset = 0,
-    pulled back through the chart transport v -> m^{-1} v."""
+    pulled back through the chart transport v -> m^{-1} v; chart_mat is
+    m, computed once per hull as the inverse of m^{-1}."""
     # in transported (a,b,c,d): n1*y + n2*z + n3*u + offset*w = 0
     n1, n2, n3 = normal
     cov = 0.5 * np.array([offset + n2, n1 + n3, n1 - n3, offset - n2])
     C = mat_of(cov)
     # incidence(v) = tr(C^T m^{-1} v); the label's adjugate matches 2 C^T m^{-1}
-    m = np.linalg.inv(chart_mat_inv)
-    return vec_of(m @ adjugate(C.T))
+    return vec_of(chart_mat @ adjugate(C.T))
 
 
 def convex_hull(graph, chart_plane=None):
@@ -423,12 +423,14 @@ def convex_hull(graph, chart_plane=None):
         eqs.append(eq)
     # time orientation: the rotation flow v -> v . R(t) points to the future
     faces = []
+    # inv(minv), not m: the round trip differs from m in the last bits
+    chart_mat = np.linalg.inv(minv)
     for ids, eqs in groups.values():
         ids = np.array(sorted(ids))
         eq = np.mean(eqs, axis=0)
         normal, offset = eq[:3], float(eq[3])
         normal = normal / np.linalg.norm(normal)
-        label = _face_plane_label(minv, normal, offset)
+        label = _face_plane_label(chart_mat, normal, offset)
         plane = ProjectivePlane(label)
         flow = 0.0
         for i in ids[: min(len(ids), 8)]:

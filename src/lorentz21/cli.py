@@ -302,6 +302,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if finite(args.tol, "--tol") < 0:
+            raise ValueError("--tol must be >= 0")
         code = args.func(args)
     except (OSError, ValueError, KeyError, TypeError,
             json.JSONDecodeError, RuntimeError) as exc:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import laminations as lam
-from .fuchsian import concat, reduce_word, Representation
+from .fuchsian import concat, letter_step, reduce_word, Representation
 from .minkowski import (
     LorentzIsometry,
     adjoint_to_so21,
@@ -35,56 +35,40 @@ def cyclic_boost_rep(lam_):
 
 
 class TranslationCocycle:
-    """Map from words to vectors with t_{ab} = t_a + f(a) t_b.
+    """Affine holonomy w -> (f(w), t_w) with t_{ab} = t_a + f(a) t_b.
 
-    Stored as one vector per generator; values on words are computed by
-    the extension rule, so the cocycle identity holds identically on
-    free words.  relator_residual decides whether the values descend to
-    the group; cocycle_residual samples the same question on canonical
-    ball representatives.
+    Stored as one augmented step [[f(x), t_x], [0, 1]] per signed letter,
+    folded along words (GroupBall.evaluate), so the cocycle identity
+    holds identically on free words.  relator_residual decides whether
+    the values descend to the group; cocycle_residual samples the same
+    question on canonical ball representatives.
     """
 
-    def __init__(self, rep, gen_vectors):
+    def __init__(self, rep, gen_vectors, basepoint=None):
         if len(gen_vectors) != 2 * rep.genus:
             raise ValueError("expected one vector per generator")
-        self.rep = rep
+        self.genus = rep.genus
         # extended precision: word extensions multiply by linear parts
         # whose norms grow exponentially in word length, and the cocycle
         # identity is checked to absolute (not relative) tolerance
         self.gen_vectors = [np.asarray(v, dtype=np.longdouble) for v in gen_vectors]
-        self._linear = {}
-        self._cache = {}
+        self.basepoint = basepoint
+        self._steps = np.zeros((4 * rep.genus, 4, 4), dtype=np.longdouble)
+        for x in (s * (i + 1) for i in range(2 * rep.genus) for s in (1, -1)):
+            f = adjoint_to_so21(rep.evaluate((x,))).astype(np.longdouble)
+            t = self.gen_vectors[abs(x) - 1]
+            step = self._steps[letter_step(x)]
+            step[:3, :3], step[:3, 3], step[3, 3] = f, t if x > 0 else -(f @ t), 1
 
-    def linear(self, w):
-        w = reduce_word(w)
-        out = self._linear.get(w)
-        if out is None:
-            if len(w) <= 1:
-                out = adjoint_to_so21(self.rep.evaluate(w)).astype(np.longdouble)
-            else:
-                # prefix recursion so repeated queries share work
-                out = self.linear(w[:-1]) @ self.linear(w[-1:])
-            self._linear[w] = out
-        return out
+    def steps(self):
+        return self._steps
 
-    def _letter_vector(self, x):
-        g = abs(x) - 1
-        if x > 0:
-            return self.gen_vectors[g]
-        return -(self.linear((x,)) @ self.gen_vectors[g])
-
-    def value(self, w):
-        """Extension of the generator vectors along the reduced word w."""
-        w = reduce_word(w)
-        out = self._cache.get(w)
-        if out is None:
-            if not w:
-                out = np.zeros(3, dtype=np.longdouble)
-            elif len(w) == 1:
-                out = self._letter_vector(w[0])
-            else:
-                out = self.value(w[:-1]) + self.linear(w[:-1]) @ self._letter_vector(w[-1])
-            self._cache[w] = out
+    def affine(self, w):
+        """The augmented 4x4 holonomy along the reduced word w, folded
+        from the left; its last column holds t_w, its top left f(w)."""
+        out = np.eye(4, dtype=np.longdouble)
+        for x in reduce_word(w):
+            out = out @ self._steps[letter_step(x)]
         return out
 
     def to_json(self):
@@ -110,9 +94,7 @@ def cocycle_from_lamination(rep, mc, basepoint=None, L=3):
     for i in range(2 * rep.genus):
         f = adjoint_to_so21(rep.generators[i])
         vecs.append(lam.transverse_vector(rep, mc, basepoint, f @ basepoint, L))
-    coc = TranslationCocycle(rep, vecs)
-    coc.basepoint = basepoint
-    return coc
+    return TranslationCocycle(rep, vecs, basepoint)
 
 
 def cocycle_residual(rep, coc, alpha, beta, ball=None):
@@ -130,7 +112,8 @@ def cocycle_residual(rep, coc, alpha, beta, ball=None):
         hit = ball.lookup(rep.evaluate(prod))
         if hit is not None:
             prod = hit[0]
-    res = coc.value(prod) - coc.value(alpha) - coc.linear(alpha) @ coc.value(beta)
+    p, a, b = (coc.affine(w) for w in (prod, alpha, beta))
+    res = p[:3, 3] - a[:3, 3] - a[:3, :3] @ b[:3, 3]
     return float(np.max(np.abs(res)))
 
 
@@ -139,26 +122,32 @@ def cocycle_identity_sweep(rep, coc, ball):
 
     Equivalent to looping cocycle_residual over every pair, but batched:
     product matrices are formed in one matmul per row and resolved to
-    canonical ball representatives in one ball.find call per row.
+    canonical ball representatives in one ball.find call per row.  The
+    free concatenations of the other pairs are folded in one batch per row.
     """
-    words = ball.words()
-    mats = ball.elements
     # extended precision throughout: the three terms are exponentially
     # large in word length and cancel to near machine zero
-    T = np.array([coc.value(w) for w in words], dtype=np.longdouble)
-    F = np.array([coc.linear(w) for w in words], dtype=np.longdouble)
+    A = ball.evaluate(coc)
+    T, F = A[:, :3, 3], A[:, :3, :3]
+    words = np.zeros((len(ball), ball.radius), dtype=int)
+    for i, w in enumerate(ball.words()):
+        words[i, :len(w)] = w
     worst = 0.0
-    free_vals = {}
-    for i, alpha in enumerate(words):
-        hits = ball.find(mats[i] @ mats)
+    for i in range(len(ball)):
+        hits = ball.find(ball.elements[i] @ ball.elements)
         vals = T[hits]
-        for j in np.flatnonzero(hits < 0):
-            w = concat(alpha, words[j])
-            val = free_vals.get(w)
-            if val is None:
-                val = coc.value(w)
-                free_vals[w] = val
-            vals[j] = val
+        free = np.flatnonzero(hits < 0)
+        betas = words[free]
+        # walk up from alpha while its last letter cancels beta's next
+        start, cut = np.full(len(free), i), np.zeros(len(free), dtype=int)
+        for k in range(ball.radius):
+            up = (cut == k) & (betas[:, k] != 0) & (ball.letter[start] == -betas[:, k])
+            start, cut = np.where(up, ball.parent[start], start), cut + up
+        cur = A[start]
+        for pos in range(ball.radius):
+            live = np.flatnonzero((pos >= cut) & (betas[:, pos] != 0))
+            cur[live] = cur[live] @ coc.steps()[letter_step(betas[live, pos])]
+        vals[free] = cur[:, :3, 3]
         base = T[i] + T @ F[i].T
         # np.maximum, unlike max(), carries a NaN residual through
         worst = np.maximum(worst, np.max(np.abs(vals - base)))
@@ -177,7 +166,7 @@ def relator_residual(rep, coc):
     (cocycle_residual, cocycle_identity_sweep) only sample this on the
     pairs whose product has a shorter canonical representative.
     """
-    return float(np.max(np.abs(coc.value(rep.relator()))))
+    return float(np.max(np.abs(coc.affine(rep.relator())[:3, 3])))
 
 
 def cyclic_boost_cocycle(lam_, weight, L=1):

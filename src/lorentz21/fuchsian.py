@@ -54,6 +54,12 @@ def concat(*words):
     return tuple(out)
 
 
+def letter_step(x):
+    """Index of the signed letter x (scalar or array) in the step order
+    a_1, a_1^-1, b_1, b_1^-1, .. of `steps()`."""
+    return 2 * (np.abs(x) - 1) + (x < 0)
+
+
 def surface_relator(genus):
     """The word prod_{i=1..g} [a_i, b_i], generators numbered 1..2g."""
     rel = []
@@ -120,6 +126,12 @@ class Representation:
             g = self.generators[abs(x) - 1]
             out = out @ (g if x > 0 else g.inverse())
         return out
+
+    def steps(self):
+        """(4g, 2, 2) generator matrices in letter_step order; inverse
+        letters use the exact adjugate."""
+        gens = np.array([g.m for g in self.generators])
+        return np.stack([gens, adjugate(gens)], axis=1).reshape(-1, 2, 2)
 
     def relator_defect(self):
         """Max-norm distance of the evaluated relator from +-identity."""
@@ -304,18 +316,17 @@ class GroupBall:
         i = int(self.find(m.m[None])[0])
         return None if i < 0 else (self.word(i), Mat2(self.elements[i]))
 
-    def evaluate(self, rep):
-        """Matrices of another representation along the ball's words,
-        one level at a time from the parent products; inverse letters
-        use the exact adjugate and nothing is renormalized."""
-        if rep.genus != self.genus:
+    def evaluate(self, hol):
+        """A holonomy with a `genus` and a letter_step-ordered `steps()`
+        stack (Representation, flatspace.TranslationCocycle) along the
+        ball's words, one level at a time; nothing is renormalized."""
+        if hol.genus != self.genus:
             raise ValueError("a genus-%d representation cannot be evaluated on "
-                             "genus-%d words" % (rep.genus, self.genus))
-        gens = np.array([g.m for g in rep.generators])
-        steps = np.stack([gens, adjugate(gens)], axis=1).reshape(-1, 2, 2)
-        step = 2 * (np.abs(self.letter) - 1) + (self.letter < 0)
-        out = np.empty_like(self.elements)
-        out[0] = np.eye(2)
+                             "genus-%d words" % (hol.genus, self.genus))
+        steps = hol.steps()
+        step = letter_step(self.letter)
+        out = np.empty((len(self),) + steps.shape[1:], dtype=steps.dtype)
+        out[0] = np.eye(steps.shape[1])
         for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
             out[lo:hi] = out[self.parent[lo:hi]] @ steps[step[lo:hi]]
         return out

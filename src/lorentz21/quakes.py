@@ -120,7 +120,7 @@ class EarthquakeMap:
     def __init__(self, lamination, side="left", scale=1.0):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        if scale < 0:
+        if finite(scale, "scale") < 0:
             raise ValueError("scale must be >= 0")
         self.lamination = lamination
         self.side = side
@@ -258,6 +258,8 @@ class EquivariantEarthquakeMap(EarthquakeMap):
 def boundary_value(quake, samples=256):
     """Boundary circle map of an earthquake, sampled away from leaf
     endpoints."""
+    if samples < 1:
+        raise ValueError("boundary samples must be >= 1")
     ends = set()
     for leaf, _ in quake.lamination.leaves:
         ends.add(round(leaf.end1.theta, 12))

@@ -261,3 +261,24 @@ def test_non_finite_input_is_invalid(tmp_path, capsys, make_argv):
     assert code == 2
     assert report["schema"] == "lorentz21/error/1"
     assert "must be finite" in report["error"]
+
+
+_LEAF = lorentz21.bundled("single_leaf_lamination.json")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["euler", lorentz21.bundled("octagon_rep.json"), "--tol", "nan"], "must be finite"),
+    (["euler", lorentz21.bundled("octagon_rep.json"), "--tol", "-1"], ">= 0"),
+    (["flat", "check", lorentz21.bundled("octagon_rep.json"),
+      lorentz21.bundled("single_curve.json"), "--tol", "nan"], "must be finite"),
+    (["quake", _LEAF, "nan"], "must be finite"),
+    (["quake", _LEAF, "inf"], "must be finite"),
+    (["quake", _LEAF, "1.0", "--density", "0"], ">= 1"),
+    (["quake", _LEAF, "1.0", "--density", "-5"], ">= 1")],
+    ids=["tol-nan", "tol-negative", "flat-tol-nan", "scale-nan", "scale-inf",
+         "density-zero", "density-negative"])
+def test_invalid_scalar_option_is_invalid(capsys, argv, message):
+    code, report = run_cli(argv, capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"
+    assert message in report["error"]

@@ -73,9 +73,65 @@ def test_lamination_cocycle_descends(octagon, lam_cocycle, ball2):
 def test_identity_sweep_matches_pair_loop(octagon, lam_cocycle):
     from lorentz21.flatspace import cocycle_identity_sweep
 
-    ball1 = GroupBall(octagon, 1)
-    assert abs(cocycle_identity_sweep(octagon, lam_cocycle, ball1)
-               - all_pair_residual(octagon, lam_cocycle, ball1)) < 1e-12
+    for radius in (1, 2):
+        ball = GroupBall(octagon, radius)
+        assert abs(cocycle_identity_sweep(octagon, lam_cocycle, ball)
+                   - all_pair_residual(octagon, lam_cocycle, ball)) < 1e-12
+
+
+def test_ball_evaluate_matches_affine_fold(octagon, lam_cocycle):
+    ball = GroupBall(octagon, 3)
+    vals = ball.evaluate(lam_cocycle)
+    assert vals.dtype == np.longdouble and vals.shape == (len(ball), 4, 4)
+    for i in range(len(ball)):
+        assert np.array_equal(vals[i], lam_cocycle.affine(ball.word(i)))
+
+
+def test_relation_pairs_match_mpmath_reference(octagon):
+    """The pairs whose ball product has a canonical word other than the
+    free concatenation are the only ones where the cocycle identity is
+    a statement about the group.  cocycle_residual on them agrees with a
+    50-digit fold of the same float inputs; their exact residual stays
+    below 5e-12, so criterion 2's gated maximum (4.75e-9 at w = 5) is
+    longdouble rounding on free concatenations, where the exact residual
+    is zero by construction."""
+    mp = pytest.importorskip("mpmath")
+    from lorentz21.flatspace import cocycle_identity_sweep
+    from lorentz21.fuchsian import concat
+
+    coc = cocycle_from_lamination(octagon, WeightedMulticurve([("a1", 5.0)]), L=3)
+    ball = GroupBall(octagon, 3)
+    words = ball.words()
+    pairs = []
+    for i, alpha in enumerate(words):
+        hits = ball.find(ball.elements[i] @ ball.elements)
+        pairs += [(alpha, words[j], words[k]) for j, k in enumerate(hits)
+                  if k >= 0 and words[k] != concat(alpha, words[j])]
+    assert len(pairs) == 48
+
+    def fold(w):
+        f, t = mp.eye(3), mp.matrix(3, 1)
+        for x in w:
+            t, f = t + f * steps[x][1], f * steps[x][0]
+        return f, t
+
+    worst = 0.0
+    with mp.workdps(50):
+        steps = {}
+        for i, t in enumerate(coc.to_json()["t"]):
+            for x in (i + 1, -(i + 1)):
+                f = mp.matrix(adjoint_to_so21(octagon.evaluate((x,))).tolist())
+                steps[x] = (f, mp.matrix(t) if x > 0 else -(f * mp.matrix(t)))
+        for alpha, beta, prod in pairs:
+            f_a, t_a = fold(alpha)
+            res = fold(prod)[1] - t_a - f_a * fold(beta)[1]
+            exact = float(max(abs(v) for v in res))
+            assert abs(cocycle_residual(octagon, coc, alpha, beta, ball) - exact) < 1e-14
+            worst = max(worst, exact)
+    assert worst < 5e-12
+    # the free concatenations are folded after cancellation, as reduced
+    # words; folding alpha and beta whole would read 4.41e-09 here
+    assert abs(cocycle_identity_sweep(octagon, coc, ball) / 4.7540424930048e-09 - 1) < 1e-6
 
 
 def test_identity_sweep_carries_nan(octagon):
