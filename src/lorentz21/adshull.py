@@ -16,12 +16,13 @@ faces yield the left earthquake with the graph as boundary value.
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
 
 from .fuchsian import GroupBall, Mat2
-from .minkowski import RP1Point, adjugate, finite, rp1_from_thetas, rp1_stack
+from .minkowski import RP1Point, adjugate, finite, mat2_stack, rp1_from_thetas, rp1_stack
 from .quakes import CircleMap
 
 EPS = 1e-9
@@ -43,6 +44,11 @@ def qpair(u, v):
     v = np.asarray(v, dtype=float)
     return 0.5 * (u[..., 0] * v[..., 3] + u[..., 3] * v[..., 0]
                   - u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1])
+
+
+def _rowdot(u, v):
+    """np.dot of each row pair of two (N, k) stacks, bit for bit."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def mat_of(v):
@@ -262,33 +268,30 @@ def disjoint_spacelike_plane(graph, cap=120):
     return ProjectivePlane(np.linalg.inv(g) @ mat_of(label))
 
 
-class HullFace:
-    """Merged planar face of a hull: plane data plus its vertex cycle."""
+class HullFaces:
+    """The merged faces of a hull, one row per face: the chart plane
+    normals[i] . X + offsets[i] = 0 (unit normal), its ProjectivePlane
+    label, the class classify() names, the dual_mat2 matrix (NaN unless
+    spacelike) and the time orientation.  Face i's sorted vertex ids are
+    ids[start[i]:start[i + 1]]; face owner[k] holds vertex ids[k]."""
 
-    __slots__ = ("plane", "normal", "offset", "vertex_ids", "future", "dual")
+    def __init__(self, normals, offsets, labels, future, ids, start):
+        self.normals, self.offsets, self.labels = normals, offsets, labels
+        self.future, self.ids, self.start = future, ids, start
+        self.owner = np.repeat(np.arange(len(offsets)), np.diff(start))
+        q, scale = qform(labels), _rowdot(labels, labels)
+        self.classes = np.where(q > EPS * scale, "spacelike",
+                                np.where(q < -EPS * scale, "lorentzian", "null"))
+        spacelike = self.classes == "spacelike"
+        self.duals = np.full((len(labels), 2, 2), np.nan)
+        self.duals[spacelike] = mat2_stack(
+            labels[spacelike].reshape(-1, 2, 2) / np.sqrt(q[spacelike])[:, None, None])
 
-    def __init__(self, plane, normal, offset, vertex_ids, future):
-        self.plane = plane
-        self.normal = normal
-        self.offset = offset
-        self.vertex_ids = vertex_ids
-        self.future = future
-        self.dual = plane.dual_mat2() if plane.classify() == "spacelike" else None
+    def __len__(self):
+        return len(self.offsets)
 
 
-class BendingDatum:
-    """Edge between two adjacent faces with its dual-point distance."""
-
-    __slots__ = ("face_i", "face_j", "shared_vertex_ids", "weight")
-
-    def __init__(self, face_i, face_j, shared_vertex_ids, weight):
-        self.face_i = face_i
-        self.face_j = face_j
-        self.shared_vertex_ids = shared_vertex_ids
-        self.weight = weight
-
-    def __repr__(self):
-        return "BendingDatum(%d, %d, w=%s)" % (self.face_i, self.face_j, self.weight)
+BendingDatum = collections.namedtuple("BendingDatum", "face_i face_j shared_vertex_ids weight")
 
 
 class HullComplex:
@@ -301,8 +304,8 @@ class HullComplex:
     with flat = True, a single plane, and no faces.
     """
 
-    def __init__(self, graph, chart_plane, chart_points,
-                 faces, vertex_ids, flat=False, flat_plane=None):
+    def __init__(self, graph, chart_plane, chart_points, faces, vertex_ids,
+                 flat=False, flat_plane=None, qhull_facets=0, joggled=False):
         self.graph = graph
         self.chart_plane = chart_plane
         self.chart_points = chart_points
@@ -310,12 +313,7 @@ class HullComplex:
         self.vertex_ids = vertex_ids
         self.flat = flat
         self.flat_plane = flat_plane
-
-    def future_faces(self):
-        return [f for f in self.faces if f.future]
-
-    def past_faces(self):
-        return [f for f in self.faces if not f.future]
+        self.qhull_facets, self.joggled = qhull_facets, joggled
 
     def vertex_on_quadric_error(self):
         pts = self.graph.points()
@@ -328,16 +326,15 @@ class HullComplex:
         """Most negative signed distance of any vertex inside any face
         half-space (0 for an exactly convex complex)."""
         worst = 0.0
-        for f in self.faces:
-            slack = self.chart_points @ f.normal + f.offset
+        # one matvec per face: a stacked product changes the per-face maxima
+        for normal, offset in zip(self.faces.normals, self.faces.offsets.tolist()):
+            slack = self.chart_points @ normal + offset
             worst = min(worst, -float(np.max(slack)))
         return worst
 
-    def _ordered_cycle(self, face):
-        ids = face.vertex_ids
+    def _ordered_cycle(self, ids, n):
         pts = self.chart_points[ids]
         center = pts.mean(axis=0)
-        n = face.normal
         a = np.array([1.0, 0.0, 0.0])
         if abs(np.dot(a, n)) > 0.9:
             a = np.array([0.0, 1.0, 0.0])
@@ -355,8 +352,8 @@ class HullComplex:
             index[i] = len(index) + 1
             x, y, z = self.chart_points[i]
             lines.append("v %.9f %.9f %.9f" % (x, y, z))
-        for f in self.faces:
-            cycle = [index[i] for i in self._ordered_cycle(f)]
+        for ids, n in zip(np.split(self.faces.ids, self.faces.start[1:-1]), self.faces.normals):
+            cycle = [index[i] for i in self._ordered_cycle(ids, n)]
             lines.append("f " + " ".join(str(i) for i in cycle))
         return "\n".join(lines) + "\n"
 
@@ -368,18 +365,6 @@ def ConvexHull(points, qhull_options=None):
     from scipy.spatial import ConvexHull as qhull
 
     return qhull(points, qhull_options=qhull_options)
-
-
-def _face_plane_label(chart_mat, normal, offset):
-    """Projective label of the chart plane normal . X + offset = 0,
-    pulled back through the chart transport v -> m^{-1} v; chart_mat is
-    m, computed once per hull as the inverse of m^{-1}."""
-    # in transported (a,b,c,d): n1*y + n2*z + n3*u + offset*w = 0
-    n1, n2, n3 = normal
-    cov = 0.5 * np.array([offset + n2, n1 + n3, n1 - n3, offset - n2])
-    C = mat_of(cov)
-    # incidence(v) = tr(C^T m^{-1} v); the label's adjugate matches 2 C^T m^{-1}
-    return vec_of(chart_mat @ adjugate(C.T))
 
 
 def convex_hull(graph, chart_plane=None):
@@ -404,46 +389,74 @@ def convex_hull(graph, chart_plane=None):
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[-1] < 1e-9 * max(sv[0], 1.0):
         plane = _flat_plane(graph)
-        return HullComplex(graph, chart_plane, chart_pts, [],
+        faces = HullFaces(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 4)), np.zeros(0, bool),
+                          np.zeros(0, int), np.zeros(1, int))
+        return HullComplex(graph, chart_plane, chart_pts, faces,
                            np.arange(len(graph)), flat=True, flat_plane=plane)
 
     from scipy.spatial import QhullError
 
     try:
-        hull = ConvexHull(chart_pts)
+        hull, joggled = ConvexHull(chart_pts), False
     except QhullError:
-        hull = ConvexHull(chart_pts, qhull_options="QJ")
-
-    # merge triangulated facets that share a supporting plane
-    groups = {}
-    for eq, simplex in zip(hull.equations, hull.simplices):
-        key = tuple(np.round(eq, 6))
-        ids, eqs = groups.setdefault(key, (set(), []))
-        ids.update(int(i) for i in simplex)
-        eqs.append(eq)
-    # time orientation: the rotation flow v -> v . R(t) points to the future
-    faces = []
+        hull, joggled = ConvexHull(chart_pts, qhull_options="QJ"), True
     # inv(minv), not m: the round trip differs from m in the last bits
-    chart_mat = np.linalg.inv(minv)
-    for ids, eqs in groups.values():
-        ids = np.array(sorted(ids))
-        eq = np.mean(eqs, axis=0)
-        normal, offset = eq[:3], float(eq[3])
-        normal = normal / np.linalg.norm(normal)
-        label = _face_plane_label(chart_mat, normal, offset)
-        plane = ProjectivePlane(label)
-        flow = 0.0
-        for i in ids[: min(len(ids), 8)]:
-            p = pts4[i].reshape(2, 2)
-            dp = vec_of(p @ ROTATION_GENERATOR)
-            wp = 0.5 * (pts4[i, 0] + pts4[i, 3])
-            dw = 0.5 * (dp[0] + dp[3])
-            d3 = np.array([0.5 * (dp[1] + dp[2]), 0.5 * (dp[0] - dp[3]),
-                           0.5 * (dp[1] - dp[2])])
-            flow += float(np.dot(normal, (d3 - chart_pts[i] * dw) / wp))
-        faces.append(HullFace(plane, normal, offset, ids, future=flow > 0))
+    faces = _merged_faces(hull, pts4, chart_pts, np.linalg.inv(minv))
     return HullComplex(graph, chart_plane, chart_pts, faces,
-                       np.array(sorted(int(i) for i in hull.vertices)))
+                       np.array(sorted(int(i) for i in hull.vertices)),
+                       qhull_facets=len(hull.equations), joggled=joggled)
+
+
+def _group_means(rows, group):
+    """np.mean(rows[group == g], axis=0) for g = 0, 1, .., bit for bit and
+    unpadded: slot k adds the k-th row of each group with more than k."""
+    count = np.bincount(group)
+    members = np.argsort(group, kind="stable")
+    begin = np.cumsum(count) - count
+    big = np.argsort(-count, kind="stable")
+    total = rows[members[begin[big]]]
+    for k in range(1, count[big[0]]):
+        have = big[:np.searchsorted(-count[big], -k)]
+        total[:len(have)] += rows[members[begin[have] + k]]
+    return (total / count[big, None])[np.argsort(big)]
+
+
+def _merged_faces(hull, pts4, chart_pts, chart_mat):
+    """Qhull's facets merged into a HullFaces record, each stacked step
+    equal to the per-face arithmetic bit for bit.  Facets whose equations
+    agree to 6 decimals form one face, numbered by first appearance, with
+    the mean equation; chart_mat is the chart transport m."""
+    eqs = hull.equations
+    keys = np.ascontiguousarray(np.round(eqs, 6) + 0.0).view(np.dtype((np.void, 32))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    face = np.argsort(np.argsort(first))[inverse]
+    mean = _group_means(eqs, face)
+    normals = mean[:, :3] / np.sqrt(_rowdot(mean[:, :3], mean[:, :3]))[:, None]
+    offsets = mean[:, 3]
+
+    # in transported (a,b,c,d) a face reads n1*y + n2*z + n3*u + offset*w = 0,
+    # i.e. tr(C^T m^{-1} v) = 0; the label's adjugate matches 2 C^T m^{-1}
+    n1, n2, n3 = normals.T
+    cov = 0.5 * np.stack([offsets + n2, n1 + n3, n1 - n3, offsets - n2], axis=1)
+    labels = (chart_mat @ adjugate(cov.reshape(-1, 2, 2).transpose(0, 2, 1))).reshape(-1, 4)
+    labels = labels / np.max(np.abs(labels), axis=1, keepdims=True)
+
+    n = len(chart_pts)
+    code = np.unique(face[:, None] * n + hull.simplices)
+    ids, start = code % n, np.searchsorted(code, np.arange(len(mean) + 1) * n)
+
+    # time orientation: the rotation flow v -> v . R(t) points to the
+    # future; a face sums its chart velocity over its first <= 8 vertices
+    # one vertex column at a time, in the per-face loop's order of adds
+    dp = (pts4.reshape(-1, 2, 2) @ ROTATION_GENERATOR).reshape(-1, 4)
+    wp, dw = 0.5 * (pts4[:, 0] + pts4[:, 3]), 0.5 * (dp[:, 0] + dp[:, 3])
+    d3 = 0.5 * np.stack([dp[:, 1] + dp[:, 2], dp[:, 0] - dp[:, 3], dp[:, 1] - dp[:, 2]], axis=1)
+    velocity = (d3 - chart_pts * dw[:, None]) / wp[:, None]
+    flow = np.zeros(len(mean))
+    for j in range(8):
+        has = np.flatnonzero(np.diff(start) > j)
+        flow[has] += _rowdot(normals[has], velocity[ids[start[has] + j]])
+    return HullFaces(normals, offsets, labels, flow > 0, ids, start)
 
 
 def _flat_plane(graph):
@@ -456,21 +469,38 @@ def _flat_plane(graph):
     return ProjectivePlane(vt[-1])
 
 
-def face_adjacency(hull, future_only=True):
-    """Pairs of face indices sharing at least two hull vertices."""
+def face_adjacency(hull):
+    """Future-face pairs (i < j) sharing two or more hull vertices: the
+    (E, 2) pairs, shared ids and start (pair e's at shared[start[e]:start[e
+    + 1]]), in the order a scan of the vertices by first appearance meets."""
     faces = hull.faces
-    picked = [i for i, f in enumerate(faces) if f.future or not future_only]
-    vmap = {}
-    for i in picked:
-        for v in faces[i].vertex_ids:
-            vmap.setdefault(int(v), []).append(i)
-    counts = {}
-    for v, fs in vmap.items():
-        for a in range(len(fs)):
-            for b in range(a + 1, len(fs)):
-                key = (fs[a], fs[b])
-                counts.setdefault(key, []).append(v)
-    return [(i, j, shared) for (i, j), shared in counts.items() if len(shared) >= 2]
+    future = faces.future[faces.owner]
+    face, v = faces.owner[future], faces.ids[future]
+    _, first, inverse = np.unique(v, return_index=True, return_inverse=True)
+    seen = first[inverse]
+    o = np.argsort(seen, kind="stable")
+    seen, face, v = seen[o], face[o], v[o]
+    # every pair (a, b) of one vertex's incidences, a before b, in scan order
+    a, b = np.zeros((2, 0), int)
+    for d in range(1, np.bincount(inverse, minlength=1).max()):
+        same = np.flatnonzero(seen[d:] == seen[:-d])
+        a, b = np.concatenate([a, same]), np.concatenate([b, same + d])
+    o = np.lexsort((face[b], face[a], seen[a]))
+    a, b = a[o], b[o]
+    _, first, inverse, count = np.unique(face[a] * len(faces) + face[b], return_index=True,
+                                         return_inverse=True, return_counts=True)
+    # each pair's occurrences together, pairs in the order first met
+    o = np.argsort(first[inverse], kind="stable")
+    o = o[count[inverse[o]] >= 2]
+    head, start = np.unique(first[inverse[o]], return_index=True)
+    return np.stack([face[a[head]], face[b[head]]], axis=1), v[a[o]], np.append(start, len(o))
+
+
+def _dual_distances(m1, m2):
+    """arccosh(|tr(m1 m2^{-1})| / 2) per row of two dual stacks, normalized
+    as Mat2 does; math.acosh per value, as np.arccosh differs in last bits."""
+    rel = mat2_stack(m1 @ mat2_stack(adjugate(m2)))
+    return [math.acosh(max(t / 2.0, 1.0)) for t in np.abs(rel[:, 0, 0] + rel[:, 1, 1]).tolist()]
 
 
 def bending_data(hull):
@@ -481,18 +511,13 @@ def bending_data(hull):
     |tr(m1 m2^{-1})| / 2 for the determinant-one duals.  Null-face
     adjacencies get weight None.
     """
-    if hull.flat:
-        return []
-    out = []
-    for i, j, shared in face_adjacency(hull, future_only=True):
-        fi, fj = hull.faces[i], hull.faces[j]
-        if fi.dual is None or fj.dual is None:
-            out.append(BendingDatum(i, j, shared, None))
-            continue
-        rel = fi.dual @ fj.dual.inverse()
-        out.append(BendingDatum(i, j, shared,
-                                math.acosh(max(abs(rel.trace()) / 2.0, 1.0))))
-    return out
+    pairs, shared, start = face_adjacency(hull)
+    duals = hull.faces.duals
+    weights = _dual_distances(duals[pairs[:, 0]], duals[pairs[:, 1]])
+    spacelike = (hull.faces.classes == "spacelike")[pairs].all(axis=1).tolist()
+    shared, start = shared.tolist(), start.tolist()
+    return [BendingDatum(i, j, shared[lo:hi], w if ok else None) for (i, j), lo, hi, w, ok
+            in zip(pairs.tolist(), start[:-1], start[1:], weights, spacelike)]
 
 
 class ExtractedEarthquake:
@@ -510,10 +535,10 @@ class ExtractedEarthquake:
         return self.dominant_shear
 
 
-def _face_mobius(dual):
-    """Mobius map whose graph is the face plane's quadric conic: the
+def _face_mobius(duals):
+    """Mobius maps whose graphs are the face planes' quadric conics: the
     plane of dual m meets the quadric in {(x, R adj(m) x)}."""
-    return Mat2(ROTATION_GENERATOR @ adjugate(dual.m))
+    return mat2_stack(ROTATION_GENERATOR @ adjugate(duals))
 
 
 def _boundary_map(tls, mobs):
@@ -533,24 +558,27 @@ def extract_left_earthquake(hull):
         plane = hull.flat_plane
         if plane.classify() != "spacelike":
             raise ValueError("flat hull on a non-spacelike plane")
-        cm = _boundary_map(tls, _face_mobius(plane.dual_mat2()).m)
-        return ExtractedEarthquake([Mat2.identity()], cm, [], 0.0)
+        cm = _boundary_map(tls, _face_mobius(plane.dual_mat2().m[None]))
+        return ExtractedEarthquake(np.eye(2)[None], cm, [], 0.0)
 
     # near-tangent sliver faces of the sampled hull classify as null;
     # they carry no dual point and are skipped
-    order = [i for i, f in enumerate(hull.faces) if f.future and f.dual is not None]
-    if not order:
+    faces = hull.faces
+    kept = faces.future & (faces.classes == "spacelike")
+    order = np.flatnonzero(kept)
+    if not len(order):
         raise ValueError("hull has no spacelike future faces")
-    by_size = sorted(order, key=lambda i: -len(hull.faces[i].vertex_ids))
-    m_ref = hull.faces[by_size[0]].dual
-    left_factors = [m_ref @ hull.faces[i].dual.inverse() for i in order]
+    by_size = order[np.argsort(-np.diff(faces.start)[order], kind="stable")]
+    duals = faces.duals[order]
+    left_factors = mat2_stack(faces.duals[by_size[0]] @ mat2_stack(adjugate(duals)))
 
     # assign each sample to the future face of its nearest hull vertex
     # (ties to the earlier vertex by theta); a vertex belongs to the
     # first face of `order` that holds it
+    held = kept[faces.owner]
+    v, first = np.unique(faces.ids[held], return_index=True)
     face_of = np.full(len(tls), -1)
-    for pos in reversed(range(len(order))):
-        face_of[hull.faces[order[pos]].vertex_ids] = pos
+    face_of[v] = np.searchsorted(order, faces.owner[held][first])
     theta = np.array(tls)
     vids = np.flatnonzero(face_of >= 0)
     vids = vids[np.argsort(theta[vids])]
@@ -561,8 +589,7 @@ def extract_left_earthquake(hull):
     d = np.minimum(d, 1.0 - d)
     nearest = vids[np.where(d[1] < d[0], near[1], near[0])]
     pos = np.where(face_of >= 0, face_of, face_of[nearest])
-    mobs = np.array([_face_mobius(hull.faces[i].dual).m for i in order])
-    cm = _boundary_map(tls, mobs[pos])
+    cm = _boundary_map(tls, _face_mobius(duals)[pos])
 
     shear_edges = [(2.0 * b.weight, b.face_i, b.face_j)
                    for b in bending_data(hull) if b.weight is not None]
@@ -572,8 +599,7 @@ def extract_left_earthquake(hull):
     # the shear between their duals directly
     dominant = 0.0
     if len(by_size) >= 2:
-        rel = hull.faces[by_size[0]].dual @ hull.faces[by_size[1]].dual.inverse()
-        dominant = 2.0 * math.acosh(max(abs(rel.trace()) / 2.0, 1.0))
+        dominant = 2.0 * _dual_distances(faces.duals[by_size[:1]], faces.duals[by_size[1:2]])[0]
     return ExtractedEarthquake(left_factors, cm, shear_edges, dominant)
 
 

@@ -40,7 +40,7 @@ def _check(name, residual, tolerance):
     }
 
 
-def _report(name, args, inputs, values, checks):
+def _report(name, args, inputs, values, checks, diagnostics=None):
     return {
         "schema": "%s/%s/1" % (SCHEMA_PREFIX, name),
         "command": [name] + ["%s=%s" % (k, v) for k, v in sorted(vars(args).items())
@@ -48,6 +48,8 @@ def _report(name, args, inputs, values, checks):
         "inputs": {k: {"path": p, "sha256": _digest(p)} for k, p in inputs.items()},
         "values": values,
         "checks": checks,
+        # what the run did (counts, fallbacks that fired), kept out of values
+        "diagnostics": diagnostics or {},
     }
 
 
@@ -88,12 +90,13 @@ def cmd_euler(args):
 
 
 def _cocycle_checks(rep, coc, ball_radius, tol):
+    # the identity sweep's radius is capped at 2 whatever --ball says
     ball = GroupBall(rep, min(2, ball_radius))
     worst = flatspace.cocycle_identity_sweep(rep, coc, ball)
     return [
         _check("cocycle-identity", worst, tol),
         _check("relator-residual", flatspace.relator_residual(rep, coc), tol),
-    ]
+    ], ball.radius
 
 
 def cmd_flat(args):
@@ -106,7 +109,8 @@ def cmd_flat(args):
         return _emit(_report("flat", args, {"rep": args.rep, "multicurve": args.multicurve},
                              values, checks), args.out)
     coc = flatspace.cocycle_from_lamination(rep, mc, L=args.ball)
-    checks += _cocycle_checks(rep, coc, args.ball, args.tol)
+    more, radius = _cocycle_checks(rep, coc, args.ball, args.tol)
+    checks, diagnostics = checks + more, {"sweep_ball_radius": radius}
     values = {
         "mode": args.flat_mode,
         "curves": len(mc),
@@ -127,6 +131,7 @@ def cmd_flat(args):
             _check("x-spacelike-or-zero", bad_x, 0),
         ]
         values["samples"] = len(patch)
+        diagnostics["perturbed_samples"] = sum(patch.perturbed)
         values["support_planes"] = len(planes)
         if args.out is not None:
             _write(args.out, "cocycle.json", json.dumps(
@@ -143,7 +148,7 @@ def cmd_flat(args):
                              "offset": pl.offset} for pl in planes]},
                 sort_keys=True, indent=2) + "\n")
     return _emit(_report("flat", args, {"rep": args.rep, "multicurve": args.multicurve},
-                         values, checks), args.out)
+                         values, checks, diagnostics), args.out)
 
 
 def cmd_quake(args):
@@ -195,7 +200,7 @@ def _hull_pipeline(args, graph, inputs, extra_values):
     for (tl, tr), (_, out) in zip(graph.samples, quake.boundary_map.samples):
         d = abs(out - tr)
         roundtrip = max(roundtrip, min(d, 1.0 - d))
-    lorentzian = sum(1 for f in hull.faces if f.plane.classify() == "lorentzian")
+    lorentzian = int((hull.faces.classes == "lorentzian").sum())
     checks += [
         _check("no-lorentzian-faces", lorentzian, 0),
         _check("vertices-on-quadric", hull.vertex_on_quadric_error(), args.tol),
@@ -207,12 +212,15 @@ def _hull_pipeline(args, graph, inputs, extra_values):
         "flat": hull.flat,
         "samples": len(graph),
         "hull_vertices": int(len(hull.vertex_ids)),
-        "future_faces": len(hull.future_faces()),
-        "past_faces": len(hull.past_faces()),
+        "future_faces": int(hull.faces.future.sum()),
+        "past_faces": int((~hull.faces.future).sum()),
         "total_shear": float(quake.total_shear()),
         "shear_edges": [[float(w), int(i), int(j)] for w, i, j in quake.shear_edges],
         "boundary_roundtrip_sup": roundtrip,
     })
+    diagnostics = {"qhull_facets": hull.qhull_facets, "merged_faces": len(hull.faces),
+                   "qhull_joggled": hull.joggled, "null_future_faces_skipped":
+                   int((hull.faces.future & (hull.faces.classes == "null")).sum())}
     if hull.flat:
         values["notice"] = "flat hull: graph lies on a single plane, identity earthquake"
     if args.out is not None:
@@ -226,7 +234,7 @@ def _hull_pipeline(args, graph, inputs, extra_values):
         _write(args.out, "boundary.csv",
                "\n".join(quake.boundary_map.to_csv_rows()) + "\n")
         _write(args.out, "graph.csv", "\n".join(graph.to_csv_rows()) + "\n")
-    return _emit(_report("ads", args, inputs, values, checks), args.out)
+    return _emit(_report("ads", args, inputs, values, checks, diagnostics), args.out)
 
 
 def cmd_ads_hull(args):

@@ -20,7 +20,7 @@ import random
 
 import numpy as np
 
-from .minkowski import Mat2, RP1Point, adjugate, finite
+from .minkowski import Mat2, RP1Point, adjugate, canonical_signs, finite, mat2_stack
 
 
 class EllipticDegeneracyError(RuntimeError):
@@ -225,14 +225,6 @@ def regular_polygon_rep(g):
     return rep
 
 
-def _canonical_signs(mats, tol=1e-12):
-    """Mat2's sign rule on a stack: the first entry (row-major) larger
-    than tol in absolute value is made positive."""
-    flat = mats.reshape(-1, 4)
-    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > tol, axis=1)]
-    return mats * np.where(lead < 0, -1.0, 1.0)[:, None, None]
-
-
 class GroupBall:
     """All reduced words of length <= radius, one per distinct matrix.
 
@@ -264,9 +256,7 @@ class GroupBall:
             let = np.tile(letters, len(mats))
             reduced = lets[par] != -let
             prods, par, let = prods[reduced], par[reduced], let[reduced]
-            # Mat2's normalization: determinant one, canonical sign
-            det = prods[:, 0, 0] * prods[:, 1, 1] - prods[:, 0, 1] * prods[:, 1, 0]
-            prods = _canonical_signs(prods / np.sqrt(det)[:, None, None])
+            prods = mat2_stack(prods)
             level_keys = self._keys(prods)
             # first occurrence of each key in the level, minus known keys
             first = np.sort(np.unique(level_keys, return_index=True)[1])
@@ -301,7 +291,7 @@ class GroupBall:
     def find(self, mats):
         """Ball index of each matrix in a (M, 2, 2) stack, or -1 where
         the matrix (up to sign) is not in the ball."""
-        mats = _canonical_signs(np.asarray(mats, dtype=float))
+        mats = canonical_signs(np.asarray(mats, dtype=float))
         keys = self._keys(mats)
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys), len(self) - 1)
         idx = self._key_order[pos]

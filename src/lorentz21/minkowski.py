@@ -95,7 +95,7 @@ class Mat2:
         if det <= 0:
             raise ValueError("matrix must have positive determinant")
         # tolerate scaled input: renormalize to determinant one
-        self.m = _canonical_sign(m / math.sqrt(det))
+        self.m = canonical_signs((m / math.sqrt(det))[None])[0]
 
     @classmethod
     def identity(cls):
@@ -135,11 +135,17 @@ def adjugate(m):
     return np.stack(entries, axis=-1).reshape(m.shape)
 
 
-def _canonical_sign(m, tol=1e-12):
-    for x in m.ravel():
-        if abs(x) > tol:
-            return m if x > 0 else -m
-    return m
+def canonical_signs(mats, tol=1e-12):
+    """Mat2's sign rule on a (N, 2, 2) stack: see the class docstring."""
+    flat = mats.reshape(-1, 4)
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > tol, axis=1)]
+    return mats * np.where(lead < 0, -1.0, 1.0)[:, None, None]
+
+
+def mat2_stack(mats):
+    """Mat2's normalization on a (N, 2, 2) stack, bit for bit."""
+    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    return canonical_signs(mats / np.sqrt(det)[:, None, None])
 
 
 def adjoint_to_so21(m):

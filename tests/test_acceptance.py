@@ -189,8 +189,7 @@ def test_criterion_7_hull_causality():
     lorentzian = 0
     quadric_err = 0.0
     for hull in _test_hulls():
-        lorentzian += sum(1 for f in hull.faces
-                          if f.plane.classify() == "lorentzian")
+        lorentzian += sum(1 for c in hull.faces.classes if c == "lorentzian")
         quadric_err = max(quadric_err, hull.vertex_on_quadric_error())
     pts = adshull.lemma5_configuration()
     lemma_ok = (adshull.plane_separates(adshull.plane_z_equals(2.0), pts)
@@ -208,7 +207,7 @@ def test_criterion_8_bending_factor():
     worst_oracle = 0.0
     for s, hull in zip((2.0, 4.0, 9.0), _test_hulls()):
         edges = [b for b in adshull.bending_data(hull) if b.weight is not None
-                 and hull.faces[b.face_i].future and hull.faces[b.face_j].future]
+                 and hull.faces.future[b.face_i] and hull.faces.future[b.face_j]]
         weight = edges[0].weight
         # hand oracle: dual points [[0,1],[-1,0]] and [[0,-1],[s,0]]/sqrt(s)
         oracle = math.acosh((math.sqrt(s) + 1.0 / math.sqrt(s)) / 2.0)

@@ -282,3 +282,43 @@ def test_invalid_scalar_option_is_invalid(capsys, argv, message):
     assert code == 2
     assert report["schema"] == "lorentz21/error/1"
     assert message in report["error"]
+
+
+def _staircase_rows(steps=3, m=5):
+    """Alternating runs of constant right and constant left angle; the
+    hull's faces through the corners are null, future ones among them."""
+    rows = []
+    for k in range(steps):
+        a, b = k / steps, (k + 0.5) / steps
+        rows += ["%.12f,%.12f" % (a + 0.5 * j / (steps * m), b) for j in range(m)]
+        rows += ["%.12f,%.12f" % (a + 0.5 / steps, b + 0.5 * j / (steps * m)) for j in range(m)]
+    return rows
+
+
+def test_diagnostics_block(tmp_path, capsys):
+    graph = tmp_path / "stairs.csv"
+    graph.write_text("\n".join(_staircase_rows()) + "\n")
+    octagon = lorentz21.bundled("octagon_rep.json")
+    curve = lorentz21.bundled("single_curve.json")
+    runs = {"ads": ["ads", "hull", str(graph)],
+            "flat": ["flat", "build", octagon, curve, "--ball", "3", "--density", "50"]}
+    keys = {"ads": {"qhull_facets", "merged_faces", "qhull_joggled",
+                    "null_future_faces_skipped"},
+            "flat": {"sweep_ball_radius", "perturbed_samples"}}
+    for name, argv in runs.items():
+        first = run_cli(argv, capsys)[1]
+        second = run_cli(argv, capsys)[1]
+        assert set(first["diagnostics"]) == keys[name]
+        assert first["diagnostics"] == second["diagnostics"]
+        assert "diagnostics" not in first["values"]
+        diag = first["diagnostics"]
+        if name == "ads":
+            assert diag["merged_faces"] == first["values"]["future_faces"] + \
+                first["values"]["past_faces"]
+            assert diag["merged_faces"] < diag["qhull_facets"]
+            assert diag["null_future_faces_skipped"] > 0
+            assert diag["qhull_joggled"] is False
+        else:
+            # the identity sweep stops at radius 2 whatever --ball says
+            assert diag["sweep_ball_radius"] == 2
+            assert 0 <= diag["perturbed_samples"] <= first["values"]["samples"]
