@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 
 import numpy as np
 
@@ -225,6 +224,10 @@ def regular_polygon_rep(g):
     return rep
 
 
+# decimal digits of the matrix entries that identify a GroupBall element
+KEY_DIGITS = 6
+
+
 class GroupBall:
     """All reduced words of length <= radius, one per distinct matrix.
 
@@ -233,17 +236,16 @@ class GroupBall:
     times the generator `letter[i]` (signed index; 0 for the identity).
     Words of length r occupy `offsets[r]:offsets[r + 1]`, so the first
     `offsets[r + 1]` entries are exactly the radius-r ball.  Matrices
-    are identified by their entries rounded to `key_digits`; each level
+    are identified by their entries rounded to KEY_DIGITS; each level
     extends only the new elements of the level before, since a word
     equal to an earlier one has no new products.
     """
 
-    def __init__(self, rep, radius, key_digits=6):
+    def __init__(self, rep, radius):
         if radius < 0:
             raise ValueError("radius must be >= 0")
         self.radius = radius
         self.genus = rep.genus
-        self._key_digits = key_digits
         letters = np.array([s * (i + 1) for i in range(2 * rep.genus) for s in (1, -1)])
         steps = np.array([g.m for m in rep.generators for g in (m, m.inverse())])
         mats, lets = np.eye(2)[None], np.array([0])
@@ -271,8 +273,8 @@ class GroupBall:
 
     def _keys(self, mats):
         """One comparable key per matrix: its entries rounded to
-        key_digits (with -0.0 folded into 0.0), viewed as bytes."""
-        flat = np.round(mats.reshape(-1, 4), self._key_digits) + 0.0
+        KEY_DIGITS (with -0.0 folded into 0.0), viewed as bytes."""
+        flat = np.round(mats.reshape(-1, 4), KEY_DIGITS) + 0.0
         return np.ascontiguousarray(flat).view(np.dtype((np.void, 32))).ravel()
 
     def __len__(self):
@@ -351,69 +353,30 @@ def _sigma(mat, x):
     return math.floor(x) + b1
 
 
-def _integer_cocycle(m1, m2, samples=5, rng=None):
-    """Integer c with sigma(m1) o sigma(m2) = sigma(m1 m2) + c, sampled at
-    several points; disagreement means a degenerate (elliptic) tracking."""
-    if m1.is_identity() or m2.is_identity():
-        return 0
-    rng = rng or random.Random(7)
-    m12 = m1 @ m2
-    vals = set()
-    for _ in range(samples):
-        x = rng.random()
-        y = _sigma(m1, _sigma(m2, x))
-        z = x if m12.is_identity() else _sigma(m12, x)
-        s = y - z
-        c = round(s)
-        if abs(s - c) > 1e-6:
-            raise EllipticDegeneracyError("lift increment %.6f not near an integer" % s)
-        vals.add(c)
-    if len(vals) != 1:
-        raise EllipticDegeneracyError("inconsistent lift cocycle samples %s" % sorted(vals))
-    return vals.pop()
-
-
-class LiftedElement:
-    """Element of the universal cover of PSL(2,R): a Mat2 plus an integer
-    recording which lift of its circle action is meant."""
-
-    __slots__ = ("mat", "shift")
-
-    def __init__(self, mat, shift=0):
-        self.mat = mat if isinstance(mat, Mat2) else Mat2(mat)
-        self.shift = int(shift)
-
-    def __mul__(self, other):
-        c = _integer_cocycle(self.mat, other.mat)
-        return LiftedElement(self.mat @ other.mat, self.shift + other.shift + c)
-
-    def inverse(self):
-        inv = self.mat.inverse()
-        c = _integer_cocycle(self.mat, inv)
-        return LiftedElement(inv, -self.shift - c)
-
-    def is_central(self, tol=1e-6):
-        return self.mat.is_identity(tol)
-
-
 def euler_class(rep):
     """Euler class of the circle action of a surface-group representation.
 
-    Each generator is lifted to the homeomorphism of R sending 0 into
-    [0, 1); the lifted relator is then central, equal to translation by
-    an integer.  The sign convention makes the discrete cocompact
-    polygon representations come out at 2 - 2g.
+    Each generator g is lifted to the homeomorphism sigma_g of R sending
+    0 into [0, 1); the lift of an inverse letter is sigma_{g^-1} less the
+    integer that makes it undo sigma_g.  Composed along the relator these
+    lifts are translation by an integer, read off at 0.  The sign
+    convention makes the discrete cocompact polygon representations come
+    out at 2 - 2g.
     """
-    lifts = {}
-    for i, m in enumerate(rep.generators):
-        lifts[i + 1] = LiftedElement(m, 0)
-        lifts[-(i + 1)] = lifts[i + 1].inverse()
-    out = LiftedElement(Mat2.identity(), 0)
-    for x in rep.relator():
-        out = out * lifts[x]
-    if not out.is_central():
+    if not rep.evaluate(rep.relator()).is_identity(1e-6):
         raise ValueError("relator is not central; representation invalid")
-    return -out.shift
+    x = 0.0
+    for letter in reversed(rep.relator()):
+        g = rep.generators[abs(letter) - 1]
+        if letter > 0:
+            x = _sigma(g, x)
+        else:
+            y = _sigma(g.inverse(), x)
+            x = y - round(_sigma(g, y) - x)
+    shift = round(x)
+    if abs(x - shift) > 1e-6:
+        raise EllipticDegeneracyError("lifted relator moves 0 by %.6f, not an integer" % x)
+    return -shift
 
 
 def milnor_wood_ok(rep):

@@ -10,13 +10,16 @@ vectorized pass over the ball's matrices and kept in a memo that lives
 as long as its representation object, next to that representation's
 largest ball; any smaller radius reads a prefix, a larger one rebuilds
 the entry.  Consumers (crossings, disjointness, basepoints,
-development) work on the arrays; every one that grows its radius does
-so through `stable_lifts`.  GeodesicH2 is the scalar type: leaves of a
-finite lamination, leaves handed to earthquakes, and the reference
-that the array routines are tested against.  The transverse vector of
-a segment is the weighted sum of oriented unit normals of the leaves
-the segment crosses, which is the atomic-measure form of the
-transverse integral defining translation cocycles.
+development, earthquakes) work on the arrays; every one that grows its
+radius does so through `stable_lifts`.  A finite lamination is the same
+record, built by `LeafSet.of` from its GeodesicH2s, and `along` orders
+and orients the leaves a segment crosses for the lifted and the finite
+laminations alike.  GeodesicH2 is the scalar type: the leaves a finite
+lamination is given by, and the reference that the array routines are
+tested against.  The transverse vector of a segment is the weighted sum
+of oriented unit normals of the leaves the segment crosses, which is
+the atomic-measure form of the transverse integral defining
+translation cocycles.
 """
 
 from __future__ import annotations
@@ -124,26 +127,6 @@ class WeightedMulticurve:
             return cls.from_json(json.load(fh))
 
 
-class CrossingRecord:
-    """One leaf crossed by a query segment.
-
-    The normal is the leaf's unit normal oriented from the start point's
-    side toward the far side, which for segments based in the base
-    region is the "points away from the base region" convention.
-    """
-
-    __slots__ = ("leaf", "parameter", "normal", "weight")
-
-    def __init__(self, leaf, parameter, normal, weight):
-        self.leaf = leaf
-        self.parameter = parameter
-        self.normal = normal
-        self.weight = weight
-
-    def __repr__(self):
-        return "CrossingRecord(s=%.4f, w=%.3f, %r)" % (self.parameter, self.weight, self.leaf)
-
-
 def _class_word(rep, w):
     """w as a word in rep's generators; a letter outside them is invalid."""
     w = parse_word(w, rep.genus) if isinstance(w, str) else tuple(w)
@@ -181,6 +164,19 @@ class LeafSet:
     def __getitem__(self, rows):
         """The rows selected by a slice, mask or index array."""
         return LeafSet(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def of(cls, geodesics, weights):
+        """The record of a finite lamination: the GeodesicH2s in input
+        order, their end vectors, parameters, keys and normals as they
+        hold them, with the given weights and one class per leaf."""
+        n = len(geodesics)
+        return cls(np.array([g.end1.v for g in geodesics]).reshape(-1, 2),
+                   np.array([g.end2.v for g in geodesics]).reshape(-1, 2),
+                   np.array([[g.end1.theta, g.end2.theta] for g in geodesics]).reshape(-1, 2),
+                   np.array([g.key(7) for g in geodesics]).reshape(-1, 2),
+                   np.array([g.normal for g in geodesics]).reshape(-1, 3),
+                   np.arange(n), np.array(weights, dtype=float).reshape(n), np.arange(n))
 
     def geodesic(self, i):
         """Row i as a GeodesicH2 with the same end vectors."""
@@ -305,14 +301,24 @@ def stable_lifts(rep, mc, L, keep):
     return leaves
 
 
+def along(leaves, p, q):
+    """The rows of leaves in the order the segment p -> q crosses their
+    planes, each normal oriented from p's side toward q's; a stable sort
+    keeps the input order among equal parameters."""
+    sp, sq = inner(leaves.normals, p), inner(leaves.normals, q)
+    normals = np.where((sp < 0)[:, None], leaves.normals, -leaves.normals)
+    return replace(leaves, normals=normals)[np.argsort(sp / (sp - sq), kind="stable")]
+
+
 def crossings(rep, mc, p, q, L):
-    """All leaf lifts separating p from q, sorted along the segment,
-    stabilized by stable_lifts from radius L.  Raises if either
-    endpoint is on a leaf plane within 1e-9."""
+    """LeafSet of all leaf lifts separating p from q, along the segment
+    as `along` orders and orients them, stabilized by stable_lifts from
+    radius L.  Raises if either endpoint is on a leaf plane within
+    1e-9."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if float(np.max(np.abs(p - q))) < 1e-14:
-        return []
+        return _NO_LEAVES
 
     def separating(leaves):
         sp, sq = inner(leaves.normals, p), inner(leaves.normals, q)
@@ -320,22 +326,16 @@ def crossings(rep, mc, p, q, L):
             raise ValueError("segment endpoint lies on a leaf within tolerance")
         return sp * sq <= 0
 
-    leaves = stable_lifts(rep, mc, L, separating)
-    sp, sq = inner(leaves.normals, p), inner(leaves.normals, q)
-    s = sp / (sp - sq)
-    normals = np.where((sp < 0)[:, None], leaves.normals, -leaves.normals)
-    # a stable sort keeps first-seen order among equal parameters
-    return [CrossingRecord(leaves.geodesic(i), float(s[i]), normals[i],
-                           float(leaves.weights[i]))
-            for i in np.argsort(s, kind="stable")]
+    return along(stable_lifts(rep, mc, L, separating), p, q)
 
 
 def transverse_vector(rep, mc, p, q, L):
     """Weighted sum of oriented leaf normals crossed from p to q: the
-    atomic-measure transverse integral."""
+    atomic-measure transverse integral, added in crossing order."""
+    leaves = crossings(rep, mc, p, q, L)
     out = np.zeros(3)
-    for rec in crossings(rep, mc, p, q, L):
-        out += rec.weight * rec.normal
+    for w, n in zip(leaves.weights, leaves.normals):
+        out += w * n
     return out
 
 

@@ -87,7 +87,7 @@ class Mat2:
 
     __slots__ = ("m",)
 
-    def __init__(self, m, eps=EPS):
+    def __init__(self, m):
         m = np.asarray(m, dtype=float)
         if m.shape != (2, 2):
             raise ValueError("Mat2 expects a 2x2 matrix")

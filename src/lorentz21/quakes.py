@@ -23,6 +23,7 @@ from .minkowski import (
     finite,
     hyperboloid_normalize,
     inner,
+    null_vectors,
 )
 
 
@@ -41,31 +42,30 @@ def real_boundary_point(r):
 
 
 class FiniteLaminationH2:
-    """Finitely many disjoint weighted geodesics plus a base region,
-    designated by a hyperbolic point off all leaves."""
+    """Finitely many disjoint weighted geodesics, given as (GeodesicH2,
+    weight) pairs and held as a LeafSet `leaves` in that order, plus a
+    base region, designated by a hyperbolic point off all leaves."""
 
     def __init__(self, leaves, basepoint=None):
-        self.leaves = []
-        for g, w in leaves:
-            if w <= 0:
-                raise ValueError("weights must be positive")
-            self.leaves.append((g, float(w)))
-        thetas = np.array([[g.end1.theta, g.end2.theta] for g, _ in self.leaves])
-        pair = lamins.first_crossing_pair(thetas.reshape(-1, 2), np.arange(len(self.leaves)),
+        leaves = [(g, float(w)) for g, w in leaves]
+        if any(w <= 0 for _, w in leaves):
+            raise ValueError("weights must be positive")
+        self.leaves = lamins.LeafSet.of([g for g, _ in leaves], [w for _, w in leaves])
+        pair = lamins.first_crossing_pair(self.leaves.thetas, self.leaves.classes,
                                           same_tol=1e-9)
         if pair is not None:
             raise ValueError("leaves %d and %d are not disjoint" % pair)
         if basepoint is None:
-            normals = np.array([g.normal for g, _ in self.leaves]).reshape(-1, 3)
-            basepoint = lamins.basepoint_off(normals)
+            basepoint = lamins.basepoint_off(self.leaves.normals)
         self.basepoint = np.asarray(basepoint, dtype=float)
 
 
 def lamination_to_json(lamination):
     return {
         "leaves": [
-            {"end1": leaf.end1.theta, "end2": leaf.end2.theta, "weight": w}
-            for leaf, w in lamination.leaves
+            {"end1": end1, "end2": end2, "weight": w}
+            for (end1, end2), w in zip(lamination.leaves.thetas.tolist(),
+                                       lamination.leaves.weights.tolist())
         ],
         "basepoint": [float(v) for v in lamination.basepoint],
     }
@@ -96,21 +96,23 @@ def _toward(c, target):
     return t / math.sqrt(max(inner(t, t), 1e-300))
 
 
-def shear_along(leaf, amount, c, u, side):
-    """Mat2 translating along the leaf by |amount|, toward the leaf
-    endpoint on the left of the crossing direction u at the crossing
-    point c (toward the right endpoint for side 'right')."""
+def shear_along(end1, end2, amount, c, u, side):
+    """Mat2 translating by |amount| along the leaf with unit end vectors
+    end1, end2, toward the endpoint on the left of the crossing
+    direction u at the crossing point c (toward the right endpoint for
+    side 'right')."""
     ell = _left_of(c, u)
     if side == "right":
         ell = -ell
-    n1 = leaf.end1.null_vector()
-    v1 = _toward(c, n1)
-    target = leaf.end1 if inner(v1, ell) < 0 else leaf.end2
-    other = leaf.end2 if target is leaf.end1 else leaf.end1
-    m = np.column_stack([target.v, other.v])
+    v1 = _toward(c, null_vectors(end1))
+    target, other = (end1, end2) if inner(v1, ell) < 0 else (end2, end1)
+    m = np.column_stack([target, other])
     if np.linalg.det(m) < 0:
-        m = np.column_stack([target.v, -other.v])
-    d = math.exp(amount / 2.0)
+        m = np.column_stack([target, -other])
+    try:
+        d = math.exp(amount / 2.0)
+    except OverflowError:
+        raise ValueError("a shear of %.6g along a leaf overflows" % amount) from None
     return Mat2(m @ np.diag([d, 1.0 / d]) @ np.linalg.inv(m))
 
 
@@ -127,36 +129,30 @@ class EarthquakeMap:
         self.scale = float(scale)
 
     def _separating(self, target, ideal=False):
-        """Leaves separating the base region from target, in crossing
-        order, with the chord crossing parameter of each."""
-        b = self.lamination.basepoint
-        out = []
-        for leaf, w in self.lamination.leaves:
-            sb = leaf.side(b)
-            st = float(inner(leaf.normal, target))
-            if abs(st) < 1e-12:
-                if ideal:
-                    # leaf endpoint: the shear fixes it, both sides agree
-                    continue
-                raise ValueError("target lies on a leaf")
-            if sb * st < 0:
-                s = sb / (sb - st)
-                out.append((s, leaf, w))
-        out.sort(key=lambda r: r[0])
-        return out
+        """LeafSet of the leaves separating the base region from target,
+        in crossing order, normals oriented away from the base region."""
+        leaves, b = self.lamination.leaves, self.lamination.basepoint
+        sb, st = inner(leaves.normals, b), inner(leaves.normals, target)
+        on = np.abs(st) < 1e-12
+        if on.any() and not ideal:
+            raise ValueError("target lies on a leaf")
+        # a leaf endpoint is skipped: its shear fixes it, both sides agree
+        return lamins.along(leaves[~on & (sb * st < 0)], b, target)
 
     def region_isometry(self, target, ideal=False):
         """Composed shear carrying the base region's copy of H^2 to the
         copy seen by the region of target."""
         b = self.lamination.basepoint
+        leaves = self._separating(target, ideal)
+        sb, st = inner(leaves.normals, b), inner(leaves.normals, target)
         g = Mat2.identity()
-        for s, leaf, w in self._separating(target, ideal):
+        for s, end1, end2, w in zip(sb / (sb - st), leaves.end1, leaves.end2, leaves.weights):
             c = hyperboloid_normalize(b + s * (target - b))
             u = _toward(c, target)
             # orientation data is taken on the undeformed picture, so
             # the crossing point and direction come from the original
             # segment, and shears compose base-outward on the left
-            g = g @ shear_along(leaf, self.scale * w, c, u, self.side)
+            g = g @ shear_along(end1, end2, self.scale * w, c, u, self.side)
         return g
 
     def __call__(self, p):
@@ -164,25 +160,23 @@ class EarthquakeMap:
 
     def apply(self, p):
         p = np.asarray(p, dtype=float)
-        for leaf, _ in self.lamination.leaves:
-            if abs(leaf.side(p)) < 1e-9:
-                raise ValueError("point lies on an atomic leaf; the map "
-                                 "is two-valued there")
+        if np.any(np.abs(inner(self.lamination.leaves.normals, p)) < 1e-9):
+            raise ValueError("point lies on an atomic leaf; the map "
+                             "is two-valued there")
         g = self.region_isometry(p)
         return adjoint_to_so21(g) @ p
 
     def one_sided_values(self, p, eps=1e-7):
-        """The two limits of the map at a point on (or near) a leaf."""
+        """The two limits of the map at a point on (or near) a leaf: from
+        either side of the first leaf within eps."""
         p = np.asarray(p, dtype=float)
-        vals = []
-        for leaf, _ in self.lamination.leaves:
-            if abs(leaf.side(p)) < eps:
-                for sgn in (1.0, -1.0):
-                    q = hyperboloid_normalize(p + sgn * eps * (G @ leaf.normal))
-                    vals.append(adjoint_to_so21(self.region_isometry(q)) @ p)
-                return vals
-        v = self.apply(p)
-        return [v, v]
+        normals = self.lamination.leaves.normals
+        near = np.flatnonzero(np.abs(inner(normals, p)) < eps)
+        if len(near) == 0:
+            v = self.apply(p)
+            return [v, v]
+        return [adjoint_to_so21(self.region_isometry(hyperboloid_normalize(
+            p + sgn * eps * (G @ normals[near[0]])))) @ p for sgn in (1.0, -1.0)]
 
     def boundary_point(self, x):
         """Image of an ideal point under the boundary extension."""
@@ -250,9 +244,8 @@ class EquivariantEarthquakeMap(EarthquakeMap):
         self.L = L
 
     def _separating(self, target, ideal=False):
-        recs = lamins.crossings(self.rep, self.mc, self.lamination.basepoint,
+        return lamins.crossings(self.rep, self.mc, self.lamination.basepoint,
                                 np.asarray(target, dtype=float), self.L)
-        return [(r.parameter, r.leaf, r.weight) for r in recs]
 
 
 def boundary_value(quake, samples=256):
@@ -260,18 +253,19 @@ def boundary_value(quake, samples=256):
     endpoints."""
     if samples < 1:
         raise ValueError("boundary samples must be >= 1")
-    ends = set()
-    for leaf, _ in quake.lamination.leaves:
-        ends.add(round(leaf.end1.theta, 12))
-        ends.add(round(leaf.end2.theta, 12))
-    pts = []
-    for k in range(samples):
-        th = (k + 0.5) / samples
-        if any(abs(th - e) < 1e-9 or abs(abs(th - e) - 1.0) < 1e-9 for e in ends):
-            th += 2e-9
-        x = RP1Point.from_theta(th)
-        pts.append((th, quake.boundary_point(x).theta))
-    return CircleMap(pts)
+    ends = np.array(sorted({round(t, 12) for t in quake.lamination.leaves.thetas.ravel().tolist()}))
+    ths = (np.arange(samples) + 0.5) / samples
+    if len(ends):
+        # a sample is nudged within 1e-9 of an end, or of an end less one:
+        # the nearest ends bracket it in sorted order, the farthest are
+        # the first and the last
+        i = np.searchsorted(ends, ths)
+        near = np.abs(ths - ends[[np.maximum(i - 1, 0), np.minimum(i, len(ends) - 1)]])
+        far = np.abs(ths - ends[[0, -1], None])
+        ths = np.where((near < 1e-9).any(axis=0) | (np.abs(far - 1.0) < 1e-9).any(axis=0),
+                       ths + 2e-9, ths)
+    return CircleMap([(th, quake.boundary_point(RP1Point.from_theta(th)).theta)
+                      for th in ths.tolist()])
 
 
 def quadric_action_example(s):

@@ -274,10 +274,15 @@ _LEAF = lorentz21.bundled("single_leaf_lamination.json")
     (["quake", _LEAF, "nan"], "must be finite"),
     (["quake", _LEAF, "inf"], "must be finite"),
     (["quake", _LEAF, "1.0", "--density", "0"], ">= 1"),
-    (["quake", _LEAF, "1.0", "--density", "-5"], ">= 1")],
+    (["quake", _LEAF, "1.0", "--density", "-5"], ">= 1"),
+    # shears past exp's range: a huge scale, or a huge leaf weight
+    (["quake", _LEAF, "2500", "--density", "8"], "overflows"),
+    (_lamination("weight", 1e300), "overflows")],
     ids=["tol-nan", "tol-negative", "flat-tol-nan", "scale-nan", "scale-inf",
-         "density-zero", "density-negative"])
-def test_invalid_scalar_option_is_invalid(capsys, argv, message):
+         "density-zero", "density-negative", "scale-overflow", "weight-overflow"])
+def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
+    if callable(argv):
+        argv = argv(tmp_path / "input")
     code, report = run_cli(argv, capsys)
     assert code == 2
     assert report["schema"] == "lorentz21/error/1"

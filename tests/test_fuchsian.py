@@ -172,6 +172,27 @@ def test_euler_class_conjugation_invariant(octagon):
         assert euler_class(octagon.conjugate(Mat2(c))) == -2
 
 
+def test_euler_class_sign_under_reflection():
+    """Conjugating by the reflection diag(1, -1) reverses the circle's
+    orientation, so the polygon classes 2 - 2g change sign."""
+    d = np.diag([1.0, -1.0])
+    for genus, e in ((2, 2), (3, 4)):
+        rep = regular_polygon_rep(genus)
+        assert euler_class(Representation(genus, [d @ g.m @ d for g in rep.generators])) == e
+
+
+def test_euler_class_relator_near_identity():
+    """A conjugate of the genus-3 polygon whose evaluated relator is
+    about 9e-8 from the identity, so that the relator's matrix is not
+    exactly central: the class is still -4."""
+    a, b, c = -2.8110853458289635, 2.236974326113814, -2.7510696048324688
+    boost = np.array([[math.cosh(a / 2), math.sinh(a / 2)], [math.sinh(a / 2), math.cosh(a / 2)]])
+    turn = np.array([[math.cos(b), -math.sin(b)], [math.sin(b), math.cos(b)]])
+    rep = regular_polygon_rep(3).conjugate(Mat2(boost @ turn @ np.array([[1.0, c], [0.0, 1.0]])))
+    assert 1e-8 < rep.relator_defect() < 1e-6
+    assert euler_class(rep) == -4
+
+
 def test_euler_class_index2_cover(octagon):
     """Pulling back along an index-2 cover doubles the Euler class.
 

@@ -164,7 +164,7 @@ def test_lamination_json_roundtrip():
     data = lamination_to_json(lamination)
     lam2 = lamination_from_json(data)
     assert len(lam2.leaves) == 1
-    assert lam2.leaves[0][1] == 0.8
+    assert lam2.leaves.weights[0] == 0.8
     assert np.max(np.abs(lam2.basepoint - lamination.basepoint)) < 1e-12
 
 
@@ -232,14 +232,14 @@ def test_equivariant_lamination_holds_leaves_within_reach(octagon):
     mc = WeightedMulticurve([("a1", 0.4)])
     lamination = equivariant_lamination(octagon, mc, radius=2.0, L=3)
     b = lamination.basepoint
-    assert all(abs(leaf.side(b)) < math.sinh(2.0) and w == 0.4
-               for leaf, w in lamination.leaves)
+    assert all(abs(side) < math.sinh(2.0) and w == 0.4 for side, w in
+               zip(inner(lamination.leaves.normals, b), lamination.leaves.weights))
     # every leaf met on a geodesic segment of length 1.9 from b is held
-    held = {leaf.key(7) for leaf, _ in lamination.leaves}
+    held = set(map(tuple, lamination.leaves.keys.tolist()))
     crossed = []
     for k in range(8):
         v = np.array([math.cos(k * math.pi / 4), math.sin(k * math.pi / 4), 0.0])
         u = v + inner(v, b) * b
         q = math.cosh(1.9) * b + math.sinh(1.9) * u / math.sqrt(inner(u, u))
-        crossed += [rec.leaf.key(7) for rec in crossings(octagon, mc, b, q, 3)]
+        crossed += map(tuple, crossings(octagon, mc, b, q, 3).keys.tolist())
     assert crossed and set(crossed) <= held
