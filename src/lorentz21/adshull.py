@@ -521,18 +521,15 @@ def bending_data(hull):
 
 
 class ExtractedEarthquake:
-    """Left-earthquake data read off the future boundary of a hull."""
+    """Left-earthquake data read off the future boundary of a hull.  The
+    `dominant_shear` is the weight of the dominant leaf: the shear
+    between the two largest future faces, which meet along it."""
 
     def __init__(self, left_factors, boundary_map, shear_edges, dominant_shear=0.0):
         self.left_factors = left_factors
         self.boundary_map = boundary_map
         self.shear_edges = shear_edges
         self.dominant_shear = dominant_shear
-
-    def total_shear(self):
-        """Weight of the dominant leaf: the shear between the two
-        largest future faces, which meet along it."""
-        return self.dominant_shear
 
 
 def _face_mobius(duals):

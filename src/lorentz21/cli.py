@@ -214,7 +214,7 @@ def _hull_pipeline(args, graph, inputs, extra_values):
         "hull_vertices": int(len(hull.vertex_ids)),
         "future_faces": int(hull.faces.future.sum()),
         "past_faces": int((~hull.faces.future).sum()),
-        "total_shear": float(quake.total_shear()),
+        "total_shear": float(quake.dominant_shear),
         "shear_edges": [[float(w), int(i), int(j)] for w, i, j in quake.shear_edges],
         "boundary_roundtrip_sup": roundtrip,
     })

@@ -280,20 +280,20 @@ def injectivity_gap(patch, max_pairs=20000, seed=1):
     if m < 2:
         raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
-    gap = math.inf
-    count = 0
+    gap, count = math.inf, 0
     while count < max_pairs:
-        i, j = rng.integers(0, m, size=2)
-        if i == j:
-            continue
-        p, q = patch.points[i], patch.points[j]
-        d = math.acosh(max(1.0, -float(inner(p, q))))
-        if d < 1e-8:
-            continue
-        fp = math.exp(d) * p + patch.xvals[i]
-        fq = q + patch.xvals[j]
-        gap = min(gap, float(inner(fp - fq, fp - fq)))
-        count += 1
+        # a (k, 2) draw reads the stream as k draws of two do; a pair of
+        # one sample twice, or of points closer than 1e-8, is redrawn
+        i, j = rng.integers(0, m, size=(max_pairs - count, 2)).T
+        # math.acosh and math.exp per value: numpy's differ in the last bit
+        d = np.array([math.acosh(c) if c > 1.0 else 0.0
+                      for c in (-inner(patch.points[i], patch.points[j])).tolist()])
+        keep = (i != j) & (d >= 1e-8)
+        i, j, d = i[keep], j[keep], d[keep]
+        fp = np.array([math.exp(x) for x in d.tolist()]).reshape(-1, 1) * patch.points[i]
+        diff = fp + patch.xvals[i] - patch.fvals[j]
+        gap = min(gap, float(np.nanmin(inner(diff, diff), initial=math.inf)))
+        count += len(d)
     return gap
 
 

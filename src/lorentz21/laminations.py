@@ -12,14 +12,12 @@ largest ball; any smaller radius reads a prefix, a larger one rebuilds
 the entry.  Consumers (crossings, disjointness, basepoints,
 development, earthquakes) work on the arrays; every one that grows its
 radius does so through `stable_lifts`.  A finite lamination is the same
-record, built by `LeafSet.of` from its GeodesicH2s, and `along` orders
-and orients the leaves a segment crosses for the lifted and the finite
-laminations alike.  GeodesicH2 is the scalar type: the leaves a finite
-lamination is given by, and the reference that the array routines are
-tested against.  The transverse vector of a segment is the weighted sum
-of oriented unit normals of the leaves the segment crosses, which is
-the atomic-measure form of the transverse integral defining
-translation cocycles.
+record, built by `LeafSet.of` from its GeodesicH2s.  GeodesicH2 is the
+scalar type: the leaves a finite lamination is given by, and the
+reference that the array routines are tested against.  The transverse
+vector of a segment is the weighted sum of oriented unit normals of the
+leaves the segment crosses, which is the atomic-measure form of the
+transverse integral defining translation cocycles.
 """
 
 from __future__ import annotations
@@ -166,6 +164,14 @@ class LeafSet:
         return LeafSet(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     @classmethod
+    def concat(cls, parts):
+        """The rows of the LeafSets parts, one after another."""
+        # the empty record keeps the concatenation defined for no parts
+        parts = [_NO_LEAVES] + list(parts)
+        return cls(*(np.concatenate([getattr(part, f.name) for part in parts])
+                     for f in fields(cls)))
+
+    @classmethod
     def of(cls, geodesics, weights):
         """The record of a finite lamination: the GeodesicH2s in input
         order, their end vectors, parameters, keys and normals as they
@@ -236,12 +242,9 @@ _NO_LEAVES = LeafSet(*[np.zeros((0, k)) for k in (2, 2, 2, 2, 3)],
 
 def multicurve_lifts(rep, mc, radius):
     """LeafSet of the lifts of every class of mc, class by class."""
-    # the empty record keeps the concatenation defined for no classes
-    parts = [_NO_LEAVES] + [leaf_lifts(rep, w, radius) for w, _ in mc.curves]
-    sizes = [len(part) for part in parts[1:]]
-    leaves = LeafSet(*(np.concatenate([getattr(part, f.name) for part in parts])
-                       for f in fields(LeafSet)))
-    return replace(leaves, weights=np.repeat([wt for _, wt in mc.curves], sizes),
+    parts = [leaf_lifts(rep, w, radius) for w, _ in mc.curves]
+    sizes = [len(part) for part in parts]
+    return replace(LeafSet.concat(parts), weights=np.repeat([wt for _, wt in mc.curves], sizes),
                    classes=np.repeat(np.arange(len(sizes)), sizes))
 
 
@@ -301,20 +304,12 @@ def stable_lifts(rep, mc, L, keep):
     return leaves
 
 
-def along(leaves, p, q):
-    """The rows of leaves in the order the segment p -> q crosses their
-    planes, each normal oriented from p's side toward q's; a stable sort
-    keeps the input order among equal parameters."""
-    sp, sq = inner(leaves.normals, p), inner(leaves.normals, q)
-    normals = np.where((sp < 0)[:, None], leaves.normals, -leaves.normals)
-    return replace(leaves, normals=normals)[np.argsort(sp / (sp - sq), kind="stable")]
-
-
 def crossings(rep, mc, p, q, L):
-    """LeafSet of all leaf lifts separating p from q, along the segment
-    as `along` orders and orients them, stabilized by stable_lifts from
-    radius L.  Raises if either endpoint is on a leaf plane within
-    1e-9."""
+    """LeafSet of all leaf lifts separating p from q, stabilized by
+    stable_lifts from radius L, in the order the segment p -> q crosses
+    them (a stable sort keeps first-seen order among equal parameters),
+    each normal oriented from p's side toward q's.  Raises if either
+    endpoint is on a leaf plane within 1e-9."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if float(np.max(np.abs(p - q))) < 1e-14:
@@ -326,7 +321,10 @@ def crossings(rep, mc, p, q, L):
             raise ValueError("segment endpoint lies on a leaf within tolerance")
         return sp * sq <= 0
 
-    return along(stable_lifts(rep, mc, L, separating), p, q)
+    leaves = stable_lifts(rep, mc, L, separating)
+    sp, sq = inner(leaves.normals, p), inner(leaves.normals, q)
+    normals = np.where((sp < 0)[:, None], leaves.normals, -leaves.normals)
+    return replace(leaves, normals=normals)[np.argsort(sp / (sp - sq), kind="stable")]
 
 
 def transverse_vector(rep, mc, p, q, L):

@@ -92,10 +92,17 @@ class Mat2:
         if m.shape != (2, 2):
             raise ValueError("Mat2 expects a 2x2 matrix")
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if det <= 0:
+        if not det > 0:
             raise ValueError("matrix must have positive determinant")
         # tolerate scaled input: renormalize to determinant one
         self.m = canonical_signs((m / math.sqrt(det))[None])[0]
+
+    @classmethod
+    def normalized(cls, m):
+        """The Mat2 of a matrix already in this normal form, bit for bit."""
+        out = cls.__new__(cls)
+        out.m = m
+        return out
 
     @classmethod
     def identity(cls):

@@ -4,27 +4,26 @@ An earthquake map assigns to each complementary region of the
 lamination the isometry obtained by composing, leaf by leaf from the
 base region outward, the translation along the crossed leaf by
 scale * weight, directed toward the endpoint lying to the left (or
-right) of the crossing direction.  The map extends to a piecewise
-Mobius homeomorphism of the boundary circle.
+right) of a path leaving the base region.  That end depends only on
+the side of the leaf the base lies on, so each leaf's shear is formed
+once.  Disjoint leaves crossed by one path are nested, so sorted by
+|<n, b>|, their distance from the base b, they are in crossing order
+for every target, and the isometries of a stack of targets are one
+masked fold over that order.  The map extends to a piecewise Mobius
+homeomorphism of the boundary circle.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
 
 from . import laminations as lamins
 from .fuchsian import Mat2, Representation
-from .minkowski import (
-    G,
-    RP1Point,
-    adjoint_to_so21,
-    finite,
-    hyperboloid_normalize,
-    inner,
-    null_vectors,
-)
+from .minkowski import (G, RP1Point, adjoint_to_so21, finite, hyperboloid_normalize, inner,
+                        mat2_stack, null_vectors, rp1_from_thetas, rp1_stack)
 
 
 def uhp_point(u, v):
@@ -36,9 +35,7 @@ def uhp_point(u, v):
 
 def real_boundary_point(r):
     """Boundary real r (None for infinity) as an RP1Point."""
-    if r is None:
-        return RP1Point(np.array([1.0, 0.0]))
-    return RP1Point(np.array([float(r), 1.0]))
+    return RP1Point(np.array([1.0, 0.0] if r is None else [float(r), 1.0]))
 
 
 class FiniteLaminationH2:
@@ -83,41 +80,57 @@ def lamination_from_json(data):
     return FiniteLaminationH2(leaves, basepoint)
 
 
-def _left_of(c, u):
-    """Unit tangent at c obtained by rotating the tangent u by +90 deg."""
-    n = G @ np.cross(c, u)
-    return n / math.sqrt(max(inner(n, n), 1e-300))
-
-
-def _toward(c, target):
-    """Unit tangent at the hyperboloid point c toward a point or null
-    vector target."""
-    t = target + inner(target, c) * c
-    return t / math.sqrt(max(inner(t, t), 1e-300))
-
-
-def shear_along(end1, end2, amount, c, u, side):
-    """Mat2 translating by |amount| along the leaf with unit end vectors
-    end1, end2, toward the endpoint on the left of the crossing
-    direction u at the crossing point c (toward the right endpoint for
-    side 'right')."""
-    ell = _left_of(c, u)
-    if side == "right":
-        ell = -ell
-    v1 = _toward(c, null_vectors(end1))
-    target, other = (end1, end2) if inner(v1, ell) < 0 else (end2, end1)
-    m = np.column_stack([target, other])
-    if np.linalg.det(m) < 0:
-        m = np.column_stack([target, -other])
+def shears(leaves, basepoint, scale, side):
+    """(N, 2, 2) stack of the Mat2-normalized translations by scale *
+    weight along the rows of leaves, toward the end to the left of a
+    path leaving basepoint (the right for side 'right'): end1 exactly
+    when det[u1, u2, basepoint] > 0 for the ends' null vectors u1, u2."""
+    u1, u2 = null_vectors(leaves.end1), null_vectors(leaves.end2)
+    b = np.broadcast_to(basepoint, u1.shape)
+    first = ((np.linalg.det(np.stack([u1, u2, b], axis=1)) > 0) == (side == "left"))[:, None]
+    m = np.stack([np.where(first, leaves.end1, leaves.end2),
+                  np.where(first, leaves.end2, leaves.end1)], axis=-1)
+    m[..., 1] *= np.where(np.linalg.det(m) < 0, -1.0, 1.0)[:, None]
+    amounts = scale * leaves.weights
+    overflow = "a shear of %.6g along a leaf overflows"
     try:
-        d = math.exp(amount / 2.0)
+        d = np.array([math.exp(a / 2.0) for a in amounts.tolist()])
     except OverflowError:
-        raise ValueError("a shear of %.6g along a leaf overflows" % amount) from None
-    return Mat2(m @ np.diag([d, 1.0 / d]) @ np.linalg.inv(m))
+        raise ValueError(overflow % amounts.max()) from None
+    diag = np.zeros_like(m)
+    diag[:, 0, 0], diag[:, 1, 1] = d, 1.0 / d
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = m @ diag @ np.linalg.inv(m)
+        bad = _unnormalizable(out)
+    if bad.any():
+        raise ValueError(overflow % amounts[np.argmax(bad)])
+    return mat2_stack(out)
+
+
+def _unnormalizable(mats):
+    """Rows of a (N, 2, 2) stack whose determinant is not finite and
+    positive, so Mat2's normalization is undefined or overflows."""
+    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    return ~(np.isfinite(det) & (det > 0))
+
+
+def fold(factors, mask):
+    """(Q, 2, 2) stack of the products, in order, of the (N, 2, 2)
+    factors that each row of the (Q, N) mask selects, Mat2-normalized
+    after each factor as Mat2 products are."""
+    g = np.tile(np.eye(2), (len(mask), 1, 1))
+    for k in np.flatnonzero(mask.any(axis=0)):
+        rows = mask[:, k]
+        prods = g[rows] @ factors[k]
+        if _unnormalizable(prods).any():
+            raise ValueError("the composed shears overflow")
+        g[rows] = mat2_stack(prods)
+    return g
 
 
 class EarthquakeMap:
-    """Piecewise-isometric shear map along a finite lamination."""
+    """Piecewise-isometric shear map along a finite lamination: its
+    `leaves` in base-outward order and their `shears`."""
 
     def __init__(self, lamination, side="left", scale=1.0):
         if side not in ("left", "right"):
@@ -127,33 +140,27 @@ class EarthquakeMap:
         self.lamination = lamination
         self.side = side
         self.scale = float(scale)
+        leaves, b = lamination.leaves, lamination.basepoint
+        self.leaves = leaves[np.argsort(np.abs(inner(leaves.normals, b)), kind="stable")]
+        self.shears = shears(self.leaves, b, self.scale, side)
 
-    def _separating(self, target, ideal=False):
-        """LeafSet of the leaves separating the base region from target,
-        in crossing order, normals oriented away from the base region."""
-        leaves, b = self.lamination.leaves, self.lamination.basepoint
-        sb, st = inner(leaves.normals, b), inner(leaves.normals, target)
+    def _separating(self, targets, ideal=False):
+        """(Q, N) mask of the leaves, base-outward, that separate the base
+        region from each of the (Q, 3) targets."""
+        normals = self.leaves.normals
+        st = inner(normals, targets[:, None])
         on = np.abs(st) < 1e-12
         if on.any() and not ideal:
             raise ValueError("target lies on a leaf")
         # a leaf endpoint is skipped: its shear fixes it, both sides agree
-        return lamins.along(leaves[~on & (sb * st < 0)], b, target)
+        return ~on & (inner(normals, self.lamination.basepoint) * st < 0)
 
-    def region_isometry(self, target, ideal=False):
-        """Composed shear carrying the base region's copy of H^2 to the
-        copy seen by the region of target."""
-        b = self.lamination.basepoint
-        leaves = self._separating(target, ideal)
-        sb, st = inner(leaves.normals, b), inner(leaves.normals, target)
-        g = Mat2.identity()
-        for s, end1, end2, w in zip(sb / (sb - st), leaves.end1, leaves.end2, leaves.weights):
-            c = hyperboloid_normalize(b + s * (target - b))
-            u = _toward(c, target)
-            # orientation data is taken on the undeformed picture, so
-            # the crossing point and direction come from the original
-            # segment, and shears compose base-outward on the left
-            g = g @ shear_along(end1, end2, self.scale * w, c, u, self.side)
-        return g
+    def region_isometry(self, targets, ideal=False):
+        """(Q, 2, 2) stack of the composed shears carrying the base
+        region's copy of H^2 to the copy seen by the region of each of
+        the targets, a point or a (Q, 3) stack; shears compose
+        base-outward on the left."""
+        return fold(self.shears, self._separating(np.reshape(targets, (-1, 3)), ideal))
 
     def __call__(self, p):
         return self.apply(p)
@@ -163,8 +170,7 @@ class EarthquakeMap:
         if np.any(np.abs(inner(self.lamination.leaves.normals, p)) < 1e-9):
             raise ValueError("point lies on an atomic leaf; the map "
                              "is two-valued there")
-        g = self.region_isometry(p)
-        return adjoint_to_so21(g) @ p
+        return adjoint_to_so21(Mat2.normalized(self.region_isometry(p)[0])) @ p
 
     def one_sided_values(self, p, eps=1e-7):
         """The two limits of the map at a point on (or near) a leaf: from
@@ -175,16 +181,16 @@ class EarthquakeMap:
         if len(near) == 0:
             v = self.apply(p)
             return [v, v]
-        return [adjoint_to_so21(self.region_isometry(hyperboloid_normalize(
-            p + sgn * eps * (G @ normals[near[0]])))) @ p for sgn in (1.0, -1.0)]
+        sides = [hyperboloid_normalize(p + sgn * eps * (G @ normals[near[0]]))
+                 for sgn in (1.0, -1.0)]
+        return [adjoint_to_so21(Mat2.normalized(g)) @ p
+                for g in self.region_isometry(np.array(sides))]
 
     def boundary_point(self, x):
         """Image of an ideal point under the boundary extension."""
         if not isinstance(x, RP1Point):
             x = RP1Point(x)
-        n = x.null_vector()
-        g = self.region_isometry(n, ideal=True)
-        return x.apply(g)
+        return x.apply(self.region_isometry(x.null_vector(), ideal=True)[0])
 
 
 class CircleMap:
@@ -198,31 +204,18 @@ class CircleMap:
 
     def is_monotone(self, tol=1e-12):
         """Cyclic monotonicity: going once around the source circle, the
-        image angles also go once around."""
-        if len(self.samples) < 3:
-            return True
-        s = sorted(self.samples)
-        outs = [b for _, b in s]
-        total = 0.0
-        for i in range(len(outs)):
-            d = (outs[(i + 1) % len(outs)] - outs[i]) % 1.0
-            total += d
-        return abs(total - 1.0) < 1e-6 and all(
-            ((outs[(i + 1) % len(outs)] - outs[i]) % 1.0) < 1.0 - tol or len(outs) == 1
-            for i in range(len(outs)))
+        image angles also go once around, each step short of a turn."""
+        outs = [b for _, b in sorted(self.samples)]
+        steps = [(b - a) % 1.0 for a, b in zip(outs, outs[1:] + outs[:1])]
+        return len(outs) < 3 or (abs(sum(steps) - 1.0) < 1e-6 and max(steps) < 1.0 - tol)
 
     def evaluate(self, theta):
         """Piecewise-linear interpolation of the samples."""
         s = sorted(self.samples)
-        ts = [a for a, _ in s]
         theta = theta % 1.0
-        import bisect
-
-        i = bisect.bisect_right(ts, theta) - 1
-        a0, b0 = s[i % len(s)]
-        a1, b1 = s[(i + 1) % len(s)]
-        da = (a1 - a0) % 1.0
-        db = (b1 - b0) % 1.0
+        i = bisect.bisect_right([a for a, _ in s], theta) - 1
+        (a0, b0), (a1, b1) = s[i % len(s)], s[(i + 1) % len(s)]
+        da, db = (a1 - a0) % 1.0, (b1 - b0) % 1.0
         if da < 1e-15:
             return b0
         return (b0 + db * (((theta - a0) % 1.0) / da)) % 1.0
@@ -243,9 +236,15 @@ class EquivariantEarthquakeMap(EarthquakeMap):
         self.mc = mc
         self.L = L
 
-    def _separating(self, target, ideal=False):
-        return lamins.crossings(self.rep, self.mc, self.lamination.basepoint,
-                                np.asarray(target, dtype=float), self.L)
+    def region_isometry(self, targets, ideal=False):
+        """As for a finite lamination, over each target's crossings in
+        the order they are crossed: the rows of all targets one after
+        another, each selected by its own target only."""
+        b = self.lamination.basepoint
+        rows = [lamins.crossings(self.rep, self.mc, b, t, self.L)
+                for t in np.reshape(targets, (-1, 3))]
+        mask = np.repeat(np.eye(len(rows), dtype=bool), [len(r) for r in rows], axis=1)
+        return fold(shears(lamins.LeafSet.concat(rows), b, self.scale, self.side), mask)
 
 
 def boundary_value(quake, samples=256):
@@ -264,8 +263,9 @@ def boundary_value(quake, samples=256):
         far = np.abs(ths - ends[[0, -1], None])
         ths = np.where((near < 1e-9).any(axis=0) | (np.abs(far - 1.0) < 1e-9).any(axis=0),
                        ths + 2e-9, ths)
-    return CircleMap([(th, quake.boundary_point(RP1Point.from_theta(th)).theta)
-                      for th in ths.tolist()])
+    vs = rp1_from_thetas(ths.tolist())
+    g = quake.region_isometry(null_vectors(vs), ideal=True)
+    return CircleMap(zip(ths.tolist(), rp1_stack((g @ vs[:, :, None])[:, :, 0])[1].tolist()))
 
 
 def quadric_action_example(s):
@@ -303,13 +303,10 @@ def rep_after_earthquake(rep, mc, scale, side="left", L=3):
     if scale == 0:
         return Representation(rep.genus, list(rep.generators))
     quake = EquivariantEarthquakeMap(rep, mc, side, scale, L)
-    basepoint = quake.lamination.basepoint
-    new_gens = []
-    for i in range(2 * rep.genus):
-        gm = rep.generators[i]
-        g = quake.region_isometry(adjoint_to_so21(gm) @ basepoint)
-        new_gens.append(g @ gm)
-    out = Representation(rep.genus, new_gens)
+    gens = rep.generators[:2 * rep.genus]
+    targets = np.array([adjoint_to_so21(gm) @ quake.lamination.basepoint for gm in gens])
+    out = Representation(rep.genus, [Mat2(g @ gm.m) for g, gm in
+                                     zip(quake.region_isometry(targets), gens)])
     if not out.is_valid(1e-6):
         raise RuntimeError("sheared holonomy fails the relator, defect %.3e"
                            % out.relator_defect())

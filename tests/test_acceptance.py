@@ -154,7 +154,7 @@ def test_criterion_6_ads_roundtrip(octagon):
         graph = adshull.sample_conjugacy(octagon, rep_r, 6)
         hull = adshull.convex_hull(graph)
         quake = adshull.extract_left_earthquake(hull)
-        shear = quake.total_shear()
+        shear = quake.dominant_shear
         spacing = 1.0 / len(graph)
         sup = 0.0
         for (tl, tr), (_, out) in zip(graph.samples, quake.boundary_map.samples):

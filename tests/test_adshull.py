@@ -161,7 +161,7 @@ def test_flat_hull_identity_graph():
     assert proj_err(hull.flat_plane.label, [0.0, 1.0, -1.0, 0.0]) < 1e-9
     assert bending_data(hull) == []
     quake = extract_left_earthquake(hull)
-    assert quake.total_shear() == 0.0
+    assert quake.dominant_shear == 0.0
     for (tl, tr), (_, out) in zip(hull.graph.samples, quake.boundary_map.samples):
         d = abs(out - tr)
         assert min(d, 1.0 - d) < 1e-9
@@ -192,7 +192,7 @@ def test_sshear_bending_oracle(s):
 def test_sshear_extraction(s):
     hull = convex_hull(shear_graph(s))
     quake = extract_left_earthquake(hull)
-    assert abs(quake.total_shear() - math.log(s)) < 1e-9
+    assert abs(quake.dominant_shear - math.log(s)) < 1e-9
     # recovered boundary map equals the input on samples
     for (tl, tr), (_, out) in zip(hull.graph.samples, quake.boundary_map.samples):
         d = abs(out - tr)
@@ -317,7 +317,7 @@ def test_extraction_equivariance():
                          for k in range(n)])
     hull = convex_hull(moved)
     quake = extract_left_earthquake(hull)
-    assert abs(quake.total_shear() - math.log(s)) < 1e-6
+    assert abs(quake.dominant_shear - math.log(s)) < 1e-6
     edges = [b.weight for b in bending_data(hull) if b.weight is not None
              and hull.faces.future[b.face_i] and hull.faces.future[b.face_j]]
     assert len(edges) == 1

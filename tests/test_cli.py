@@ -240,6 +240,11 @@ def _lamination(field, value):
     return argv
 
 
+def _general_leaf(path):
+    path.write_text(json.dumps({"leaves": [{"end1": 0.1, "end2": 0.3, "weight": 1.0}]}))
+    return ["quake", str(path), "1000", "--density", "8"]
+
+
 def _points(path):
     path.write_text("1.0,0.5,1.5\nnan,0.5,1.5\n")
     return ["quake", lorentz21.bundled("single_leaf_lamination.json"), "1.0",
@@ -277,9 +282,12 @@ _LEAF = lorentz21.bundled("single_leaf_lamination.json")
     (["quake", _LEAF, "1.0", "--density", "-5"], ">= 1"),
     # shears past exp's range: a huge scale, or a huge leaf weight
     (["quake", _LEAF, "2500", "--density", "8"], "overflows"),
-    (_lamination("weight", 1e300), "overflows")],
+    (_lamination("weight", 1e300), "overflows"),
+    # a shear within exp's range whose matrix overflows
+    (_general_leaf, "overflows")],
     ids=["tol-nan", "tol-negative", "flat-tol-nan", "scale-nan", "scale-inf",
-         "density-zero", "density-negative", "scale-overflow", "weight-overflow"])
+         "density-zero", "density-negative", "scale-overflow", "weight-overflow",
+         "matrix-overflow"])
 def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
     if callable(argv):
         argv = argv(tmp_path / "input")

@@ -1,11 +1,21 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from lorentz21.fuchsian import Mat2, regular_polygon_rep
 from lorentz21.laminations import GeodesicH2, WeightedMulticurve, crossings
-from lorentz21.minkowski import RP1Point, adjoint_to_so21, hyperboloid_normalize, inner
+from lorentz21.minkowski import (
+    G,
+    RP1Point,
+    adjoint_to_so21,
+    hyperboloid_normalize,
+    inner,
+    null_vectors,
+    rp1_from_thetas,
+)
 from lorentz21.quakes import (
     CircleMap,
     EarthquakeMap,
@@ -243,3 +253,94 @@ def test_equivariant_lamination_holds_leaves_within_reach(octagon):
         q = math.cosh(1.9) * b + math.sinh(1.9) * u / math.sqrt(inner(u, u))
         crossed += map(tuple, crossings(octagon, mc, b, q, 3).keys.tolist())
     assert crossed and set(crossed) <= held
+
+
+# The per-crossing rule, kept as the scalar reference of the shear fold:
+# at each crossing of the segment from the base point, a tangent frame
+# (crossing point c, direction u) decides which end lies to the left.
+
+
+def _left_of(c, u):
+    """Unit tangent at c obtained by rotating the tangent u by +90 deg."""
+    n = G @ np.cross(c, u)
+    return n / math.sqrt(max(inner(n, n), 1e-300))
+
+
+def _toward(c, target):
+    """Unit tangent at the hyperboloid point c toward a point or null
+    vector target."""
+    t = target + inner(target, c) * c
+    return t / math.sqrt(max(inner(t, t), 1e-300))
+
+
+def _reference_shear(end1, end2, amount, c, u, side):
+    """Mat2 translating by amount along the leaf with unit end vectors
+    end1, end2, toward the end on the left of the crossing direction u
+    at the crossing point c (the right for side 'right')."""
+    ell = _left_of(c, u)
+    if side == "right":
+        ell = -ell
+    v1 = _toward(c, null_vectors(end1))
+    target, other = (end1, end2) if inner(v1, ell) < 0 else (end2, end1)
+    m = np.column_stack([target, other])
+    if np.linalg.det(m) < 0:
+        m = np.column_stack([target, -other])
+    d = math.exp(amount / 2.0)
+    return Mat2(m @ np.diag([d, 1.0 / d]) @ np.linalg.inv(m))
+
+
+def _reference_isometry(leaves, b, target, scale, side):
+    """Shears along the leaves that separate b from target, composed on
+    the left in the order the segment b -> target crosses them, each
+    oriented by the frame at its crossing."""
+    sb, st = inner(leaves.normals, b), inner(leaves.normals, target)
+    s = sb / (sb - st)
+    crossed = np.flatnonzero((np.abs(st) >= 1e-12) & (sb * st < 0))
+    g = Mat2.identity()
+    for k in crossed[np.argsort(s[crossed], kind="stable")]:
+        c = hyperboloid_normalize(b + s[k] * (target - b))
+        g = g @ _reference_shear(leaves.end1[k], leaves.end2[k], scale * leaves.weights[k],
+                                 c, _toward(c, target), side)
+    return g
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_fold_matches_per_crossing_rule_on_finite_lamination(side):
+    """Shears oriented by the base region and folded base-outward give
+    the per-crossing rule's isometries bit for bit, at random points
+    and at the boundary map's samples of the golden lamination."""
+    path = os.path.join(os.path.dirname(__file__), "data", "golden", "quake_lamination.json")
+    with open(path) as fh:
+        lamination = lamination_from_json(json.load(fh))
+    quake = EarthquakeMap(lamination, side, 0.8)
+    # up to 8 from the apex, where the farthest leaves lie
+    r, a = np.random.default_rng(3).uniform([0.0, 0.0], [8.0, 2.0 * math.pi], size=(300, 2)).T
+    points = np.column_stack([np.sinh(r) * np.cos(a), np.sinh(r) * np.sin(a), np.cosh(r)])
+    cm = boundary_value(quake, samples=512)
+    ideal = null_vectors(rp1_from_thetas([a for a, _ in cm.samples]))
+    b = lamination.basepoint
+    crossed = np.zeros(len(lamination.leaves), dtype=bool)
+    for targets, is_ideal in ((points, False), (ideal, True)):
+        got = quake.region_isometry(targets, ideal=is_ideal)
+        for g, t in zip(got, targets):
+            assert np.array_equal(g, _reference_isometry(lamination.leaves, b, t, 0.8, side).m)
+        crossed |= quake._separating(targets, ideal=is_ideal).any(axis=0)
+    # every leaf is crossed, so every leaf's orientation is compared
+    assert crossed.all()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("word, weight", [("a1", 1.0), ("b1", 1.0), ("a2", 0.7)])
+def test_fold_matches_per_crossing_rule_on_lifted_lamination(octagon, word, weight, side):
+    """The same on the lifted multicurve: the generator translates of
+    the base point and ten random points, at three scales."""
+    mc = WeightedMulticurve([(word, weight)])
+    xy = np.random.default_rng(4).normal(size=(10, 2)) * 2.0
+    points = np.column_stack([xy, np.sqrt(1.0 + (xy ** 2).sum(axis=1))])
+    for scale in (0.3, 0.55, 1.0):
+        quake = EquivariantEarthquakeMap(octagon, mc, side, scale, L=3)
+        b = quake.lamination.basepoint
+        targets = np.vstack([[adjoint_to_so21(g) @ b for g in octagon.generators], points])
+        for g, t in zip(quake.region_isometry(targets), targets):
+            want = _reference_isometry(crossings(octagon, mc, b, t, 3), b, t, scale, side)
+            assert np.array_equal(g, want.m)
