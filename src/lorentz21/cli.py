@@ -185,7 +185,8 @@ def cmd_quake(args):
         values["ambiguous_points"] = ambiguous
         if args.out is not None:
             _write(args.out, "images.csv", "\n".join(rows) + "\n")
-    return _emit(_report("quake", args, inputs, values, checks), args.out)
+    return _emit(_report("quake", args, inputs, values, checks,
+                         {"shear_trace_error": quake.shear_trace_error()}), args.out)
 
 
 def _hull_pipeline(args, graph, inputs, extra_values):

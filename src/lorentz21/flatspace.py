@@ -16,13 +16,14 @@ import math
 import numpy as np
 
 from . import laminations as lam
-from .fuchsian import concat, letter_step, reduce_word, Representation
+from .fuchsian import Representation, concat, letter_step, reduce_word, signed_letters
 from .minkowski import (
     LorentzIsometry,
     adjoint_to_so21,
     boost_y_axis,
     hyperboloid_normalize,
     inner,
+    mat2_stack,
 )
 
 
@@ -51,14 +52,15 @@ class TranslationCocycle:
         # extended precision: word extensions multiply by linear parts
         # whose norms grow exponentially in word length, and the cocycle
         # identity is checked to absolute (not relative) tolerance
-        self.gen_vectors = [np.asarray(v, dtype=np.longdouble) for v in gen_vectors]
+        self.gen_vectors = np.array(gen_vectors, dtype=np.longdouble).reshape(-1, 3)
         self.basepoint = basepoint
+        # linear parts as rep.evaluate((x,)) folds them, normalized once more
+        f = adjoint_to_so21(mat2_stack(np.eye(2) @ rep.steps())).astype(np.longdouble)
+        t = self.gen_vectors.repeat(2, axis=0)
+        inverse = signed_letters(self.genus) < 0
+        t[inverse] = -(f[inverse] @ t[inverse, :, None])[:, :, 0]
         self._steps = np.zeros((4 * rep.genus, 4, 4), dtype=np.longdouble)
-        for x in (s * (i + 1) for i in range(2 * rep.genus) for s in (1, -1)):
-            f = adjoint_to_so21(rep.evaluate((x,))).astype(np.longdouble)
-            t = self.gen_vectors[abs(x) - 1]
-            step = self._steps[letter_step(x)]
-            step[:3, :3], step[:3, 3], step[3, 3] = f, t if x > 0 else -(f @ t), 1
+        self._steps[:, :3, :3], self._steps[:, :3, 3], self._steps[:, 3, 3] = f, t, 1
 
     def steps(self):
         return self._steps
@@ -82,18 +84,15 @@ def zero_cocycle(rep):
 def coboundary_cocycle(rep, v):
     """t_g = v - f(g) v, exact on the group by telescoping."""
     v = np.asarray(v, dtype=float)
-    vecs = [v - adjoint_to_so21(g) @ v for g in rep.generators]
-    return TranslationCocycle(rep, vecs)
+    return TranslationCocycle(rep, v - adjoint_to_so21(rep.generators) @ v)
 
 
 def cocycle_from_lamination(rep, mc, basepoint=None, L=3):
     """t_g = transverse vector from the basepoint to its g-image."""
     if basepoint is None:
         basepoint = lam.default_basepoint(rep, mc, L)
-    vecs = []
-    for i in range(2 * rep.genus):
-        f = adjoint_to_so21(rep.generators[i])
-        vecs.append(lam.transverse_vector(rep, mc, basepoint, f @ basepoint, L))
+    vecs = [lam.transverse_vector(rep, mc, basepoint, q, L)
+            for q in adjoint_to_so21(rep.generators) @ basepoint]
     return TranslationCocycle(rep, vecs, basepoint)
 
 

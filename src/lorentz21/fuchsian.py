@@ -5,11 +5,12 @@ Words are tuples of signed generator indices: +k means generator k
 generators a_1, b_1, .., a_g, b_g numbered 1..2g with the single relator
 prod_i [a_i, b_i].
 
-Contains the regular polygon construction of a discrete cocompact
-representation, word evaluation, ball enumeration with matrix
-deduplication, axes of hyperbolic elements, and the Euler class of the
-induced circle action computed from lifts of the generators to the
-universal cover of RP^1.
+A representation is one stack of letter steps, in the order a_1,
+a_1^-1, b_1, .. of `letter_step` and `signed_letters`: word evaluation,
+ball enumeration with matrix deduplication, the affine cocycle and the
+Euler class (from lifts of the letters to the universal cover of RP^1)
+all read it.  Also here: axes of hyperbolic elements and the regular
+polygon construction of a discrete cocompact representation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 
 import numpy as np
 
-from .minkowski import Mat2, RP1Point, adjugate, canonical_signs, finite, mat2_stack
+from .minkowski import (Mat2, RP1Point, adjugate, canonical_signs, finite, mat2_fold, mat2_stack,
+                        rp1_from_thetas, rp1_stack, unnormalizable)
 
 
 class EllipticDegeneracyError(RuntimeError):
@@ -43,20 +45,18 @@ def invert_word(w):
 
 
 def concat(*words):
-    out = []
-    for w in words:
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(int(x))
-    return tuple(out)
+    return reduce_word([x for w in words for x in w])
 
 
 def letter_step(x):
     """Index of the signed letter x (scalar or array) in the step order
     a_1, a_1^-1, b_1, b_1^-1, .. of `steps()`."""
     return 2 * (np.abs(x) - 1) + (x < 0)
+
+
+def signed_letters(genus):
+    """The signed letters 1, -1, 2, -2, .., 2g, -2g in letter_step order."""
+    return np.arange(1, 2 * genus + 1).repeat(2) * np.tile([1, -1], 2 * genus)
 
 
 def surface_relator(genus):
@@ -102,35 +102,41 @@ def format_word(w):
 
 
 class Representation:
-    """A genus-g surface group mapped into PSL(2,R), one Mat2 per generator."""
+    """A genus-g surface group mapped into PSL(2,R), held as one
+    (4g, 2, 2) stack of letter steps in letter_step order: each generator
+    in Mat2's normal form, then its inverse, the Mat2-normalized
+    adjugate.  `generators` are the even rows."""
 
     def __init__(self, genus, generators):
         if genus < 1:
             raise ValueError("genus must be >= 1")
-        if len(generators) != 2 * genus:
-            raise ValueError("expected %d generator matrices" % (2 * genus))
+        # a Mat2 keeps its bits: Mat2's normalization is not idempotent
+        raw = np.array([not isinstance(g, Mat2) for g in generators])
+        gens = np.array([g.m if isinstance(g, Mat2) else g for g in generators], dtype=float)
+        if gens.shape != (2 * genus, 2, 2):
+            raise ValueError("expected %d generator 2x2 matrices" % (2 * genus))
+        if unnormalizable(gens).any():
+            raise ValueError("generators must have a finite positive determinant")
+        gens[raw] = mat2_stack(gens[raw])
         self.genus = genus
-        self.generators = [g if isinstance(g, Mat2) else Mat2(g) for g in generators]
+        self._steps = np.stack([gens, mat2_stack(adjugate(gens))], axis=1).reshape(-1, 2, 2)
+        self._steps.flags.writeable = False  # generators and inverses stay paired
+        self.generators = self._steps[::2]
 
     @classmethod
     def trivial(cls, genus):
-        return cls(genus, [Mat2.identity() for _ in range(2 * genus)])
+        return cls(genus, np.tile(np.eye(2), (2 * genus, 1, 1)))
 
     def relator(self):
         return surface_relator(self.genus)
 
     def evaluate(self, w):
-        out = Mat2.identity()
-        for x in w:
-            g = self.generators[abs(x) - 1]
-            out = out @ (g if x > 0 else g.inverse())
-        return out
+        """The Mat2 of the word w, normalized after each letter."""
+        return Mat2.normalized(mat2_fold(self._steps[letter_step(np.array(w, dtype=int))])[0])
 
     def steps(self):
-        """(4g, 2, 2) generator matrices in letter_step order; inverse
-        letters use the exact adjugate."""
-        gens = np.array([g.m for g in self.generators])
-        return np.stack([gens, adjugate(gens)], axis=1).reshape(-1, 2, 2)
+        """The (4g, 2, 2) letter-step stack."""
+        return self._steps
 
     def relator_defect(self):
         """Max-norm distance of the evaluated relator from +-identity."""
@@ -142,18 +148,17 @@ class Representation:
 
     def conjugate(self, c):
         c = c if isinstance(c, Mat2) else Mat2(c)
-        cinv = c.inverse()
-        return Representation(self.genus, [c @ g @ cinv for g in self.generators])
+        return Representation(self.genus, mat2_stack(c.m @ self.generators) @ c.inverse().m)
 
     def to_json(self):
-        return {
-            "genus": self.genus,
-            "generators": [[[float(v) for v in row] for row in g.m] for g in self.generators],
-        }
+        return {"genus": self.genus, "generators": self.generators.tolist()}
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["genus"]), [finite(g, "generator entries") for g in data["generators"]])
+        genus = data["genus"]
+        if isinstance(genus, bool) or not isinstance(genus, int):
+            raise ValueError("genus must be an integer, not %r" % (genus,))
+        return cls(genus, [finite(g, "generator entries") for g in data["generators"]])
 
     @classmethod
     def load(cls, path):
@@ -163,11 +168,6 @@ class Representation:
 
 def _disc_rotation(phi):
     return np.array([[np.exp(1j * phi / 2), 0.0], [0.0, np.exp(-1j * phi / 2)]])
-
-
-def _disc_translation(t):
-    c, s = math.cosh(t / 2), math.sinh(t / 2)
-    return np.array([[c, s], [s, c]], dtype=complex)
 
 
 # Cayley map disc -> upper half plane, z -> i(1+z)/(1-z).
@@ -190,35 +190,24 @@ def regular_polygon_rep(g):
         raise ValueError("genus must be >= 2")
     n = 4 * g
     d = math.acosh(1.0 / math.tan(math.pi / n))  # center to side midpoint
+    shift = np.array([[math.cosh(d / 2), math.sinh(d / 2)], [math.sinh(d / 2), math.cosh(d / 2)]],
+                     dtype=complex)
 
     def frame(j):
-        return _disc_rotation(2 * math.pi * (j + 0.5) / n) @ _disc_translation(d)
-
-    partner = {}
-    for i in range(g):
-        partner[4 * i] = 4 * i + 2
-        partner[4 * i + 2] = 4 * i
-        partner[4 * i + 1] = 4 * i + 3
-        partner[4 * i + 3] = 4 * i + 1
+        return _disc_rotation(2 * math.pi * (j + 0.5) / n) @ shift
 
     half = _disc_rotation(math.pi)
-    pairing = {}
-    for j in range(n):
-        pairing[j] = frame(j) @ half @ np.linalg.inv(frame(partner[j]))
 
-    gens = []
-    for i in range(g):
-        k = g - 1 - i
-        gens.append(np.linalg.inv(pairing[4 * k + 1]))
-        gens.append(pairing[4 * k])
+    def pairing(j):
+        # sides j and j ^ 2 are paired: 4i, 4i + 2 by a_i and 4i + 1, 4i + 3 by b_i
+        return frame(j) @ half @ np.linalg.inv(frame(j ^ 2))
 
-    real_gens = []
-    for m in gens:
-        mr = _CAYLEY @ m @ _CAYLEY_INV
-        if np.abs(mr.imag).max() > 1e-9 * np.abs(mr).max():
-            raise RuntimeError("polygon generator failed to be real")
-        real_gens.append(mr.real)
-    rep = Representation(g, real_gens)
+    gens = np.array([m for k in reversed(range(g))
+                     for m in (np.linalg.inv(pairing(4 * k + 1)), pairing(4 * k))])
+    real = _CAYLEY @ gens @ _CAYLEY_INV
+    if np.any(np.abs(real.imag).max(axis=(1, 2)) > 1e-9 * np.abs(real).max(axis=(1, 2))):
+        raise RuntimeError("polygon generator failed to be real")
+    rep = Representation(g, real.real)
     if not rep.is_valid(1e-8):
         raise RuntimeError("polygon relator defect %.3e" % rep.relator_defect())
     return rep
@@ -246,8 +235,7 @@ class GroupBall:
             raise ValueError("radius must be >= 0")
         self.radius = radius
         self.genus = rep.genus
-        letters = np.array([s * (i + 1) for i in range(2 * rep.genus) for s in (1, -1)])
-        steps = np.array([g.m for m in rep.generators for g in (m, m.inverse())])
+        letters, steps = signed_letters(rep.genus), rep.steps()
         mats, lets = np.eye(2)[None], np.array([0])
         levels = [(mats, np.array([-1]), lets)]
         keys = self._keys(mats)
@@ -347,10 +335,9 @@ def axis(m):
 def _sigma(mat, x):
     """Image of x in R under the unique lift of the projective action of
     mat with lift(0) in [0, 1)."""
-    a0 = RP1Point.from_theta(0.0).apply(mat).theta
-    a1 = RP1Point.from_theta(x).apply(mat).theta
-    b1 = a1 if a0 <= a1 else a1 + 1.0
-    return math.floor(x) + b1
+    vs = rp1_from_thetas([0.0, x])
+    a0, a1 = rp1_stack((mat @ vs[:, :, None])[:, :, 0])[1].tolist()
+    return math.floor(x) + (a1 if a0 <= a1 else a1 + 1.0)
 
 
 def euler_class(rep):
@@ -365,14 +352,15 @@ def euler_class(rep):
     """
     if not rep.evaluate(rep.relator()).is_identity(1e-6):
         raise ValueError("relator is not central; representation invalid")
+    steps = rep.steps()
     x = 0.0
     for letter in reversed(rep.relator()):
-        g = rep.generators[abs(letter) - 1]
+        k = letter_step(letter)
         if letter > 0:
-            x = _sigma(g, x)
+            x = _sigma(steps[k], x)
         else:
-            y = _sigma(g.inverse(), x)
-            x = y - round(_sigma(g, y) - x)
+            y = _sigma(steps[k], x)
+            x = y - round(_sigma(steps[k - 1], y) - x)  # steps[k - 1]: the generator
     shift = round(x)
     if abs(x - shift) > 1e-6:
         raise EllipticDegeneracyError("lifted relator moves 0 by %.6f, not an integer" % x)

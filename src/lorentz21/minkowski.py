@@ -30,11 +30,11 @@ EPS = 1e-9
 G = np.diag([1.0, 1.0, -1.0])
 
 # Basis of traceless 2x2 matrices matching (x, y, t), see module docstring.
-SL2_BASIS = (
-    np.array([[1.0, 0.0], [0.0, -1.0]]),
-    np.array([[0.0, 1.0], [1.0, 0.0]]),
-    np.array([[0.0, 1.0], [-1.0, 0.0]]),
-)
+SL2_BASIS = np.array([
+    [[1.0, 0.0], [0.0, -1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, 1.0], [-1.0, 0.0]],
+])
 
 
 def finite(values, what):
@@ -91,11 +91,10 @@ class Mat2:
         m = np.asarray(m, dtype=float)
         if m.shape != (2, 2):
             raise ValueError("Mat2 expects a 2x2 matrix")
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if not det > 0:
-            raise ValueError("matrix must have positive determinant")
+        if unnormalizable(m):
+            raise ValueError("matrix must have a finite positive determinant")
         # tolerate scaled input: renormalize to determinant one
-        self.m = canonical_signs((m / math.sqrt(det))[None])[0]
+        self.m = mat2_stack(m[None])[0]
 
     @classmethod
     def normalized(cls, m):
@@ -119,9 +118,6 @@ class Mat2:
 
     def is_hyperbolic(self, eps=EPS):
         return abs(self.trace()) > 2.0 + eps
-
-    def key(self, ndigits=9):
-        return tuple(round(float(x), ndigits) for x in self.m.ravel())
 
     def dist(self, other):
         return float(np.max(np.abs(self.m - other.m)))
@@ -149,31 +145,59 @@ def canonical_signs(mats, tol=1e-12):
     return mats * np.where(lead < 0, -1.0, 1.0)[:, None, None]
 
 
+def _det(mats):
+    return mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+
+
+def unnormalizable(mats):
+    """Whether the determinant of a 2x2 matrix, or of each matrix in a
+    stack, is not finite and positive, so Mat2's normalization is
+    undefined or overflows; the one determinant rule of the package."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = _det(mats)
+    return ~(np.isfinite(det) & (det > 0))
+
+
 def mat2_stack(mats):
     """Mat2's normalization on a (N, 2, 2) stack, bit for bit."""
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    return canonical_signs(mats / np.sqrt(det)[:, None, None])
+    return canonical_signs(mats / np.sqrt(_det(mats))[:, None, None])
+
+
+def mat2_fold(factors, mask=None):
+    """(Q, 2, 2) stack of the products, in order, of the (N, 2, 2)
+    factors that each row of the (Q, N) mask selects (all of them, Q = 1,
+    without a mask), Mat2-normalized after each factor as Mat2 products
+    are; a product past Mat2's range is invalid."""
+    if mask is None:
+        mask = np.ones((1, len(factors)), dtype=bool)
+    g = np.tile(np.eye(2), (len(mask), 1, 1))
+    for k in np.flatnonzero(mask.any(axis=0)):
+        rows = mask[:, k]
+        with np.errstate(over="ignore", invalid="ignore"):
+            prods = g[rows] @ factors[k]
+        if unnormalizable(prods).any():
+            raise ValueError("a product of the matrices overflows")
+        g[rows] = mat2_stack(prods)
+    return g
 
 
 def adjoint_to_so21(m):
-    """Adjoint action of a Mat2 on sl(2,R), as a 3x3 matrix in SO(2,1)_0.
+    """Adjoint action of a Mat2, or of each matrix of a (..., 2, 2) stack
+    in Mat2's normal form (not renormalized), on sl(2,R), as 3x3
+    matrices in SO(2,1)_0.
 
     Columns are the images of the fixed basis E1, E2, E3; well defined on
     PSL since the adjoint kills the sign.
     """
-    if not isinstance(m, Mat2):
-        m = Mat2(m)
-    a = m.m
-    ainv = adjugate(a)
-    cols = []
-    for E in SL2_BASIS:
-        X = a @ E @ ainv
-        # coordinates of X = x E1 + y E2 + t E3
-        x = 0.5 * (X[0, 0] - X[1, 1])
-        y = 0.5 * (X[0, 1] + X[1, 0])
-        t = 0.5 * (X[0, 1] - X[1, 0])
-        cols.append((x, y, t))
-    return np.array(cols).T
+    a = m.m if isinstance(m, Mat2) else np.asarray(m, dtype=float)
+    X = a[..., None, :, :] @ SL2_BASIS @ adjugate(a)[..., None, :, :]
+    # coordinates of each image X = x E1 + y E2 + t E3
+    x = 0.5 * (X[..., 0, 0] - X[..., 1, 1])
+    y = 0.5 * (X[..., 0, 1] + X[..., 1, 0])
+    t = 0.5 * (X[..., 0, 1] - X[..., 1, 0])
+    # one (x, y, t) row per basis element, transposed: the column-major
+    # layout keeps the bits of products with it
+    return np.stack([x, y, t], axis=-1).swapaxes(-1, -2)
 
 
 def is_lorentz_linear(A, eps=EPS):
@@ -254,42 +278,30 @@ def rotation_t_axis(theta):
 
 
 class RP1Point:
-    """Point of RP^1, stored as a unit 2-vector with angle in [0, pi).
+    """Point of RP^1, stored as a unit 2-vector `v` with angle in [0, pi),
+    in rp1_stack's normal form.
 
-    The circle parameter is theta = angle / pi in [0, 1); it is monotone
-    with respect to the cyclic order of the corresponding null directions.
+    The circle parameter `theta` = angle / pi in [0, 1) is monotone with
+    respect to the cyclic order of the corresponding null directions.
     """
 
-    __slots__ = ("v",)
+    __slots__ = ("v", "theta")
 
     def __init__(self, v):
-        v = np.asarray(v, dtype=float)
-        n = math.hypot(v[0], v[1])
-        if n == 0.0:
-            raise ValueError("zero vector is not projective")
-        v = v / n
-        if v[1] < 0 or (v[1] == 0 and v[0] < 0):
-            v = -v
-        self.v = v
+        units, thetas = rp1_stack(np.reshape(v, (1, 2)))
+        self.v, self.theta = units[0], float(thetas[0])
 
     @classmethod
     def normalized(cls, v):
         """The point of a vector already normalized as above, bit for bit."""
         out = cls.__new__(cls)
-        out.v = v
+        out.v, out.theta = v, float(rp1_thetas(v[None])[0])
         return out
 
     @classmethod
     def from_theta(cls, theta):
         a = (theta % 1.0) * math.pi
         return cls(np.array([math.cos(a), math.sin(a)]))
-
-    @property
-    def theta(self):
-        a = math.atan2(self.v[1], self.v[0])
-        if a < 0:
-            a += math.pi
-        return (a / math.pi) % 1.0
 
     def apply(self, m):
         mat = m.m if isinstance(m, Mat2) else np.asarray(m, dtype=float)
@@ -308,23 +320,37 @@ class RP1Point:
         return "RP1Point(theta=%.6f)" % self.theta
 
 
-def rp1_stack(vs):
-    """RP1Point(v).v and RP1Point(v).theta of each row v of a (N, 2)
-    stack, by RP1Point's own math.hypot and math.atan2 (numpy's differ
-    in the last bit)."""
-    vs = np.asarray(vs, dtype=float)
-    vs = vs / np.array([math.hypot(x, y) for x, y in vs.tolist()]).reshape(-1, 1)
+def rp1_units(vs):
+    """RP1Point's normal form of each row v of a (N, 2) stack: v over
+    math.hypot(v) (numpy's norm differs in the last bit), with the sign
+    that puts its angle in [0, pi)."""
+    norms = np.array([math.hypot(x, y) for x, y in vs.tolist()]).reshape(-1, 1)
+    if np.any(norms == 0.0):
+        raise ValueError("zero vector is not projective")
+    vs = vs / norms
     vs[(vs[:, 1] < 0) | ((vs[:, 1] == 0) & (vs[:, 0] < 0))] *= -1.0
-    a = np.array([math.atan2(y, x) for x, y in vs.tolist()])
-    return vs, (np.where(a < 0, a + math.pi, a) / math.pi) % 1.0
+    return vs
+
+
+def rp1_thetas(units):
+    """The circle parameter angle / pi in [0, 1) of each normal-form row,
+    by math.atan2 (numpy's arctan2 differs in the last bit)."""
+    a = np.array([math.atan2(y, x) for x, y in units.tolist()])
+    return (np.where(a < 0, a + math.pi, a) / math.pi) % 1.0
+
+
+def rp1_stack(vs):
+    """RP1Point(v).v and RP1Point(v).theta of each row v of a (N, 2) stack."""
+    units = rp1_units(np.asarray(vs, dtype=float))
+    return units, rp1_thetas(units)
 
 
 def rp1_from_thetas(thetas):
     """RP1Point.from_theta(t).v of each entry of a sequence of circle
     parameters, as a (N, 2) stack: the same math.cos and math.sin per
-    entry, then rp1_stack."""
+    entry, then rp1_units."""
     angles = [(t % 1.0) * math.pi for t in thetas]
-    return rp1_stack(np.array([[math.cos(a), math.sin(a)] for a in angles]).reshape(-1, 2))[0]
+    return rp1_units(np.array([[math.cos(a), math.sin(a)] for a in angles]).reshape(-1, 2))
 
 
 def null_vectors(vs):

@@ -21,9 +21,10 @@ import math
 import numpy as np
 
 from . import laminations as lamins
-from .fuchsian import Mat2, Representation
+from .fuchsian import Representation
 from .minkowski import (G, RP1Point, adjoint_to_so21, finite, hyperboloid_normalize, inner,
-                        mat2_stack, null_vectors, rp1_from_thetas, rp1_stack)
+                        mat2_fold, mat2_stack, null_vectors, rp1_from_thetas, rp1_stack,
+                        unnormalizable)
 
 
 def uhp_point(u, v):
@@ -101,31 +102,10 @@ def shears(leaves, basepoint, scale, side):
     diag[:, 0, 0], diag[:, 1, 1] = d, 1.0 / d
     with np.errstate(over="ignore", invalid="ignore"):
         out = m @ diag @ np.linalg.inv(m)
-        bad = _unnormalizable(out)
+    bad = unnormalizable(out)
     if bad.any():
         raise ValueError(overflow % amounts[np.argmax(bad)])
     return mat2_stack(out)
-
-
-def _unnormalizable(mats):
-    """Rows of a (N, 2, 2) stack whose determinant is not finite and
-    positive, so Mat2's normalization is undefined or overflows."""
-    det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-    return ~(np.isfinite(det) & (det > 0))
-
-
-def fold(factors, mask):
-    """(Q, 2, 2) stack of the products, in order, of the (N, 2, 2)
-    factors that each row of the (Q, N) mask selects, Mat2-normalized
-    after each factor as Mat2 products are."""
-    g = np.tile(np.eye(2), (len(mask), 1, 1))
-    for k in np.flatnonzero(mask.any(axis=0)):
-        rows = mask[:, k]
-        prods = g[rows] @ factors[k]
-        if _unnormalizable(prods).any():
-            raise ValueError("the composed shears overflow")
-        g[rows] = mat2_stack(prods)
-    return g
 
 
 class EarthquakeMap:
@@ -144,6 +124,14 @@ class EarthquakeMap:
         self.leaves = leaves[np.argsort(np.abs(inner(leaves.normals, b)), kind="stable")]
         self.shears = shears(self.leaves, b, self.scale, side)
 
+    def shear_trace_error(self):
+        """How well each shear was formed: the largest relative error of
+        |tr S| against 2 cosh(a / 2) over the shears S by a = scale *
+        weight (0 without leaves)."""
+        exact = 2.0 * np.cosh(self.scale * self.leaves.weights / 2.0)
+        error = np.abs(np.abs(np.trace(self.shears, axis1=1, axis2=2)) - exact) / exact
+        return float(error.max(initial=0.0))
+
     def _separating(self, targets, ideal=False):
         """(Q, N) mask of the leaves, base-outward, that separate the base
         region from each of the (Q, 3) targets."""
@@ -160,7 +148,7 @@ class EarthquakeMap:
         region's copy of H^2 to the copy seen by the region of each of
         the targets, a point or a (Q, 3) stack; shears compose
         base-outward on the left."""
-        return fold(self.shears, self._separating(np.reshape(targets, (-1, 3)), ideal))
+        return mat2_fold(self.shears, self._separating(np.reshape(targets, (-1, 3)), ideal))
 
     def __call__(self, p):
         return self.apply(p)
@@ -170,7 +158,7 @@ class EarthquakeMap:
         if np.any(np.abs(inner(self.lamination.leaves.normals, p)) < 1e-9):
             raise ValueError("point lies on an atomic leaf; the map "
                              "is two-valued there")
-        return adjoint_to_so21(Mat2.normalized(self.region_isometry(p)[0])) @ p
+        return adjoint_to_so21(self.region_isometry(p)[0]) @ p
 
     def one_sided_values(self, p, eps=1e-7):
         """The two limits of the map at a point on (or near) a leaf: from
@@ -183,8 +171,7 @@ class EarthquakeMap:
             return [v, v]
         sides = [hyperboloid_normalize(p + sgn * eps * (G @ normals[near[0]]))
                  for sgn in (1.0, -1.0)]
-        return [adjoint_to_so21(Mat2.normalized(g)) @ p
-                for g in self.region_isometry(np.array(sides))]
+        return list(adjoint_to_so21(self.region_isometry(np.array(sides))) @ p)
 
     def boundary_point(self, x):
         """Image of an ideal point under the boundary extension."""
@@ -244,7 +231,7 @@ class EquivariantEarthquakeMap(EarthquakeMap):
         rows = [lamins.crossings(self.rep, self.mc, b, t, self.L)
                 for t in np.reshape(targets, (-1, 3))]
         mask = np.repeat(np.eye(len(rows), dtype=bool), [len(r) for r in rows], axis=1)
-        return fold(shears(lamins.LeafSet.concat(rows), b, self.scale, self.side), mask)
+        return mat2_fold(shears(lamins.LeafSet.concat(rows), b, self.scale, self.side), mask)
 
 
 def boundary_value(quake, samples=256):
@@ -301,12 +288,10 @@ def rep_after_earthquake(rep, mc, scale, side="left", L=3):
     replaced by (composed shear along the segment basepoint -> g
     basepoint) * g."""
     if scale == 0:
-        return Representation(rep.genus, list(rep.generators))
+        return rep
     quake = EquivariantEarthquakeMap(rep, mc, side, scale, L)
-    gens = rep.generators[:2 * rep.genus]
-    targets = np.array([adjoint_to_so21(gm) @ quake.lamination.basepoint for gm in gens])
-    out = Representation(rep.genus, [Mat2(g @ gm.m) for g, gm in
-                                     zip(quake.region_isometry(targets), gens)])
+    targets = adjoint_to_so21(rep.generators) @ quake.lamination.basepoint
+    out = Representation(rep.genus, quake.region_isometry(targets) @ rep.generators)
     if not out.is_valid(1e-6):
         raise RuntimeError("sheared holonomy fails the relator, defect %.3e"
                            % out.relator_defect())

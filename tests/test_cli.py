@@ -245,6 +245,16 @@ def _general_leaf(path):
     return ["quake", str(path), "1000", "--density", "8"]
 
 
+def _rep(genus, generators):
+    def argv(path):
+        path.write_text(json.dumps({"genus": genus, "generators": generators}))
+        return ["euler", str(path)]
+    return argv
+
+
+_I = [[1.0, 0.0], [0.0, 1.0]]
+
+
 def _points(path):
     path.write_text("1.0,0.5,1.5\nnan,0.5,1.5\n")
     return ["quake", lorentz21.bundled("single_leaf_lamination.json"), "1.0",
@@ -284,10 +294,14 @@ _LEAF = lorentz21.bundled("single_leaf_lamination.json")
     (["quake", _LEAF, "2500", "--density", "8"], "overflows"),
     (_lamination("weight", 1e300), "overflows"),
     # a shear within exp's range whose matrix overflows
-    (_general_leaf, "overflows")],
+    (_general_leaf, "overflows"),
+    # a generator whose determinant overflows; a genus that is not a JSON integer
+    (_rep(2, [[[1e200, 0.0], [0.0, 1e200]]] + [_I] * 3), "finite positive determinant"),
+    (_rep(2.7, [_I] * 4), "genus must be an integer"),
+    (_rep(True, [_I] * 2), "genus must be an integer")],
     ids=["tol-nan", "tol-negative", "flat-tol-nan", "scale-nan", "scale-inf",
          "density-zero", "density-negative", "scale-overflow", "weight-overflow",
-         "matrix-overflow"])
+         "matrix-overflow", "generator-overflow", "genus-float", "genus-bool"])
 def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
     if callable(argv):
         argv = argv(tmp_path / "input")
@@ -308,16 +322,22 @@ def _staircase_rows(steps=3, m=5):
     return rows
 
 
+_GOLDEN_LAMINATION = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                  "data", "golden", "quake_lamination.json")
+
+
 def test_diagnostics_block(tmp_path, capsys):
     graph = tmp_path / "stairs.csv"
     graph.write_text("\n".join(_staircase_rows()) + "\n")
     octagon = lorentz21.bundled("octagon_rep.json")
     curve = lorentz21.bundled("single_curve.json")
     runs = {"ads": ["ads", "hull", str(graph)],
-            "flat": ["flat", "build", octagon, curve, "--ball", "3", "--density", "50"]}
+            "flat": ["flat", "build", octagon, curve, "--ball", "3", "--density", "50"],
+            "quake": ["quake", _GOLDEN_LAMINATION, "0.8", "--density", "8"]}
     keys = {"ads": {"qhull_facets", "merged_faces", "qhull_joggled",
                     "null_future_faces_skipped"},
-            "flat": {"sweep_ball_radius", "perturbed_samples"}}
+            "flat": {"sweep_ball_radius", "perturbed_samples"},
+            "quake": {"shear_trace_error"}}
     for name, argv in runs.items():
         first = run_cli(argv, capsys)[1]
         second = run_cli(argv, capsys)[1]
@@ -331,7 +351,17 @@ def test_diagnostics_block(tmp_path, capsys):
             assert diag["merged_faces"] < diag["qhull_facets"]
             assert diag["null_future_faces_skipped"] > 0
             assert diag["qhull_joggled"] is False
-        else:
+        elif name == "flat":
             # the identity sweep stops at radius 2 whatever --ball says
             assert diag["sweep_ball_radius"] == 2
             assert 0 <= diag["perturbed_samples"] <= first["values"]["samples"]
+        else:
+            # the golden lamination's shears are formed to rounding
+            assert diag["shear_trace_error"] < 1e-12
+    right = run_cli(runs["quake"] + ["--side", "right"], capsys)[1]
+    assert right["diagnostics"]["shear_trace_error"] < 1e-12
+    # a shear of 36 along a general leaf is formed only to about 15%
+    leaf = tmp_path / "leaf.json"
+    leaf.write_text(json.dumps({"leaves": [{"end1": 0.1, "end2": 0.3, "weight": 1.0}]}))
+    far = run_cli(["quake", str(leaf), "36", "--density", "8"], capsys)[1]
+    assert far["diagnostics"]["shear_trace_error"] > 0.1

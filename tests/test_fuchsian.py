@@ -12,10 +12,12 @@ from lorentz21.fuchsian import (
     euler_class,
     format_word,
     invert_word,
+    letter_step,
     milnor_wood_ok,
     parse_word,
     reduce_word,
     regular_polygon_rep,
+    signed_letters,
     surface_relator,
 )
 from lorentz21.minkowski import RP1Point
@@ -61,7 +63,7 @@ def test_trivial_rep():
 def test_polygon_rep_valid(octagon):
     assert octagon.relator_defect() < 1e-12
     for g in octagon.generators:
-        assert g.is_hyperbolic()
+        assert Mat2.normalized(g).is_hyperbolic()
     with pytest.raises(ValueError):
         regular_polygon_rep(1)
 
@@ -74,7 +76,27 @@ def test_polygon_rep_genus3():
 
 def test_rep_json_roundtrip(octagon):
     rep = Representation.from_json(octagon.to_json())
-    assert all(a.dist(b) < 1e-15 for a, b in zip(rep.generators, octagon.generators))
+    assert all(Mat2.normalized(a).dist(Mat2.normalized(b)) < 1e-15
+               for a, b in zip(rep.generators, octagon.generators))
+
+
+def test_letter_steps(octagon):
+    """One stack holds every letter: a generator, then its Mat2 inverse."""
+    steps = octagon.steps()
+    assert steps.shape == (8, 2, 2)
+    assert np.array_equal(steps[::2], octagon.generators)
+    for x in signed_letters(2):
+        g = Mat2.normalized(octagon.generators[abs(x) - 1])
+        assert np.array_equal(steps[letter_step(x)], (g if x > 0 else g.inverse()).m)
+        assert np.array_equal(octagon.evaluate((x,)).m, Mat2(steps[letter_step(x)]).m)
+
+
+def test_unnormalizable_generator_is_refused():
+    # the determinant of 1e200 I overflows; Mat2 once made it the zero matrix
+    big = 1e200 * np.eye(2)
+    for make in (lambda: Mat2(big), lambda: Representation(1, [big, np.eye(2)])):
+        with pytest.raises(ValueError, match="finite positive determinant"):
+            make()
 
 
 def test_group_ball_counts(octagon):
@@ -178,7 +200,7 @@ def test_euler_class_sign_under_reflection():
     d = np.diag([1.0, -1.0])
     for genus, e in ((2, 2), (3, 4)):
         rep = regular_polygon_rep(genus)
-        assert euler_class(Representation(genus, [d @ g.m @ d for g in rep.generators])) == e
+        assert euler_class(Representation(genus, [d @ g @ d for g in rep.generators])) == e
 
 
 def test_euler_class_relator_near_identity():
@@ -200,7 +222,7 @@ def test_euler_class_index2_cover(octagon):
     group on (a^2, b, c, d, a c a^-1, a d a^-1); Euler classes are
     multiplicative under covers, an oracle independent of lift tracking.
     """
-    a, b, c, d = [g.m for g in octagon.generators]
+    a, b, c, d = octagon.generators
     ainv = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]])
     cover = Representation(3, [a @ a, b, c, d, a @ c @ ainv, a @ d @ ainv])
     assert cover.is_valid(1e-8)

@@ -1,11 +1,14 @@
-"""Random inputs for `quake` and `ads hull`: whatever the input and
-flags, the command exits 0, 1 or 2 and prints a JSON report or error
-with a schema, and `quake` writes no non-finite number.  Endpoints,
-weights, scales and points are drawn near the values that matter (0,
-negatives, 1e300, non-finite, crossing and duplicate leaves, points on
-leaves); graphs are monotone, planar, non-monotone, duplicated, short,
-malformed or non-finite.  A fixed seed makes each run try the same
-cases."""
+"""Random inputs for `quake`, `ads hull` and `euler`: whatever the input
+and flags, the command exits 0, 1 or 2 and prints a JSON report or error
+with a schema, `quake` writes no non-finite number, and `euler` raises
+no warning and refuses a malformed representation with exit 2.
+Endpoints, weights, scales and points are drawn near the values that
+matter (0, negatives, 1e300, non-finite, crossing and duplicate leaves,
+points on leaves); graphs are monotone, planar, non-monotone,
+duplicated, short, malformed or non-finite; representations have odd
+genera, miscounted generators, or generators scaled out of range,
+singular, non-finite or misshapen.  A fixed seed makes each run try the
+same cases."""
 
 import contextlib
 import io
@@ -14,11 +17,13 @@ import math
 import os
 import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 
 from lorentz21.cli import main
+from lorentz21.fuchsian import regular_polygon_rep
 from lorentz21.minkowski import RP1Point, geodesic_normal, hyperboloid_normalize, inner
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -177,4 +182,72 @@ def test_ads_hull_exit_contract(rows):
         with open(path, "w") as fh:
             fh.write("\n".join(rows) + "\n")
         code, report = _run(["ads", "hull", path])
+    hypothesis.event(report.get("error", "exit %d" % code)[:60])
+
+
+# most genera are proper; the rest are not positive integers
+GENERA = [2] * 6 + [1, 3] * 2 + [0, -1, 2.7, True, "2"]
+# most generators are valid; the rest carry one fault in one generator
+GENERATOR_FAULTS = [None] * 5 + ["huge", "tiny", "singular", "non-finite", "shape"]
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@st.composite
+def rep_files(draw):
+    """A representation file: a genus from GENERA and 2g generators (4
+    for a genus that is not a positive integer), now and then one too
+    many or too few, drawn as random SL(2,R) matrices or as a randomly
+    conjugated polygon representation, then at most one fault: one
+    generator scaled by 1e200 or 1e-200, singular or of determinant -1,
+    with a non-finite entry, or of the wrong shape.  Also returns
+    whether the file is malformed, which `euler` must refuse."""
+    genus = draw(st.sampled_from(GENERA))
+    proper = type(genus) is int and genus >= 1
+    n = 2 * genus if proper else 4
+    n += draw(st.sampled_from([0] * 4 + [1, -1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def sl2():
+        m = rng.normal(size=(2, 2))
+        return m[[1, 0] if np.linalg.det(m) < 0 else [0, 1]] / math.sqrt(abs(np.linalg.det(m)))
+
+    if proper and genus >= 2 and n == 2 * genus and draw(st.booleans()):
+        gens = regular_polygon_rep(genus).conjugate(sl2()).generators.tolist()
+    else:
+        gens = [sl2().tolist() for _ in range(n)]
+    fault = draw(st.sampled_from(GENERATOR_FAULTS)) if gens else None
+    i = draw(st.integers(0, len(gens) - 1)) if gens else 0
+    if fault in ("huge", "tiny"):
+        gens[i] = (np.array(gens[i]) * (1e200 if fault == "huge" else 1e-200)).tolist()
+    elif fault == "singular":
+        gens[i] = draw(st.sampled_from([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 0.0], [0.0, 0.0]],
+                                        [[1.0, 2.0], [2.0, 4.0]]]))
+    elif fault == "non-finite":
+        gens[i][draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif fault == "shape":
+        gens[i] = draw(st.sampled_from([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                                        [[1.0, 0.0], [0.0]], [1.0, 0.0], 1.0, "I"]))
+    malformed = not proper or n != 2 * genus or fault is not None
+    return {"genus": genus, "generators": gens}, malformed
+
+
+@hypothesis.settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@hypothesis.given(rep_files())
+# the determinant of 1e200 I once overflowed with a warning, to the zero matrix
+@hypothesis.example(({"genus": 2, "generators": [[[1e200, 0.0], [0.0, 1e200]]] + [IDENTITY] * 3},
+                     True))
+# a genus of 2.7 was once read as 2
+@hypothesis.example(({"genus": 2.7, "generators": [IDENTITY] * 4}, True))
+def test_euler_exit_contract(case):
+    rep, malformed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rep.json")
+        with open(path, "w") as fh:
+            json.dump(rep, fh)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report = _run(["euler", path])
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 2 or not malformed
     hypothesis.event(report.get("error", "exit %d" % code)[:60])
