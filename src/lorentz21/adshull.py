@@ -523,13 +523,14 @@ def bending_data(hull):
 class ExtractedEarthquake:
     """Left-earthquake data read off the future boundary of a hull.  The
     `dominant_shear` is the weight of the dominant leaf: the shear
-    between the two largest future faces, which meet along it."""
+    between the two largest of the `strata`, which meet along it."""
 
-    def __init__(self, left_factors, boundary_map, shear_edges, dominant_shear=0.0):
+    def __init__(self, left_factors, boundary_map, shear_edges, dominant_shear=0.0, strata=1):
         self.left_factors = left_factors
         self.boundary_map = boundary_map
         self.shear_edges = shear_edges
         self.dominant_shear = dominant_shear
+        self.strata = strata
 
 
 def _face_mobius(duals):
@@ -592,12 +593,40 @@ def extract_left_earthquake(hull):
                    for b in bending_data(hull) if b.weight is not None]
 
     # the dominant leaf separates the two largest regions of the bent
-    # surface; sampling slivers can hide their shared edge, so measure
-    # the shear between their duals directly
+    # surface.  Thinned samples can split one region into several faces,
+    # so faces joined by an edge of shear below 1e-3 form one stratum,
+    # sized by its distinct vertices and represented by its first face
+    # in by-size order; sampling slivers can hide the shared edge of
+    # the two largest, so measure the shear between their duals directly
+    flat = np.array([(i, j) for w, i, j in shear_edges if w < 1e-3], dtype=int).reshape(-1, 2)
+    label = _components(len(order), np.searchsorted(order, flat))
+    stratum = label[np.searchsorted(order, faces.owner[held])]
+    vertices = np.bincount(np.unique(stratum * len(tls) + faces.ids[held]) // len(tls))
+    heads = np.unique(label)
+    lead = np.full(len(order), len(order))
+    # by_size permutes the ascending order, so argsort gives each one's rank
+    np.minimum.at(lead, label, np.argsort(by_size))
+    top = heads[np.lexsort((lead[heads], -vertices[heads]))]
     dominant = 0.0
-    if len(by_size) >= 2:
-        dominant = 2.0 * _dual_distances(faces.duals[by_size[:1]], faces.duals[by_size[1:2]])[0]
-    return ExtractedEarthquake(left_factors, cm, shear_edges, dominant)
+    if len(top) >= 2:
+        first, second = by_size[lead[top[:2]]]
+        dominant = 2.0 * _dual_distances(faces.duals[[first]], faces.duals[[second]])[0]
+    return ExtractedEarthquake(left_factors, cm, shear_edges, dominant, len(heads))
+
+
+def _components(n, pairs):
+    """Connected-component label of each of n nodes under the (E, 2)
+    edges: the least node of its component."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[pairs[:, 0]], label[pairs[:, 1]])
+        new = label.copy()
+        np.minimum.at(new, pairs[:, 0], low)
+        np.minimum.at(new, pairs[:, 1], low)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
 
 
 def attracting_thetas(mats):

@@ -220,7 +220,8 @@ def _hull_pipeline(args, graph, inputs, extra_values):
         "boundary_roundtrip_sup": roundtrip,
     })
     diagnostics = {"qhull_facets": hull.qhull_facets, "merged_faces": len(hull.faces),
-                   "qhull_joggled": hull.joggled, "null_future_faces_skipped":
+                   "qhull_joggled": hull.joggled, "strata": quake.strata,
+                   "null_future_faces_skipped":
                    int((hull.faces.future & (hull.faces.classes == "null")).sum())}
     if hull.flat:
         values["notice"] = "flat hull: graph lies on a single plane, identity earthquake"

@@ -88,12 +88,13 @@ def coboundary_cocycle(rep, v):
 
 
 def cocycle_from_lamination(rep, mc, basepoint=None, L=3):
-    """t_g = transverse vector from the basepoint to its g-image."""
+    """t_g = transverse vector from the basepoint to its g-image, for
+    the 2g generators in one crossing record."""
     if basepoint is None:
         basepoint = lam.default_basepoint(rep, mc, L)
-    vecs = [lam.transverse_vector(rep, mc, basepoint, q, L)
-            for q in adjoint_to_so21(rep.generators) @ basepoint]
-    return TranslationCocycle(rep, vecs, basepoint)
+    targets = adjoint_to_so21(rep.generators) @ basepoint
+    return TranslationCocycle(rep, lam.transverse_vector(rep, mc, basepoint, targets, L),
+                              basepoint)
 
 
 def cocycle_residual(rep, coc, alpha, beta, ball=None):
@@ -238,32 +239,20 @@ def develop_surface(rep, mc, radius=1.5, density=200, basepoint=None, L=3, seed=
         flags.append(flag)
     pts = np.array(pts).reshape(-1, 3)
 
-    s0 = inner(leaves.normals, basepoint)
-    crossed = s0 * inner(pts[:, None], leaves.normals) < 0
-    xvals = np.zeros((len(pts), 3))
-    # leaf by leaf, so each sample sums its crossed normals in leaf order;
-    # -sign(s0) orients each normal away from the basepoint side
-    for n, w, s, hit in zip(leaves.normals, leaves.weights, s0, crossed.T):
-        xvals[hit] += w * -np.sign(s) * n
+    xvals = lam.transverse_sum(*lam.crossing_record(leaves, basepoint, pts))
     return DevelopedSurfacePatch(pts, xvals, flags)
 
 
 def _transport_to(b):
-    """A Lorentz boost carrying the apex to the hyperboloid point b."""
-    b = np.asarray(b, dtype=float)
-    x, y, t = b
+    """A Lorentz boost carrying the apex to the hyperboloid point b:
+    the identity plus (t - 1) / r^2 u u^T on the spatial part u = (x, y)."""
+    x, y, t = np.asarray(b, dtype=float)
     r2 = x * x + y * y
     if r2 < 1e-30:
         return np.eye(3)
-    A = np.eye(3)
-    A[0, 0] = 1.0 + x * x * (t - 1.0) / r2
-    A[0, 1] = x * y * (t - 1.0) / r2
-    A[1, 0] = A[0, 1]
-    A[1, 1] = 1.0 + y * y * (t - 1.0) / r2
-    A[0, 2] = x
-    A[1, 2] = y
-    A[2, 0] = x
-    A[2, 1] = y
+    A = np.outer([x, y, 0.0], [x, y, 0.0]) * (t - 1.0) / r2
+    A[[0, 1], [0, 1]] += 1.0
+    A[:2, 2] = A[2, :2] = x, y
     A[2, 2] = t
     return A
 

@@ -132,7 +132,12 @@ class Representation:
 
     def evaluate(self, w):
         """The Mat2 of the word w, normalized after each letter."""
-        return Mat2.normalized(mat2_fold(self._steps[letter_step(np.array(w, dtype=int))])[0])
+        w = np.array(w, dtype=int).reshape(-1)
+        bad = (w == 0) | (np.abs(w) > 2 * self.genus)
+        if bad.any():
+            raise ValueError("%d is not a generator index for genus %d"
+                             % (w[np.argmax(bad)], self.genus))
+        return Mat2.normalized(mat2_fold(self._steps[letter_step(w)])[0])
 
     def steps(self):
         """The (4g, 2, 2) letter-step stack."""

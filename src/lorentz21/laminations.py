@@ -2,22 +2,20 @@
 
 A multicurve is a list of conjugacy classes (words) with positive
 weights.  Leaves of the lifted lamination are axes of conjugates of the
-class representatives over a prefix-closed GroupBall.  They are held as
-a LeafSet, one array row per leaf: unit end vectors, circle parameters,
-identifying keys, unit normals, the ball index where the leaf was first
-seen, weight and class.  Each class's LeafSet is built in one
+class representatives over a prefix-closed GroupBall, held as a
+LeafSet, one array row per leaf.  Each class's LeafSet is built in one
 vectorized pass over the ball's matrices and kept in a memo that lives
-as long as its representation object, next to that representation's
-largest ball; any smaller radius reads a prefix, a larger one rebuilds
-the entry.  Consumers (crossings, disjointness, basepoints,
-development, earthquakes) work on the arrays; every one that grows its
-radius does so through `stable_lifts`.  A finite lamination is the same
-record, built by `LeafSet.of` from its GeodesicH2s.  GeodesicH2 is the
-scalar type: the leaves a finite lamination is given by, and the
-reference that the array routines are tested against.  The transverse
-vector of a segment is the weighted sum of oriented unit normals of the
-leaves the segment crosses, which is the atomic-measure form of the
-transverse integral defining translation cocycles.
+as long as its representation object, next to its largest ball; a
+smaller radius reads a prefix, a larger one rebuilds the entry.  Every
+consumer that grows its radius does so through `stable_lifts`.  A query
+from a basepoint b to a stack of targets is one crossing record: the
+leaves that separate b from any target, from one enumeration, sorted
+base-outward (the order every segment from b crosses them), normals
+oriented away from b, with one separating mask row per target.  The
+transverse vector of a segment sums its row's weighted normals, the
+atomic-measure form of the transverse integral defining translation
+cocycles.  A finite lamination is the same LeafSet, built by
+`LeafSet.of` from GeodesicH2s, the scalar leaf type.
 """
 
 from __future__ import annotations
@@ -164,14 +162,6 @@ class LeafSet:
         return LeafSet(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     @classmethod
-    def concat(cls, parts):
-        """The rows of the LeafSets parts, one after another."""
-        # the empty record keeps the concatenation defined for no parts
-        parts = [_NO_LEAVES] + list(parts)
-        return cls(*(np.concatenate([getattr(part, f.name) for part in parts])
-                     for f in fields(cls)))
-
-    @classmethod
     def of(cls, geodesics, weights):
         """The record of a finite lamination: the GeodesicH2s in input
         order, their end vectors, parameters, keys and normals as they
@@ -236,15 +226,15 @@ def leaf_lifts(rep, w, radius):
     return leaves[:np.searchsorted(leaves.first, ball.offsets[radius + 1])]
 
 
-_NO_LEAVES = LeafSet(*[np.zeros((0, k)) for k in (2, 2, 2, 2, 3)],
-                     np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int))
-
-
 def multicurve_lifts(rep, mc, radius):
     """LeafSet of the lifts of every class of mc, class by class."""
     parts = [leaf_lifts(rep, w, radius) for w, _ in mc.curves]
     sizes = [len(part) for part in parts]
-    return replace(LeafSet.concat(parts), weights=np.repeat([wt for _, wt in mc.curves], sizes),
+    # the empty record keeps the concatenation defined for no classes
+    parts.insert(0, LeafSet.of([], []))
+    leaves = LeafSet(*(np.concatenate([getattr(part, f.name) for part in parts])
+                       for f in fields(LeafSet)))
+    return replace(leaves, weights=np.repeat([wt for _, wt in mc.curves], sizes),
                    classes=np.repeat(np.arange(len(sizes)), sizes))
 
 
@@ -304,37 +294,56 @@ def stable_lifts(rep, mc, L, keep):
     return leaves
 
 
+def separating(normals, b, targets):
+    """(Q, N) mask of the leaf planes (by normals) separating b from each
+    of the (Q, 3) targets; b or a target within 1e-9 of one is refused."""
+    sb, st = inner(normals, b), inner(normals, targets[:, None])
+    if np.any(np.abs(sb) < 1e-9) or np.any(np.abs(st) < 1e-9):
+        raise ValueError("segment endpoint lies on a leaf within tolerance")
+    return sb * st <= 0
+
+
+def crossing_record(leaves, b, targets):
+    """The leaves base-outward, by |<n, b>| in a stable sort, normals
+    oriented away from b, and their separating mask for the (Q, 3)
+    targets.  Disjoint leaves met by one segment from b are nested, so
+    a mask row lists its leaves in the order that segment crosses them."""
+    sb = inner(leaves.normals, b)
+    leaves = replace(leaves, normals=leaves.normals * -np.sign(sb)[:, None])
+    leaves = leaves[np.argsort(np.abs(sb), kind="stable")]
+    return leaves, separating(leaves.normals, b, targets)
+
+
+def lifted_crossings(rep, mc, b, targets, L):
+    """crossing_record of the leaf lifts separating b from any of the
+    targets, a point or a (Q, 3) stack, from one stable_lifts call."""
+    targets = np.reshape(np.asarray(targets, dtype=float), (-1, 3))
+    leaves = stable_lifts(rep, mc, L, lambda lv: separating(lv.normals, b, targets).any(axis=0))
+    return crossing_record(leaves, b, targets)
+
+
+def transverse_sum(leaves, mask):
+    """(Q, 3) stack of the weighted sums of the oriented normals each
+    mask row selects, added in leaf order; an overflow is refused."""
+    out = np.zeros((len(mask), 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, w, hit in zip(leaves.normals, leaves.weights, mask.T):
+            out[hit] += w * n
+    if not np.isfinite(out).all():
+        raise ValueError("a transverse vector overflows")
+    return out
+
+
 def crossings(rep, mc, p, q, L):
-    """LeafSet of all leaf lifts separating p from q, stabilized by
-    stable_lifts from radius L, in the order the segment p -> q crosses
-    them (a stable sort keeps first-seen order among equal parameters),
-    each normal oriented from p's side toward q's.  Raises if either
-    endpoint is on a leaf plane within 1e-9."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if float(np.max(np.abs(p - q))) < 1e-14:
-        return _NO_LEAVES
-
-    def separating(leaves):
-        sp, sq = inner(leaves.normals, p), inner(leaves.normals, q)
-        if np.any(np.abs(sp) < 1e-9) or np.any(np.abs(sq) < 1e-9):
-            raise ValueError("segment endpoint lies on a leaf within tolerance")
-        return sp * sq <= 0
-
-    leaves = stable_lifts(rep, mc, L, separating)
-    sp, sq = inner(leaves.normals, p), inner(leaves.normals, q)
-    normals = np.where((sp < 0)[:, None], leaves.normals, -leaves.normals)
-    return replace(leaves, normals=normals)[np.argsort(sp / (sp - sq), kind="stable")]
+    """LeafSet of the leaf lifts separating p from q in crossing order,
+    normals oriented from p toward q: one row of lifted_crossings."""
+    leaves, mask = lifted_crossings(rep, mc, p, q, L)
+    return leaves[mask[0]]
 
 
 def transverse_vector(rep, mc, p, q, L):
-    """Weighted sum of oriented leaf normals crossed from p to q: the
-    atomic-measure transverse integral, added in crossing order."""
-    leaves = crossings(rep, mc, p, q, L)
-    out = np.zeros(3)
-    for w, n in zip(leaves.weights, leaves.normals):
-        out += w * n
-    return out
+    """Transverse vector from p to q, a point or a (Q, 3) stack."""
+    return transverse_sum(*lifted_crossings(rep, mc, p, q, L)).reshape(np.shape(q))
 
 
 def basepoint_off(normals, eps=1e-6):

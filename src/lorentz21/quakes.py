@@ -160,17 +160,20 @@ class EarthquakeMap:
                              "is two-valued there")
         return adjoint_to_so21(self.region_isometry(p)[0]) @ p
 
+    def near_normals(self, p, eps):
+        """Normals of the leaves within eps of the point p."""
+        normals = self.lamination.leaves.normals
+        return normals[np.abs(inner(normals, p)) < eps]
+
     def one_sided_values(self, p, eps=1e-7):
         """The two limits of the map at a point on (or near) a leaf: from
         either side of the first leaf within eps."""
         p = np.asarray(p, dtype=float)
-        normals = self.lamination.leaves.normals
-        near = np.flatnonzero(np.abs(inner(normals, p)) < eps)
+        near = self.near_normals(p, eps)
         if len(near) == 0:
             v = self.apply(p)
             return [v, v]
-        sides = [hyperboloid_normalize(p + sgn * eps * (G @ normals[near[0]]))
-                 for sgn in (1.0, -1.0)]
+        sides = [hyperboloid_normalize(p + sgn * eps * (G @ near[0])) for sgn in (1.0, -1.0)]
         return list(adjoint_to_so21(self.region_isometry(np.array(sides))) @ p)
 
     def boundary_point(self, x):
@@ -224,14 +227,15 @@ class EquivariantEarthquakeMap(EarthquakeMap):
         self.L = L
 
     def region_isometry(self, targets, ideal=False):
-        """As for a finite lamination, over each target's crossings in
-        the order they are crossed: the rows of all targets one after
-        another, each selected by its own target only."""
+        """As for a finite lamination, over the leaf lifts crossed from
+        the base point to the targets, enumerated in one pass."""
         b = self.lamination.basepoint
-        rows = [lamins.crossings(self.rep, self.mc, b, t, self.L)
-                for t in np.reshape(targets, (-1, 3))]
-        mask = np.repeat(np.eye(len(rows), dtype=bool), [len(r) for r in rows], axis=1)
-        return mat2_fold(shears(lamins.LeafSet.concat(rows), b, self.scale, self.side), mask)
+        leaves, mask = lamins.lifted_crossings(self.rep, self.mc, b, targets, self.L)
+        return mat2_fold(shears(leaves, b, self.scale, self.side), mask)
+
+    def near_normals(self, p, eps):
+        return lamins.stable_lifts(self.rep, self.mc, self.L,
+                                   lambda lv: np.abs(inner(lv.normals, p)) < eps).normals
 
 
 def boundary_value(quake, samples=256):

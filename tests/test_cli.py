@@ -334,7 +334,7 @@ def test_diagnostics_block(tmp_path, capsys):
     runs = {"ads": ["ads", "hull", str(graph)],
             "flat": ["flat", "build", octagon, curve, "--ball", "3", "--density", "50"],
             "quake": ["quake", _GOLDEN_LAMINATION, "0.8", "--density", "8"]}
-    keys = {"ads": {"qhull_facets", "merged_faces", "qhull_joggled",
+    keys = {"ads": {"qhull_facets", "merged_faces", "qhull_joggled", "strata",
                     "null_future_faces_skipped"},
             "flat": {"sweep_ball_radius", "perturbed_samples"},
             "quake": {"shear_trace_error"}}
@@ -365,3 +365,22 @@ def test_diagnostics_block(tmp_path, capsys):
     leaf.write_text(json.dumps({"leaves": [{"end1": 0.1, "end2": 0.3, "weight": 1.0}]}))
     far = run_cli(["quake", str(leaf), "36", "--density", "8"], capsys)[1]
     assert far["diagnostics"]["shear_trace_error"] > 0.1
+
+
+@pytest.mark.parametrize("curve, w", [("b1", 0.3), ("b1", 0.55), ("b2", 0.6)])
+def test_default_density_shear_in_band(tmp_path, capsys, curve, w):
+    """At the default density, index thinning splits the regions on
+    either side of the b1 and b2 leaves into many faces; the shear
+    between the two largest strata still lies in criterion 6's band
+    (the two largest faces once read about 0.0005)."""
+    from lorentz21.laminations import WeightedMulticurve
+    from lorentz21.quakes import rep_after_earthquake
+
+    octagon = lorentz21.bundled("octagon_rep.json")
+    sheared = rep_after_earthquake(regular_polygon_rep(2), WeightedMulticurve([(curve, 1.0)]), w)
+    path = tmp_path / "sheared.json"
+    path.write_text(json.dumps(sheared.to_json()))
+    code, report = run_cli(["ads", "between", octagon, str(path), "--ball", "6"], capsys)
+    assert code == 0
+    assert abs(report["values"]["total_shear"] - w) < 0.05 * w
+    assert report["diagnostics"]["strata"] >= 2

@@ -91,6 +91,13 @@ def test_letter_steps(octagon):
         assert np.array_equal(octagon.evaluate((x,)).m, Mat2(steps[letter_step(x)]).m)
 
 
+@pytest.mark.parametrize("word", [(0,), (1, 0), (5,), (-5, 1), (9,)])
+def test_evaluate_refuses_bad_letters(octagon, word):
+    # the letter 0 once read as the last generator, and 5 as an IndexError
+    with pytest.raises(ValueError, match="is not a generator index for genus 2"):
+        octagon.evaluate(word)
+
+
 def test_unnormalizable_generator_is_refused():
     # the determinant of 1e200 I overflows; Mat2 once made it the zero matrix
     big = 1e200 * np.eye(2)

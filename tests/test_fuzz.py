@@ -1,13 +1,16 @@
-"""Random inputs for `quake`, `ads hull` and `euler`: whatever the input
-and flags, the command exits 0, 1 or 2 and prints a JSON report or error
-with a schema, `quake` writes no non-finite number, and `euler` raises
-no warning and refuses a malformed representation with exit 2.
+"""Random inputs for `quake`, `ads hull`, `euler` and `flat check`:
+whatever the input and flags, the command exits 0, 1 or 2 and prints a
+JSON report or error with a schema, `quake` writes no non-finite number,
+`euler` and `flat check` raise no warning, and `euler` refuses a
+malformed representation with exit 2.
 Endpoints, weights, scales and points are drawn near the values that
 matter (0, negatives, 1e300, non-finite, crossing and duplicate leaves,
 points on leaves); graphs are monotone, planar, non-monotone,
 duplicated, short, malformed or non-finite; representations have odd
 genera, miscounted generators, or generators scaled out of range,
-singular, non-finite or misshapen.  A fixed seed makes each run try the
+singular, non-finite or misshapen; multicurves on the octagon have
+valid, inverse, repeated, trivial, out-of-range or malformed words,
+duplicated or crossing curves, and extreme weights.  A fixed seed makes each run try the
 same cases."""
 
 import contextlib
@@ -250,4 +253,47 @@ def test_euler_exit_contract(case):
             code, report = _run(["euler", path])
     assert not caught, [str(w.message) for w in caught]
     assert code == 2 or not malformed
+    hypothesis.event(report.get("error", "exit %d" % code)[:60])
+
+
+# most words are valid curves on the octagon; the rest are inverse,
+# repeated, trivial after reduction, out of range or malformed
+WORDS = ["a1", "b1", "a2", "b2", "a1 a2", "a1 b1 A1 B1"] * 4 + [
+    "A1", "B2", "a1 a1", "b2 b2 b2", "a1 A1", "a2 b1 B1 A2", "a3", "g5", "b0",
+    "x1", "a", "1", "", "a1,b1", 7, None]
+WEIGHTS = st.one_of(*[st.floats(0.01, 10.0)] * 4,
+                    st.sampled_from([0.0, -1.0, 1e300, 1e-300, 1e308, math.nan, math.inf]))
+
+
+@st.composite
+def multicurve_files(draw):
+    """A multicurve file of up to three curves drawn from WORDS with
+    weights from WEIGHTS, now and then with one curve repeated or a
+    crossing b1 added to a1."""
+    curves = [{"word": draw(st.sampled_from(WORDS)), "weight": draw(WEIGHTS)}
+              for _ in range(draw(st.integers(0, 3)))]
+    extra = draw(st.sampled_from([None] * 4 + ["duplicate", "crossing"]))
+    if extra == "duplicate" and curves:
+        curves.append(dict(draw(st.sampled_from(curves))))
+    elif extra == "crossing":
+        curves += [{"word": "a1", "weight": 1.0}, {"word": "b1", "weight": 1.0}]
+    return {"curves": curves}
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@hypothesis.given(multicurve_files())
+# a weight of 1e308 once overflowed the transverse sums with warnings
+@hypothesis.example({"curves": [{"word": "a1", "weight": 1e308}]})
+def test_flat_check_exit_contract(multicurve):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "multicurve.json")
+        with open(path, "w") as fh:
+            json.dump(multicurve, fh)
+        rep = os.path.join(tmp, "rep.json")
+        with open(rep, "w") as fh:
+            json.dump(regular_polygon_rep(2).to_json(), fh)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report = _run(["flat", "check", rep, path, "--ball", "2"])
+    assert not caught, [str(w.message) for w in caught]
     hypothesis.event(report.get("error", "exit %d" % code)[:60])

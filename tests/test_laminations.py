@@ -227,3 +227,32 @@ def test_disjointness_matches_pairwise_loop(octagon, curves, disjoint):
     pair = first_crossing_pair(leaves.thetas, leaves.classes)
     assert pair == pairwise_first_crossing(leaves)
     assert disjointness_check(octagon, mc, 3) == disjoint == (pair is None)
+
+
+def test_one_enumeration_per_query(octagon, monkeypatch):
+    """The cocycle, the developed surface and the equivariant earthquake
+    each read their crossings from one stable_lifts call, however many
+    targets they have, and each row equals the single-target query."""
+    from lorentz21 import laminations
+    from lorentz21.flatspace import cocycle_from_lamination, develop_surface
+    from lorentz21.minkowski import adjoint_to_so21
+    from lorentz21.quakes import EquivariantEarthquakeMap
+
+    calls = []
+    enumerate_lifts = laminations.stable_lifts
+
+    def counted(*args):
+        calls.append(args[2])
+        return enumerate_lifts(*args)
+
+    mc = WeightedMulticurve([("a1", 0.7), ("a2", 0.4)])
+    b = default_basepoint(octagon, mc, 3)
+    targets = adjoint_to_so21(octagon.generators) @ b
+    rows = [transverse_vector(octagon, mc, b, t, 3) for t in targets]
+    monkeypatch.setattr(laminations, "stable_lifts", counted)
+    assert np.array_equal(transverse_vector(octagon, mc, b, targets, 3), rows)
+    assert np.array_equal(cocycle_from_lamination(octagon, mc, b, 3).gen_vectors, rows)
+    develop_surface(octagon, mc, density=20, basepoint=b)
+    quake = EquivariantEarthquakeMap(octagon, mc, "left", 0.5)
+    quake.region_isometry(np.vstack([targets, targets[::-1]]))
+    assert len(calls) == 4

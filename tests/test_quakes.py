@@ -345,3 +345,21 @@ def test_fold_matches_per_crossing_rule_on_lifted_lamination(octagon, word, weig
         for g, t in zip(quake.region_isometry(targets), targets):
             want = _reference_isometry(crossings(octagon, mc, b, t, 3), b, t, scale, side)
             assert np.array_equal(g, want.m)
+
+
+def test_equivariant_one_sided_values_on_lifted_leaf(octagon):
+    """On the a1 lift nearest the base point the lifted map has two
+    limits, each the map's value just off the leaf on its side."""
+    from lorentz21.laminations import multicurve_lifts
+
+    mc = WeightedMulticurve([("a1", 1.0)])
+    quake = EquivariantEarthquakeMap(octagon, mc, "left", 0.8)
+    b = quake.lamination.basepoint
+    normals = multicurve_lifts(octagon, mc, 3).normals
+    n = normals[np.argmin(np.abs(inner(normals, b)))]
+    p = hyperboloid_normalize(b - inner(n, b) * n)
+    limits = quake.one_sided_values(p)
+    assert np.max(np.abs(limits[0] - limits[1])) > 0.1
+    for sgn, limit in zip((1.0, -1.0), limits):
+        off = quake(hyperboloid_normalize(p + sgn * 1e-7 * (G @ n)))
+        assert np.max(np.abs(limit - off)) < 1e-5
