@@ -635,8 +635,11 @@ def attracting_thetas(mats):
     (b, lam - a) of the larger eigenvalue lam, or (lam - d, c) where
     that is nearly zero (near-diagonal matrices)."""
     a, b, c, d = (mats[:, i, j] for i in (0, 1) for j in (0, 1))
-    t = a + d
-    disc = t * t - 4.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = a + d
+        disc = t * t - 4.0
+    if not np.isfinite(disc).all():
+        raise ValueError("a trace is too large for its fixed points")
     if np.any(disc <= 0):
         raise ValueError("element is not hyperbolic (trace %.6f)" % t[np.argmax(disc <= 0)])
     lam = 0.5 * (t + np.copysign(np.sqrt(disc), t))

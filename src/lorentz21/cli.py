@@ -3,8 +3,9 @@
 Subcommands load representations, multicurves, laminations and circle
 graphs from files, run the constructions, and emit deterministic JSON
 reports plus OBJ/CSV artifacts.  Every invariant check appears in the
-report with its numeric residual; the exit status is nonzero exactly
-when a check fails or an input is invalid.
+report with its numeric residual.  The exit status is 0 when every
+check passes, 1 when a check fails or the computation fails on its
+input (a RuntimeError), and 2 when an input is invalid.
 """
 
 from __future__ import annotations
@@ -315,12 +316,13 @@ def main(argv=None):
         if finite(args.tol, "--tol") < 0:
             raise ValueError("--tol must be >= 0")
         code = args.func(args)
-    except (OSError, ValueError, KeyError, TypeError,
-            json.JSONDecodeError, RuntimeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RuntimeError) as exc:
         err = {"schema": "%s/error/1" % SCHEMA_PREFIX,
                "error": "%s: %s" % (type(exc).__name__, exc)}
         sys.stdout.write(json.dumps(err, sort_keys=True, indent=2) + "\n")
-        return 2
+        # invalid input (JSON errors are ValueErrors) exits 2; an internal
+        # failure, such as an enumeration cap or Qhull, exits 1
+        return 1 if isinstance(exc, RuntimeError) else 2
     # timing goes to stderr so reports stay byte-identical across runs
     sys.stderr.write("elapsed %.3fs\n" % (time.perf_counter() - t0))
     return code

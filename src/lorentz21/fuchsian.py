@@ -246,11 +246,14 @@ class GroupBall:
         keys = self._keys(mats)
         self.offsets = [0, 1]
         for _ in range(radius):
-            prods = (mats[:, None] @ steps[None]).reshape(-1, 2, 2)
+            with np.errstate(over="ignore", invalid="ignore"):
+                prods = (mats[:, None] @ steps[None]).reshape(-1, 2, 2)
             par = np.repeat(np.arange(len(mats)), len(letters))
             let = np.tile(letters, len(mats))
             reduced = lets[par] != -let
             prods, par, let = prods[reduced], par[reduced], let[reduced]
+            if unnormalizable(prods).any():
+                raise ValueError("a product of the generators overflows")
             prods = mat2_stack(prods)
             level_keys = self._keys(prods)
             # first occurrence of each key in the level, minus known keys
@@ -304,7 +307,9 @@ class GroupBall:
     def evaluate(self, hol):
         """A holonomy with a `genus` and a letter_step-ordered `steps()`
         stack (Representation, flatspace.TranslationCocycle) along the
-        ball's words, one level at a time; nothing is renormalized."""
+        ball's words, one level at a time; nothing is renormalized.  A
+        product of finite steps past the float range is invalid; a
+        non-finite step is carried through."""
         if hol.genus != self.genus:
             raise ValueError("a genus-%d representation cannot be evaluated on "
                              "genus-%d words" % (hol.genus, self.genus))
@@ -312,8 +317,11 @@ class GroupBall:
         step = letter_step(self.letter)
         out = np.empty((len(self),) + steps.shape[1:], dtype=steps.dtype)
         out[0] = np.eye(steps.shape[1])
-        for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
-            out[lo:hi] = out[self.parent[lo:hi]] @ steps[step[lo:hi]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
+                out[lo:hi] = out[self.parent[lo:hi]] @ steps[step[lo:hi]]
+        if np.isfinite(steps).all() and not np.isfinite(out).all():
+            raise ValueError("a product along the ball's words overflows")
         return out
 
 

@@ -15,7 +15,7 @@ oriented away from b, with one separating mask row per target.  The
 transverse vector of a segment sums its row's weighted normals, the
 atomic-measure form of the transverse integral defining translation
 cocycles.  A finite lamination is the same LeafSet, built by
-`LeafSet.of` from GeodesicH2s, the scalar leaf type.
+`LeafSet.from_ends` from its end vectors.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .minkowski import (
-    RP1Point,
     finite,
     geodesic_normal,
     hyperboloid_normalize,
     inner,
     null_vectors,
     rp1_stack,
+    rp1_thetas,
 )
 from .fuchsian import GroupBall, axis, parse_word, format_word, reduce_word
 
@@ -44,50 +44,9 @@ class EnumerationCapError(RuntimeError):
     """Lift enumeration failed to stabilize below the hard radius cap."""
 
 
-class GeodesicH2:
-    """Complete geodesic of H^2 given by two distinct ideal endpoints:
-    the scalar leaf of finite laminations."""
-
-    def __init__(self, end1, end2):
-        if not isinstance(end1, RP1Point):
-            end1 = RP1Point(end1)
-        if not isinstance(end2, RP1Point):
-            end2 = RP1Point(end2)
-        if end1.dist(end2) < 1e-12:
-            raise ValueError("endpoints coincide")
-        self.end1 = end1
-        self.end2 = end2
-        self.normal = geodesic_normal(end1, end2)
-
-    def side(self, p):
-        """Signed incidence <n, p> of a hyperboloid point."""
-        return float(inner(self.normal, p))
-
-    def key(self, ndigits=9):
-        return tuple(sorted((round(self.end1.theta, ndigits) % 1.0,
-                             round(self.end2.theta, ndigits) % 1.0)))
-
-    def apply(self, m):
-        return GeodesicH2(self.end1.apply(m), self.end2.apply(m))
-
-    def __repr__(self):
-        return "GeodesicH2(%.6f, %.6f)" % (self.end1.theta, self.end2.theta)
-
-
-def endpoints_linked(g1, g2, tol=1e-9):
-    """True iff the endpoint pairs strictly interleave on the circle."""
-    a, b = g1.end1.theta, g1.end2.theta
-    xs = []
-    for t in (g2.end1.theta, g2.end2.theta):
-        u = (t - a) % 1.0
-        span = (b - a) % 1.0
-        if min(u, abs(u - span), 1.0 - u) < tol:
-            return False  # shared endpoint: tangential, not linked
-        xs.append(u < span)
-    return xs[0] != xs[1]
-
-
 def same_geodesic(g1, g2, tol=1e-9):
+    """Whether two leaves with RP1Point ends `end1`, `end2` are one
+    geodesic within tol, in either order."""
     return (g1.end1.dist(g2.end1) < tol and g1.end2.dist(g2.end2) < tol) or (
         g1.end1.dist(g2.end2) < tol and g1.end2.dist(g2.end1) < tol)
 
@@ -132,16 +91,17 @@ def _class_word(rep, w):
 
 
 def closed_geodesic_of(rep, w):
-    """Axis geodesic of the holonomy of a word."""
+    """(2, 2) unit end vectors, attracting then repelling, of the axis
+    of the holonomy of a word."""
     att, repp, _ = axis(rep.evaluate(_class_word(rep, w)))
-    return GeodesicH2(att, repp)
+    return np.stack([att.v, repp.v])
 
 
 @dataclass(frozen=True)
 class LeafSet:
     """Leaves as arrays, one row per leaf: unit end vectors `end1`,
     `end2` (N, 2) normalized as RP1Point does, their circle parameters
-    `thetas` (N, 2), the identifying `keys` (N, 2) of GeodesicH2.key(7),
+    `thetas` (N, 2), the identifying `keys` (N, 2) of `_leaf_keys`,
     unit `normals` (N, 3), the ball index where each leaf was `first`
     seen, and the multicurve `weights` and `classes`."""
 
@@ -162,22 +122,27 @@ class LeafSet:
         return LeafSet(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     @classmethod
-    def of(cls, geodesics, weights):
-        """The record of a finite lamination: the GeodesicH2s in input
-        order, their end vectors, parameters, keys and normals as they
-        hold them, with the given weights and one class per leaf."""
-        n = len(geodesics)
-        return cls(np.array([g.end1.v for g in geodesics]).reshape(-1, 2),
-                   np.array([g.end2.v for g in geodesics]).reshape(-1, 2),
-                   np.array([[g.end1.theta, g.end2.theta] for g in geodesics]).reshape(-1, 2),
-                   np.array([g.key(7) for g in geodesics]).reshape(-1, 2),
-                   np.array([g.normal for g in geodesics]).reshape(-1, 3),
+    def from_ends(cls, end1, end2, weights):
+        """The record of a finite lamination from (N, 2) unit end vectors
+        already in RP1Point's normal form, kept as they are (that
+        normalization is not idempotent), in input order with the given
+        weights and one class per leaf; ends within 1e-12 are refused."""
+        thetas = np.stack([rp1_thetas(end1), rp1_thetas(end2)], axis=1)
+        d = np.abs(thetas[:, 0] - thetas[:, 1])
+        if np.any(np.minimum(d, 1.0 - d) < 1e-12):
+            raise ValueError("endpoints coincide")
+        n = len(thetas)
+        return cls(end1, end2, thetas, _leaf_keys(thetas),
+                   geodesic_normal(null_vectors(end1), null_vectors(end2)),
                    np.arange(n), np.array(weights, dtype=float).reshape(n), np.arange(n))
 
-    def geodesic(self, i):
-        """Row i as a GeodesicH2 with the same end vectors."""
-        return GeodesicH2(RP1Point.normalized(self.end1[i]),
-                          RP1Point.normalized(self.end2[i]))
+
+def _leaf_keys(thetas):
+    """The identifying key of each leaf of (N, 2) end parameters: both
+    rounded to 7 digits by round() (np.round can differ in the last
+    digit), mod 1, in ascending order."""
+    return np.sort(np.array([[round(t, 7) % 1.0 for t in pair]
+                             for pair in thetas.tolist()]).reshape(-1, 2), axis=1)
 
 
 def _first_rows(keys):
@@ -187,18 +152,17 @@ def _first_rows(keys):
 
 
 def _lift_class(ball, base):
-    """Distinct conjugate axes m(base) over the ball's matrices m, in
-    first-seen order, as a LeafSet of one class of weight one."""
-    end1, theta1 = rp1_stack(ball.elements @ base.end1.v)
-    end2, theta2 = rp1_stack(ball.elements @ base.end2.v)
+    """Distinct conjugate axes m(base) over the ball's matrices m, for
+    the (2, 2) end vectors base, in first-seen order, as a LeafSet of one
+    class of weight one."""
+    end1, theta1 = rp1_stack(ball.elements @ base[0])
+    end2, theta2 = rp1_stack(ball.elements @ base[1])
     d = np.abs(theta1 - theta2)
     # deep conjugates collapse toward the circle; such leaves subtend
     # a vanishing boundary arc and cannot meet a bounded query region
     rows = np.flatnonzero(np.minimum(d, 1.0 - d) >= 1e-6)
     thetas = np.stack([theta1[rows], theta2[rows]], axis=1)
-    # round(), as GeodesicH2.key does; np.round can differ in the last digit
-    keys = np.sort(np.array([[round(t, 7) % 1.0 for t in pair]
-                             for pair in thetas.tolist()]).reshape(-1, 2), axis=1)
+    keys = _leaf_keys(thetas)
     keep = _first_rows(keys)
     rows = rows[keep]
     end1, end2 = end1[rows], end2[rows]
@@ -231,7 +195,7 @@ def multicurve_lifts(rep, mc, radius):
     parts = [leaf_lifts(rep, w, radius) for w, _ in mc.curves]
     sizes = [len(part) for part in parts]
     # the empty record keeps the concatenation defined for no classes
-    parts.insert(0, LeafSet.of([], []))
+    parts.insert(0, LeafSet.from_ends(np.zeros((0, 2)), np.zeros((0, 2)), []))
     leaves = LeafSet(*(np.concatenate([getattr(part, f.name) for part in parts])
                        for f in fields(LeafSet)))
     return replace(leaves, weights=np.repeat([wt for _, wt in mc.curves], sizes),
@@ -243,8 +207,8 @@ def first_crossing_pair(thetas, classes, same_tol=1e-7, tol=1e-9):
     (N, 2) that are one geodesic within same_tol but of two classes or,
     being distinct, cross; None if there is none.  Leaf i is tested
     against all later leaves at once, exactly as the pairwise
-    same_geodesic(g_i, g_j, same_tol), then endpoints_linked(g_i, g_j,
-    tol)."""
+    same_geodesic(g_i, g_j, same_tol), then the endpoints_linked(g_i,
+    g_j, tol) of tests/reference.py."""
     for i in range(len(thetas) - 1):
         a, b = thetas[i]
         later = thetas[i + 1:]
@@ -294,32 +258,38 @@ def stable_lifts(rep, mc, L, keep):
     return leaves
 
 
-def separating(normals, b, targets):
+def separating(normals, b, targets, ideal=False):
     """(Q, N) mask of the leaf planes (by normals) separating b from each
-    of the (Q, 3) targets; b or a target within 1e-9 of one is refused."""
+    of the (Q, 3) targets, the one leaf-side rule of the package.  b or a
+    point target within 1e-9 of a plane is refused; an ideal target
+    within 1e-12 of one is that leaf's end, which its shear fixes, so
+    that leaf does not separate it."""
     sb, st = inner(normals, b), inner(normals, targets[:, None])
-    if np.any(np.abs(sb) < 1e-9) or np.any(np.abs(st) < 1e-9):
+    on = np.abs(st) < (1e-12 if ideal else 1e-9)
+    if np.any(np.abs(sb) < 1e-9) or (on.any() and not ideal):
         raise ValueError("segment endpoint lies on a leaf within tolerance")
-    return sb * st <= 0
+    return ~on & (sb * st <= 0)
 
 
-def crossing_record(leaves, b, targets):
+def crossing_record(leaves, b, targets, ideal=False):
     """The leaves base-outward, by |<n, b>| in a stable sort, normals
     oriented away from b, and their separating mask for the (Q, 3)
-    targets.  Disjoint leaves met by one segment from b are nested, so
-    a mask row lists its leaves in the order that segment crosses them."""
+    targets, ideal ones if ideal.  Disjoint leaves met by one segment
+    from b are nested, so a mask row lists its leaves in the order that
+    segment crosses them."""
     sb = inner(leaves.normals, b)
     leaves = replace(leaves, normals=leaves.normals * -np.sign(sb)[:, None])
     leaves = leaves[np.argsort(np.abs(sb), kind="stable")]
-    return leaves, separating(leaves.normals, b, targets)
+    return leaves, separating(leaves.normals, b, targets, ideal)
 
 
-def lifted_crossings(rep, mc, b, targets, L):
+def lifted_crossings(rep, mc, b, targets, L, ideal=False):
     """crossing_record of the leaf lifts separating b from any of the
     targets, a point or a (Q, 3) stack, from one stable_lifts call."""
     targets = np.reshape(np.asarray(targets, dtype=float), (-1, 3))
-    leaves = stable_lifts(rep, mc, L, lambda lv: separating(lv.normals, b, targets).any(axis=0))
-    return crossing_record(leaves, b, targets)
+    leaves = stable_lifts(rep, mc, L,
+                          lambda lv: separating(lv.normals, b, targets, ideal).any(axis=0))
+    return crossing_record(leaves, b, targets, ideal)
 
 
 def transverse_sum(leaves, mask):

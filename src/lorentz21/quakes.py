@@ -40,22 +40,26 @@ def real_boundary_point(r):
 
 
 class FiniteLaminationH2:
-    """Finitely many disjoint weighted geodesics, given as (GeodesicH2,
-    weight) pairs and held as a LeafSet `leaves` in that order, plus a
-    base region, designated by a hyperbolic point off all leaves."""
+    """Finitely many disjoint weighted geodesics, held as a LeafSet
+    `leaves` in input order, plus a base region, designated by a future
+    timelike point `basepoint` off all leaves, kept as given."""
 
     def __init__(self, leaves, basepoint=None):
-        leaves = [(g, float(w)) for g, w in leaves]
-        if any(w <= 0 for _, w in leaves):
+        if np.any(leaves.weights <= 0):
             raise ValueError("weights must be positive")
-        self.leaves = lamins.LeafSet.of([g for g, _ in leaves], [w for _, w in leaves])
-        pair = lamins.first_crossing_pair(self.leaves.thetas, self.leaves.classes,
-                                          same_tol=1e-9)
+        pair = lamins.first_crossing_pair(leaves.thetas, leaves.classes, same_tol=1e-9)
         if pair is not None:
             raise ValueError("leaves %d and %d are not disjoint" % pair)
         if basepoint is None:
-            basepoint = lamins.basepoint_off(self.leaves.normals)
-        self.basepoint = np.asarray(basepoint, dtype=float)
+            basepoint = lamins.basepoint_off(leaves.normals)
+        # not renormalized: the base region rests on signs of <n, b> only
+        basepoint = np.asarray(basepoint, dtype=float)
+        if basepoint.shape != (3,) or not (inner(basepoint, basepoint) < 0 and basepoint[2] > 0):
+            raise ValueError("basepoint must be a future timelike point (x, y, t)")
+        if np.any(np.abs(inner(leaves.normals, basepoint)) < 1e-9):
+            raise ValueError("basepoint lies within 1e-9 of a leaf")
+        self.leaves = leaves
+        self.basepoint = basepoint
 
 
 def lamination_to_json(lamination):
@@ -70,15 +74,15 @@ def lamination_to_json(lamination):
 
 
 def lamination_from_json(data):
-    leaves = []
-    for rec in data["leaves"]:
-        end1, end2, w = finite([rec["end1"], rec["end2"], rec["weight"]], "leaf")
-        leaves.append((lamins.GeodesicH2(RP1Point.from_theta(end1), RP1Point.from_theta(end2)),
-                       float(w)))
+    rows = finite([[float(rec[k]) for k in ("end1", "end2", "weight")]
+                   for rec in data["leaves"]], "leaf").reshape(-1, 3)
+    # every end1, then every end2
+    ends = rp1_from_thetas(rows[:, :2].T.ravel())
     basepoint = data.get("basepoint")
     if basepoint is not None:
         basepoint = finite(basepoint, "basepoint")
-    return FiniteLaminationH2(leaves, basepoint)
+    return FiniteLaminationH2(
+        lamins.LeafSet.from_ends(ends[:len(rows)], ends[len(rows):], rows[:, 2]), basepoint)
 
 
 def shears(leaves, basepoint, scale, side):
@@ -135,13 +139,7 @@ class EarthquakeMap:
     def _separating(self, targets, ideal=False):
         """(Q, N) mask of the leaves, base-outward, that separate the base
         region from each of the (Q, 3) targets."""
-        normals = self.leaves.normals
-        st = inner(normals, targets[:, None])
-        on = np.abs(st) < 1e-12
-        if on.any() and not ideal:
-            raise ValueError("target lies on a leaf")
-        # a leaf endpoint is skipped: its shear fixes it, both sides agree
-        return ~on & (inner(normals, self.lamination.basepoint) * st < 0)
+        return lamins.separating(self.leaves.normals, self.lamination.basepoint, targets, ideal)
 
     def region_isometry(self, targets, ideal=False):
         """(Q, 2, 2) stack of the composed shears carrying the base
@@ -154,10 +152,9 @@ class EarthquakeMap:
         return self.apply(p)
 
     def apply(self, p):
+        """The image of a point off the leaves; a point on a leaf, where
+        the map is two-valued, is refused."""
         p = np.asarray(p, dtype=float)
-        if np.any(np.abs(inner(self.lamination.leaves.normals, p)) < 1e-9):
-            raise ValueError("point lies on an atomic leaf; the map "
-                             "is two-valued there")
         return adjoint_to_so21(self.region_isometry(p)[0]) @ p
 
     def near_normals(self, p, eps):
@@ -221,7 +218,8 @@ class EquivariantEarthquakeMap(EarthquakeMap):
 
     def __init__(self, rep, mc, side="left", scale=1.0, L=3):
         basepoint = lamins.default_basepoint(rep, mc, L)
-        super().__init__(FiniteLaminationH2([], basepoint), side, scale)
+        empty = lamins.LeafSet.from_ends(np.zeros((0, 2)), np.zeros((0, 2)), [])
+        super().__init__(FiniteLaminationH2(empty, basepoint), side, scale)
         self.rep = rep
         self.mc = mc
         self.L = L
@@ -230,7 +228,7 @@ class EquivariantEarthquakeMap(EarthquakeMap):
         """As for a finite lamination, over the leaf lifts crossed from
         the base point to the targets, enumerated in one pass."""
         b = self.lamination.basepoint
-        leaves, mask = lamins.lifted_crossings(self.rep, self.mc, b, targets, self.L)
+        leaves, mask = lamins.lifted_crossings(self.rep, self.mc, b, targets, self.L, ideal)
         return mat2_fold(shears(leaves, b, self.scale, self.side), mask)
 
     def near_normals(self, p, eps):
@@ -283,8 +281,7 @@ def equivariant_lamination(rep, mc, radius=1.5, L=3):
     reach = math.sinh(radius)
     leaves = lamins.stable_lifts(
         rep, mc, L, lambda lv: np.abs(inner(lv.normals, basepoint)) < reach)
-    return FiniteLaminationH2(
-        [(leaves.geodesic(i), w) for i, w in enumerate(leaves.weights)], basepoint)
+    return FiniteLaminationH2(leaves, basepoint)
 
 
 def rep_after_earthquake(rep, mc, scale, side="left", L=3):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from lorentz21 import adshull, flatspace, quakes
-from lorentz21 import laminations as lamins
 from lorentz21.fuchsian import (
     GroupBall,
     Mat2,
@@ -23,6 +22,7 @@ from lorentz21.fuchsian import (
 )
 from lorentz21.laminations import WeightedMulticurve
 from lorentz21.minkowski import CausalClass, Mat2 as _M, RP1Point, classify
+from reference import GeodesicH2, leaves_of
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +127,9 @@ def test_criterion_5_earthquake_anchors():
             ex["end"] - np.array([[s * s, s], [s, 1.0]])))))
         worst_chain = max(worst_chain, float(np.max(np.abs(
             ex["half"] - np.array([[s, r], [r, 1.0]])))))
-        leaf = lamins.GeodesicH2(quakes.real_boundary_point(0.0),
-                                 quakes.real_boundary_point(None))
-        lamination = quakes.FiniteLaminationH2([(leaf, math.log(s))],
+        leaf = GeodesicH2(quakes.real_boundary_point(0.0),
+                          quakes.real_boundary_point(None))
+        lamination = quakes.FiniteLaminationH2(leaves_of([(leaf, math.log(s))]),
                                                quakes.uhp_point(-1.0, 1.0))
         quake = quakes.EarthquakeMap(lamination, side="left")
         for rr in (-2.0, -0.5, 0.5, 3.0):

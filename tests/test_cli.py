@@ -298,10 +298,14 @@ _LEAF = lorentz21.bundled("single_leaf_lamination.json")
     # a generator whose determinant overflows; a genus that is not a JSON integer
     (_rep(2, [[[1e200, 0.0], [0.0, 1e200]]] + [_I] * 3), "finite positive determinant"),
     (_rep(2.7, [_I] * 4), "genus must be an integer"),
-    (_rep(True, [_I] * 2), "genus must be an integer")],
+    (_rep(True, [_I] * 2), "genus must be an integer"),
+    # a spacelike basepoint, and the apex, which lies on the bundled leaf
+    (_lamination("basepoint", 2.0), "future timelike"),
+    (_lamination("basepoint", 0.0), "within 1e-9 of a leaf")],
     ids=["tol-nan", "tol-negative", "flat-tol-nan", "scale-nan", "scale-inf",
          "density-zero", "density-negative", "scale-overflow", "weight-overflow",
-         "matrix-overflow", "generator-overflow", "genus-float", "genus-bool"])
+         "matrix-overflow", "generator-overflow", "genus-float", "genus-bool",
+         "basepoint-spacelike", "basepoint-on-leaf"])
 def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
     if callable(argv):
         argv = argv(tmp_path / "input")
@@ -309,6 +313,34 @@ def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
     assert code == 2
     assert report["schema"] == "lorentz21/error/1"
     assert message in report["error"]
+
+
+def test_enumeration_cap_is_an_internal_failure(monkeypatch, capsys):
+    from lorentz21 import laminations
+
+    monkeypatch.setattr(laminations, "HARD_CAP", 3)
+    code, report = run_cli(["flat", "check", lorentz21.bundled("octagon_rep.json"),
+                            lorentz21.bundled("single_curve.json"), "--ball", "3"], capsys)
+    assert code == 1
+    assert report["schema"] == "lorentz21/error/1"
+    assert report["error"].startswith("EnumerationCapError: ")
+
+
+def test_qhull_failure_is_an_internal_failure(tmp_path, monkeypatch, capsys):
+    from scipy.spatial import QhullError
+
+    from lorentz21 import adshull
+
+    def fail(points, qhull_options=None):
+        raise QhullError("QH6154 initial simplex is flat")
+
+    monkeypatch.setattr(adshull, "ConvexHull", fail)
+    graph = tmp_path / "stairs.csv"
+    graph.write_text("\n".join(_staircase_rows()) + "\n")
+    code, report = run_cli(["ads", "hull", str(graph)], capsys)
+    assert code == 1
+    assert report["schema"] == "lorentz21/error/1"
+    assert report["error"].startswith("QhullError: ")
 
 
 def _staircase_rows(steps=3, m=5):

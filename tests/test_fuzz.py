@@ -1,8 +1,9 @@
-"""Random inputs for `quake`, `ads hull`, `euler` and `flat check`:
-whatever the input and flags, the command exits 0, 1 or 2 and prints a
-JSON report or error with a schema, `quake` writes no non-finite number,
-`euler` and `flat check` raise no warning, and `euler` refuses a
-malformed representation with exit 2.
+"""Random inputs for `quake`, `ads hull`, `euler`, `flat check` and
+`ads between`: whatever the input and flags, the command exits 0, 1 or
+2 and prints a JSON report or error with a schema, `quake` writes no
+non-finite number, `euler`, `flat check` and `ads between` raise no
+warning, and `euler` and `ads between` refuse a malformed
+representation with exit 2.
 Endpoints, weights, scales and points are drawn near the values that
 matter (0, negatives, 1e300, non-finite, crossing and duplicate leaves,
 points on leaves); graphs are monotone, planar, non-monotone,
@@ -10,8 +11,9 @@ duplicated, short, malformed or non-finite; representations have odd
 genera, miscounted generators, or generators scaled out of range,
 singular, non-finite or misshapen; multicurves on the octagon have
 valid, inverse, repeated, trivial, out-of-range or malformed words,
-duplicated or crossing curves, and extreme weights.  A fixed seed makes each run try the
-same cases."""
+duplicated or crossing curves, and extreme weights; `ads between` pairs
+a representation file with the octagon, on either side.  A fixed seed
+makes each run try the same cases."""
 
 import contextlib
 import io
@@ -25,6 +27,7 @@ import warnings
 import numpy as np
 import pytest
 
+import lorentz21
 from lorentz21.cli import main
 from lorentz21.fuchsian import regular_polygon_rep
 from lorentz21.minkowski import RP1Point, geodesic_normal, hyperboloid_normalize, inner
@@ -251,6 +254,43 @@ def test_euler_exit_contract(case):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, report = _run(["euler", path])
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 2 or not malformed
+    hypothesis.event(report.get("error", "exit %d" % code)[:60])
+
+
+@st.composite
+def between_cases(draw):
+    """A representation file from rep_files() and the bundled octagon, in
+    a drawn order, at --ball 0 to 3 and a drawn --density (0 keeps the
+    whole graph, a negative one is invalid)."""
+    rep, malformed = draw(rep_files())
+    flags = ["--ball", str(draw(st.integers(0, 3))),
+             "--density", str(draw(st.sampled_from([0, 1, 5, 50, 200, -2])))]
+    return rep, malformed, draw(st.booleans()), flags
+
+
+BIG = {"genus": 2, "generators": [[[1e100, 0.0], [0.0, 1e-100]]] + [IDENTITY] * 3}
+
+
+@hypothesis.settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@hypothesis.given(between_cases())
+# a generator of trace 1e100 once overflowed with warnings: the fixed
+# points' discriminant from --ball 2, the ball's level products at --ball 4
+@hypothesis.example((BIG, False, False, ["--ball", "2", "--density", "200"]))
+@hypothesis.example((BIG, False, False, ["--ball", "4", "--density", "0"]))
+@hypothesis.example((BIG, False, True, ["--ball", "4", "--density", "0"]))
+def test_ads_between_exit_contract(case):
+    rep, malformed, rep_left, flags = case
+    octagon = lorentz21.bundled("octagon_rep.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rep.json")
+        with open(path, "w") as fh:
+            json.dump(rep, fh)
+        pair = [path, octagon] if rep_left else [octagon, path]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report = _run(["ads", "between"] + pair + flags)
     assert not caught, [str(w.message) for w in caught]
     assert code == 2 or not malformed
     hypothesis.event(report.get("error", "exit %d" % code)[:60])

@@ -6,13 +6,11 @@ import pytest
 
 from lorentz21.fuchsian import GroupBall, regular_polygon_rep
 from lorentz21.laminations import (
-    GeodesicH2,
     WeightedMulticurve,
     closed_geodesic_of,
     crossings,
     default_basepoint,
     disjointness_check,
-    endpoints_linked,
     first_crossing_pair,
     leaf_lifts,
     multicurve_lifts,
@@ -21,6 +19,7 @@ from lorentz21.laminations import (
 )
 from lorentz21.flatspace import cyclic_boost_rep
 from lorentz21.minkowski import RP1Point, hyperboloid_normalize, inner
+from reference import GeodesicH2, endpoints_linked, geodesic
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +60,7 @@ def test_multicurve_json_roundtrip():
 
 
 def test_closed_geodesic_is_axis(octagon):
-    g = closed_geodesic_of(octagon, "a1")
+    g = GeodesicH2(*map(RP1Point.normalized, closed_geodesic_of(octagon, "a1")))
     m = octagon.generators[0]
     assert g.end1.apply(m).dist(g.end1) < 1e-9
     assert g.end2.apply(m).dist(g.end2) < 1e-9
@@ -169,7 +168,7 @@ def test_default_basepoint_off_leaves(octagon):
 def scalar_lifts(rep, word, radius):
     """The reference leaf set: a GeodesicH2 per ball element, dropping
     collapsed leaves and repeated key(7)s, with the first ball index."""
-    base = closed_geodesic_of(rep, word)
+    base = GeodesicH2(*map(RP1Point.normalized, closed_geodesic_of(rep, word)))
     ball = GroupBall(rep, radius)
     seen, out = set(), []
     for i, m in enumerate(ball.elements):
@@ -198,14 +197,14 @@ def test_leaf_record_matches_scalar_reference(octagon, word):
         assert np.array_equal(lifts.normals, [g.normal for g, _ in rows])
         assert lifts.thetas.tolist() == [[g.end1.theta, g.end2.theta] for g, _ in rows]
         assert [tuple(k) for k in lifts.keys.tolist()] == [g.key(7) for g, _ in rows]
-    g = lifts.geodesic(7)
+    g = geodesic(lifts, 7)
     assert np.array_equal(g.normal, lifts.normals[7]) and np.array_equal(g.end1.v, lifts.end1[7])
 
 
 def pairwise_first_crossing(leaves):
     """The scalar reference for disjointness_check: the first pair that
     is one geodesic of two classes, or two crossing leaves."""
-    geos = [leaves.geodesic(i) for i in range(len(leaves))]
+    geos = [geodesic(leaves, i) for i in range(len(leaves))]
     for i in range(len(geos)):
         for j in range(i + 1, len(geos)):
             if same_geodesic(geos[i], geos[j], 1e-7):

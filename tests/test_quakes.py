@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
+import lorentz21
 from lorentz21.fuchsian import Mat2, regular_polygon_rep
-from lorentz21.laminations import GeodesicH2, WeightedMulticurve, crossings
+from lorentz21.laminations import WeightedMulticurve, closed_geodesic_of, crossings
 from lorentz21.minkowski import (
     G,
     RP1Point,
@@ -30,6 +31,7 @@ from lorentz21.quakes import (
     rep_after_earthquake,
     uhp_point,
 )
+from reference import GeodesicH2, leaves_of
 
 
 def single_leaf(weight, base_negative=True):
@@ -37,7 +39,7 @@ def single_leaf(weight, base_negative=True):
     on the negative reals when base_negative."""
     leaf = GeodesicH2(real_boundary_point(0.0), real_boundary_point(None))
     base = uhp_point(-1.0, 1.0) if base_negative else uhp_point(1.0, 1.0)
-    return FiniteLaminationH2([(leaf, weight)], base)
+    return FiniteLaminationH2(leaves_of([(leaf, weight)]), base)
 
 
 def bpoint(quake, r):
@@ -125,8 +127,8 @@ def test_mobius_equivariance():
     A = adjoint_to_so21(g)
     leaf = GeodesicH2(RP1Point.from_theta(0.12), RP1Point.from_theta(0.55))
     base = uhp_point(0.3, 0.8)
-    lam1 = FiniteLaminationH2([(leaf, 0.6)], base)
-    lam2 = FiniteLaminationH2([(leaf.apply(g), 0.6)], A @ base)
+    lam1 = FiniteLaminationH2(leaves_of([(leaf, 0.6)]), base)
+    lam2 = FiniteLaminationH2(leaves_of([(leaf.apply(g), 0.6)]), A @ base)
     q1 = EarthquakeMap(lam1)
     q2 = EarthquakeMap(lam2)
     p = uhp_point(1.7, 0.4)
@@ -136,7 +138,7 @@ def test_mobius_equivariance():
 def test_boundary_map_monotone():
     leaf1 = GeodesicH2(RP1Point.from_theta(0.1), RP1Point.from_theta(0.4))
     leaf2 = GeodesicH2(RP1Point.from_theta(0.55), RP1Point.from_theta(0.8))
-    lamination = FiniteLaminationH2([(leaf1, 0.9), (leaf2, 1.4)])
+    lamination = FiniteLaminationH2(leaves_of([(leaf1, 0.9), (leaf2, 1.4)]))
     cm = boundary_value(EarthquakeMap(lamination), samples=128)
     assert cm.is_monotone()
     cm_r = boundary_value(EarthquakeMap(lamination, side="right"), samples=128)
@@ -147,15 +149,15 @@ def test_lamination_disjointness_enforced():
     leaf1 = GeodesicH2(RP1Point.from_theta(0.1), RP1Point.from_theta(0.5))
     leaf2 = GeodesicH2(RP1Point.from_theta(0.3), RP1Point.from_theta(0.7))
     with pytest.raises(ValueError):
-        FiniteLaminationH2([(leaf1, 1.0), (leaf2, 1.0)])
+        FiniteLaminationH2(leaves_of([(leaf1, 1.0), (leaf2, 1.0)]))
     with pytest.raises(ValueError):
-        FiniteLaminationH2([(leaf1, -1.0)])
+        FiniteLaminationH2(leaves_of([(leaf1, -1.0)]))
 
 
 def test_lamination_basepoint_leaves_a_leaf_through_the_apex():
     leaf = GeodesicH2(RP1Point.from_theta(0.0), RP1Point.from_theta(0.5))
     assert abs(leaf.side(np.array([0.0, 0.0, 1.0]))) < 1e-12
-    lamination = FiniteLaminationH2([(leaf, 1.0)])
+    lamination = FiniteLaminationH2(leaves_of([(leaf, 1.0)]))
     assert abs(leaf.side(lamination.basepoint)) > 1e-6
     assert abs(inner(lamination.basepoint, lamination.basepoint) + 1.0) < 1e-12
 
@@ -164,9 +166,9 @@ def test_lamination_disjointness_names_the_leaves():
     leaves = [GeodesicH2(RP1Point.from_theta(a), RP1Point.from_theta(b))
               for a, b in ((0.1, 0.2), (0.3, 0.5), (0.6, 0.7), (0.4, 0.65))]
     with pytest.raises(ValueError, match="leaves 1 and 3 are not disjoint"):
-        FiniteLaminationH2([(g, 1.0) for g in leaves])
+        FiniteLaminationH2(leaves_of([(g, 1.0) for g in leaves]))
     with pytest.raises(ValueError, match="leaves 0 and 1 are not disjoint"):
-        FiniteLaminationH2([(leaves[0], 1.0), (leaves[0], 2.0)])
+        FiniteLaminationH2(leaves_of([(leaves[0], 1.0), (leaves[0], 2.0)]))
 
 
 def test_lamination_json_roundtrip():
@@ -176,6 +178,40 @@ def test_lamination_json_roundtrip():
     assert len(lam2.leaves) == 1
     assert lam2.leaves.weights[0] == 0.8
     assert np.max(np.abs(lam2.basepoint - lamination.basepoint)) < 1e-12
+
+
+_GOLDEN_LAMINATION = os.path.join(os.path.dirname(__file__), "data", "golden",
+                                  "quake_lamination.json")
+
+
+@pytest.mark.parametrize("path", [_GOLDEN_LAMINATION,
+                                  lorentz21.bundled("single_leaf_lamination.json")],
+                         ids=["golden", "bundled"])
+def test_lamination_record_matches_scalar_reference(path):
+    """A lamination file read in one stacked pass gives, bit for bit, the
+    record of its leaves read one GeodesicH2 at a time."""
+    with open(path) as fh:
+        data = json.load(fh)
+    geos = [GeodesicH2(RP1Point.from_theta(rec["end1"]), RP1Point.from_theta(rec["end2"]))
+            for rec in data["leaves"]]
+    leaves = lamination_from_json(data).leaves
+    assert np.array_equal(leaves.end1, [g.end1.v for g in geos])
+    assert np.array_equal(leaves.end2, [g.end2.v for g in geos])
+    assert leaves.thetas.tolist() == [[g.end1.theta, g.end2.theta] for g in geos]
+    assert [tuple(k) for k in leaves.keys.tolist()] == [g.key(7) for g in geos]
+    assert np.array_equal(leaves.normals, [g.normal for g in geos])
+    assert leaves.weights.tolist() == [rec["weight"] for rec in data["leaves"]]
+
+
+def test_lamination_refuses_coincident_ends():
+    with pytest.raises(ValueError, match="endpoints coincide"):
+        lamination_from_json({"leaves": [{"end1": 0.3, "end2": 1.3, "weight": 1.0}]})
+
+
+def test_lamination_basepoint_must_be_a_point():
+    # a basepoint of two coordinates once passed, then failed with an IndexError
+    with pytest.raises(ValueError, match="future timelike"):
+        lamination_from_json({"leaves": [], "basepoint": [1.0, 2.0]})
 
 
 @pytest.mark.parametrize("s", [2.0, 4.0, 9.0])
@@ -237,6 +273,19 @@ def test_equivariant_quake_equivariance(octagon):
         lhs = quake(adjoint_to_so21(octagon.generators[i]) @ p)
         rhs = adjoint_to_so21(out.generators[i]) @ quake(p)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
+
+
+def test_equivariant_boundary_point_at_a_leaf_end(octagon):
+    """A leaf's shear fixes its ends: the lifted map, as the finite map
+    over the same leaves, sends each end of the a1 axis, the lift next
+    to the base region, to itself."""
+    mc = WeightedMulticurve([("a1", 1.0)])
+    lifted = EquivariantEarthquakeMap(octagon, mc, "left", 0.8)
+    finite = EarthquakeMap(equivariant_lamination(octagon, mc), "left", 0.8)
+    for end in closed_geodesic_of(octagon, "a1"):
+        x = RP1Point.normalized(end)
+        assert lifted.boundary_point(x).dist(x) < 1e-12
+        assert finite.boundary_point(x).dist(x) < 1e-12
 
 
 def test_equivariant_lamination_holds_leaves_within_reach(octagon):
