@@ -45,8 +45,7 @@ class EnumerationCapError(RuntimeError):
 
 
 def same_geodesic(g1, g2, tol=1e-9):
-    """Whether two leaves with RP1Point ends `end1`, `end2` are one
-    geodesic within tol, in either order."""
+    """Whether leaves with RP1Point ends are one geodesic within tol."""
     return (g1.end1.dist(g2.end1) < tol and g1.end2.dist(g2.end2) < tol) or (
         g1.end1.dist(g2.end2) < tol and g1.end2.dist(g2.end1) < tol)
 
@@ -91,8 +90,7 @@ def _class_word(rep, w):
 
 
 def closed_geodesic_of(rep, w):
-    """(2, 2) unit end vectors, attracting then repelling, of the axis
-    of the holonomy of a word."""
+    """(2, 2) end vectors, attracting then repelling, of a word's axis."""
     att, repp, _ = axis(rep.evaluate(_class_word(rep, w)))
     return np.stack([att.v, repp.v])
 
@@ -145,6 +143,9 @@ def _leaf_keys(thetas):
                              for pair in thetas.tolist()]).reshape(-1, 2), axis=1)
 
 
+EMPTY = LeafSet.from_ends(np.zeros((0, 2)), np.zeros((0, 2)), [])
+
+
 def _first_rows(keys):
     """Ascending index of the first row of each distinct (N, 2) key."""
     rows = np.ascontiguousarray(keys).view(np.dtype((np.void, 2 * keys.itemsize)))
@@ -152,9 +153,8 @@ def _first_rows(keys):
 
 
 def _lift_class(ball, base):
-    """Distinct conjugate axes m(base) over the ball's matrices m, for
-    the (2, 2) end vectors base, in first-seen order, as a LeafSet of one
-    class of weight one."""
+    """Distinct conjugate axes m(base) of the (2, 2) end vectors base over
+    the ball's matrices m, first-seen, as a one-class LeafSet of weight 1."""
     end1, theta1 = rp1_stack(ball.elements @ base[0])
     end2, theta2 = rp1_stack(ball.elements @ base[1])
     d = np.abs(theta1 - theta2)
@@ -194,9 +194,8 @@ def multicurve_lifts(rep, mc, radius):
     """LeafSet of the lifts of every class of mc, class by class."""
     parts = [leaf_lifts(rep, w, radius) for w, _ in mc.curves]
     sizes = [len(part) for part in parts]
-    # the empty record keeps the concatenation defined for no classes
-    parts.insert(0, LeafSet.from_ends(np.zeros((0, 2)), np.zeros((0, 2)), []))
-    leaves = LeafSet(*(np.concatenate([getattr(part, f.name) for part in parts])
+    # EMPTY keeps the concatenation defined for no classes
+    leaves = LeafSet(*(np.concatenate([getattr(part, f.name) for part in [EMPTY] + parts])
                        for f in fields(LeafSet)))
     return replace(leaves, weights=np.repeat([wt for _, wt in mc.curves], sizes),
                    classes=np.repeat(np.arange(len(sizes)), sizes))
@@ -260,11 +259,11 @@ def stable_lifts(rep, mc, L, keep):
 
 def separating(normals, b, targets, ideal=False):
     """(Q, N) mask of the leaf planes (by normals) separating b from each
-    of the (Q, 3) targets, the one leaf-side rule of the package.  b or a
-    point target within 1e-9 of a plane is refused; an ideal target
-    within 1e-12 of one is that leaf's end, which its shear fixes, so
-    that leaf does not separate it."""
-    sb, st = inner(normals, b), inner(normals, targets[:, None])
+    of the (Q, 3) targets, the one leaf-side rule of the package.  b,
+    read on the hyperboloid, or a point target within 1e-9 of a plane is
+    refused; an ideal target within 1e-12 of one is that leaf's end,
+    which its shear fixes, so that leaf does not separate it."""
+    sb, st = inner(normals, hyperboloid_normalize(b)), inner(normals, targets[:, None])
     on = np.abs(st) < (1e-12 if ideal else 1e-9)
     if np.any(np.abs(sb) < 1e-9) or (on.any() and not ideal):
         raise ValueError("segment endpoint lies on a leaf within tolerance")
@@ -317,18 +316,14 @@ def transverse_vector(rep, mc, p, q, L):
 
 
 def basepoint_off(normals, eps=1e-6):
-    """The hyperboloid apex or, failing that, the first of its nudges
-    along (0.0131 k, 0.0271 k), k < 200, farther than eps from every
-    leaf plane of the (N, 3) normals."""
-    p = np.array([0.0, 0.0, 1.0])
-    step = 1
-    while np.any(np.abs(inner(normals, p)) < eps):
-        p = hyperboloid_normalize(
-            np.array([0.0131 * step, 0.0271 * step, 1.0]))
-        step += 1
-        if step > 200:
-            raise RuntimeError("could not find a basepoint off all leaves")
-    return p
+    """The first of the hyperboloid apex and its nudges to the Klein
+    points (0.0131 k, 0.0271 k), k <= 33 (k = 34 leaves the disc),
+    farther than eps from every leaf plane of the (N, 3) normals."""
+    for k in range(34):
+        p = hyperboloid_normalize(np.array([0.0131 * k, 0.0271 * k, 1.0]))
+        if not np.any(np.abs(inner(normals, p)) < eps):
+            return p
+    raise RuntimeError("no basepoint off all leaves within 33 nudges")
 
 
 def default_basepoint(rep, mc, L, eps=1e-6):

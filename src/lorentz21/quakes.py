@@ -52,11 +52,11 @@ class FiniteLaminationH2:
             raise ValueError("leaves %d and %d are not disjoint" % pair)
         if basepoint is None:
             basepoint = lamins.basepoint_off(leaves.normals)
-        # not renormalized: the base region rests on signs of <n, b> only
         basepoint = np.asarray(basepoint, dtype=float)
-        if basepoint.shape != (3,) or not (inner(basepoint, basepoint) < 0 and basepoint[2] > 0):
+        if basepoint.shape != (3,):
             raise ValueError("basepoint must be a future timelike point (x, y, t)")
-        if np.any(np.abs(inner(leaves.normals, basepoint)) < 1e-9):
+        # kept as given, as the base region rests on signs of <n, b>
+        if np.any(np.abs(inner(leaves.normals, hyperboloid_normalize(basepoint))) < 1e-9):
             raise ValueError("basepoint lies within 1e-9 of a leaf")
         self.leaves = leaves
         self.basepoint = basepoint
@@ -76,13 +76,12 @@ def lamination_to_json(lamination):
 def lamination_from_json(data):
     rows = finite([[float(rec[k]) for k in ("end1", "end2", "weight")]
                    for rec in data["leaves"]], "leaf").reshape(-1, 3)
-    # every end1, then every end2
-    ends = rp1_from_thetas(rows[:, :2].T.ravel())
+    ends = rp1_from_thetas(rows[:, :2].ravel()).reshape(-1, 2, 2)
     basepoint = data.get("basepoint")
     if basepoint is not None:
         basepoint = finite(basepoint, "basepoint")
     return FiniteLaminationH2(
-        lamins.LeafSet.from_ends(ends[:len(rows)], ends[len(rows):], rows[:, 2]), basepoint)
+        lamins.LeafSet.from_ends(ends[:, 0], ends[:, 1], rows[:, 2]), basepoint)
 
 
 def shears(leaves, basepoint, scale, side):
@@ -137,8 +136,7 @@ class EarthquakeMap:
         return float(error.max(initial=0.0))
 
     def _separating(self, targets, ideal=False):
-        """(Q, N) mask of the leaves, base-outward, that separate the base
-        region from each of the (Q, 3) targets."""
+        """laminations.separating of the base from the (Q, 3) targets."""
         return lamins.separating(self.leaves.normals, self.lamination.basepoint, targets, ideal)
 
     def region_isometry(self, targets, ideal=False):
@@ -152,8 +150,7 @@ class EarthquakeMap:
         return self.apply(p)
 
     def apply(self, p):
-        """The image of a point off the leaves; a point on a leaf, where
-        the map is two-valued, is refused."""
+        """The image of a point off the leaves (on one, it is two-valued)."""
         p = np.asarray(p, dtype=float)
         return adjoint_to_so21(self.region_isometry(p)[0]) @ p
 
@@ -218,8 +215,7 @@ class EquivariantEarthquakeMap(EarthquakeMap):
 
     def __init__(self, rep, mc, side="left", scale=1.0, L=3):
         basepoint = lamins.default_basepoint(rep, mc, L)
-        empty = lamins.LeafSet.from_ends(np.zeros((0, 2)), np.zeros((0, 2)), [])
-        super().__init__(FiniteLaminationH2(empty, basepoint), side, scale)
+        super().__init__(FiniteLaminationH2(lamins.EMPTY, basepoint), side, scale)
         self.rep = rep
         self.mc = mc
         self.L = L

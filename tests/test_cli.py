@@ -326,6 +326,18 @@ def test_enumeration_cap_is_an_internal_failure(monkeypatch, capsys):
     assert report["error"].startswith("EnumerationCapError: ")
 
 
+def test_no_basepoint_off_the_leaves_is_an_internal_failure(tmp_path, capsys):
+    # a leaf through the apex and every nudge of laminations.basepoint_off
+    theta = math.atan2(0.0271, 0.0131) / (2.0 * math.pi) + 0.25
+    path = tmp_path / "lamination.json"
+    path.write_text(json.dumps(
+        {"leaves": [{"end1": theta, "end2": theta + 0.5, "weight": 1.0}]}))
+    code, report = run_cli(["quake", str(path), "1.0", "--density", "8"], capsys)
+    assert code == 1
+    assert report["schema"] == "lorentz21/error/1"
+    assert report["error"].startswith("RuntimeError: no basepoint off all leaves")
+
+
 def test_qhull_failure_is_an_internal_failure(tmp_path, monkeypatch, capsys):
     from scipy.spatial import QhullError
 

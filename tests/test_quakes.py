@@ -214,6 +214,30 @@ def test_lamination_basepoint_must_be_a_point():
         lamination_from_json({"leaves": [], "basepoint": [1.0, 2.0]})
 
 
+def test_lamination_basepoint_tolerance_is_read_on_the_hyperboloid():
+    # the apex scaled down lies 1.38 from the leaf's plane once normalized:
+    # it is kept as given and designates the apex's region
+    leaf = {"end1": 0.1, "end2": 0.3, "weight": 1.0}
+    small = lamination_from_json({"leaves": [leaf], "basepoint": [0.0, 0.0, 1e-10]})
+    assert lamination_to_json(small)["basepoint"] == [0.0, 0.0, 1e-10]
+    apex = lamination_from_json({"leaves": [leaf], "basepoint": [0.0, 0.0, 1.0]})
+    p = uhp_point(0.3, 0.2)
+    assert np.array_equal(EarthquakeMap(small)(p), EarthquakeMap(apex)(p))
+    # 1e-12 off the leaf x = 0, scaled up: refused whatever the scale
+    with pytest.raises(ValueError, match="within 1e-9 of a leaf"):
+        lamination_from_json({"leaves": [{"end1": 0.0, "end2": 0.5, "weight": 1.0}],
+                              "basepoint": [1e-3, 0.0, 1e9]})
+
+
+def test_lamination_with_no_basepoint_off_its_leaves_fails():
+    # the Klein diameter along (0.0131, 0.0271) holds the apex and all 33
+    # nudges of laminations.basepoint_off; its end at angle phi has theta
+    # phi / 2 pi + 1 / 4
+    theta = math.atan2(0.0271, 0.0131) / (2.0 * math.pi) + 0.25
+    with pytest.raises(RuntimeError, match="no basepoint off all leaves"):
+        lamination_from_json({"leaves": [{"end1": theta, "end2": theta + 0.5, "weight": 1.0}]})
+
+
 @pytest.mark.parametrize("s", [2.0, 4.0, 9.0])
 def test_quadric_action_example(s):
     ex = quadric_action_example(s)
