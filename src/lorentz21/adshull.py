@@ -22,7 +22,8 @@ import math
 import numpy as np
 
 from .fuchsian import GroupBall, Mat2
-from .minkowski import RP1Point, adjugate, finite, mat2_stack, rp1_from_thetas, rp1_stack
+from .minkowski import (RP1Point, adjugate, finite, mat2_stack, rp1_from_thetas, rp1_stack,
+                        row_keys)
 from .quakes import CircleMap
 
 EPS = 1e-9
@@ -123,11 +124,10 @@ class ProjectivePlane:
 
     def dual_mat2(self):
         """Determinant-one matrix representative of the dual point of a
-        spacelike plane."""
-        q = float(qform(self.label))
-        if q <= 0:
+        plane that classify() calls spacelike."""
+        if self.classify() != "spacelike":
             raise ValueError("plane is not spacelike")
-        return Mat2(mat_of(self.label) / math.sqrt(q))
+        return Mat2(mat_of(self.label) / math.sqrt(float(qform(self.label))))
 
     def __repr__(self):
         return "ProjectivePlane(%s)" % np.array2string(self.label, precision=6)
@@ -158,30 +158,26 @@ def plane_z_equals(k):
     return ProjectivePlane(np.array([-k, 1.0, -1.0, -k]))
 
 
-class CircleGraph:
-    """Sampled graph of a monotone circle map on the quadric.
-
-    Samples are (theta_left, theta_right) pairs; the quadric point of a
-    sample is the Segre image of the two RP^1 points.
+class CircleGraph(CircleMap):
+    """Sampled graph of a monotone circle map on the quadric: at least 3
+    (theta_left, theta_right) samples, taken mod 1 and sorted.  The
+    quadric point of a sample is the Segre image of the two RP^1 points.
     """
 
     def __init__(self, samples):
         if len(samples) < 3:
             raise ValueError("need at least 3 samples")
-        self.samples = [(float(a) % 1.0, float(b) % 1.0) for a, b in samples]
-        self.samples.sort()
+        super().__init__(samples)
+        s = self.samples % 1.0
+        self.samples = s[np.lexsort((s[:, 1], s[:, 0]))]
         self._points = None
-
-    def __len__(self):
-        return len(self.samples)
 
     def points(self):
         """(N, 4) array of quadric points, one per sample, with
         representative signs aligned along the curve so that incidence
         sign patterns are meaningful."""
         if self._points is None:
-            tl, tr = zip(*self.samples)
-            l, r = rp1_from_thetas(tl), rp1_from_thetas(tr)
+            l, r = rp1_from_thetas(self.samples[:, 0]), rp1_from_thetas(self.samples[:, 1])
             raw = (l[:, :, None] * r[:, None, :]).reshape(-1, 4)
             # a point is negated when its dot product with the previous
             # signed point is negative: a running product of the signs of
@@ -195,7 +191,7 @@ class CircleGraph:
         return self._points
 
     def is_monotone(self, tol=1e-9):
-        return CircleMap(self.samples).is_monotone(tol)
+        return super().is_monotone(tol)
 
     def is_planar(self, tol=1e-9):
         """True iff all sample points lie on one projective plane."""
@@ -208,12 +204,8 @@ class CircleGraph:
         """Consecutive samples must be mutually spacelike on the quadric,
         which for graph points means both ruling coordinates step in the
         same direction."""
-        s = np.array(self.samples)
-        step = (np.roll(s, -1, axis=0) - s + 0.5) % 1.0 - 0.5
+        step = (np.roll(self.samples, -1, axis=0) - self.samples + 0.5) % 1.0 - 0.5
         return not np.any(step[:, 0] * step[:, 1] < -tol)
-
-    def to_csv_rows(self):
-        return ["%.12f,%.12f" % s for s in self.samples]
 
     @classmethod
     def from_csv_rows(cls, rows):
@@ -228,18 +220,33 @@ class CircleGraph:
         return cls(samples)
 
 
+def _separates(label, pts):
+    """Whether the plane of label has incidences of one strict sign on
+    the (N, 4) points, each beyond 1e-9 of |label| |point|."""
+    inc = qpair(label, pts)
+    margin = EPS * np.linalg.norm(label) * np.linalg.norm(pts, axis=1)
+    return bool(np.all(inc > margin) or np.all(inc < -margin))
+
+
 def _scan_z_family(pts, cap):
-    scale = np.linalg.norm(pts, axis=1)
     k = 0.25
     for _ in range(cap):
         for kk in (k, -k):
             label = np.array([-kk, 1.0, -1.0, -kk])
-            inc = qpair(label, pts)
-            margin = 1e-9 * np.linalg.norm(label) * scale
-            if np.all(inc > margin) or np.all(inc < -margin):
+            if _separates(label, pts):
                 return label
         k *= 1.25
     return None
+
+
+def _plane_through(pts):
+    """The plane through the (N, 4) points, each scaled to unit length,
+    by least squares: qpair(label, v) is linear in label, v contributing
+    the row (d, -c, -b, a) / 2.  From 4 rows on, the reduced SVD has the
+    same last right singular vector without the (N, N) left factor."""
+    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    rows = 0.5 * np.stack([pts[:, 3], -pts[:, 2], -pts[:, 1], pts[:, 0]], axis=1)
+    return ProjectivePlane(np.linalg.svd(rows, full_matrices=len(rows) < 4)[2][-1])
 
 
 def disjoint_spacelike_plane(graph, cap=120):
@@ -253,11 +260,7 @@ def disjoint_spacelike_plane(graph, cap=120):
     if label is not None:
         return ProjectivePlane(label)
     n = len(graph)
-    idx = [n // 6, n // 2, (5 * n) // 6]
-    tri = pts[idx] / np.linalg.norm(pts[idx], axis=1, keepdims=True)
-    rows = 0.5 * np.stack([tri[:, 3], -tri[:, 2], -tri[:, 1], tri[:, 0]], axis=1)
-    _, _, vt = np.linalg.svd(rows)
-    p0 = ProjectivePlane(vt[-1])
+    p0 = _plane_through(pts[[n // 6, n // 2, (5 * n) // 6]])
     if p0.classify() != "spacelike":
         raise RuntimeError("no disjoint spacelike plane found")
     g = ROTATION_GENERATOR @ np.linalg.inv(p0.dual_mat2().m)
@@ -388,7 +391,7 @@ def convex_hull(graph, chart_plane=None):
     centered = chart_pts - chart_pts.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[-1] < 1e-9 * max(sv[0], 1.0):
-        plane = _flat_plane(graph)
+        plane = _plane_through(graph.points())
         faces = HullFaces(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 4)), np.zeros(0, bool),
                           np.zeros(0, int), np.zeros(1, int))
         return HullComplex(graph, chart_plane, chart_pts, faces,
@@ -408,17 +411,14 @@ def convex_hull(graph, chart_plane=None):
 
 
 def _group_means(rows, group):
-    """np.mean(rows[group == g], axis=0) for g = 0, 1, .., bit for bit and
-    unpadded: slot k adds the k-th row of each group with more than k."""
-    count = np.bincount(group)
-    members = np.argsort(group, kind="stable")
-    begin = np.cumsum(count) - count
-    big = np.argsort(-count, kind="stable")
-    total = rows[members[begin[big]]]
-    for k in range(1, count[big[0]]):
-        have = big[:np.searchsorted(-count[big], -k)]
-        total[:len(have)] += rows[members[begin[have] + k]]
-    return (total / count[big, None])[np.argsort(big)]
+    """np.mean(rows[group == g], axis=0) for g = 0, 1, .., bit for bit:
+    each group's first row, then the rest added in order."""
+    first = np.unique(group, return_index=True)[1]
+    total = rows[first]
+    rest = np.ones(len(group), dtype=bool)
+    rest[first] = False
+    np.add.at(total, group[rest], rows[rest])
+    return total / np.bincount(group)[:, None]
 
 
 def _merged_faces(hull, pts4, chart_pts, chart_mat):
@@ -427,7 +427,7 @@ def _merged_faces(hull, pts4, chart_pts, chart_mat):
     agree to 6 decimals form one face, numbered by first appearance, with
     the mean equation; chart_mat is the chart transport m."""
     eqs = hull.equations
-    keys = np.ascontiguousarray(np.round(eqs, 6) + 0.0).view(np.dtype((np.void, 32))).ravel()
+    keys = row_keys(eqs, 6)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     face = np.argsort(np.argsort(first))[inverse]
     mean = _group_means(eqs, face)
@@ -457,16 +457,6 @@ def _merged_faces(hull, pts4, chart_pts, chart_mat):
         has = np.flatnonzero(np.diff(start) > j)
         flow[has] += _rowdot(normals[has], velocity[ids[start[has] + j]])
     return HullFaces(normals, offsets, labels, flow > 0, ids, start)
-
-
-def _flat_plane(graph):
-    """Plane containing every point of a planar graph."""
-    pts = graph.points()
-    pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    # qpair(label, v) is linear in label: v contributes row (d,-c,-b,a)/2
-    rows = 0.5 * np.stack([pts[:, 3], -pts[:, 2], -pts[:, 1], pts[:, 0]], axis=1)
-    _, _, vt = np.linalg.svd(rows)
-    return ProjectivePlane(vt[-1])
 
 
 def face_adjacency(hull):
@@ -539,24 +529,16 @@ def _face_mobius(duals):
     return mat2_stack(ROTATION_GENERATOR @ adjugate(duals))
 
 
-def _boundary_map(tls, mobs):
-    """CircleMap of tl -> RP1Point.from_theta(tl).apply(m).theta, with
-    one Mobius matrix m per sample (or one for all), in one stacked
-    pass that equals the per-sample RP1Point arithmetic bit for bit."""
-    v = rp1_from_thetas(tls)
-    return CircleMap(zip(tls, rp1_stack((mobs @ v[:, :, None])[:, :, 0])[1].tolist()))
-
-
 def extract_left_earthquake(hull):
     """Per-face left/right factors relative to the largest future face,
     the recovered boundary circle map, and the shear weights (twice the
     bending weights) of the future-boundary edges."""
-    tls = [tl for tl, _ in hull.graph.samples]
+    theta = hull.graph.samples[:, 0]
     if hull.flat:
         plane = hull.flat_plane
         if plane.classify() != "spacelike":
             raise ValueError("flat hull on a non-spacelike plane")
-        cm = _boundary_map(tls, _face_mobius(plane.dual_mat2().m[None]))
+        cm = CircleMap.of_mobius(theta, _face_mobius(plane.dual_mat2().m[None]))
         return ExtractedEarthquake(np.eye(2)[None], cm, [], 0.0)
 
     # near-tangent sliver faces of the sampled hull classify as null;
@@ -575,9 +557,8 @@ def extract_left_earthquake(hull):
     # first face of `order` that holds it
     held = kept[faces.owner]
     v, first = np.unique(faces.ids[held], return_index=True)
-    face_of = np.full(len(tls), -1)
+    face_of = np.full(len(theta), -1)
     face_of[v] = np.searchsorted(order, faces.owner[held][first])
-    theta = np.array(tls)
     vids = np.flatnonzero(face_of >= 0)
     vids = vids[np.argsort(theta[vids])]
     vthetas = theta[vids]
@@ -587,7 +568,7 @@ def extract_left_earthquake(hull):
     d = np.minimum(d, 1.0 - d)
     nearest = vids[np.where(d[1] < d[0], near[1], near[0])]
     pos = np.where(face_of >= 0, face_of, face_of[nearest])
-    cm = _boundary_map(tls, _face_mobius(duals)[pos])
+    cm = CircleMap.of_mobius(theta, _face_mobius(duals)[pos])
 
     shear_edges = [(2.0 * b.weight, b.face_i, b.face_j)
                    for b in bending_data(hull) if b.weight is not None]
@@ -601,7 +582,7 @@ def extract_left_earthquake(hull):
     flat = np.array([(i, j) for w, i, j in shear_edges if w < 1e-3], dtype=int).reshape(-1, 2)
     label = _components(len(order), np.searchsorted(order, flat))
     stratum = label[np.searchsorted(order, faces.owner[held])]
-    vertices = np.bincount(np.unique(stratum * len(tls) + faces.ids[held]) // len(tls))
+    vertices = np.bincount(np.unique(stratum * len(theta) + faces.ids[held]) // len(theta))
     heads = np.unique(label)
     lead = np.full(len(order), len(order))
     # by_size permutes the ascending order, so argsort gives each one's rank
@@ -713,9 +694,6 @@ def lemma5_configuration():
     return [chart_quadric_point(*p) for p in base + up + down]
 
 
-def plane_separates(plane, points, eps=EPS):
+def plane_separates(plane, points):
     """Constant-sign incidence of a plane on a list of 4-vectors."""
-    pts = np.asarray(points, dtype=float)
-    inc = qpair(plane.label, pts)
-    margin = eps * np.linalg.norm(plane.label) * np.linalg.norm(pts, axis=1)
-    return bool(np.all(inc > margin) or np.all(inc < -margin))
+    return _separates(plane.label, np.asarray(points, dtype=float))

@@ -16,10 +16,12 @@ import json
 import sys
 import time
 
+import numpy as np
+
 from . import adshull, flatspace, quakes
 from . import laminations as lamins
 from .fuchsian import GroupBall, Representation, euler_class
-from .minkowski import CausalClass, classify, finite
+from .minkowski import CausalClass, classify, finite, inner
 
 SCHEMA_PREFIX = "lorentz21"
 
@@ -160,8 +162,6 @@ def cmd_quake(args):
     values = {"leaves": len(lamination.leaves), "scale": args.scale,
               "side": args.side, "boundary_samples": len(cm)}
     inputs = {"lamination": args.lamination}
-    if args.out is not None:
-        _write(args.out, "boundary.csv", "\n".join(cm.to_csv_rows()) + "\n")
     if args.points is not None:
         inputs["points"] = args.points
         rows = []
@@ -172,6 +172,11 @@ def cmd_quake(args):
                 if not line or line.startswith("#"):
                     continue
                 p = finite([float(v) for v in line.split(",")], "point")
+                # future timelike, with |<p, p> + 1| <= 1e-9 |p|^2 (Euclidean)
+                sq = float(inner(p, p)) if p.shape == (3,) else 0.0
+                if not (sq < 0 < p[2] and abs(sq + 1.0) <= 1e-9 * float(p @ p)):
+                    raise ValueError("points row %r is not a point (x, y, t) of the "
+                                     "hyperboloid" % line)
                 try:
                     q = quake.apply(p)
                     rows.append("%.12f,%.12f,%.12f,%.12f,%.12f,%.12f,ok"
@@ -186,6 +191,9 @@ def cmd_quake(args):
         values["ambiguous_points"] = ambiguous
         if args.out is not None:
             _write(args.out, "images.csv", "\n".join(rows) + "\n")
+    # written once every input row is read, so refused input leaves no artifact
+    if args.out is not None:
+        _write(args.out, "boundary.csv", "\n".join(cm.to_csv_rows()) + "\n")
     return _emit(_report("quake", args, inputs, values, checks,
                          {"shear_trace_error": quake.shear_trace_error()}), args.out)
 
@@ -198,10 +206,8 @@ def _hull_pipeline(args, graph, inputs, extra_values):
     hull = adshull.convex_hull(graph)
     quake = adshull.extract_left_earthquake(hull)
     spacing = 1.0 / len(graph)
-    roundtrip = 0.0
-    for (tl, tr), (_, out) in zip(graph.samples, quake.boundary_map.samples):
-        d = abs(out - tr)
-        roundtrip = max(roundtrip, min(d, 1.0 - d))
+    d = np.abs(quake.boundary_map.samples[:, 1] - graph.samples[:, 1])
+    roundtrip = float(np.minimum(d, 1.0 - d).max(initial=0.0))
     lorentzian = int((hull.faces.classes == "lorentzian").sum())
     checks += [
         _check("no-lorentzian-faces", lorentzian, 0),
@@ -253,7 +259,7 @@ def cmd_ads_between(args):
     if args.density and args.density < len(graph):
         step = len(graph) / float(args.density)
         keep = sorted({int(i * step) for i in range(args.density)})
-        graph = adshull.CircleGraph([graph.samples[i] for i in keep])
+        graph = adshull.CircleGraph(graph.samples[keep])
     extra = {"mode": "between", "genus": rep_l.genus,
              "relator_defect_L": rep_l.relator_defect(),
              "relator_defect_R": rep_r.relator_defect()}
@@ -266,16 +272,17 @@ def build_parser():
                                             "spacetime constructions")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp, density=200):
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--ball", type=int, default=3)
-        sp.add_argument("--density", type=int, default=density)
-        sp.add_argument("--seed", type=int, default=0)
+    def options(sp, *names, density=200):
+        """--out, and the named ones of --tol, --ball, --density, --seed."""
+        kinds = {"tol": (float, 1e-8), "ball": (int, 3), "density": (int, density),
+                 "seed": (int, 0)}
+        for name in names:
+            sp.add_argument("--" + name, type=kinds[name][0], default=kinds[name][1])
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("euler", help="Euler class of a representation")
     sp.add_argument("rep")
-    common(sp)
+    options(sp, "tol")
     sp.set_defaults(func=cmd_euler)
 
     spf = sub.add_parser("flat", help="flat spacetimes from weighted multicurves")
@@ -284,7 +291,7 @@ def build_parser():
         sp = fsub.add_parser(mode)
         sp.add_argument("rep")
         sp.add_argument("multicurve")
-        common(sp)
+        options(sp, "tol", "ball", "density", "seed")
         sp.set_defaults(func=cmd_flat, flat_mode=mode)
 
     sp = sub.add_parser("quake", help="earthquake along a finite lamination")
@@ -292,19 +299,19 @@ def build_parser():
     sp.add_argument("scale", type=float)
     sp.add_argument("--points", default=None)
     sp.add_argument("--side", choices=("left", "right"), default="left")
-    common(sp, density=256)
+    options(sp, "density", density=256)
     sp.set_defaults(func=cmd_quake)
 
     spa = sub.add_parser("ads", help="anti-de Sitter convex hulls")
     asub = spa.add_subparsers(dest="ads_mode", required=True)
     sp = asub.add_parser("hull")
     sp.add_argument("graph")
-    common(sp)
+    options(sp, "tol")
     sp.set_defaults(func=cmd_ads_hull)
     sp = asub.add_parser("between")
     sp.add_argument("repL")
     sp.add_argument("repR")
-    common(sp)
+    options(sp, "tol", "ball", "density")
     sp.set_defaults(func=cmd_ads_between)
     return p
 
@@ -313,7 +320,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if finite(args.tol, "--tol") < 0:
+        if finite(getattr(args, "tol", 0.0), "--tol") < 0:
             raise ValueError("--tol must be >= 0")
         code = args.func(args)
     except (OSError, ValueError, KeyError, TypeError, RuntimeError) as exc:

@@ -195,13 +195,6 @@ class DevelopedSurfacePatch:
     def __len__(self):
         return len(self.points)
 
-    def region_translations(self, ndigits=7):
-        """Unique x values over the sampled complementary regions."""
-        seen = {}
-        for x in self.xvals:
-            seen.setdefault(tuple(np.round(x, ndigits)), np.asarray(x))
-        return list(seen.values())
-
 
 def develop_surface(rep, mc, radius=1.5, density=200, basepoint=None, L=3, seed=0):
     """Sample the deformed development over a hyperbolic disc.
@@ -317,15 +310,14 @@ def support_planes(patch, count=64):
     """One null support plane per sampled null direction.
 
     For the future direction n(phi) = (cos phi, sin phi, 1) the domain
-    lies in {<n, y> < max_r <n, x_r>} over the region translations x_r;
+    lies in {<n, y> < max_r <n, x_r>} over the sampled translations x_r;
     stored with the normal negated so membership reads >= offset.
     """
-    regions = patch.region_translations()
     out = []
     for k in range(count):
         phi = 2.0 * math.pi * k / count
         n = np.array([math.cos(phi), math.sin(phi), 1.0])
-        c = max(float(inner(n, x)) for x in regions)
+        c = float(inner(n, patch.xvals).max())
         out.append(NullSupportPlane(-n, -c))
     return out
 

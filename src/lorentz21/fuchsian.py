@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .minkowski import (Mat2, RP1Point, adjugate, canonical_signs, finite, mat2_fold, mat2_stack,
-                        rp1_from_thetas, rp1_stack, unnormalizable)
+                        row_keys, rp1_from_thetas, rp1_stack, unnormalizable)
 
 
 class EllipticDegeneracyError(RuntimeError):
@@ -243,7 +243,7 @@ class GroupBall:
         letters, steps = signed_letters(rep.genus), rep.steps()
         mats, lets = np.eye(2)[None], np.array([0])
         levels = [(mats, np.array([-1]), lets)]
-        keys = self._keys(mats)
+        keys = row_keys(mats.reshape(-1, 4), KEY_DIGITS)
         self.offsets = [0, 1]
         for _ in range(radius):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -255,7 +255,7 @@ class GroupBall:
             if unnormalizable(prods).any():
                 raise ValueError("a product of the generators overflows")
             prods = mat2_stack(prods)
-            level_keys = self._keys(prods)
+            level_keys = row_keys(prods.reshape(-1, 4), KEY_DIGITS)
             # first occurrence of each key in the level, minus known keys
             first = np.sort(np.unique(level_keys, return_index=True)[1])
             first = first[~np.isin(level_keys[first], keys)]
@@ -266,12 +266,6 @@ class GroupBall:
         self.elements, self.parent, self.letter = (np.concatenate(a) for a in zip(*levels))
         self._key_order = np.argsort(keys)
         self._sorted_keys = keys[self._key_order]
-
-    def _keys(self, mats):
-        """One comparable key per matrix: its entries rounded to
-        KEY_DIGITS (with -0.0 folded into 0.0), viewed as bytes."""
-        flat = np.round(mats.reshape(-1, 4), KEY_DIGITS) + 0.0
-        return np.ascontiguousarray(flat).view(np.dtype((np.void, 32))).ravel()
 
     def __len__(self):
         return len(self.elements)
@@ -290,7 +284,7 @@ class GroupBall:
         """Ball index of each matrix in a (M, 2, 2) stack, or -1 where
         the matrix (up to sign) is not in the ball."""
         mats = canonical_signs(np.asarray(mats, dtype=float))
-        keys = self._keys(mats)
+        keys = row_keys(mats.reshape(-1, 4), KEY_DIGITS)
         pos = np.minimum(np.searchsorted(self._sorted_keys, keys), len(self) - 1)
         idx = self._key_order[pos]
         hit = (self._sorted_keys[pos] == keys) & (

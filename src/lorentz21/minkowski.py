@@ -163,6 +163,13 @@ def mat2_stack(mats):
     return canonical_signs(mats / np.sqrt(_det(mats))[:, None, None])
 
 
+def row_keys(rows, digits):
+    """One comparable key per row of a (N, k) stack: its entries rounded
+    to `digits` decimals (with -0.0 folded into 0.0), viewed as bytes."""
+    flat = np.ascontiguousarray(np.round(rows, digits) + 0.0)
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+
+
 def mat2_fold(factors, mask=None):
     """(Q, 2, 2) stack of the products, in order, of the (N, 2, 2)
     factors that each row of the (Q, N) mask selects (all of them, Q = 1,
@@ -349,7 +356,7 @@ def rp1_from_thetas(thetas):
     """RP1Point.from_theta(t).v of each entry of a sequence of circle
     parameters, as a (N, 2) stack: the same math.cos and math.sin per
     entry, then rp1_units."""
-    angles = [(t % 1.0) * math.pi for t in thetas]
+    angles = [(t % 1.0) * math.pi for t in np.ravel(thetas).tolist()]
     return rp1_units(np.array([[math.cos(a), math.sin(a)] for a in angles]).reshape(-1, 2))
 
 

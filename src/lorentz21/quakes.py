@@ -178,10 +178,21 @@ class EarthquakeMap:
 
 
 class CircleMap:
-    """Sampled monotone degree-one circle map."""
+    """Sampled monotone degree-one circle map: one (N, 2) array of
+    (source, image) angle samples, kept in the order given."""
 
     def __init__(self, samples):
-        self.samples = [(float(a), float(b)) for a, b in samples]
+        self.samples = np.array(samples, dtype=float)
+        if self.samples.ndim != 2 or self.samples.shape[1] != 2:
+            raise ValueError("circle map samples must be (source, image) pairs")
+
+    @classmethod
+    def of_mobius(cls, thetas, mobs):
+        """The map theta -> RP1Point.from_theta(theta).apply(m).theta with
+        one Mobius matrix m per angle (or one for all), in one stacked
+        pass that equals the per-sample RP1Point arithmetic bit for bit."""
+        v = rp1_from_thetas(thetas)
+        return cls(np.stack([thetas, rp1_stack((mobs @ v[:, :, None])[:, :, 0])[1]], axis=1))
 
     def __len__(self):
         return len(self.samples)
@@ -189,13 +200,13 @@ class CircleMap:
     def is_monotone(self, tol=1e-12):
         """Cyclic monotonicity: going once around the source circle, the
         image angles also go once around, each step short of a turn."""
-        outs = [b for _, b in sorted(self.samples)]
+        outs = [b for _, b in sorted(self.samples.tolist())]
         steps = [(b - a) % 1.0 for a, b in zip(outs, outs[1:] + outs[:1])]
         return len(outs) < 3 or (abs(sum(steps) - 1.0) < 1e-6 and max(steps) < 1.0 - tol)
 
     def evaluate(self, theta):
         """Piecewise-linear interpolation of the samples."""
-        s = sorted(self.samples)
+        s = sorted(self.samples.tolist())
         theta = theta % 1.0
         i = bisect.bisect_right([a for a, _ in s], theta) - 1
         (a0, b0), (a1, b1) = s[i % len(s)], s[(i + 1) % len(s)]
@@ -205,7 +216,7 @@ class CircleMap:
         return (b0 + db * (((theta - a0) % 1.0) / da)) % 1.0
 
     def to_csv_rows(self):
-        return ["%.12f,%.12f" % ab for ab in self.samples]
+        return ["%.12f,%.12f" % (a, b) for a, b in self.samples.tolist()]
 
 
 class EquivariantEarthquakeMap(EarthquakeMap):
@@ -248,9 +259,8 @@ def boundary_value(quake, samples=256):
         far = np.abs(ths - ends[[0, -1], None])
         ths = np.where((near < 1e-9).any(axis=0) | (np.abs(far - 1.0) < 1e-9).any(axis=0),
                        ths + 2e-9, ths)
-    vs = rp1_from_thetas(ths.tolist())
-    g = quake.region_isometry(null_vectors(vs), ideal=True)
-    return CircleMap(zip(ths.tolist(), rp1_stack((g @ vs[:, :, None])[:, :, 0])[1].tolist()))
+    g = quake.region_isometry(null_vectors(rp1_from_thetas(ths)), ideal=True)
+    return CircleMap.of_mobius(ths, g)
 
 
 def quadric_action_example(s):

@@ -119,8 +119,12 @@ def test_dual_point_examples():
     assert abs(n.incidence(n.dual_point())) < 1e-15
     # duality is an involution
     assert proj_err(ProjectivePlane(p.dual_point()).label, p.label) == 0.0
-    with pytest.raises(ValueError):
-        n.dual_mat2()
+    # a null plane has no dual matrix, nor has one with q > 0 that
+    # classify() calls null
+    for label in ([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1e-12]):
+        assert ProjectivePlane(label).classify() == "null"
+        with pytest.raises(ValueError):
+            ProjectivePlane(label).dual_mat2()
 
 
 def test_plane_incidence_is_quadric_polarization():
@@ -497,3 +501,20 @@ def test_convex_hull_peak_memory():
         tracemalloc.stop()
     assert np.diff(hull.faces.start).max() >= 1000
     assert peak <= 1.5 * 4.55e6
+
+
+def test_flat_hull_peak_memory():
+    """A flat graph's plane is the least-squares SVD of one row per
+    sample.  The full SVD's (N, N) left factor made the tracemalloc peak
+    of this 3,000-sample graph 72 MB (numpy 2.4); the reduced SVD's is
+    about 0.6 MB."""
+    graph = identity_graph(3000)
+    convex_hull(graph)  # load scipy and cache the graph points first
+    tracemalloc.start()
+    try:
+        hull = convex_hull(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hull.flat
+    assert peak <= 8e6

@@ -279,6 +279,23 @@ def test_non_finite_input_is_invalid(tmp_path, capsys, make_argv):
 
 
 _LEAF = lorentz21.bundled("single_leaf_lamination.json")
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
+_GOLDEN_LAMINATION = os.path.join(_GOLDEN, "quake_lamination.json")
+
+
+def _point(lamination, row):
+    def argv(path):
+        path.write_text(row + "\n")
+        return ["quake", lamination, "1.0", "--points", str(path), "--density", "8"]
+    return argv
+
+
+def _golden_point(scale):
+    """The first golden point, which lies on a leaf of the golden
+    lamination, times scale, as a points row."""
+    with open(os.path.join(_GOLDEN, "quake_points.csv")) as fh:
+        row = [line for line in fh if not line.startswith("#")][0]
+    return ",".join(repr(scale * float(v)) for v in row.split(","))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -301,11 +318,14 @@ _LEAF = lorentz21.bundled("single_leaf_lamination.json")
     (_rep(True, [_I] * 2), "genus must be an integer"),
     # a spacelike basepoint, and the apex, which lies on the bundled leaf
     (_lamination("basepoint", 2.0), "future timelike"),
-    (_lamination("basepoint", 0.0), "within 1e-9 of a leaf")],
+    (_lamination("basepoint", 0.0), "within 1e-9 of a leaf"),
+    # points off the hyperboloid: a spacelike one, and an on-leaf one scaled
+    (_point(_LEAF, "2,0,1"), "not a point (x, y, t) of the hyperboloid"),
+    (_point(_GOLDEN_LAMINATION, _golden_point(1e9)), "not a point (x, y, t) of the hyperboloid")],
     ids=["tol-nan", "tol-negative", "flat-tol-nan", "scale-nan", "scale-inf",
          "density-zero", "density-negative", "scale-overflow", "weight-overflow",
          "matrix-overflow", "generator-overflow", "genus-float", "genus-bool",
-         "basepoint-spacelike", "basepoint-on-leaf"])
+         "basepoint-spacelike", "basepoint-on-leaf", "point-spacelike", "point-scaled"])
 def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
     if callable(argv):
         argv = argv(tmp_path / "input")
@@ -313,6 +333,34 @@ def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
     assert code == 2
     assert report["schema"] == "lorentz21/error/1"
     assert message in report["error"]
+
+
+def test_refused_points_write_no_artifacts(tmp_path, capsys):
+    out = tmp_path / "out"
+    code, report = run_cli(_point(_LEAF, "2,0,1")(tmp_path / "pts.csv") + ["--out", str(out)],
+                           capsys)
+    assert code == 2
+    assert not out.exists()
+
+
+_OCTAGON = lorentz21.bundled("octagon_rep.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["euler", _OCTAGON, "--ball", "3"], ["euler", _OCTAGON, "--density", "200"],
+    ["euler", _OCTAGON, "--seed", "1"], ["quake", _LEAF, "1.0", "--tol", "1e-8"],
+    ["quake", _LEAF, "1.0", "--ball", "3"], ["quake", _LEAF, "1.0", "--seed", "1"],
+    ["ads", "hull", "graph.csv", "--ball", "3"], ["ads", "hull", "graph.csv", "--density", "200"],
+    ["ads", "hull", "graph.csv", "--seed", "1"],
+    ["ads", "between", _OCTAGON, _OCTAGON, "--seed", "1"]],
+    ids=["euler-ball", "euler-density", "euler-seed", "quake-tol", "quake-ball", "quake-seed",
+         "hull-ball", "hull-density", "hull-seed", "between-seed"])
+def test_unread_flag_is_refused(argv, capsys):
+    # each command takes only the flags it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_enumeration_cap_is_an_internal_failure(monkeypatch, capsys):
@@ -366,8 +414,6 @@ def _staircase_rows(steps=3, m=5):
     return rows
 
 
-_GOLDEN_LAMINATION = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                  "data", "golden", "quake_lamination.json")
 
 
 def test_diagnostics_block(tmp_path, capsys):
