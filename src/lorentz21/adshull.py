@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .fuchsian import GroupBall, Mat2
-from .minkowski import (RP1Point, adjugate, finite, mat2_stack, rp1_from_thetas, rp1_stack,
-                        row_keys)
+from .minkowski import (RP1Point, adjugate, finite, mat2_stack, per_value, rp1_from_thetas,
+                        rp1_stack, row_keys)
 from .quakes import CircleMap
 
 EPS = 1e-9
@@ -488,9 +488,9 @@ def face_adjacency(hull):
 
 def _dual_distances(m1, m2):
     """arccosh(|tr(m1 m2^{-1})| / 2) per row of two dual stacks, normalized
-    as Mat2 does; math.acosh per value, as np.arccosh differs in last bits."""
+    as Mat2 does, by math.acosh; a NaN dual gives NaN."""
     rel = mat2_stack(m1 @ mat2_stack(adjugate(m2)))
-    return [math.acosh(max(t / 2.0, 1.0)) for t in np.abs(rel[:, 0, 0] + rel[:, 1, 1]).tolist()]
+    return per_value(math.acosh, np.maximum(np.abs(rel[:, 0, 0] + rel[:, 1, 1]) / 2.0, 1.0))
 
 
 def bending_data(hull):
@@ -507,7 +507,7 @@ def bending_data(hull):
     spacelike = (hull.faces.classes == "spacelike")[pairs].all(axis=1).tolist()
     shared, start = shared.tolist(), start.tolist()
     return [BendingDatum(i, j, shared[lo:hi], w if ok else None) for (i, j), lo, hi, w, ok
-            in zip(pairs.tolist(), start[:-1], start[1:], weights, spacelike)]
+            in zip(pairs.tolist(), start[:-1], start[1:], weights.tolist(), spacelike)]
 
 
 class ExtractedEarthquake:
@@ -591,7 +591,7 @@ def extract_left_earthquake(hull):
     dominant = 0.0
     if len(top) >= 2:
         first, second = by_size[lead[top[:2]]]
-        dominant = 2.0 * _dual_distances(faces.duals[[first]], faces.duals[[second]])[0]
+        dominant = 2.0 * _dual_distances(faces.duals[[first]], faces.duals[[second]]).item()
     return ExtractedEarthquake(left_factors, cm, shear_edges, dominant, len(heads))
 
 

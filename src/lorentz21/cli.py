@@ -103,6 +103,8 @@ def _cocycle_checks(rep, coc, ball_radius, tol):
 
 
 def cmd_flat(args):
+    if args.flat_mode == "build" and args.density < 2:
+        raise ValueError("--density must be >= 2")
     rep = Representation.from_json(_load_json(args.rep))
     mc = lamins.WeightedMulticurve.from_json(_load_json(args.multicurve))
     disjoint = lamins.disjointness_check(rep, mc, args.ball)
@@ -127,15 +129,15 @@ def cmd_flat(args):
         gap = flatspace.injectivity_gap(patch, max_pairs=20000, seed=args.seed + 1)
         bad_x = sum(1 for x in patch.xvals
                     if classify(x) not in (CausalClass.SPACELIKE, CausalClass.ZERO))
-        planes = flatspace.support_planes(patch)
+        normals, offsets = flatspace.support_planes(patch)
         checks += [
             _check("graph-slope", slope, 1.0),
             _check("injectivity-gap", -gap, 1e-9),
             _check("x-spacelike-or-zero", bad_x, 0),
         ]
         values["samples"] = len(patch)
-        diagnostics["perturbed_samples"] = sum(patch.perturbed)
-        values["support_planes"] = len(planes)
+        diagnostics["perturbed_samples"] = int(patch.perturbed.sum())
+        values["support_planes"] = len(offsets)
         if args.out is not None:
             _write(args.out, "cocycle.json", json.dumps(
                 {"schema": "%s/cocycle/1" % SCHEMA_PREFIX,
@@ -147,8 +149,8 @@ def cmd_flat(args):
             _write(args.out, "surface.obj", "\n".join(obj) + "\n")
             _write(args.out, "support_planes.json", json.dumps(
                 {"schema": "%s/support-planes/1" % SCHEMA_PREFIX,
-                 "planes": [{"normal": [float(v) for v in pl.normal],
-                             "offset": pl.offset} for pl in planes]},
+                 "planes": [{"normal": n, "offset": c}
+                            for n, c in zip(normals.tolist(), offsets.tolist())]},
                 sort_keys=True, indent=2) + "\n")
     return _emit(_report("flat", args, {"rep": args.rep, "multicurve": args.multicurve},
                          values, checks, diagnostics), args.out)

@@ -24,6 +24,7 @@ from .minkowski import (
     hyperboloid_normalize,
     inner,
     mat2_stack,
+    per_value,
 )
 
 
@@ -190,7 +191,7 @@ class DevelopedSurfacePatch:
         self.points = np.asarray(points, dtype=float)
         self.xvals = np.asarray(xvals, dtype=float)
         self.fvals = self.points + self.xvals
-        self.perturbed = list(perturbed)
+        self.perturbed = np.asarray(perturbed, dtype=bool)
 
     def __len__(self):
         return len(self.points)
@@ -212,28 +213,35 @@ def develop_surface(rep, mc, radius=1.5, density=200, basepoint=None, L=3, seed=
     leaves = lam.stable_lifts(
         rep, mc, L, lambda lv: np.abs(inner(lv.normals, basepoint)) < reach)
 
-    rng = np.random.default_rng(seed)
-    boost = _transport_to(basepoint)
-    pts, flags = [], []
-    for _ in range(density):
-        u, v = rng.random(), rng.random()
-        d = math.acosh(1.0 + (math.cosh(radius) - 1.0) * u)
-        ang = 2.0 * math.pi * v
-        # walk distance d from the apex, then recenter at the basepoint
-        p = np.array([math.sinh(d) * math.cos(ang), math.sinh(d) * math.sin(ang), math.cosh(d)])
-        p = boost @ p
-        flag = False
-        for _ in range(50):
-            if np.all(np.abs(inner(leaves.normals, p)) > 1e-7):
-                break
-            p = hyperboloid_normalize(p + np.array([1e-5, 2e-5, 0.0]))
-            flag = True
-        pts.append(p)
-        flags.append(flag)
-    pts = np.array(pts).reshape(-1, 3)
+    # one (u, v) row per sample reads the stream as draws of u then v do
+    u, v = np.random.default_rng(seed).random((density, 2)).T
+    d = per_value(math.acosh, 1.0 + (math.cosh(radius) - 1.0) * u)
+    ang = 2.0 * math.pi * v
+    # walk distance d from the apex, then recenter at the basepoint by a
+    # stacked matvec, which keeps the bits of one product per point
+    sinh = per_value(math.sinh, d)
+    walk = np.stack([sinh * per_value(math.cos, ang), sinh * per_value(math.sin, ang),
+                     per_value(math.cosh, d)], axis=1)
+    pts, flags = _nudge_off((_transport_to(basepoint) @ walk[:, :, None])[:, :, 0],
+                            leaves.normals)
 
     xvals = lam.transverse_sum(*lam.crossing_record(leaves, basepoint, pts))
     return DevelopedSurfacePatch(pts, xvals, flags)
+
+
+def _nudge_off(pts, normals):
+    """The (N, 3) hyperboloid points with each one within 1e-7 of a leaf
+    plane (by normals) moved by (1e-5, 2e-5, 0) and back onto the
+    hyperboloid until it is clear, at most 50 times; and which moved."""
+    pts, flags = pts.copy(), np.zeros(len(pts), dtype=bool)
+    rows = np.arange(len(pts))
+    for _ in range(50):
+        rows = rows[~(np.abs(inner(normals, pts[rows, None])) > 1e-7).all(axis=1)]
+        if not len(rows):
+            break
+        pts[rows] = hyperboloid_normalize(pts[rows] + np.array([1e-5, 2e-5, 0.0]))
+        flags[rows] = True
+    return pts, flags
 
 
 def _transport_to(b):
@@ -266,12 +274,10 @@ def injectivity_gap(patch, max_pairs=20000, seed=1):
         # a (k, 2) draw reads the stream as k draws of two do; a pair of
         # one sample twice, or of points closer than 1e-8, is redrawn
         i, j = rng.integers(0, m, size=(max_pairs - count, 2)).T
-        # math.acosh and math.exp per value: numpy's differ in the last bit
-        d = np.array([math.acosh(c) if c > 1.0 else 0.0
-                      for c in (-inner(patch.points[i], patch.points[j])).tolist()])
+        d = per_value(math.acosh, np.fmax(-inner(patch.points[i], patch.points[j]), 1.0))
         keep = (i != j) & (d >= 1e-8)
         i, j, d = i[keep], j[keep], d[keep]
-        fp = np.array([math.exp(x) for x in d.tolist()]).reshape(-1, 1) * patch.points[i]
+        fp = per_value(math.exp, d)[:, None] * patch.points[i]
         diff = fp + patch.xvals[i] - patch.fvals[j]
         gap = min(gap, float(np.nanmin(inner(diff, diff), initial=math.inf)))
         count += len(d)
@@ -292,34 +298,17 @@ def graph_slope_check(patch):
     return worst
 
 
-class NullSupportPlane:
-    """Half-space {<normal, y> >= offset} with null normal, oriented so
-    the intersection over all planes is future-complete."""
-
-    __slots__ = ("normal", "offset")
-
-    def __init__(self, normal, offset):
-        self.normal = np.asarray(normal, dtype=float)
-        self.offset = float(offset)
-
-    def contains(self, y, tol=0.0):
-        return float(inner(self.normal, y)) >= self.offset - tol
-
-
 def support_planes(patch, count=64):
-    """One null support plane per sampled null direction.
+    """(count, 3) normals and (count,) offsets of one null support plane
+    {<normal, y> >= offset} per sampled null direction.
 
     For the future direction n(phi) = (cos phi, sin phi, 1) the domain
     lies in {<n, y> < max_r <n, x_r>} over the sampled translations x_r;
     stored with the normal negated so membership reads >= offset.
     """
-    out = []
-    for k in range(count):
-        phi = 2.0 * math.pi * k / count
-        n = np.array([math.cos(phi), math.sin(phi), 1.0])
-        c = float(inner(n, patch.xvals).max())
-        out.append(NullSupportPlane(-n, -c))
-    return out
+    phi = 2.0 * math.pi * np.arange(count) / count
+    n = np.stack([per_value(math.cos, phi), per_value(math.sin, phi), np.ones(count)], axis=1)
+    return -n, -inner(n[:, None], patch.xvals).max(axis=1)
 
 
 class CyclicSingularitySegment:

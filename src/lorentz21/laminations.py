@@ -32,6 +32,7 @@ from .minkowski import (
     hyperboloid_normalize,
     inner,
     null_vectors,
+    per_value,
     rp1_stack,
     rp1_thetas,
 )
@@ -137,10 +138,8 @@ class LeafSet:
 
 def _leaf_keys(thetas):
     """The identifying key of each leaf of (N, 2) end parameters: both
-    rounded to 7 digits by round() (np.round can differ in the last
-    digit), mod 1, in ascending order."""
-    return np.sort(np.array([[round(t, 7) % 1.0 for t in pair]
-                             for pair in thetas.tolist()]).reshape(-1, 2), axis=1)
+    rounded to 7 digits by round(), mod 1, in ascending order."""
+    return np.sort(per_value(lambda t: round(t, 7), thetas) % 1.0, axis=1)
 
 
 EMPTY = LeafSet.from_ends(np.zeros((0, 2)), np.zeros((0, 2)), [])

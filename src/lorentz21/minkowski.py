@@ -37,6 +37,16 @@ SL2_BASIS = np.array([
 ])
 
 
+def per_value(fn, *arrays):
+    """A Python scalar function (from math, or round) applied to each
+    value of equal-shape arrays, as an array of their shape: the one
+    place the package's values meet Python's math, to which they are
+    pinned bit for bit, as numpy's counterparts can differ in the last bit."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    out = np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float, arrays[0].size)
+    return out.reshape(arrays[0].shape)
+
+
 def finite(values, what):
     """values as a float array (a scalar stays 0-d); NaN or an infinite
     entry is invalid input, reported by name."""
@@ -249,12 +259,12 @@ class LorentzIsometry:
 
 
 def hyperboloid_normalize(v):
-    """Project v onto the upper hyperboloid <v,v> = -1, t > 0."""
+    """Project v, or each row of v, onto the upper hyperboloid <v,v> = -1, t > 0."""
     v = np.asarray(v, dtype=float)
     q = inner(v, v)
-    if q >= 0 or v[2] <= 0:
+    if np.any((q >= 0) | (v[..., 2] <= 0)):
         raise ValueError("point must be future timelike")
-    return v / math.sqrt(-q)
+    return v / np.sqrt(-q)[..., None]
 
 
 def apex():
@@ -329,9 +339,8 @@ class RP1Point:
 
 def rp1_units(vs):
     """RP1Point's normal form of each row v of a (N, 2) stack: v over
-    math.hypot(v) (numpy's norm differs in the last bit), with the sign
-    that puts its angle in [0, pi)."""
-    norms = np.array([math.hypot(x, y) for x, y in vs.tolist()]).reshape(-1, 1)
+    math.hypot(v), with the sign that puts its angle in [0, pi)."""
+    norms = per_value(math.hypot, vs[:, 0], vs[:, 1])[:, None]
     if np.any(norms == 0.0):
         raise ValueError("zero vector is not projective")
     vs = vs / norms
@@ -341,8 +350,8 @@ def rp1_units(vs):
 
 def rp1_thetas(units):
     """The circle parameter angle / pi in [0, 1) of each normal-form row,
-    by math.atan2 (numpy's arctan2 differs in the last bit)."""
-    a = np.array([math.atan2(y, x) for x, y in units.tolist()])
+    by math.atan2."""
+    a = per_value(math.atan2, units[:, 1], units[:, 0])
     return (np.where(a < 0, a + math.pi, a) / math.pi) % 1.0
 
 
@@ -354,10 +363,9 @@ def rp1_stack(vs):
 
 def rp1_from_thetas(thetas):
     """RP1Point.from_theta(t).v of each entry of a sequence of circle
-    parameters, as a (N, 2) stack: the same math.cos and math.sin per
-    entry, then rp1_units."""
-    angles = [(t % 1.0) * math.pi for t in np.ravel(thetas).tolist()]
-    return rp1_units(np.array([[math.cos(a), math.sin(a)] for a in angles]).reshape(-1, 2))
+    parameters, as a (N, 2) stack: math.cos and math.sin, then rp1_units."""
+    angles = (np.ravel(thetas) % 1.0) * math.pi
+    return rp1_units(np.stack([per_value(math.cos, angles), per_value(math.sin, angles)], axis=1))
 
 
 def null_vectors(vs):

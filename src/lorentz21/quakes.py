@@ -23,8 +23,8 @@ import numpy as np
 from . import laminations as lamins
 from .fuchsian import Representation
 from .minkowski import (G, RP1Point, adjoint_to_so21, finite, hyperboloid_normalize, inner,
-                        mat2_fold, mat2_stack, null_vectors, rp1_from_thetas, rp1_stack,
-                        unnormalizable)
+                        mat2_fold, mat2_stack, null_vectors, per_value, rp1_from_thetas,
+                        rp1_stack, unnormalizable)
 
 
 def uhp_point(u, v):
@@ -98,7 +98,7 @@ def shears(leaves, basepoint, scale, side):
     amounts = scale * leaves.weights
     overflow = "a shear of %.6g along a leaf overflows"
     try:
-        d = np.array([math.exp(a / 2.0) for a in amounts.tolist()])
+        d = per_value(math.exp, amounts / 2.0)
     except OverflowError:
         raise ValueError(overflow % amounts.max()) from None
     diag = np.zeros_like(m)
@@ -167,8 +167,8 @@ class EarthquakeMap:
         if len(near) == 0:
             v = self.apply(p)
             return [v, v]
-        sides = [hyperboloid_normalize(p + sgn * eps * (G @ near[0])) for sgn in (1.0, -1.0)]
-        return list(adjoint_to_so21(self.region_isometry(np.array(sides))) @ p)
+        sides = hyperboloid_normalize(p + np.array([[eps], [-eps]]) * (G @ near[0]))
+        return list(adjoint_to_so21(self.region_isometry(sides)) @ p)
 
     def boundary_point(self, x):
         """Image of an ideal point under the boundary extension."""
@@ -248,7 +248,7 @@ def boundary_value(quake, samples=256):
     endpoints."""
     if samples < 1:
         raise ValueError("boundary samples must be >= 1")
-    ends = np.array(sorted({round(t, 12) for t in quake.lamination.leaves.thetas.ravel().tolist()}))
+    ends = np.unique(per_value(lambda t: round(t, 12), quake.lamination.leaves.thetas))
     ths = (np.arange(samples) + 0.5) / samples
     if len(ends):
         # a sample is nudged within 1e-9 of an end, or of an end less one:

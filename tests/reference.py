@@ -1,6 +1,9 @@
 """Scalar references of the array layer: the leaf type GeodesicH2 and
 the pairwise linking test the stacked leaf routines are checked
-against, and helpers between them and a LeafSet."""
+against, helpers between them and a LeafSet, and the per-sample nudge
+of a developed surface."""
+
+import math
 
 import numpy as np
 
@@ -60,3 +63,21 @@ def leaves_of(pairs):
 def geodesic(leaves, i):
     """Row i of a LeafSet as a GeodesicH2 with the same end vectors."""
     return GeodesicH2(RP1Point.normalized(leaves.end1[i]), RP1Point.normalized(leaves.end2[i]))
+
+
+def nudge_off(pts, normals):
+    """Each hyperboloid point within 1e-7 of a leaf plane (by normals)
+    moved by (1e-5, 2e-5, 0) and back onto the hyperboloid until it is
+    clear, at most 50 times, one point at a time; and which moved."""
+    out, flags = [], []
+    for p in pts:
+        flag = False
+        for _ in range(50):
+            if np.all(np.abs(inner(normals, p)) > 1e-7):
+                break
+            p = p + np.array([1e-5, 2e-5, 0.0])
+            p = p / math.sqrt(-float(inner(p, p)))
+            flag = True
+        out.append(p)
+        flags.append(flag)
+    return np.array(out).reshape(-1, 3), flags

@@ -321,11 +321,16 @@ def _golden_point(scale):
     (_lamination("basepoint", 0.0), "within 1e-9 of a leaf"),
     # points off the hyperboloid: a spacelike one, and an on-leaf one scaled
     (_point(_LEAF, "2,0,1"), "not a point (x, y, t) of the hyperboloid"),
-    (_point(_GOLDEN_LAMINATION, _golden_point(1e9)), "not a point (x, y, t) of the hyperboloid")],
+    (_point(_GOLDEN_LAMINATION, _golden_point(1e9)), "not a point (x, y, t) of the hyperboloid"),
+    # a build needs two samples for its injectivity pairs
+    *[(["flat", "build", lorentz21.bundled("octagon_rep.json"),
+        lorentz21.bundled("single_curve.json"), "--density", d], "--density must be >= 2")
+      for d in ("-5", "0", "1")]],
     ids=["tol-nan", "tol-negative", "flat-tol-nan", "scale-nan", "scale-inf",
          "density-zero", "density-negative", "scale-overflow", "weight-overflow",
          "matrix-overflow", "generator-overflow", "genus-float", "genus-bool",
-         "basepoint-spacelike", "basepoint-on-leaf", "point-spacelike", "point-scaled"])
+         "basepoint-spacelike", "basepoint-on-leaf", "point-spacelike", "point-scaled",
+         "flat-density-negative", "flat-density-zero", "flat-density-one"])
 def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
     if callable(argv):
         argv = argv(tmp_path / "input")

@@ -6,6 +6,7 @@ import pytest
 from lorentz21.flatspace import (
     StandardTorusSpacetime,
     TranslationCocycle,
+    _nudge_off,
     coboundary_cocycle,
     cocycle_from_lamination,
     cocycle_residual,
@@ -20,8 +21,10 @@ from lorentz21.flatspace import (
     zero_cocycle,
 )
 from lorentz21.fuchsian import GroupBall, regular_polygon_rep
-from lorentz21.laminations import WeightedMulticurve
-from lorentz21.minkowski import CausalClass, adjoint_to_so21, classify, inner
+from lorentz21.laminations import WeightedMulticurve, stable_lifts
+from lorentz21.minkowski import (CausalClass, adjoint_to_so21, apex, classify,
+                                 hyperboloid_normalize, inner, null_vectors)
+from reference import nudge_off
 
 
 @pytest.fixture(scope="module")
@@ -217,20 +220,50 @@ def test_develop_surface_empty_multicurve(octagon):
     assert np.max(np.abs(p.fvals - p.points)) == 0.0
 
 
+@pytest.fixture(scope="module")
+def near_leaves(octagon, curve):
+    """The lifts of a1 within distance 2 of the apex."""
+    return stable_lifts(octagon, curve, 3,
+                        lambda lv: np.abs(inner(lv.normals, apex())) < math.sinh(2.0))
+
+
+def test_nudge_matches_per_sample_reference(near_leaves):
+    normals = near_leaves.normals
+    rng = np.random.default_rng(7)
+    r, ang = rng.uniform(0.0, 1.5, 40), rng.uniform(0.0, 2.0 * math.pi, 40)
+    off = np.stack([np.sinh(r) * np.cos(ang), np.sinh(r) * np.sin(ang), np.cosh(r)], axis=1)
+    # points of the hyperboloid projected onto leaf planes, each the
+    # nearest point of its leaf to a sample, mixed in with the samples
+    k = rng.integers(0, len(normals), 20)
+    on = [hyperboloid_normalize(q - inner(n, q) * n) for q, n in zip(off[:20], normals[k])]
+    pts = np.concatenate([off, on])[rng.permutation(60)]
+    got, flags = _nudge_off(pts, normals)
+    want, want_flags = nudge_off(pts, normals)
+    assert flags.dtype == bool and flags.sum() >= 20
+    assert flags.tolist() == want_flags
+    assert np.array_equal(got, want)
+    assert np.all(np.abs(inner(normals, got[flags][:, None])) > 1e-7)
+
+
+def test_nudge_refuses_a_point_it_cannot_keep_timelike(near_leaves):
+    # a short null vector on a leaf plane: the nudge makes it spacelike
+    p = 1e-6 * null_vectors(near_leaves.end1[:1])
+    with pytest.raises(ValueError, match="future timelike"):
+        _nudge_off(p, near_leaves.normals)
+
+
 def test_support_planes_contain_surface(patch):
-    planes = support_planes(patch, count=32)
-    assert len(planes) == 32
-    for pl in planes:
-        assert abs(inner(pl.normal, pl.normal)) < 1e-12
-        for f in patch.fvals:
-            assert pl.contains(f, tol=1e-9)
+    normals, offsets = support_planes(patch, count=32)
+    assert normals.shape == (32, 3) and offsets.shape == (32,)
+    assert np.all(np.abs(inner(normals, normals)) < 1e-12)
+    assert np.all(inner(normals[:, None], patch.fvals) >= offsets[:, None] - 1e-9)
 
 
 def test_support_planes_exclude_past(patch):
     # a deep past point violates some support plane
     far_past = np.array([0.0, 0.0, -50.0])
-    planes = support_planes(patch, count=32)
-    assert not all(pl.contains(far_past) for pl in planes)
+    normals, offsets = support_planes(patch, count=32)
+    assert not np.all(inner(normals, far_past) >= offsets)
 
 
 def test_standard_torus():

@@ -18,6 +18,7 @@ from lorentz21.minkowski import (
     hyperboloid_normalize,
     inner,
     is_lorentz_linear,
+    per_value,
     rotation_t_axis,
     rp1_from_thetas,
     rp1_stack,
@@ -111,6 +112,36 @@ def test_hyperboloid_normalize_and_distance():
     assert abs(h2_distance(apex(), q) - 0.7) < 1e-12
     with pytest.raises(ValueError):
         hyperboloid_normalize(np.array([1.0, 0.0, 0.5]))
+
+
+# ±0.0, NaN, tiny, huge and halfway-looking values, and a random spread
+_VALUES = [0.0, -0.0, math.nan, 1e-300, -2.5e-8, 0.12345675, -0.5000000000005,
+           1.0, 3.0, -7.25, 123.456789012345, 1e300]
+
+
+@pytest.mark.parametrize("fn, domain", [
+    (math.hypot, "any"), (math.atan2, "any"), (math.cos, "any"), (math.sin, "any"),
+    (math.exp, "exp"), (math.acosh, "acosh"), (math.sinh, "exp"), (math.cosh, "exp"),
+    (lambda t: round(t, 7), "any"), (lambda t: round(t, 12), "any")],
+    ids=["hypot", "atan2", "cos", "sin", "exp", "acosh", "sinh", "cosh", "round7", "round12"])
+def test_per_value_matches_scalar_calls(fn, domain):
+    rng = np.random.default_rng(3)
+    values = np.array(_VALUES + (rng.normal(size=20) * 50.0).tolist())
+    if domain == "exp":
+        values = values[~(np.abs(values) > 700.0)]
+    elif domain == "acosh":
+        values = np.concatenate([[1.0, math.nan], 1.0 + np.abs(values[~np.isnan(values)])])
+    arity = 2 if fn in (math.hypot, math.atan2) else 1
+    args = [values, np.roll(values, 5)][:arity]
+    for shape in ((len(values),), (len(values) // 2, 2), (0,), (0, 2)):
+        arrays = [a[:math.prod(shape)].reshape(shape) for a in args]
+        want = np.empty(shape)
+        for idx in np.ndindex(*shape):
+            want[idx] = fn(*(float(a[idx]) for a in arrays))
+        got = per_value(fn, *arrays)
+        assert got.shape == shape and got.dtype == float
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_rp1_theta_roundtrip():
