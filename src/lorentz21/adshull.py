@@ -16,7 +16,6 @@ faces yield the left earthquake with the graph as boundary value.
 
 from __future__ import annotations
 
-import collections
 import math
 
 import numpy as np
@@ -294,9 +293,6 @@ class HullFaces:
         return len(self.offsets)
 
 
-BendingDatum = collections.namedtuple("BendingDatum", "face_i face_j shared_vertex_ids weight")
-
-
 class HullComplex:
     """Convex hull of a circle graph in an affine chart.
 
@@ -335,29 +331,27 @@ class HullComplex:
             worst = min(worst, -float(np.max(slack)))
         return worst
 
-    def _ordered_cycle(self, ids, n):
-        pts = self.chart_points[ids]
-        center = pts.mean(axis=0)
-        a = np.array([1.0, 0.0, 0.0])
-        if abs(np.dot(a, n)) > 0.9:
-            a = np.array([0.0, 1.0, 0.0])
-        e1 = np.cross(n, a)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(n, e1)
-        ang = np.arctan2((pts - center) @ e2, (pts - center) @ e1)
-        return [ids[i] for i in np.argsort(ang)]
-
     def to_obj(self):
+        """Wavefront OBJ of the hull vertices (1-based in vertex_ids
+        order) and faces, each face's cycle ordered by the angle about its
+        vertex mean in a basis of its plane."""
         lines = ["# convex hull in affine chart; plane at infinity dual to"]
         lines.append("# %s" % np.array2string(self.chart_plane.label, precision=9))
-        index = {}
-        for i in self.vertex_ids:
-            index[i] = len(index) + 1
-            x, y, z = self.chart_points[i]
-            lines.append("v %.9f %.9f %.9f" % (x, y, z))
-        for ids, n in zip(np.split(self.faces.ids, self.faces.start[1:-1]), self.faces.normals):
-            cycle = [index[i] for i in self._ordered_cycle(ids, n)]
-            lines.append("f " + " ".join(str(i) for i in cycle))
+        lines += ["v %.9f %.9f %.9f" % tuple(p)
+                  for p in self.chart_points[self.vertex_ids].tolist()]
+        faces, n, owner = self.faces, self.faces.normals, self.faces.owner
+        pts = self.chart_points[faces.ids]
+        rel = pts - _group_means(pts, owner)[owner]
+        helper = np.where((np.abs(n[:, 0]) > 0.9)[:, None], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+        e1 = np.cross(n, helper)
+        e1 /= np.sqrt(_rowdot(e1, e1))[:, None]
+        e2 = np.cross(n, e1)
+        angle = np.arctan2(_rowdot(rel, e2[owner]), _rowdot(rel, e1[owner]))
+        index = np.zeros(len(self.chart_points), int)
+        index[self.vertex_ids] = np.arange(1, len(self.vertex_ids) + 1)
+        cycles = index[faces.ids[np.lexsort((angle, owner))]].astype(str).tolist()
+        lines += ["f " + " ".join(cycles[lo:hi])
+                  for lo, hi in zip(faces.start[:-1].tolist(), faces.start[1:].tolist())]
         return "\n".join(lines) + "\n"
 
 
@@ -406,7 +400,7 @@ def convex_hull(graph, chart_plane=None):
     # inv(minv), not m: the round trip differs from m in the last bits
     faces = _merged_faces(hull, pts4, chart_pts, np.linalg.inv(minv))
     return HullComplex(graph, chart_plane, chart_pts, faces,
-                       np.array(sorted(int(i) for i in hull.vertices)),
+                       np.sort(hull.vertices),
                        qhull_facets=len(hull.equations), joggled=joggled)
 
 
@@ -494,31 +488,29 @@ def _dual_distances(m1, m2):
 
 
 def bending_data(hull):
-    """Dual-point distances across future-boundary edges.
+    """Dual-point distances across future-boundary edges: face_adjacency's
+    (pairs, shared, start) and the (E,) weights.
 
     The distance between the dual points of two adjacent spacelike
     faces is arccosh of the normalized pairing, equivalently arccosh of
-    |tr(m1 m2^{-1})| / 2 for the determinant-one duals.  Null-face
-    adjacencies get weight None.
+    |tr(m1 m2^{-1})| / 2 for the determinant-one duals.  An edge with a
+    face that is not spacelike has no dual there and weight NaN.
     """
     pairs, shared, start = face_adjacency(hull)
     duals = hull.faces.duals
-    weights = _dual_distances(duals[pairs[:, 0]], duals[pairs[:, 1]])
-    spacelike = (hull.faces.classes == "spacelike")[pairs].all(axis=1).tolist()
-    shared, start = shared.tolist(), start.tolist()
-    return [BendingDatum(i, j, shared[lo:hi], w if ok else None) for (i, j), lo, hi, w, ok
-            in zip(pairs.tolist(), start[:-1], start[1:], weights.tolist(), spacelike)]
+    return pairs, shared, start, _dual_distances(duals[pairs[:, 0]], duals[pairs[:, 1]])
 
 
 class ExtractedEarthquake:
     """Left-earthquake data read off the future boundary of a hull.  The
-    `dominant_shear` is the weight of the dominant leaf: the shear
-    between the two largest of the `strata`, which meet along it."""
+    `bending` record is bending_data's; the `dominant_shear` is the
+    weight of the dominant leaf: the shear between the two largest of
+    the `strata`, which meet along it."""
 
-    def __init__(self, left_factors, boundary_map, shear_edges, dominant_shear=0.0, strata=1):
+    def __init__(self, left_factors, boundary_map, bending, dominant_shear=0.0, strata=1):
         self.left_factors = left_factors
         self.boundary_map = boundary_map
-        self.shear_edges = shear_edges
+        self.bending = bending
         self.dominant_shear = dominant_shear
         self.strata = strata
 
@@ -531,15 +523,15 @@ def _face_mobius(duals):
 
 def extract_left_earthquake(hull):
     """Per-face left/right factors relative to the largest future face,
-    the recovered boundary circle map, and the shear weights (twice the
-    bending weights) of the future-boundary edges."""
+    the recovered boundary circle map, and the bending record of the
+    future-boundary edges (a shear weight is twice a bending weight)."""
     theta = hull.graph.samples[:, 0]
     if hull.flat:
         plane = hull.flat_plane
         if plane.classify() != "spacelike":
             raise ValueError("flat hull on a non-spacelike plane")
         cm = CircleMap.of_mobius(theta, _face_mobius(plane.dual_mat2().m[None]))
-        return ExtractedEarthquake(np.eye(2)[None], cm, [], 0.0)
+        return ExtractedEarthquake(np.eye(2)[None], cm, bending_data(hull), 0.0)
 
     # near-tangent sliver faces of the sampled hull classify as null;
     # they carry no dual point and are skipped
@@ -570,8 +562,7 @@ def extract_left_earthquake(hull):
     pos = np.where(face_of >= 0, face_of, face_of[nearest])
     cm = CircleMap.of_mobius(theta, _face_mobius(duals)[pos])
 
-    shear_edges = [(2.0 * b.weight, b.face_i, b.face_j)
-                   for b in bending_data(hull) if b.weight is not None]
+    bending = pairs, _, _, weights = bending_data(hull)
 
     # the dominant leaf separates the two largest regions of the bent
     # surface.  Thinned samples can split one region into several faces,
@@ -579,8 +570,7 @@ def extract_left_earthquake(hull):
     # sized by its distinct vertices and represented by its first face
     # in by-size order; sampling slivers can hide the shared edge of
     # the two largest, so measure the shear between their duals directly
-    flat = np.array([(i, j) for w, i, j in shear_edges if w < 1e-3], dtype=int).reshape(-1, 2)
-    label = _components(len(order), np.searchsorted(order, flat))
+    label = _components(len(order), np.searchsorted(order, pairs[2.0 * weights < 1e-3]))
     stratum = label[np.searchsorted(order, faces.owner[held])]
     vertices = np.bincount(np.unique(stratum * len(theta) + faces.ids[held]) // len(theta))
     heads = np.unique(label)
@@ -592,7 +582,7 @@ def extract_left_earthquake(hull):
     if len(top) >= 2:
         first, second = by_size[lead[top[:2]]]
         dominant = 2.0 * _dual_distances(faces.duals[[first]], faces.duals[[second]]).item()
-    return ExtractedEarthquake(left_factors, cm, shear_edges, dominant, len(heads))
+    return ExtractedEarthquake(left_factors, cm, bending, dominant, len(heads))
 
 
 def _components(n, pairs):

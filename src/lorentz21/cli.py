@@ -211,6 +211,8 @@ def _hull_pipeline(args, graph, inputs, extra_values):
     d = np.abs(quake.boundary_map.samples[:, 1] - graph.samples[:, 1])
     roundtrip = float(np.minimum(d, 1.0 - d).max(initial=0.0))
     lorentzian = int((hull.faces.classes == "lorentzian").sum())
+    pairs, shared, start, weights = quake.bending
+    bent = ~np.isnan(weights)
     checks += [
         _check("no-lorentzian-faces", lorentzian, 0),
         _check("vertices-on-quadric", hull.vertex_on_quadric_error(), args.tol),
@@ -225,7 +227,8 @@ def _hull_pipeline(args, graph, inputs, extra_values):
         "future_faces": int(hull.faces.future.sum()),
         "past_faces": int((~hull.faces.future).sum()),
         "total_shear": float(quake.dominant_shear),
-        "shear_edges": [[float(w), int(i), int(j)] for w, i, j in quake.shear_edges],
+        "shear_edges": [[w, i, j] for w, (i, j) in zip((2.0 * weights[bent]).tolist(),
+                                                       pairs[bent].tolist())],
         "boundary_roundtrip_sup": roundtrip,
     })
     diagnostics = {"qhull_facets": hull.qhull_facets, "merged_faces": len(hull.faces),
@@ -236,9 +239,10 @@ def _hull_pipeline(args, graph, inputs, extra_values):
         values["notice"] = "flat hull: graph lies on a single plane, identity earthquake"
     if args.out is not None:
         _write(args.out, "hull.obj", hull.to_obj())
-        bend = [{"face_i": b.face_i, "face_j": b.face_j, "weight": b.weight,
-                 "shared_vertices": [int(v) for v in b.shared_vertex_ids]}
-                for b in adshull.bending_data(hull)]
+        shared, start = shared.tolist(), start.tolist()
+        bend = [{"face_i": i, "face_j": j, "weight": w if ok else None,
+                 "shared_vertices": shared[lo:hi]} for (i, j), w, ok, lo, hi
+                in zip(pairs.tolist(), weights.tolist(), bent.tolist(), start[:-1], start[1:])]
         _write(args.out, "bending.json", json.dumps(
             {"schema": "%s/bending/1" % SCHEMA_PREFIX, "edges": bend},
             sort_keys=True, indent=2) + "\n")
@@ -255,6 +259,8 @@ def cmd_ads_hull(args):
 
 
 def cmd_ads_between(args):
+    if args.density < 0 or args.density in (1, 2):
+        raise ValueError("--density must be 0 or >= 3")
     rep_l = Representation.from_json(_load_json(args.repL))
     rep_r = Representation.from_json(_load_json(args.repR))
     graph = adshull.sample_conjugacy(rep_l, rep_r, args.ball)

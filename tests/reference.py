@@ -1,7 +1,7 @@
 """Scalar references of the array layer: the leaf type GeodesicH2 and
 the pairwise linking test the stacked leaf routines are checked
-against, helpers between them and a LeafSet, and the per-sample nudge
-of a developed surface."""
+against, helpers between them and a LeafSet, the per-sample nudge
+of a developed surface, and the per-face OBJ of a hull."""
 
 import math
 
@@ -81,3 +81,27 @@ def nudge_off(pts, normals):
         out.append(p)
         flags.append(flag)
     return np.array(out).reshape(-1, 3), flags
+
+
+def hull_obj(hull):
+    """The OBJ of a HullComplex, each face's cycle ordered on its own:
+    angles about the vertex mean in a basis of the face plane."""
+    lines = ["# convex hull in affine chart; plane at infinity dual to"]
+    lines.append("# %s" % np.array2string(hull.chart_plane.label, precision=9))
+    index = {}
+    for i in hull.vertex_ids:
+        index[i] = len(index) + 1
+        x, y, z = hull.chart_points[i]
+        lines.append("v %.9f %.9f %.9f" % (x, y, z))
+    for ids, n in zip(np.split(hull.faces.ids, hull.faces.start[1:-1]), hull.faces.normals):
+        pts = hull.chart_points[ids]
+        center = pts.mean(axis=0)
+        a = np.array([1.0, 0.0, 0.0])
+        if abs(np.dot(a, n)) > 0.9:
+            a = np.array([0.0, 1.0, 0.0])
+        e1 = np.cross(n, a)
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(n, e1)
+        ang = np.arctan2((pts - center) @ e2, (pts - center) @ e1)
+        lines.append("f " + " ".join(str(index[ids[i]]) for i in np.argsort(ang)))
+    return "\n".join(lines) + "\n"

@@ -206,9 +206,8 @@ def test_criterion_8_bending_factor():
     factors = []
     worst_oracle = 0.0
     for s, hull in zip((2.0, 4.0, 9.0), _test_hulls()):
-        edges = [b for b in adshull.bending_data(hull) if b.weight is not None
-                 and hull.faces.future[b.face_i] and hull.faces.future[b.face_j]]
-        weight = edges[0].weight
+        pairs, _, _, weights = adshull.bending_data(hull)
+        weight = weights[~np.isnan(weights) & hull.faces.future[pairs].all(axis=1)][0]
         # hand oracle: dual points [[0,1],[-1,0]] and [[0,-1],[s,0]]/sqrt(s)
         oracle = math.acosh((math.sqrt(s) + 1.0 / math.sqrt(s)) / 2.0)
         worst_oracle = max(worst_oracle, abs(weight - oracle))

@@ -34,6 +34,7 @@ from lorentz21.fuchsian import GroupBall, Mat2, axis, euler_class, regular_polyg
 from lorentz21.laminations import WeightedMulticurve
 from lorentz21.minkowski import RP1Point, adjugate
 from lorentz21.quakes import rep_after_earthquake
+from reference import hull_obj
 
 
 def proj_err(u, v):
@@ -163,7 +164,9 @@ def test_flat_hull_identity_graph():
     assert hull.flat_plane.classify() == "spacelike"
     # the identity graph lies on the plane {b = c}
     assert proj_err(hull.flat_plane.label, [0.0, 1.0, -1.0, 0.0]) < 1e-9
-    assert bending_data(hull) == []
+    assert "\nf " not in hull.to_obj() and hull.to_obj() == hull_obj(hull)
+    pairs, shared, start, weights = bending_data(hull)
+    assert pairs.shape == (0, 2) and len(shared) == len(weights) == 0 and start.tolist() == [0]
     quake = extract_left_earthquake(hull)
     assert quake.dominant_shear == 0.0
     for (tl, tr), (_, out) in zip(hull.graph.samples, quake.boundary_map.samples):
@@ -184,12 +187,12 @@ def test_sshear_bending_oracle(s):
     {c = s b} with dual [[0,-1],[s,0]]/sqrt(s); their dual-point distance
     is arccosh((sqrt(s) + 1/sqrt(s))/2) = (1/2) log s."""
     hull = convex_hull(shear_graph(s))
-    edges = [b for b in bending_data(hull) if b.weight is not None
-             and hull.faces.future[b.face_i] and hull.faces.future[b.face_j]]
+    pairs, _, _, weights = bending_data(hull)
+    edges = weights[~np.isnan(weights) & hull.faces.future[pairs].all(axis=1)]
     assert len(edges) == 1
     oracle = math.acosh((math.sqrt(s) + 1.0 / math.sqrt(s)) / 2.0)
-    assert abs(edges[0].weight - oracle) < 1e-9
-    assert abs(edges[0].weight - 0.5 * math.log(s)) < 1e-9
+    assert abs(edges[0] - oracle) < 1e-9
+    assert abs(edges[0] - 0.5 * math.log(s)) < 1e-9
 
 
 @pytest.mark.parametrize("s", [2.0, 4.0, 9.0])
@@ -322,8 +325,8 @@ def test_extraction_equivariance():
     hull = convex_hull(moved)
     quake = extract_left_earthquake(hull)
     assert abs(quake.dominant_shear - math.log(s)) < 1e-6
-    edges = [b.weight for b in bending_data(hull) if b.weight is not None
-             and hull.faces.future[b.face_i] and hull.faces.future[b.face_j]]
+    pairs, _, _, weights = bending_data(hull)
+    edges = weights[~np.isnan(weights) & hull.faces.future[pairs].all(axis=1)]
     assert len(edges) == 1
     assert abs(edges[0] - 0.5 * math.log(s)) < 1e-9
 
@@ -464,7 +467,11 @@ def test_hull_faces_match_scalar_reference(octagon, make):
         else:
             rel = ref[i][4] @ ref[j][4].inverse()
             weights.append(math.acosh(max(abs(rel.trace()) / 2.0, 1.0)))
-    assert [b.weight for b in bending_data(hull)] == weights
+    bend = bending_data(hull)
+    assert all(same_bits(a, b) for a, b in zip(bend[:3], face_adjacency(hull)))
+    assert np.isnan(bend[3]).tolist() == [w is None for w in weights]
+    assert [None if np.isnan(w) else w for w in bend[3].tolist()] == weights
+    assert hull.to_obj() == hull_obj(hull)
 
     order = [i for i, r in enumerate(ref) if r[5] and r[4] is not None]
     m_ref = ref[sorted(order, key=lambda i: -len(ref[i][6]))[0]][4]

@@ -4,11 +4,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import lorentz21
+from lorentz21 import adshull
 from lorentz21.cli import main
 from lorentz21.fuchsian import regular_polygon_rep
+from reference import hull_obj
 
 
 def run_cli(args, capsys):
@@ -165,6 +168,36 @@ def test_ads_hull_sshear(tmp_path, capsys):
     bend = json.load(open(os.path.join(str(tmp_path), "bending.json")))
     weights = [e["weight"] for e in bend["edges"] if e["weight"]]
     assert any(abs(w - 0.5 * math.log(s)) < 1e-6 for w in weights)
+
+
+def _steep_graph_rows(seed, n=20):
+    """A monotone graph whose steps are u^10 for uniform u: most steps
+    are tiny, so runs of samples hug a ruling and the hull has null
+    future faces, whose edges carry no bending weight."""
+    s = np.cumsum(np.random.default_rng(seed).random((n, 2)) ** 10, axis=0)
+    return ["%r,%r" % (a, b) for a, b in (s / s[-1] * 0.999).tolist()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 6])
+def test_ads_hull_artifacts_match_references(tmp_path, capsys, seed):
+    graph = tmp_path / "graph.csv"
+    graph.write_text("\n".join(_steep_graph_rows(seed)) + "\n")
+    out = tmp_path / "out"
+    code, report = run_cli(["ads", "hull", str(graph), "--out", str(out)], capsys)
+    assert code in (0, 1)
+    hull = adshull.convex_hull(adshull.CircleGraph.from_csv_rows(graph.read_text().split("\n")))
+    pairs, shared, start, weights = adshull.bending_data(hull)
+    assert np.isnan(weights).any()
+    assert (out / "hull.obj").read_text() == hull_obj(hull)
+    edges = json.loads((out / "bending.json").read_text())["edges"]
+    assert [e["weight"] is None for e in edges] == np.isnan(weights).tolist()
+    assert [[e["face_i"], e["face_j"]] for e in edges] == pairs.tolist()
+    assert [e["shared_vertices"] for e in edges] == [shared[lo:hi].tolist() for lo, hi
+                                                     in zip(start[:-1], start[1:])]
+    assert [e["weight"] for e in edges if e["weight"] is not None] == \
+        weights[~np.isnan(weights)].tolist()
+    assert report["values"]["shear_edges"] == [[2.0 * e["weight"], e["face_i"], e["face_j"]]
+                                               for e in edges if e["weight"] is not None]
 
 
 def test_ads_between_same_rep_flat(capsys):
@@ -325,12 +358,17 @@ def _golden_point(scale):
     # a build needs two samples for its injectivity pairs
     *[(["flat", "build", lorentz21.bundled("octagon_rep.json"),
         lorentz21.bundled("single_curve.json"), "--density", d], "--density must be >= 2")
-      for d in ("-5", "0", "1")]],
+      for d in ("-5", "0", "1")],
+    # a hull needs three samples; the missing second file shows that the
+    # density is refused before either representation is read
+    *[(["ads", "between", lorentz21.bundled("octagon_rep.json"), "missing_rep.json",
+        "--density", d], "--density must be 0 or >= 3") for d in ("-5", "1", "2")]],
     ids=["tol-nan", "tol-negative", "flat-tol-nan", "scale-nan", "scale-inf",
          "density-zero", "density-negative", "scale-overflow", "weight-overflow",
          "matrix-overflow", "generator-overflow", "genus-float", "genus-bool",
          "basepoint-spacelike", "basepoint-on-leaf", "point-spacelike", "point-scaled",
-         "flat-density-negative", "flat-density-zero", "flat-density-one"])
+         "flat-density-negative", "flat-density-zero", "flat-density-one",
+         "ads-density-negative", "ads-density-one", "ads-density-two"])
 def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
     if callable(argv):
         argv = argv(tmp_path / "input")

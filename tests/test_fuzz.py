@@ -1,8 +1,9 @@
 """Random inputs for `quake`, `ads hull`, `euler`, `flat check` and
 `ads between`: whatever the input and flags, the command exits 0, 1 or
-2 and prints a JSON report or error with a schema, `quake` writes no
-non-finite number, `euler`, `flat check` and `ads between` raise no
-warning, and `euler` and `ads between` refuse a malformed
+2 and prints a JSON report or error with a schema, `quake` and `ads
+hull` write no non-finite number, `ads hull` writes an OBJ of its
+reported vertices and faces, `euler`, `flat check` and `ads between`
+raise no warning, and `euler` and `ads between` refuse a malformed
 representation with exit 2.
 Endpoints, weights, scales and points are drawn near the values that
 matter (0, negatives, 1e300, non-finite, crossing and duplicate leaves,
@@ -180,14 +181,29 @@ def graph_rows(draw):
     return rows
 
 
+def _refuse_constant(name):
+    raise AssertionError("bending.json holds %s" % name)
+
+
 @hypothesis.settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @hypothesis.given(graph_rows())
 def test_ads_hull_exit_contract(rows):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "graph.csv")
+        path, out = os.path.join(tmp, "graph.csv"), os.path.join(tmp, "out")
         with open(path, "w") as fh:
             fh.write("\n".join(rows) + "\n")
-        code, report = _run(["ads", "hull", path])
+        code, report = _run(["ads", "hull", path, "--out", out])
+        # a report, not an error, exits 0 or 1 and comes with its artifacts
+        if "error" not in report:
+            with open(os.path.join(out, "hull.obj")) as fh:
+                lines = fh.read().split("\n")
+            nv = report["values"]["hull_vertices"]
+            faces = [line.split()[1:] for line in lines if line.startswith("f ")]
+            assert sum(line.startswith("v ") for line in lines) == nv
+            assert len(faces) == report["diagnostics"]["merged_faces"]
+            assert all(1 <= int(i) <= nv for face in faces for i in face)
+            with open(os.path.join(out, "bending.json")) as fh:
+                json.loads(fh.read(), parse_constant=_refuse_constant)
     hypothesis.event(report.get("error", "exit %d" % code)[:60])
 
 

@@ -3,15 +3,19 @@
 The files under data/golden hold the `values` and `checks` of the CLI
 runs below, the artifacts `flat build` writes, and a seeded 12-leaf
 lamination with its points file, quaked on both sides with the
-boundary and image CSVs it writes.  The test rebuilds the inputs,
-reruns the same commands and asserts exact equality, so a refactor
-that changes any printed digit fails here.  After an intended output
-change, regenerate the files with
+boundary and image CSVs it writes.  The tests rebuild the inputs,
+rerun the same commands and assert exact equality, so a refactor that
+changes any printed digit fails here.  The OBJ and bending record that
+`ads between --out` writes are pinned by their sha256 in ADS_ARTIFACTS.
+After an intended output change, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+and record the new digests by hand.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -125,6 +129,25 @@ def test_golden_reports(tmp_path):
     for name, text in _outputs(str(tmp_path)).items():
         with open(os.path.join(GOLDEN, name)) as fh:
             assert text == fh.read(), name
+
+
+# sha256 of the artifacts `ads between` writes from the octagon to its
+# golden b1 shear at ball 4 on the full graph; the two files take 317 kB,
+# so their digests are pinned rather than the files
+ADS_ARTIFACTS = {
+    "hull.obj": "6216ac58925e39457ee3f14e5e27343c978b531e76bc0bf7a080e2c793c0c650",
+    "bending.json": "fac07c85194de1e9dc089fa202e9c950da7c12864e72e76d3ad1b27ca079852f",
+}
+
+
+def test_ads_artifacts_pinned(tmp_path):
+    outdir = str(tmp_path / "ads")
+    _run(["ads", "between", lorentz21.bundled("octagon_rep.json"),
+          os.path.join(GOLDEN, "sheared_b1.json"), "--ball", "4", "--density", "0",
+          "--out", outdir])
+    for name, digest in ADS_ARTIFACTS.items():
+        with open(os.path.join(outdir, name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
 
 
 if __name__ == "__main__":
