@@ -16,6 +16,7 @@ faces yield the left earthquake with the graph as boundary value.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -324,11 +325,13 @@ class HullComplex:
     def convexity_slack(self):
         """Most negative signed distance of any vertex inside any face
         half-space (0 for an exactly convex complex)."""
-        worst = 0.0
-        # one matvec per face: a stacked product changes the per-face maxima
-        for normal, offset in zip(self.faces.normals, self.faces.offsets.tolist()):
-            slack = self.chart_points @ normal + offset
-            worst = min(worst, -float(np.max(slack)))
+        worst, normals, offsets = 0.0, self.faces.normals[:, :, None], self.faces.offsets
+        # a batched matmul makes the same matvec per face, where P @ N.T
+        # changes the per-face maxima; max then add is exact, as rounding
+        # is monotone.  16 faces of 7k points stay in cache
+        for lo in range(0, len(offsets), 16):
+            top = np.matmul(self.chart_points, normals[lo:lo + 16])[..., 0].max(axis=1)
+            worst = min(worst, -float(np.max(top + offsets[lo:lo + 16])))
         return worst
 
     def to_obj(self):
@@ -600,19 +603,27 @@ def _components(n, pairs):
         label = new
 
 
-def attracting_thetas(mats):
-    """Angle parameter of the attracting fixed point of each hyperbolic
-    matrix in a (N, 2, 2) stack, in closed form: the eigenvector
-    (b, lam - a) of the larger eigenvalue lam, or (lam - d, c) where
-    that is nearly zero (near-diagonal matrices)."""
-    a, b, c, d = (mats[:, i, j] for i in (0, 1) for j in (0, 1))
+def hyperbolic_traces(mats):
+    """Trace t of each matrix in a (N, 2, 2) stack and its discriminant
+    t * t - 4.0, refusing a stack in which a discriminant overflows or
+    a matrix is not hyperbolic."""
     with np.errstate(over="ignore", invalid="ignore"):
-        t = a + d
+        t = mats[:, 0, 0] + mats[:, 1, 1]
         disc = t * t - 4.0
     if not np.isfinite(disc).all():
         raise ValueError("a trace is too large for its fixed points")
     if np.any(disc <= 0):
         raise ValueError("element is not hyperbolic (trace %.6f)" % t[np.argmax(disc <= 0)])
+    return t, disc
+
+
+def attracting_thetas(mats):
+    """Angle parameter of the attracting fixed point of each hyperbolic
+    matrix in a (N, 2, 2) stack, in closed form: the eigenvector
+    (b, lam - a) of the larger eigenvalue lam, or (lam - d, c) where
+    that is nearly zero (near-diagonal matrices)."""
+    t, disc = hyperbolic_traces(mats)
+    a, b, c, d = (mats[:, i, j] for i in (0, 1) for j in (0, 1))
     lam = 0.5 * (t + np.copysign(np.sqrt(disc), t))
     v = np.stack([b, lam - a], axis=1)
     near = np.max(np.abs(v), axis=1) < 1e-12 * np.maximum(np.abs(lam), 1.0)
@@ -620,19 +631,44 @@ def attracting_thetas(mats):
     return rp1_stack(v)[1]
 
 
+def _chain_heads(values, gap):
+    """Greedy chain over sorted values: the first index, then each time
+    the first index j with values[j] - values[i] >= gap, i the last one
+    kept.  That difference is monotone in values[j], so a bisection on
+    values[i] + gap lands within a step or two of j."""
+    heads, i, n = [], 0, len(values)
+    while i < n:
+        heads.append(i)
+        j = bisect.bisect_left(values, values[i] + gap, i + 1)
+        while j < n and values[j] - values[i] < gap:
+            j += 1
+        while j > i + 1 and values[j - 1] - values[i] >= gap:
+            j -= 1
+        i = j
+    return np.array(heads, dtype=np.intp)
+
+
 def sample_conjugacy(rep_l, rep_r, L, dedup=1e-4):
     """Graph samples of the circle map conjugating two Fuchsian-like
     representations: the attracting fixed point of rep_l(w) pairs with
-    that of rep_r(w) over all nontrivial ball-L words."""
+    that of rep_r(w) over all nontrivial ball-L words.  Left angles
+    closer than `dedup` to the last kept one are dropped; among exactly
+    equal left angles the smallest right angle is kept."""
+    if not dedup > 0:
+        raise ValueError("dedup must be > 0")
     ball = GroupBall(rep_l, L)
-    thetas = np.stack([attracting_thetas(ball.elements[1:]),
-                       attracting_thetas(ball.evaluate(rep_r)[1:])], axis=1)
-    # sorted by (left, right); the dedup and jitter passes are sequential
-    kept = []
-    for tl, tr in thetas[np.lexsort((thetas[:, 1], thetas[:, 0]))].tolist():
-        if kept and tl - kept[-1][0] < dedup:
-            continue
-        kept.append((tl, tr))
+    left = attracting_thetas(ball.elements[1:])
+    right = ball.evaluate(rep_r)[1:]
+    hyperbolic_traces(right)
+    order = np.argsort(left, kind="stable")
+    lefts = left[order]
+    heads = _chain_heads(lefts.tolist(), dedup)
+    # each kept head's run of equal left angles; right angles only there
+    runs = np.searchsorted(lefts, lefts[heads], side="right") - heads
+    starts = np.cumsum(runs) - runs
+    rows = order[np.arange(runs.sum()) + np.repeat(heads - starts, runs)]
+    rights = np.minimum.reduceat(attracting_thetas(right[rows]), starts)
+    kept = list(zip(lefts[heads].tolist(), rights.tolist()))
     if len(kept) > 1 and (kept[0][0] - kept[-1][0]) % 1.0 < dedup:
         kept.pop()
     if len(kept) < 3:

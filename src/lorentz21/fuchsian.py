@@ -21,7 +21,8 @@ import math
 import numpy as np
 
 from .minkowski import (Mat2, RP1Point, adjugate, canonical_signs, finite, mat2_fold, mat2_stack,
-                        row_keys, rp1_from_thetas, rp1_stack, unnormalizable)
+                        refuse_unnormalizable, row_keys, rp1_from_thetas, rp1_stack,
+                        unnormalizable)
 
 
 class EllipticDegeneracyError(RuntimeError):
@@ -232,7 +233,11 @@ class GroupBall:
     `offsets[r + 1]` entries are exactly the radius-r ball.  Matrices
     are identified by their entries rounded to KEY_DIGITS; each level
     extends only the new elements of the level before, since a word
-    equal to an earlier one has no new products.
+    equal to an earlier one has no new products.  The known keys are
+    kept sorted, with the element each one names, so a level takes one
+    stable sort of them and its own keys: each run of equal keys heads
+    with a known element or with the level's first occurrence of a new
+    one, and the heads are the next sorted key table.
     """
 
     def __init__(self, rep, radius):
@@ -243,7 +248,7 @@ class GroupBall:
         letters, steps = signed_letters(rep.genus), rep.steps()
         mats, lets = np.eye(2)[None], np.array([0])
         levels = [(mats, np.array([-1]), lets)]
-        keys = row_keys(mats.reshape(-1, 4), KEY_DIGITS)
+        sorted_keys, key_order = row_keys(mats.reshape(-1, 4), KEY_DIGITS), np.array([0])
         self.offsets = [0, 1]
         for _ in range(radius):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -252,20 +257,23 @@ class GroupBall:
             let = np.tile(letters, len(mats))
             reduced = lets[par] != -let
             prods, par, let = prods[reduced], par[reduced], let[reduced]
-            if unnormalizable(prods).any():
-                raise ValueError("a product of the generators overflows")
+            refuse_unnormalizable(prods, "a product of the generators")
             prods = mat2_stack(prods)
-            level_keys = row_keys(prods.reshape(-1, 4), KEY_DIGITS)
-            # first occurrence of each key in the level, minus known keys
-            first = np.sort(np.unique(level_keys, return_index=True)[1])
-            first = first[~np.isin(level_keys[first], keys)]
+            known = len(sorted_keys)
+            keys = np.concatenate([sorted_keys, row_keys(prods.reshape(-1, 4), KEY_DIGITS)])
+            order = np.argsort(keys, kind="stable")
+            run = keys[order]
+            head = np.concatenate([[True], run[1:] != run[:-1]])
+            heads = order[head]
+            first = np.sort(heads[heads >= known] - known)
+            index = np.full(len(prods), -1)
+            index[first] = np.arange(len(first)) + self.offsets[-1]
+            key_order, sorted_keys = np.concatenate([key_order, index])[heads], run[head]
             mats, lets = prods[first], let[first]
             levels.append((mats, par[first] + self.offsets[-2], lets))
-            keys = np.concatenate([keys, level_keys[first]])
             self.offsets.append(self.offsets[-1] + len(first))
         self.elements, self.parent, self.letter = (np.concatenate(a) for a in zip(*levels))
-        self._key_order = np.argsort(keys)
-        self._sorted_keys = keys[self._key_order]
+        self._sorted_keys, self._key_order = sorted_keys, key_order
 
     def __len__(self):
         return len(self.elements)

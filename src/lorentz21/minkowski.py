@@ -162,10 +162,24 @@ def _det(mats):
 def unnormalizable(mats):
     """Whether the determinant of a 2x2 matrix, or of each matrix in a
     stack, is not finite and positive, so Mat2's normalization is
-    undefined or overflows; the one determinant rule of the package."""
+    undefined or overflows; the one determinant rule of the package,
+    which `refuse_unnormalizable` applies to products, naming the cause."""
     with np.errstate(over="ignore", invalid="ignore"):
         det = _det(mats)
     return ~(np.isfinite(det) & (det > 0))
+
+
+def refuse_unnormalizable(prods, what):
+    """Raise ValueError if a product in a stack of products of
+    determinant-one factors is unnormalizable, naming the cause: `what`
+    "overflows" if a determinant is not finite, and "lost its
+    determinant to rounding" if one is finite but not positive."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = _det(prods)
+    if not np.isfinite(det).all():
+        raise ValueError("%s overflows" % what)
+    if (det <= 0).any():
+        raise ValueError("%s lost its determinant to rounding" % what)
 
 
 def mat2_stack(mats):
@@ -184,7 +198,7 @@ def mat2_fold(factors, mask=None):
     """(Q, 2, 2) stack of the products, in order, of the (N, 2, 2)
     factors that each row of the (Q, N) mask selects (all of them, Q = 1,
     without a mask), Mat2-normalized after each factor as Mat2 products
-    are; a product past Mat2's range is invalid."""
+    are; `refuse_unnormalizable` names why a product cannot be."""
     if mask is None:
         mask = np.ones((1, len(factors)), dtype=bool)
     g = np.tile(np.eye(2), (len(mask), 1, 1))
@@ -192,8 +206,7 @@ def mat2_fold(factors, mask=None):
         rows = mask[:, k]
         with np.errstate(over="ignore", invalid="ignore"):
             prods = g[rows] @ factors[k]
-        if unnormalizable(prods).any():
-            raise ValueError("a product of the matrices overflows")
+        refuse_unnormalizable(prods, "a product of the matrices")
         g[rows] = mat2_stack(prods)
     return g
 

@@ -1,14 +1,20 @@
 """Scalar references of the array layer: the leaf type GeodesicH2 and
 the pairwise linking test the stacked leaf routines are checked
 against, helpers between them and a LeafSet, the per-sample nudge
-of a developed surface, and the per-face OBJ of a hull."""
+of a developed surface, the per-face OBJ and convexity slack of a
+hull, the group ball's per-level dedup by `np.unique` and `np.isin`,
+and the conjugacy samples' lexsort and greedy loops; also the steep
+graphs the hull tests share."""
 
 import math
 
 import numpy as np
 
+from lorentz21.adshull import CircleGraph, attracting_thetas
+from lorentz21.fuchsian import KEY_DIGITS, signed_letters
 from lorentz21.laminations import LeafSet
-from lorentz21.minkowski import RP1Point, geodesic_normal, inner
+from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack,
+                                 refuse_unnormalizable, row_keys)
 
 
 class GeodesicH2:
@@ -105,3 +111,75 @@ def hull_obj(hull):
         ang = np.arctan2((pts - center) @ e2, (pts - center) @ e1)
         lines.append("f " + " ".join(str(index[ids[i]]) for i in np.argsort(ang)))
     return "\n".join(lines) + "\n"
+
+
+def convexity_slack(hull):
+    """HullComplex.convexity_slack with one matvec per face."""
+    worst = 0.0
+    for normal, offset in zip(hull.faces.normals, hull.faces.offsets.tolist()):
+        slack = hull.chart_points @ normal + offset
+        worst = min(worst, -float(np.max(slack)))
+    return worst
+
+
+def group_ball(rep, radius):
+    """(elements, parent, letter, offsets, sorted keys, key order) of
+    GroupBall(rep, radius): each level's new keys by `np.unique` (first
+    occurrences) minus `np.isin` of the known ones, and one argsort of
+    all keys at the end."""
+    letters, steps = signed_letters(rep.genus), rep.steps()
+    mats, lets = np.eye(2)[None], np.array([0])
+    levels = [(mats, np.array([-1]), lets)]
+    keys = row_keys(mats.reshape(-1, 4), KEY_DIGITS)
+    offsets = [0, 1]
+    for _ in range(radius):
+        with np.errstate(over="ignore", invalid="ignore"):
+            prods = (mats[:, None] @ steps[None]).reshape(-1, 2, 2)
+        par = np.repeat(np.arange(len(mats)), len(letters))
+        let = np.tile(letters, len(mats))
+        reduced = lets[par] != -let
+        prods, par, let = prods[reduced], par[reduced], let[reduced]
+        refuse_unnormalizable(prods, "a product of the generators")
+        prods = mat2_stack(prods)
+        level_keys = row_keys(prods.reshape(-1, 4), KEY_DIGITS)
+        first = np.sort(np.unique(level_keys, return_index=True)[1])
+        first = first[~np.isin(level_keys[first], keys)]
+        mats, lets = prods[first], let[first]
+        levels.append((mats, par[first] + offsets[-2], lets))
+        keys = np.concatenate([keys, level_keys[first]])
+        offsets.append(offsets[-1] + len(first))
+    elements, parent, letter = (np.concatenate(a) for a in zip(*levels))
+    order = np.argsort(keys)
+    return elements, parent, letter, offsets, keys[order], order
+
+
+def sample_conjugacy(ball, rep_r, dedup=1e-4):
+    """sample_conjugacy's graph from a built ball: both representations'
+    attracting fixed points on every row, sorted by (left, right), then
+    the greedy dedup and jitter loops over (left, right) pairs."""
+    thetas = np.stack([attracting_thetas(ball.elements[1:]),
+                       attracting_thetas(ball.evaluate(rep_r)[1:])], axis=1)
+    kept = []
+    for tl, tr in thetas[np.lexsort((thetas[:, 1], thetas[:, 0]))].tolist():
+        if kept and tl - kept[-1][0] < dedup:
+            continue
+        kept.append((tl, tr))
+    if len(kept) > 1 and (kept[0][0] - kept[-1][0]) % 1.0 < dedup:
+        kept.pop()
+    clean = [kept[0]]
+    for tl, tr in kept[1:]:
+        step = (tr - clean[-1][1] + 0.5) % 1.0 - 0.5
+        if step < -1e-5:
+            raise ValueError("conjugacy samples are not cyclically monotone")
+        if step < 0:
+            continue
+        clean.append((tl, tr))
+    return CircleGraph(clean)
+
+
+def steep_graph_rows(seed, n=20):
+    """A monotone graph whose steps are u^10 for uniform u: most steps
+    are tiny, so runs of samples hug a ruling and the hull has null
+    future faces, whose edges carry no bending weight."""
+    s = np.cumsum(np.random.default_rng(seed).random((n, 2)) ** 10, axis=0)
+    return ["%r,%r" % (a, b) for a, b in (s / s[-1] * 0.999).tolist()]

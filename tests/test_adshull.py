@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from lorentz21.adshull import (
     disjoint_spacelike_plane,
     extract_left_earthquake,
     face_adjacency,
+    hyperbolic_traces,
     lemma5_configuration,
     plane_separates,
     plane_z_equals,
@@ -30,10 +32,12 @@ from lorentz21.adshull import (
     segre,
     vec_of,
 )
-from lorentz21.fuchsian import GroupBall, Mat2, axis, euler_class, regular_polygon_rep
+from lorentz21.fuchsian import (GroupBall, Mat2, Representation, axis, euler_class,
+                                regular_polygon_rep)
 from lorentz21.laminations import WeightedMulticurve
 from lorentz21.minkowski import RP1Point, adjugate
 from lorentz21.quakes import rep_after_earthquake
+import reference
 from reference import hull_obj
 
 
@@ -304,6 +308,68 @@ def test_sample_conjugacy_mobius(octagon):
     for tl, tr in g.samples:
         d = abs(RP1Point.from_theta(tl).apply(c).theta - tr)
         assert min(d, 1.0 - d) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def conjugacy_pairs(octagon):
+    """(right representation, radius) of the pairs whose conjugacy graphs
+    are checked against the reference: the golden b1 shear at radii 5
+    and 6, and the octagon sheared along a2 by 0.8 at radius 6."""
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
+    b1 = Representation.load(os.path.join(golden, "sheared_b1.json"))
+    a2 = rep_after_earthquake(octagon, WeightedMulticurve([("a2", 1.0)]), 0.8)
+    return [(b1, 5), (b1, 6), (a2, 6)]
+
+
+@pytest.fixture(scope="module")
+def conjugacy_graphs(octagon, conjugacy_pairs):
+    return [sample_conjugacy(octagon, rep_r, radius) for rep_r, radius in conjugacy_pairs]
+
+
+def test_sample_conjugacy_matches_reference(octagon, conjugacy_pairs, conjugacy_graphs):
+    """The chain over kept samples, with right angles taken only on their
+    runs of equal left angles, gives the lexsort-and-loop samples bit for
+    bit; exact left-angle ties (95 at radius 5, 506 at 6) occur among the
+    kept samples, where the smallest right angle must win."""
+    for (rep_r, radius), graph in zip(conjugacy_pairs, conjugacy_graphs):
+        ball = GroupBall(octagon, radius)
+        want = reference.sample_conjugacy(ball, rep_r).samples
+        assert graph.samples.shape == want.shape
+        assert graph.samples.tobytes() == want.tobytes()
+        left = attracting_thetas(ball.elements[1:])
+        values, counts = np.unique(left, return_counts=True)
+        assert np.isin(graph.samples[:, 0], values[counts > 1]).any()
+
+
+def test_convexity_slack_matches_reference(conjugacy_graphs):
+    graphs = conjugacy_graphs + [CircleGraph.from_csv_rows(reference.steep_graph_rows(seed))
+                                 for seed in (0, 1, 5, 6)]
+    for graph in graphs:
+        hull = convex_hull(graph)
+        assert same_bits(hull.convexity_slack(), reference.convexity_slack(hull))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.eye(2), "not hyperbolic"),
+    (np.diag([1e200, 1e-200]), "a trace is too large")])
+def test_sample_conjugacy_refuses_a_dropped_row(monkeypatch, octagon, bad, message):
+    """The hyperbolicity and finite-trace refusals read every ball row of
+    the right representation, not only those whose samples are kept."""
+    ball = GroupBall(octagon, 3)
+    kept = sample_conjugacy(octagon, octagon, 3).samples[:, 0]
+    dropped = 1 + np.flatnonzero(~np.isin(attracting_thetas(ball.elements[1:]), kept))[0]
+    evaluate = GroupBall.evaluate
+
+    def patched(self, hol):
+        out = evaluate(self, hol)
+        out[dropped] = bad
+        return out
+
+    monkeypatch.setattr(GroupBall, "evaluate", patched)
+    with pytest.raises(ValueError, match=message):
+        sample_conjugacy(octagon, octagon, 3)
+    with pytest.raises(ValueError, match=message):
+        hyperbolic_traces(ball.evaluate(octagon)[1:])
 
 
 def test_conjugacy_pair_euler_classes(octagon):

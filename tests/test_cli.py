@@ -11,7 +11,7 @@ import lorentz21
 from lorentz21 import adshull
 from lorentz21.cli import main
 from lorentz21.fuchsian import regular_polygon_rep
-from reference import hull_obj
+from reference import hull_obj, steep_graph_rows
 
 
 def run_cli(args, capsys):
@@ -170,18 +170,10 @@ def test_ads_hull_sshear(tmp_path, capsys):
     assert any(abs(w - 0.5 * math.log(s)) < 1e-6 for w in weights)
 
 
-def _steep_graph_rows(seed, n=20):
-    """A monotone graph whose steps are u^10 for uniform u: most steps
-    are tiny, so runs of samples hug a ruling and the hull has null
-    future faces, whose edges carry no bending weight."""
-    s = np.cumsum(np.random.default_rng(seed).random((n, 2)) ** 10, axis=0)
-    return ["%r,%r" % (a, b) for a, b in (s / s[-1] * 0.999).tolist()]
-
-
 @pytest.mark.parametrize("seed", [0, 1, 5, 6])
 def test_ads_hull_artifacts_match_references(tmp_path, capsys, seed):
     graph = tmp_path / "graph.csv"
-    graph.write_text("\n".join(_steep_graph_rows(seed)) + "\n")
+    graph.write_text("\n".join(steep_graph_rows(seed)) + "\n")
     out = tmp_path / "out"
     code, report = run_cli(["ads", "hull", str(graph), "--out", str(out)], capsys)
     assert code in (0, 1)
@@ -219,11 +211,28 @@ def test_flat_check_out_of_range_generator(tmp_path, capsys):
     assert "out of range" in report["error"]
 
 
+def _too_few_samples(ball, count):
+    return "ValueError: the radius-%d ball gives %d conjugacy samples; need at least 3" % (
+        ball, count)
+
+
 def test_ads_between_ball_zero(capsys):
     rep = lorentz21.bundled("octagon_rep.json")
     code, report = run_cli(["ads", "between", rep, rep, "--ball", "0"], capsys)
     assert code == 2
     assert report["schema"] == "lorentz21/error/1"
+    assert report["error"] == _too_few_samples(0, 0)
+
+
+def test_ads_between_ball_one_with_one_generator(tmp_path, capsys):
+    # the octagon's radius-1 ball gives 8 samples; one non-trivial
+    # generator g gives two, g and g^-1
+    rep = tmp_path / "one_generator.json"
+    rep.write_text(json.dumps({"genus": 2, "generators": [[[2.0, 0.0], [0.0, 0.5]]] + [_I] * 3}))
+    code, report = run_cli(["ads", "between", str(rep), str(rep), "--ball", "1"], capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"
+    assert report["error"] == _too_few_samples(1, 2)
 
 
 @pytest.mark.parametrize("genus", [1, 3])

@@ -20,7 +20,10 @@ from lorentz21.fuchsian import (
     signed_letters,
     surface_relator,
 )
+from lorentz21.laminations import WeightedMulticurve
 from lorentz21.minkowski import RP1Point
+from lorentz21.quakes import rep_after_earthquake
+from reference import group_ball
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +139,50 @@ def test_group_ball_growth_series():
     for genus, radius in ((2, 5), (3, 4)):
         ball = GroupBall(regular_polygon_rep(genus), radius)
         assert ball.offsets[1:] == growth_series(genus, radius)
+
+
+@pytest.fixture(scope="module")
+def sheared_b1(octagon):
+    """The octagon sheared along b1 by w, for w = 3, 4, 6, 8: valid
+    surfaces whose radius-6 balls hold more elements than the growth
+    series allows (155,579 and 155,612 for w = 3, 4), or whose level
+    products lose their determinants (w = 6, 8)."""
+    return {w: rep_after_earthquake(octagon, WeightedMulticurve([("b1", 1.0)]), w)
+            for w in (3, 4, 6, 8)}
+
+
+@pytest.mark.parametrize("w, radius", [(0, r) for r in range(7)] + [(3, 6), (4, 6)])
+def test_group_ball_matches_reference(octagon, sheared_b1, w, radius):
+    """One stable sort per level gives the arrays of np.unique and
+    np.isin per level and one final argsort, bit for bit."""
+    ball = GroupBall(sheared_b1[w] if w else octagon, radius)
+    elements, parent, letter, offsets, sorted_keys, key_order = group_ball(
+        sheared_b1[w] if w else octagon, radius)
+    for got, want in ((ball.elements, elements), (ball.parent, parent),
+                      (ball.letter, letter), (ball._sorted_keys, sorted_keys),
+                      (ball._key_order, key_order)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert ball.offsets == offsets
+    assert np.array_equal(ball.find(ball.elements), np.arange(len(ball)))
+
+
+@pytest.mark.parametrize("w, radius", [(6, 6), (8, 5)])
+def test_group_ball_names_a_lost_determinant(sheared_b1, w, radius):
+    # entries reach only 2e7-4e7, but the recomputed determinant cancels to <= 0
+    message = "a product of the generators lost its determinant to rounding"
+    with pytest.raises(ValueError, match=message):
+        GroupBall(sheared_b1[w], radius)
+    with pytest.raises(ValueError, match=message):
+        group_ball(sheared_b1[w], radius)
+    GroupBall(sheared_b1[w], radius - 1)
+
+
+def test_group_ball_names_an_overflow():
+    big = Representation(2, [np.diag([1e100, 1e-100])] + [np.eye(2)] * 3)
+    assert len(GroupBall(big, 3)) == 7
+    with pytest.raises(ValueError, match="a product of the generators overflows"):
+        GroupBall(big, 4)
 
 
 def test_group_ball_prefix_closed(octagon):

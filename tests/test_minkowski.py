@@ -18,6 +18,7 @@ from lorentz21.minkowski import (
     hyperboloid_normalize,
     inner,
     is_lorentz_linear,
+    mat2_fold,
     per_value,
     rotation_t_axis,
     rp1_from_thetas,
@@ -215,3 +216,16 @@ def test_geodesic_normal_nearby_endpoints_stable():
         assert err / np.max(np.abs(exact)) < 1e-4
     with pytest.raises(ValueError):
         geodesic_normal(e1, e1)
+
+
+def test_mat2_fold_names_the_cause_of_a_refusal():
+    # determinant-one factors: diag(1e200, 1e-200) squared overflows; two
+    # unipotents of size 1e9 give [[1 + 1e18, 1e9], [1e9, 1]], whose
+    # recomputed determinant cancels to 0 though nothing overflows
+    big = np.diag([1e200, 1e-200])
+    with pytest.raises(ValueError, match="a product of the matrices overflows"):
+        mat2_fold(np.array([big, big]))
+    shears = np.array([[[1.0, 1e9], [0.0, 1.0]], [[1.0, 0.0], [1e9, 1.0]]])
+    with pytest.raises(ValueError, match="a product of the matrices lost its determinant"):
+        mat2_fold(shears)
+    assert mat2_fold(shears[:1]).tolist() == [shears[0].tolist()]
