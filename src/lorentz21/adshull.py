@@ -21,9 +21,9 @@ import math
 
 import numpy as np
 
-from .fuchsian import GroupBall, Mat2
-from .minkowski import (RP1Point, adjugate, finite, mat2_stack, per_value, rp1_from_thetas,
-                        rp1_stack, row_keys)
+from .fuchsian import GroupBall
+from .minkowski import (adjugate, finite, mat2_stack, per_value, refuse_unnormalizable,
+                        rp1_from_thetas, rp1_stack, rp1_units, row_keys)
 from .quakes import CircleMap
 
 EPS = 1e-9
@@ -52,22 +52,14 @@ def _rowdot(u, v):
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def mat_of(v):
-    v = np.asarray(v, dtype=float)
-    return v.reshape(2, 2)
-
-
 def vec_of(m):
-    if isinstance(m, Mat2):
-        m = m.m
     return np.asarray(m, dtype=float).reshape(4)
 
 
 def segre(left, right):
-    """Quadric point of a ruling pair: ((X1:Y1),(X2:Y2)) goes to
-    (X1 X2 : X1 Y2 : Y1 X2 : Y1 Y2), i.e. the rank-one matrix l r^T."""
-    l = left.v if isinstance(left, RP1Point) else np.asarray(left, dtype=float)
-    r = right.v if isinstance(right, RP1Point) else np.asarray(right, dtype=float)
+    """Quadric point of a ruling pair of 2-vectors: ((X1:Y1),(X2:Y2)) goes
+    to (X1 X2 : X1 Y2 : Y1 X2 : Y1 Y2), i.e. the rank-one matrix l r^T."""
+    l, r = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
     if np.max(np.abs(l)) == 0 or np.max(np.abs(r)) == 0:
         raise ValueError("ruling coordinates must be nonzero")
     return vec_of(np.outer(l, r))
@@ -75,19 +67,32 @@ def segre(left, right):
 
 def rulings_of(p):
     """Ruling coordinates of a quadric point: left = (A:C) = (B:D) and
-    right = (A:B) = (C:D), returned as RP1Points."""
+    right = (A:B) = (C:D), each the longer of its two 2-vectors, returned
+    as unit vectors in rp1_units' normal form."""
     p = np.asarray(p, dtype=float)
     scale = float(np.dot(p, p))
     if scale == 0 or abs(qform(p)) > EPS * scale:
         raise ValueError("point is not on the quadric")
     a, b, c, d = p
-    left_ac, left_bd = np.array([a, c]), np.array([b, d])
-    left = RP1Point(left_ac if np.dot(left_ac, left_ac) >= np.dot(left_bd, left_bd)
-                    else left_bd)
-    right_ab, right_cd = np.array([a, b]), np.array([c, d])
-    right = RP1Point(right_ab if np.dot(right_ab, right_ab) >= np.dot(right_cd, right_cd)
-                     else right_cd)
+    pairs = [(np.array([a, c]), np.array([b, d])), (np.array([a, b]), np.array([c, d]))]
+    left, right = rp1_units(np.array([u if np.dot(u, u) >= np.dot(v, v) else v
+                                      for u, v in pairs]))
     return left, right
+
+
+def plane_classes(labels):
+    """The class of the plane of each row of a (N, 4) label stack, named
+    "spacelike", "null" or "lorentzian" as qform(label) is above EPS
+    |label|^2, within it or below minus it, and its dual point as a
+    Mat2-normalized determinant-one matrix (NaN unless spacelike)."""
+    q, scale = qform(labels), _rowdot(labels, labels)
+    classes = np.where(q > EPS * scale, "spacelike",
+                       np.where(q < -EPS * scale, "lorentzian", "null"))
+    spacelike = classes == "spacelike"
+    duals = np.full((len(labels), 2, 2), np.nan)
+    duals[spacelike] = mat2_stack(
+        labels[spacelike].reshape(-1, 2, 2) / np.sqrt(q[spacelike])[:, None, None])
+    return classes, duals
 
 
 class ProjectivePlane:
@@ -95,7 +100,7 @@ class ProjectivePlane:
 
     The plane of label (e:f:g:h) is {v : qpair(label, v) = 0}; it is
     spacelike, null or Lorentzian according as eh - gf is positive,
-    zero or negative.
+    zero or negative (plane_classes).
     """
 
     def __init__(self, label):
@@ -108,14 +113,8 @@ class ProjectivePlane:
     def incidence(self, v):
         return float(qpair(self.label, vec_of(v)))
 
-    def classify(self, eps=EPS):
-        q = float(qform(self.label))
-        scale = float(np.dot(self.label, self.label))
-        if q > eps * scale:
-            return "spacelike"
-        if q < -eps * scale:
-            return "lorentzian"
-        return "null"
+    def classify(self):
+        return str(plane_classes(self.label[None])[0][0])
 
     def dual_point(self):
         """Pole of the plane: the label itself.  Lies in AdS iff the
@@ -123,11 +122,12 @@ class ProjectivePlane:
         return self.label.copy()
 
     def dual_mat2(self):
-        """Determinant-one matrix representative of the dual point of a
-        plane that classify() calls spacelike."""
-        if self.classify() != "spacelike":
+        """Determinant-one (2, 2) matrix representative, in Mat2's normal
+        form, of the dual point of a plane that classify() calls spacelike."""
+        classes, duals = plane_classes(self.label[None])
+        if classes[0] != "spacelike":
             raise ValueError("plane is not spacelike")
-        return Mat2(mat_of(self.label) / math.sqrt(float(qform(self.label))))
+        return duals[0]
 
     def __repr__(self):
         return "ProjectivePlane(%s)" % np.array2string(self.label, precision=6)
@@ -263,18 +263,18 @@ def disjoint_spacelike_plane(graph, cap=120):
     p0 = _plane_through(pts[[n // 6, n // 2, (5 * n) // 6]])
     if p0.classify() != "spacelike":
         raise RuntimeError("no disjoint spacelike plane found")
-    g = ROTATION_GENERATOR @ np.linalg.inv(p0.dual_mat2().m)
+    g = ROTATION_GENERATOR @ np.linalg.inv(p0.dual_mat2())
     tpts = np.einsum("ij,njk->nik", g, pts.reshape(-1, 2, 2)).reshape(-1, 4)
     label = _scan_z_family(tpts, cap)
     if label is None:
         raise RuntimeError("no disjoint spacelike plane found")
-    return ProjectivePlane(np.linalg.inv(g) @ mat_of(label))
+    return ProjectivePlane(np.linalg.inv(g) @ label.reshape(2, 2))
 
 
 class HullFaces:
     """The merged faces of a hull, one row per face: the chart plane
     normals[i] . X + offsets[i] = 0 (unit normal), its ProjectivePlane
-    label, the class classify() names, the dual_mat2 matrix (NaN unless
+    label, the class and the dual matrix of plane_classes (NaN unless
     spacelike) and the time orientation.  Face i's sorted vertex ids are
     ids[start[i]:start[i + 1]]; face owner[k] holds vertex ids[k]."""
 
@@ -282,13 +282,7 @@ class HullFaces:
         self.normals, self.offsets, self.labels = normals, offsets, labels
         self.future, self.ids, self.start = future, ids, start
         self.owner = np.repeat(np.arange(len(offsets)), np.diff(start))
-        q, scale = qform(labels), _rowdot(labels, labels)
-        self.classes = np.where(q > EPS * scale, "spacelike",
-                                np.where(q < -EPS * scale, "lorentzian", "null"))
-        spacelike = self.classes == "spacelike"
-        self.duals = np.full((len(labels), 2, 2), np.nan)
-        self.duals[spacelike] = mat2_stack(
-            labels[spacelike].reshape(-1, 2, 2) / np.sqrt(q[spacelike])[:, None, None])
+        self.classes, self.duals = plane_classes(labels)
 
     def __len__(self):
         return len(self.offsets)
@@ -375,7 +369,7 @@ def convex_hull(graph, chart_plane=None):
         chart_plane = disjoint_spacelike_plane(graph)
     if chart_plane.classify() != "spacelike":
         raise ValueError("chart plane must be spacelike")
-    m = chart_plane.dual_mat2().m
+    m = chart_plane.dual_mat2()
     minv = np.linalg.inv(m)
     pts4 = np.einsum("ij,njk->nik", minv, graph.points().reshape(-1, 2, 2)).reshape(-1, 4)
     w = 0.5 * (pts4[:, 0] + pts4[:, 3])
@@ -485,8 +479,12 @@ def face_adjacency(hull):
 
 def _dual_distances(m1, m2):
     """arccosh(|tr(m1 m2^{-1})| / 2) per row of two dual stacks, normalized
-    as Mat2 does, by math.acosh; a NaN dual gives NaN."""
-    rel = mat2_stack(m1 @ mat2_stack(adjugate(m2)))
+    as Mat2 does, by math.acosh; a NaN dual gives NaN.  A product of two
+    finite duals that cannot be normalized fails the hull (RuntimeError)."""
+    prods = m1 @ mat2_stack(adjugate(m2))
+    both = np.isfinite(m1).all(axis=(1, 2)) & np.isfinite(m2).all(axis=(1, 2))
+    refuse_unnormalizable(prods[both], "a product of two face duals", RuntimeError)
+    rel = mat2_stack(prods)
     return per_value(math.acosh, np.maximum(np.abs(rel[:, 0, 0] + rel[:, 1, 1]) / 2.0, 1.0))
 
 
@@ -533,7 +531,7 @@ def extract_left_earthquake(hull):
         plane = hull.flat_plane
         if plane.classify() != "spacelike":
             raise ValueError("flat hull on a non-spacelike plane")
-        cm = CircleMap.of_mobius(theta, _face_mobius(plane.dual_mat2().m[None]))
+        cm = CircleMap.of_mobius(theta, _face_mobius(plane.dual_mat2()[None]))
         return ExtractedEarthquake(np.eye(2)[None], cm, bending_data(hull), 0.0)
 
     # near-tangent sliver faces of the sampled hull classify as null;
@@ -545,7 +543,9 @@ def extract_left_earthquake(hull):
         raise ValueError("hull has no spacelike future faces")
     by_size = order[np.argsort(-np.diff(faces.start)[order], kind="stable")]
     duals = faces.duals[order]
-    left_factors = mat2_stack(faces.duals[by_size[0]] @ mat2_stack(adjugate(duals)))
+    left_factors = faces.duals[by_size[0]] @ mat2_stack(adjugate(duals))
+    refuse_unnormalizable(left_factors, "a left factor", RuntimeError)
+    left_factors = mat2_stack(left_factors)
 
     # assign each sample to the future face of its nearest hull vertex
     # (ties to the earlier vertex by theta); a vertex belongs to the
@@ -669,6 +669,9 @@ def sample_conjugacy(rep_l, rep_r, L, dedup=1e-4):
     rows = order[np.arange(runs.sum()) + np.repeat(heads - starts, runs)]
     rights = np.minimum.reduceat(attracting_thetas(right[rows]), starts)
     kept = list(zip(lefts[heads].tolist(), rights.tolist()))
+    # the per-element arrays go before the graph's arrays are made: made
+    # above them on the heap, those would keep their memory from the system
+    del ball, left, right, order, lefts, heads, runs, starts, rows, rights
     if len(kept) > 1 and (kept[0][0] - kept[-1][0]) % 1.0 < dedup:
         kept.pop()
     if len(kept) < 3:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import laminations as lam
-from .fuchsian import Representation, concat, letter_step, reduce_word, signed_letters
+from .fuchsian import Representation, letter_step, reduce_word, signed_letters
 from .minkowski import (
     LorentzIsometry,
     adjoint_to_so21,
@@ -42,8 +42,8 @@ class TranslationCocycle:
     Stored as one augmented step [[f(x), t_x], [0, 1]] per signed letter,
     folded along words (GroupBall.evaluate), so the cocycle identity
     holds identically on free words.  relator_residual decides whether
-    the values descend to the group; cocycle_residual samples the same
-    question on canonical ball representatives.
+    the values descend to the group; cocycle_identity_sweep samples the
+    same question on canonical ball representatives.
     """
 
     def __init__(self, rep, gen_vectors, basepoint=None):
@@ -98,30 +98,11 @@ def cocycle_from_lamination(rep, mc, basepoint=None, L=3):
                               basepoint)
 
 
-def cocycle_residual(rep, coc, alpha, beta, ball=None):
-    """Norm of t_{alpha beta} - t_alpha - f(alpha) t_beta.
-
-    The product word is replaced by its canonical ball representative
-    when the product matrix is found in the ball, so a cocycle that does
-    not descend to the group (e.g. a perturbed one) shows a residual on
-    pairs whose free concatenation is not the canonical representative.
-    """
-    alpha = reduce_word(alpha)
-    beta = reduce_word(beta)
-    prod = concat(alpha, beta)
-    if ball is not None:
-        hit = ball.lookup(rep.evaluate(prod))
-        if hit is not None:
-            prod = hit[0]
-    p, a, b = (coc.affine(w) for w in (prod, alpha, beta))
-    res = p[:3, 3] - a[:3, 3] - a[:3, :3] @ b[:3, 3]
-    return float(np.max(np.abs(res)))
-
-
 def cocycle_identity_sweep(rep, coc, ball):
     """Max cocycle-identity residual over all word pairs of the ball.
 
-    Equivalent to looping cocycle_residual over every pair, but batched:
+    Equivalent to looping the pairwise residual (tests/reference.py's
+    cocycle_residual) over every pair, but batched:
     product matrices are formed in one matmul per row and resolved to
     canonical ball representatives in one ball.find call per row.  The
     free concatenations of the other pairs are folded in one batch per row.
@@ -163,9 +144,9 @@ def relator_residual(rep, coc):
     by construction.  When f(r) = I (a valid representation), it
     descends to the surface group exactly when t_r = 0: then
     t_{g r g^-1} = f(g) t_r vanishes on every conjugate of r, hence on
-    the normal closure, and t_{g n} = t_g there.  The ball sweeps
-    (cocycle_residual, cocycle_identity_sweep) only sample this on the
-    pairs whose product has a shorter canonical representative.
+    the normal closure, and t_{g n} = t_g there.  The ball sweep
+    (cocycle_identity_sweep) only samples this on the pairs whose
+    product has a shorter canonical representative.
     """
     return float(np.max(np.abs(coc.affine(rep.relator())[:3, 3])))
 

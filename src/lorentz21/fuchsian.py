@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .minkowski import (Mat2, RP1Point, adjugate, canonical_signs, finite, mat2_fold, mat2_stack,
-                        refuse_unnormalizable, row_keys, rp1_from_thetas, rp1_stack,
+from .minkowski import (adjugate, canonical_signs, finite, mat2_fold, mat2_of, mat2_stack,
+                        refuse_unnormalizable, row_keys, rp1_from_thetas, rp1_stack, rp1_units,
                         unnormalizable)
 
 
@@ -111,14 +111,12 @@ class Representation:
     def __init__(self, genus, generators):
         if genus < 1:
             raise ValueError("genus must be >= 1")
-        # a Mat2 keeps its bits: Mat2's normalization is not idempotent
-        raw = np.array([not isinstance(g, Mat2) for g in generators])
-        gens = np.array([g.m if isinstance(g, Mat2) else g for g in generators], dtype=float)
+        gens = np.array(generators, dtype=float)
         if gens.shape != (2 * genus, 2, 2):
             raise ValueError("expected %d generator 2x2 matrices" % (2 * genus))
         if unnormalizable(gens).any():
             raise ValueError("generators must have a finite positive determinant")
-        gens[raw] = mat2_stack(gens[raw])
+        gens = mat2_stack(gens)
         self.genus = genus
         self._steps = np.stack([gens, mat2_stack(adjugate(gens))], axis=1).reshape(-1, 2, 2)
         self._steps.flags.writeable = False  # generators and inverses stay paired
@@ -132,13 +130,13 @@ class Representation:
         return surface_relator(self.genus)
 
     def evaluate(self, w):
-        """The Mat2 of the word w, normalized after each letter."""
+        """The (2, 2) matrix of the word w, Mat2-normalized after each letter."""
         w = np.array(w, dtype=int).reshape(-1)
         bad = (w == 0) | (np.abs(w) > 2 * self.genus)
         if bad.any():
             raise ValueError("%d is not a generator index for genus %d"
                              % (w[np.argmax(bad)], self.genus))
-        return Mat2.normalized(mat2_fold(self._steps[letter_step(w)])[0])
+        return mat2_fold(self._steps[letter_step(w)])[0]
 
     def steps(self):
         """The (4g, 2, 2) letter-step stack."""
@@ -146,15 +144,16 @@ class Representation:
 
     def relator_defect(self):
         """Max-norm distance of the evaluated relator from +-identity."""
-        r = self.evaluate(self.relator()).m
+        r = self.evaluate(self.relator())
         return float(min(np.abs(r - np.eye(2)).max(), np.abs(r + np.eye(2)).max()))
 
     def is_valid(self, tol=1e-8):
         return self.relator_defect() < tol
 
     def conjugate(self, c):
-        c = c if isinstance(c, Mat2) else Mat2(c)
-        return Representation(self.genus, mat2_stack(c.m @ self.generators) @ c.inverse().m)
+        """The representation g -> c g c^-1, c normalized by mat2_of first."""
+        c = mat2_of(c)
+        return Representation(self.genus, mat2_stack(c @ self.generators) @ mat2_of(adjugate(c)))
 
     def to_json(self):
         return {"genus": self.genus, "generators": self.generators.tolist()}
@@ -299,13 +298,6 @@ class GroupBall:
             np.abs(self.elements[idx] - mats).max(axis=(1, 2)) < 1e-5)
         return np.where(hit, idx, -1)
 
-    def lookup(self, m):
-        """Canonical (word, Mat2) of the ball element equal to m, or None."""
-        if not isinstance(m, Mat2):
-            m = Mat2(m)
-        i = int(self.find(m.m[None])[0])
-        return None if i < 0 else (self.word(i), Mat2(self.elements[i]))
-
     def evaluate(self, hol):
         """A holonomy with a `genus` and a letter_step-ordered `steps()`
         stack (Representation, flatspace.TranslationCocycle) along the
@@ -328,23 +320,20 @@ class GroupBall:
 
 
 def axis(m):
-    """Fixed points and translation length of a hyperbolic element.
+    """Fixed points and translation length of a hyperbolic element, a
+    (2, 2) matrix in Mat2's normal form (not renormalized).
 
-    Returns (attracting RP1Point, repelling RP1Point, translation length
-    2 arccosh(|tr|/2)).
+    Returns the attracting and the repelling fixed point as unit vectors
+    in rp1_units' normal form, and the translation length 2 arccosh(|tr|/2).
     """
-    if not isinstance(m, Mat2):
-        m = Mat2(m)
-    tr = m.trace()
+    m = np.asarray(m, dtype=float)
+    tr = float(m[0, 0] + m[1, 1])
     if abs(tr) <= 2.0 + 1e-9:
         raise ValueError("element is not hyperbolic (|trace| = %.6f)" % abs(tr))
-    vals, vecs = np.linalg.eig(m.m)
-    vals = vals.real
-    i_att = int(np.argmax(np.abs(vals)))
-    att = RP1Point(vecs[:, i_att].real)
-    rep = RP1Point(vecs[:, 1 - i_att].real)
-    length = 2.0 * math.acosh(abs(tr) / 2.0)
-    return att, rep, length
+    vals, vecs = np.linalg.eig(m)
+    i_att = int(np.argmax(np.abs(vals.real)))
+    att, rep = rp1_units(vecs[:, [i_att, 1 - i_att]].real.T)
+    return att, rep, 2.0 * math.acosh(abs(tr) / 2.0)
 
 
 def _sigma(mat, x):
@@ -365,7 +354,7 @@ def euler_class(rep):
     convention makes the discrete cocompact polygon representations come
     out at 2 - 2g.
     """
-    if not rep.evaluate(rep.relator()).is_identity(1e-6):
+    if not np.abs(rep.evaluate(rep.relator()) - np.eye(2)).max() < 1e-6:
         raise ValueError("relator is not central; representation invalid")
     steps = rep.steps()
     x = 0.0

@@ -46,7 +46,8 @@ class EnumerationCapError(RuntimeError):
 
 
 def same_geodesic(g1, g2, tol=1e-9):
-    """Whether leaves with RP1Point ends are one geodesic within tol."""
+    """Whether two scalar leaves (tests/reference.py's GeodesicH2), whose
+    ends have a circle distance `dist`, are one geodesic within tol."""
     return (g1.end1.dist(g2.end1) < tol and g1.end2.dist(g2.end2) < tol) or (
         g1.end1.dist(g2.end2) < tol and g1.end2.dist(g2.end1) < tol)
 
@@ -92,8 +93,7 @@ def _class_word(rep, w):
 
 def closed_geodesic_of(rep, w):
     """(2, 2) end vectors, attracting then repelling, of a word's axis."""
-    att, repp, _ = axis(rep.evaluate(_class_word(rep, w)))
-    return np.stack([att.v, repp.v])
+    return np.stack(axis(rep.evaluate(_class_word(rep, w)))[:2])
 
 
 @dataclass(frozen=True)

@@ -93,18 +93,16 @@ class Mat2:
     Representatives are unique: the first entry (row-major scan) larger
     than tolerance in absolute value is made positive, so values are
     hashable stand-ins for elements of PSL(2,R).
+
+    The package computes on (N, 2, 2) stacks in this normal form
+    (`mat2_stack`); the class is the scalar reference the tests check
+    them against, and perfbench's object counter binds its constructor.
     """
 
     __slots__ = ("m",)
 
     def __init__(self, m):
-        m = np.asarray(m, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError("Mat2 expects a 2x2 matrix")
-        if unnormalizable(m):
-            raise ValueError("matrix must have a finite positive determinant")
-        # tolerate scaled input: renormalize to determinant one
-        self.m = mat2_stack(m[None])[0]
+        self.m = mat2_of(m)
 
     @classmethod
     def normalized(cls, m):
@@ -135,9 +133,6 @@ class Mat2:
     def is_identity(self, tol=1e-8):
         return float(np.max(np.abs(self.m - np.eye(2)))) < tol
 
-    def __repr__(self):
-        a, b, c, d = self.m.ravel()
-        return "Mat2([[%.6g, %.6g], [%.6g, %.6g]])" % (a, b, c, d)
 
 
 def adjugate(m):
@@ -169,22 +164,33 @@ def unnormalizable(mats):
     return ~(np.isfinite(det) & (det > 0))
 
 
-def refuse_unnormalizable(prods, what):
-    """Raise ValueError if a product in a stack of products of
+def refuse_unnormalizable(prods, what, error=ValueError):
+    """Raise `error` if a product in a stack of products of
     determinant-one factors is unnormalizable, naming the cause: `what`
     "overflows" if a determinant is not finite, and "lost its
     determinant to rounding" if one is finite but not positive."""
     with np.errstate(over="ignore", invalid="ignore"):
         det = _det(prods)
     if not np.isfinite(det).all():
-        raise ValueError("%s overflows" % what)
+        raise error("%s overflows" % what)
     if (det <= 0).any():
-        raise ValueError("%s lost its determinant to rounding" % what)
+        raise error("%s lost its determinant to rounding" % what)
 
 
 def mat2_stack(mats):
     """Mat2's normalization on a (N, 2, 2) stack, bit for bit."""
     return canonical_signs(mats / np.sqrt(_det(mats))[:, None, None])
+
+
+def mat2_of(m):
+    """One 2x2 matrix, of any positive determinant, normalized as Mat2
+    holds it; another shape or determinant is invalid."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix")
+    if unnormalizable(m):
+        raise ValueError("matrix must have a finite positive determinant")
+    return mat2_stack(m[None])[0]
 
 
 def row_keys(rows, digits):
@@ -212,14 +218,14 @@ def mat2_fold(factors, mask=None):
 
 
 def adjoint_to_so21(m):
-    """Adjoint action of a Mat2, or of each matrix of a (..., 2, 2) stack
-    in Mat2's normal form (not renormalized), on sl(2,R), as 3x3
+    """Adjoint action of a 2x2 matrix, or of each matrix of a (..., 2, 2)
+    stack, in Mat2's normal form (not renormalized), on sl(2,R), as 3x3
     matrices in SO(2,1)_0.
 
     Columns are the images of the fixed basis E1, E2, E3; well defined on
     PSL since the adjoint kills the sign.
     """
-    a = m.m if isinstance(m, Mat2) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     X = a[..., None, :, :] @ SL2_BASIS @ adjugate(a)[..., None, :, :]
     # coordinates of each image X = x E1 + y E2 + t E3
     x = 0.5 * (X[..., 0, 0] - X[..., 1, 1])
@@ -313,6 +319,7 @@ class RP1Point:
 
     The circle parameter `theta` = angle / pi in [0, 1) is monotone with
     respect to the cyclic order of the corresponding null directions.
+    Like Mat2, a scalar reference of the stacked forms (`rp1_stack`).
     """
 
     __slots__ = ("v", "theta")
@@ -334,8 +341,7 @@ class RP1Point:
         return cls(np.array([math.cos(a), math.sin(a)]))
 
     def apply(self, m):
-        mat = m.m if isinstance(m, Mat2) else np.asarray(m, dtype=float)
-        return RP1Point(mat @ self.v)
+        return RP1Point(np.asarray(m, dtype=float) @ self.v)
 
     def null_vector(self):
         """Future null direction of this ideal point under the fixed
@@ -345,9 +351,6 @@ class RP1Point:
     def dist(self, other):
         d = abs(self.theta - other.theta)
         return min(d, 1.0 - d)
-
-    def __repr__(self):
-        return "RP1Point(theta=%.6f)" % self.theta
 
 
 def rp1_units(vs):
@@ -390,14 +393,13 @@ def null_vectors(vs):
 
 def geodesic_normal(end1, end2, toward=None):
     """Unit spacelike normal of the plane through the origin spanned by
-    two distinct ideal points (null directions), or of each pair in two
-    (N, 3) stacks of null vectors.
+    two distinct ideal points, given by their null vectors, or of each
+    pair in two (N, 3) stacks of null vectors.
 
     If `toward` is given, the sign is fixed so <n, toward> > 0, i.e. the
     normal points into the side containing `toward`.
     """
-    u = end1.null_vector() if isinstance(end1, RP1Point) else np.asarray(end1, float)
-    v = end2.null_vector() if isinstance(end2, RP1Point) else np.asarray(end2, float)
+    u, v = np.asarray(end1, dtype=float), np.asarray(end2, dtype=float)
     n = np.cross(u, v) @ G
     # the direct <n,n> cancels catastrophically for nearby endpoints;
     # the Lagrange identity form stays accurate down to tiny gaps.

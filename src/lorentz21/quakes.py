@@ -22,9 +22,9 @@ import numpy as np
 
 from . import laminations as lamins
 from .fuchsian import Representation
-from .minkowski import (G, RP1Point, adjoint_to_so21, finite, hyperboloid_normalize, inner,
-                        mat2_fold, mat2_stack, null_vectors, per_value, rp1_from_thetas,
-                        rp1_stack, unnormalizable)
+from .minkowski import (G, adjoint_to_so21, finite, hyperboloid_normalize, inner, mat2_fold,
+                        mat2_stack, null_vectors, per_value, rp1_from_thetas, rp1_stack,
+                        rp1_units, unnormalizable)
 
 
 def uhp_point(u, v):
@@ -35,8 +35,9 @@ def uhp_point(u, v):
 
 
 def real_boundary_point(r):
-    """Boundary real r (None for infinity) as an RP1Point."""
-    return RP1Point(np.array([1.0, 0.0] if r is None else [float(r), 1.0]))
+    """Boundary real r (None for infinity) as a unit vector in
+    rp1_units' normal form."""
+    return rp1_units(np.array([[1.0, 0.0] if r is None else [float(r), 1.0]]))[0]
 
 
 class FiniteLaminationH2:
@@ -171,10 +172,9 @@ class EarthquakeMap:
         return list(adjoint_to_so21(self.region_isometry(sides)) @ p)
 
     def boundary_point(self, x):
-        """Image of an ideal point under the boundary extension."""
-        if not isinstance(x, RP1Point):
-            x = RP1Point(x)
-        return x.apply(self.region_isometry(x.null_vector(), ideal=True)[0])
+        """Image of an ideal point, a unit vector in rp1_units' normal
+        form (not renormalized), under the boundary extension, in that form."""
+        return rp1_units((self.region_isometry(null_vectors(x), ideal=True)[0] @ x)[None])[0]
 
 
 class CircleMap:
@@ -188,9 +188,9 @@ class CircleMap:
 
     @classmethod
     def of_mobius(cls, thetas, mobs):
-        """The map theta -> RP1Point.from_theta(theta).apply(m).theta with
-        one Mobius matrix m per angle (or one for all), in one stacked
-        pass that equals the per-sample RP1Point arithmetic bit for bit."""
+        """The map taking theta to the circle parameter of its ideal point
+        moved by m, with one Mobius matrix m per angle (or one for all), in
+        one stacked pass: rp1_from_thetas, the products, then rp1_stack."""
         v = rp1_from_thetas(thetas)
         return cls(np.stack([thetas, rp1_stack((mobs @ v[:, :, None])[:, :, 0])[1]], axis=1))
 

@@ -1,35 +1,36 @@
 """Scalar references of the array layer: the leaf type GeodesicH2 and
 the pairwise linking test the stacked leaf routines are checked
-against, helpers between them and a LeafSet, the per-sample nudge
-of a developed surface, the per-face OBJ and convexity slack of a
-hull, the group ball's per-level dedup by `np.unique` and `np.isin`,
-and the conjugacy samples' lexsort and greedy loops; also the steep
-graphs the hull tests share."""
+against, helpers between them and a LeafSet, the per-pair cocycle
+residual of the identity sweep, the per-sample nudge of a developed
+surface, the per-face OBJ and convexity slack of a hull, the group
+ball's per-level dedup by `np.unique` and `np.isin`, and the conjugacy
+samples' lexsort and greedy loops; also the steep graphs the hull tests
+share."""
 
 import math
 
 import numpy as np
 
 from lorentz21.adshull import CircleGraph, attracting_thetas
-from lorentz21.fuchsian import KEY_DIGITS, signed_letters
+from lorentz21.fuchsian import KEY_DIGITS, concat, reduce_word, signed_letters
 from lorentz21.laminations import LeafSet
 from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack,
                                  refuse_unnormalizable, row_keys)
 
 
 class GeodesicH2:
-    """Complete geodesic of H^2 given by two distinct ideal endpoints."""
+    """Complete geodesic of H^2 given by two distinct ideal endpoints,
+    RP1Points or unit vectors already in their normal form (kept as they
+    are, as that normalization is not idempotent)."""
 
     def __init__(self, end1, end2):
-        if not isinstance(end1, RP1Point):
-            end1 = RP1Point(end1)
-        if not isinstance(end2, RP1Point):
-            end2 = RP1Point(end2)
+        end1, end2 = (e if isinstance(e, RP1Point) else RP1Point.normalized(e)
+                      for e in (end1, end2))
         if end1.dist(end2) < 1e-12:
             raise ValueError("endpoints coincide")
         self.end1 = end1
         self.end2 = end2
-        self.normal = geodesic_normal(end1, end2)
+        self.normal = geodesic_normal(end1.null_vector(), end2.null_vector())
 
     def side(self, p):
         """Signed incidence <n, p> of a hyperboloid point."""
@@ -69,6 +70,26 @@ def leaves_of(pairs):
 def geodesic(leaves, i):
     """Row i of a LeafSet as a GeodesicH2 with the same end vectors."""
     return GeodesicH2(RP1Point.normalized(leaves.end1[i]), RP1Point.normalized(leaves.end2[i]))
+
+
+def cocycle_residual(rep, coc, alpha, beta, ball=None):
+    """Norm of t_{alpha beta} - t_alpha - f(alpha) t_beta.
+
+    The product word is replaced by its canonical ball representative
+    when the product matrix is found in the ball, so a cocycle that does
+    not descend to the group (e.g. a perturbed one) shows a residual on
+    pairs whose free concatenation is not the canonical representative.
+    """
+    alpha = reduce_word(alpha)
+    beta = reduce_word(beta)
+    prod = concat(alpha, beta)
+    if ball is not None:
+        i = int(ball.find(rep.evaluate(prod)[None])[0])
+        if i >= 0:
+            prod = ball.word(i)
+    p, a, b = (coc.affine(w) for w in (prod, alpha, beta))
+    res = p[:3, 3] - a[:3, 3] - a[:3, :3] @ b[:3, 3]
+    return float(np.max(np.abs(res)))
 
 
 def nudge_off(pts, normals):

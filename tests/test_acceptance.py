@@ -15,13 +15,12 @@ import pytest
 from lorentz21 import adshull, flatspace, quakes
 from lorentz21.fuchsian import (
     GroupBall,
-    Mat2,
     Representation,
     euler_class,
     regular_polygon_rep,
 )
 from lorentz21.laminations import WeightedMulticurve
-from lorentz21.minkowski import CausalClass, Mat2 as _M, RP1Point, classify
+from lorentz21.minkowski import CausalClass, Mat2, RP1Point, classify
 from reference import GeodesicH2, leaves_of
 
 
@@ -62,7 +61,7 @@ def test_criterion_1_euler_class(octagon):
         if np.linalg.det(c) < 0.1:
             continue
         tried += 1
-        conj_ok = conj_ok and euler_class(octagon.conjugate(Mat2(c))) == e_oct
+        conj_ok = conj_ok and euler_class(octagon.conjugate(c)) == e_oct
     dt = time.perf_counter() - t0
     ok = e_trivial == 0 and abs(e_oct) == 2 and conj_ok and dt < 5.0
     assert verdict(1, ok, "trivial e=%d, octagon |e|=%d, 20 conjugations %s, %.2fs"
@@ -133,8 +132,7 @@ def test_criterion_5_earthquake_anchors():
                                                quakes.uhp_point(-1.0, 1.0))
         quake = quakes.EarthquakeMap(lamination, side="left")
         for rr in (-2.0, -0.5, 0.5, 3.0):
-            x = quake.boundary_point(quakes.real_boundary_point(rr))
-            u, v = x.v
+            u, v = quake.boundary_point(quakes.real_boundary_point(rr))
             img = u / v
             expect = rr if rr < 0 else s * rr
             worst_boundary = max(worst_boundary,
@@ -171,7 +169,7 @@ def test_criterion_6_ads_roundtrip(octagon):
 def _test_hulls():
     graphs = []
     for s in (2.0, 4.0, 9.0):
-        m = Mat2(np.diag([math.sqrt(s), 1.0 / math.sqrt(s)]))
+        m = Mat2(np.diag([math.sqrt(s), 1.0 / math.sqrt(s)])).m
 
         def f(t, m=m):
             x = RP1Point.from_theta(t)

@@ -10,6 +10,7 @@ from lorentz21.adshull import (
     CircleGraph,
     ConvexHull,
     ProjectivePlane,
+    _dual_distances,
     _face_mobius,
     _group_means,
     attracting_thetas,
@@ -32,10 +33,9 @@ from lorentz21.adshull import (
     segre,
     vec_of,
 )
-from lorentz21.fuchsian import (GroupBall, Mat2, Representation, axis, euler_class,
-                                regular_polygon_rep)
+from lorentz21.fuchsian import GroupBall, Representation, axis, euler_class, regular_polygon_rep
 from lorentz21.laminations import WeightedMulticurve
-from lorentz21.minkowski import RP1Point, adjugate
+from lorentz21.minkowski import Mat2, RP1Point, adjugate
 from lorentz21.quakes import rep_after_earthquake
 import reference
 from reference import hull_obj
@@ -51,7 +51,7 @@ def shear_map(s):
     """Boundary map of the left quake of strength log s along the upper
     half-plane geodesic (0, infinity): identity on the negative reals,
     multiplication by s on the positives."""
-    mpos = Mat2(np.diag([math.sqrt(s), 1.0 / math.sqrt(s)]))
+    mpos = Mat2(np.diag([math.sqrt(s), 1.0 / math.sqrt(s)])).m
 
     def f(t):
         x = RP1Point.from_theta(t)
@@ -84,11 +84,11 @@ def test_segre_examples():
 
 
 def test_rulings_examples():
-    l, r = rulings_of(np.array([1.0, 1.0, 1.0, 1.0]))
+    l, r = map(RP1Point.normalized, rulings_of(np.array([1.0, 1.0, 1.0, 1.0])))
     assert l.dist(RP1Point([1, 1])) < 1e-12
     assert r.dist(RP1Point([1, 1])) < 1e-12
     s = 3.0
-    l, r = rulings_of(np.array([s, 1.0, s, 1.0]))
+    l, r = map(RP1Point.normalized, rulings_of(np.array([s, 1.0, s, 1.0])))
     assert l.dist(RP1Point([1, 1])) < 1e-12
     assert r.dist(RP1Point([s, 1])) < 1e-12
     with pytest.raises(ValueError):
@@ -100,7 +100,7 @@ def test_rulings_roundtrip_random():
     for _ in range(25):
         l = RP1Point(rng.normal(size=2))
         r = RP1Point(rng.normal(size=2))
-        l2, r2 = rulings_of(segre(l, r))
+        l2, r2 = map(RP1Point.normalized, rulings_of(segre(l.v, r.v)))
         assert l2.dist(l) < 1e-12
         assert r2.dist(r) < 1e-12
 
@@ -145,7 +145,7 @@ def test_chart_roundtrip():
     for _ in range(10):
         l = RP1Point(rng.normal(size=2))
         r = RP1Point(rng.normal(size=2))
-        p = segre(l, r)
+        p = segre(l.v, r.v)
         if abs(p[0] + p[3]) < 0.1:
             continue
         X, Y, Z = chart_coords(p)
@@ -235,7 +235,7 @@ def scalar_points(samples):
     """The per-sample Segre points with signs aligned one at a time."""
     out = np.empty((len(samples), 4))
     for i, (tl, tr) in enumerate(samples):
-        out[i] = segre(RP1Point.from_theta(tl), RP1Point.from_theta(tr))
+        out[i] = segre(RP1Point.from_theta(tl).v, RP1Point.from_theta(tr).v)
         if i > 0 and float(np.dot(out[i], out[i - 1])) < 0:
             out[i] = -out[i]
     return out
@@ -245,7 +245,7 @@ def test_graph_points_match_scalar_segre():
     # the last two samples lie half a turn apart on the left, and their
     # raw dot product is exactly zero: the sign run restarts at +1 there
     g = CircleGraph([(0.0, 0.8), (0.25, 0.25), (0.75, 0.25)])
-    raw = [segre(RP1Point.from_theta(tl), RP1Point.from_theta(tr)) for tl, tr in g.samples]
+    raw = [segre(RP1Point.from_theta(tl).v, RP1Point.from_theta(tr).v) for tl, tr in g.samples]
     assert float(np.dot(raw[1], raw[0])) < 0
     assert float(np.dot(raw[2], raw[1])) == 0.0
     ref = scalar_points(g.samples)
@@ -260,7 +260,7 @@ def test_attracting_thetas_match_axis(octagon):
     mats = GroupBall(octagon, 4).elements[1:]
     thetas = attracting_thetas(mats)
     for m, t in zip(mats, thetas):
-        d = abs(axis(m)[0].theta - t)
+        d = abs(RP1Point.normalized(axis(m)[0]).theta - t)
         assert min(d, 1.0 - d) < 1e-12
 
 
@@ -302,11 +302,11 @@ def test_sample_conjugacy_identity(octagon):
 
 
 def test_sample_conjugacy_mobius(octagon):
-    c = Mat2(np.array([[1.2, 0.3], [0.1, 0.9]]))
+    c = np.array([[1.2, 0.3], [0.1, 0.9]])
     g = sample_conjugacy(octagon, octagon.conjugate(c), 4)
     assert g.is_monotone()
     for tl, tr in g.samples:
-        d = abs(RP1Point.from_theta(tl).apply(c).theta - tr)
+        d = abs(RP1Point.from_theta(tl).apply(Mat2(c).m).theta - tr)
         assert min(d, 1.0 - d) < 1e-9
 
 
@@ -378,11 +378,22 @@ def test_conjugacy_pair_euler_classes(octagon):
     assert euler_class(octagon) == euler_class(rep_r) == -2
 
 
+def test_dual_distance_refuses_a_product_without_determinant():
+    # two unipotent duals of size 1e9: m1 m2^-1 = [[1 + 1e18, 1e9], [1e9, 1]],
+    # whose recomputed determinant cancels to 0; a NaN dual is carried
+    m1, m2 = np.array([[1.0, 1e9], [0.0, 1.0]]), np.array([[1.0, 0.0], [-1e9, 1.0]])
+    nan = np.full((2, 2), np.nan)
+    with pytest.raises(RuntimeError, match="two face duals lost its determinant to rounding"):
+        _dual_distances(np.array([nan, m1]), np.array([m2, m2]))
+    assert np.isnan(_dual_distances(np.array([nan, m1]), np.array([m2, nan]))).all()
+    assert _dual_distances(np.array([m1]), np.array([m1])).tolist() == [0.0]
+
+
 def test_extraction_equivariance():
     """Applying (gL, gR) to the graph leaves bending weights unchanged."""
     s = 2.0
-    gl = Mat2(np.array([[1.1, 0.2], [0.3, 1.0]]))
-    gr = Mat2(np.array([[0.9, -0.1], [0.2, 1.2]]))
+    gl = Mat2(np.array([[1.1, 0.2], [0.3, 1.0]])).m
+    gr = Mat2(np.array([[0.9, -0.1], [0.2, 1.2]])).m
     f = shear_map(s)
     n = 96
     moved = CircleGraph([(RP1Point.from_theta(k / n).apply(gl).theta,
@@ -425,9 +436,9 @@ def test_lemma5_plane_family():
 def scalar_hull_faces(hull):
     """The per-face loop that HullFaces replaced, kept as the reference:
     Qhull's facets merged in a dict keyed by rounded equations, then one
-    ProjectivePlane, one Mat2 dual and one flow sum per face.  Returns
-    (normal, offset, label, class, dual or None, future, ids) per face."""
-    minv = np.linalg.inv(hull.chart_plane.dual_mat2().m)
+    ProjectivePlane, one class, one Mat2 dual and one flow sum per face.
+    Returns (normal, offset, label, class, dual or None, future, ids) per face."""
+    minv = np.linalg.inv(hull.chart_plane.dual_mat2())
     pts4 = np.einsum("ij,njk->nik", minv, hull.graph.points().reshape(-1, 2, 2)).reshape(-1, 4)
     pts4 = pts4 * np.sign(0.5 * (pts4[:, 0] + pts4[:, 3]))[:, None]
     qh = ConvexHull(hull.chart_points)
@@ -453,8 +464,9 @@ def scalar_hull_faces(hull):
             d3 = np.array([0.5 * (dp[1] + dp[2]), 0.5 * (dp[0] - dp[3]),
                            0.5 * (dp[1] - dp[2])])
             flow += float(np.dot(normal, (d3 - hull.chart_points[i] * dw) / wp))
-        kind = plane.classify()
-        dual = plane.dual_mat2() if kind == "spacelike" else None
+        q, scale = float(qform(plane.label)), float(np.dot(plane.label, plane.label))
+        kind = "spacelike" if q > 1e-9 * scale else "lorentzian" if q < -1e-9 * scale else "null"
+        dual = Mat2(plane.label.reshape(2, 2) / math.sqrt(q)) if kind == "spacelike" else None
         faces.append((normal, offset, plane.label, kind, dual, flow > 0, ids))
     return faces
 

@@ -153,7 +153,7 @@ def test_ads_hull_sshear(tmp_path, capsys):
             from lorentz21.minkowski import Mat2, RP1Point
             import numpy as np
 
-            out = RP1Point([u, v]).apply(Mat2(np.diag([r, 1 / r]))).theta
+            out = RP1Point([u, v]).apply(Mat2(np.diag([r, 1 / r])).m).theta
         else:
             out = t
         rows.append("%.12f,%.12f" % (t, out))
@@ -190,6 +190,19 @@ def test_ads_hull_artifacts_match_references(tmp_path, capsys, seed):
         weights[~np.isnan(weights)].tolist()
     assert report["values"]["shear_edges"] == [[2.0 * e["weight"], e["face_i"], e["face_j"]]
                                                for e in edges if e["weight"] is not None]
+
+
+@pytest.mark.parametrize("seed", [119, 60])
+def test_ads_hull_refuses_a_left_factor_without_determinant(tmp_path, capsys, seed):
+    # near-null future faces have duals with entries near 2e4; the
+    # recomputed determinant of a left factor cancels (seed 119 once
+    # reported a NaN total_shear, seed 60 one built from an inf factor,
+    # both with exit 0)
+    graph = tmp_path / "graph.csv"
+    graph.write_text("\n".join(steep_graph_rows(seed, n=40)) + "\n")
+    code, report = run_cli(["ads", "hull", str(graph)], capsys)
+    assert code == 1
+    assert report["error"] == "RuntimeError: a left factor lost its determinant to rounding"
 
 
 def test_ads_between_same_rep_flat(capsys):

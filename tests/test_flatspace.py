@@ -9,7 +9,6 @@ from lorentz21.flatspace import (
     _nudge_off,
     coboundary_cocycle,
     cocycle_from_lamination,
-    cocycle_residual,
     cyclic_boost_cocycle,
     cyclic_boost_rep,
     cyclic_initial_singularity,
@@ -24,7 +23,7 @@ from lorentz21.fuchsian import GroupBall, regular_polygon_rep
 from lorentz21.laminations import WeightedMulticurve, stable_lifts
 from lorentz21.minkowski import (CausalClass, adjoint_to_so21, apex, classify,
                                  hyperboloid_normalize, inner, null_vectors)
-from reference import nudge_off
+from reference import cocycle_residual, nudge_off
 
 
 @pytest.fixture(scope="module")

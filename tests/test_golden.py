@@ -70,7 +70,8 @@ def _quake_inputs(leaves=12, seed=5):
     apex = [0.0, 0.0, 1.0]
     points = []
     for a, b in chords[:3]:
-        n = geodesic_normal(RP1Point.from_theta(a), RP1Point.from_theta(b))
+        n = geodesic_normal(RP1Point.from_theta(a).null_vector(),
+                            RP1Point.from_theta(b).null_vector())
         points.append(hyperboloid_normalize(apex - inner(n, apex) * n))
     for k in range(9):
         if k < 6:
