@@ -7,7 +7,7 @@ as the matrix [[a,b],[c,d]] normalized to determinant 1.  The quadric
 is doubly ruled; the rulings identify it with RP^1 x RP^1, and graphs
 of monotone circle maps embed as nowhere-timelike curves on it.
 
-Planes are labelled by their dual points: the plane of label m consists
+A plane is its (4,) label, its dual point: the plane of label m consists
 of the points v with <m, v> = 0 for the polarized form of q.  Convex
 hulls of circle-map graphs are computed in an affine chart whose plane
 at infinity is a disjoint spacelike plane, and the future boundary
@@ -22,11 +22,9 @@ import math
 import numpy as np
 
 from .fuchsian import GroupBall
-from .minkowski import (adjugate, finite, mat2_stack, per_value, refuse_unnormalizable,
+from .minkowski import (EPS, adjugate, finite, mat2_stack, per_value, refuse_unnormalizable,
                         rp1_from_thetas, rp1_stack, rp1_units, row_keys)
 from .quakes import CircleMap
-
-EPS = 1e-9
 
 # derivative at 0 of the rotation subgroup [[cos t, sin t], [-sin t, cos t]];
 # its right-multiplication flow is the time orientation of AdS
@@ -50,19 +48,6 @@ def qpair(u, v):
 def _rowdot(u, v):
     """np.dot of each row pair of two (N, k) stacks, bit for bit."""
     return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def vec_of(m):
-    return np.asarray(m, dtype=float).reshape(4)
-
-
-def segre(left, right):
-    """Quadric point of a ruling pair of 2-vectors: ((X1:Y1),(X2:Y2)) goes
-    to (X1 X2 : X1 Y2 : Y1 X2 : Y1 Y2), i.e. the rank-one matrix l r^T."""
-    l, r = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
-    if np.max(np.abs(l)) == 0 or np.max(np.abs(r)) == 0:
-        raise ValueError("ruling coordinates must be nonzero")
-    return vec_of(np.outer(l, r))
 
 
 def rulings_of(p):
@@ -95,42 +80,23 @@ def plane_classes(labels):
     return classes, duals
 
 
-class ProjectivePlane:
-    """Plane in RP^3 labelled by its dual point with respect to q.
+def plane_label(v):
+    """The (4,) label of the plane {u : qpair(v, u) = 0}: v scaled to
+    max-abs 1.  Its dual point is the label itself."""
+    label = np.asarray(v, dtype=float).reshape(4)
+    n = float(np.max(np.abs(label)))
+    if n == 0:
+        raise ValueError("zero label is not a plane")
+    return label / n
 
-    The plane of label (e:f:g:h) is {v : qpair(label, v) = 0}; it is
-    spacelike, null or Lorentzian according as eh - gf is positive,
-    zero or negative (plane_classes).
-    """
 
-    def __init__(self, label):
-        label = vec_of(label)
-        n = float(np.max(np.abs(label)))
-        if n == 0:
-            raise ValueError("zero label is not a plane")
-        self.label = label / n
-
-    def incidence(self, v):
-        return float(qpair(self.label, vec_of(v)))
-
-    def classify(self):
-        return str(plane_classes(self.label[None])[0][0])
-
-    def dual_point(self):
-        """Pole of the plane: the label itself.  Lies in AdS iff the
-        plane is spacelike, on the quadric iff it is null."""
-        return self.label.copy()
-
-    def dual_mat2(self):
-        """Determinant-one (2, 2) matrix representative, in Mat2's normal
-        form, of the dual point of a plane that classify() calls spacelike."""
-        classes, duals = plane_classes(self.label[None])
-        if classes[0] != "spacelike":
-            raise ValueError("plane is not spacelike")
-        return duals[0]
-
-    def __repr__(self):
-        return "ProjectivePlane(%s)" % np.array2string(self.label, precision=6)
+def _spacelike_dual(label, refusal):
+    """plane_classes' dual matrix of one label; `refusal` is raised
+    unless the plane is spacelike."""
+    classes, duals = plane_classes(label[None])
+    if classes[0] != "spacelike":
+        raise refusal
+    return duals[0]
 
 
 def chart_coords(v):
@@ -155,7 +121,7 @@ def chart_quadric_point(X, Y, Z):
 
 def plane_z_equals(k):
     """The plane {Z = k} of the standard chart, dual to [[-k,1],[-1,-k]]."""
-    return ProjectivePlane(np.array([-k, 1.0, -1.0, -k]))
+    return plane_label([-k, 1.0, -1.0, -k])
 
 
 class CircleGraph(CircleMap):
@@ -220,11 +186,12 @@ class CircleGraph(CircleMap):
         return cls(samples)
 
 
-def _separates(label, pts):
+def plane_separates(label, points):
     """Whether the plane of label has incidences of one strict sign on
-    the (N, 4) points, each beyond 1e-9 of |label| |point|."""
-    inc = qpair(label, pts)
-    margin = EPS * np.linalg.norm(label) * np.linalg.norm(pts, axis=1)
+    the (N, 4) points, each beyond EPS of |label| |point|."""
+    points = np.asarray(points, dtype=float)
+    inc = qpair(label, points)
+    margin = EPS * np.linalg.norm(label) * np.linalg.norm(points, axis=1)
     return bool(np.all(inc > margin) or np.all(inc < -margin))
 
 
@@ -233,7 +200,7 @@ def _scan_z_family(pts, cap):
     for _ in range(cap):
         for kk in (k, -k):
             label = np.array([-kk, 1.0, -1.0, -kk])
-            if _separates(label, pts):
+            if plane_separates(label, pts):
                 return label
         k *= 1.25
     return None
@@ -246,37 +213,37 @@ def _plane_through(pts):
     same last right singular vector without the (N, N) left factor."""
     pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
     rows = 0.5 * np.stack([pts[:, 3], -pts[:, 2], -pts[:, 1], pts[:, 0]], axis=1)
-    return ProjectivePlane(np.linalg.svd(rows, full_matrices=len(rows) < 4)[2][-1])
+    return plane_label(np.linalg.svd(rows, full_matrices=len(rows) < 4)[2][-1])
 
 
 def disjoint_spacelike_plane(graph, cap=120):
-    """A spacelike plane with constant-sign incidence on all graph
-    samples: the planes {Z = k} of the standard chart are scanned
+    """The label of a spacelike plane with constant-sign incidence on
+    all graph samples: the planes {Z = k} of the standard chart are scanned
     outward in |k|; if that family is exhausted the graph is first
     recentered so that the plane through three spread samples becomes
     the standard plane."""
     pts = graph.points()
     label = _scan_z_family(pts, cap)
     if label is not None:
-        return ProjectivePlane(label)
+        return plane_label(label)
     n = len(graph)
+    refusal = RuntimeError("no disjoint spacelike plane found")
     p0 = _plane_through(pts[[n // 6, n // 2, (5 * n) // 6]])
-    if p0.classify() != "spacelike":
-        raise RuntimeError("no disjoint spacelike plane found")
-    g = ROTATION_GENERATOR @ np.linalg.inv(p0.dual_mat2())
+    g = ROTATION_GENERATOR @ np.linalg.inv(_spacelike_dual(p0, refusal))
     tpts = np.einsum("ij,njk->nik", g, pts.reshape(-1, 2, 2)).reshape(-1, 4)
     label = _scan_z_family(tpts, cap)
     if label is None:
-        raise RuntimeError("no disjoint spacelike plane found")
-    return ProjectivePlane(np.linalg.inv(g) @ label.reshape(2, 2))
+        raise refusal
+    return plane_label(np.linalg.inv(g) @ label.reshape(2, 2))
 
 
 class HullFaces:
     """The merged faces of a hull, one row per face: the chart plane
-    normals[i] . X + offsets[i] = 0 (unit normal), its ProjectivePlane
-    label, the class and the dual matrix of plane_classes (NaN unless
-    spacelike) and the time orientation.  Face i's sorted vertex ids are
-    ids[start[i]:start[i + 1]]; face owner[k] holds vertex ids[k]."""
+    normals[i] . X + offsets[i] = 0 (unit normal), its label (max-abs 1,
+    as plane_label scales it), the class and the dual matrix of
+    plane_classes (NaN unless spacelike) and the time orientation.  Face
+    i's sorted vertex ids are ids[start[i]:start[i + 1]]; face owner[k]
+    holds vertex ids[k]."""
 
     def __init__(self, normals, offsets, labels, future, ids, start):
         self.normals, self.offsets, self.labels = normals, offsets, labels
@@ -291,11 +258,11 @@ class HullFaces:
 class HullComplex:
     """Convex hull of a circle graph in an affine chart.
 
-    Fields: the graph, the chart plane (points are transported by
-    v -> m^{-1} v, m its dual, before taking the standard chart), the
+    Fields: the graph, the chart plane's label (points are transported
+    by v -> m^{-1} v, m its dual, before taking the standard chart), the
     chart coordinates of all samples, the merged faces, and the vertex
     ids that are hull vertices.  Flat (planar) graphs produce a complex
-    with flat = True, a single plane, and no faces.
+    with flat = True, a single plane's label, and no faces.
     """
 
     def __init__(self, graph, chart_plane, chart_points, faces, vertex_ids,
@@ -333,7 +300,7 @@ class HullComplex:
         order) and faces, each face's cycle ordered by the angle about its
         vertex mean in a basis of its plane."""
         lines = ["# convex hull in affine chart; plane at infinity dual to"]
-        lines.append("# %s" % np.array2string(self.chart_plane.label, precision=9))
+        lines.append("# %s" % np.array2string(self.chart_plane, precision=9))
         lines += ["v %.9f %.9f %.9f" % tuple(p)
                   for p in self.chart_points[self.vertex_ids].tolist()]
         faces, n, owner = self.faces, self.faces.normals, self.faces.owner
@@ -365,11 +332,9 @@ def convex_hull(graph, chart_plane=None):
     """Convex hull of the graph in the chart of a disjoint spacelike
     plane, with coplanar facets merged and faces split future/past by
     the rotation-flow time orientation."""
-    if chart_plane is None:
-        chart_plane = disjoint_spacelike_plane(graph)
-    if chart_plane.classify() != "spacelike":
-        raise ValueError("chart plane must be spacelike")
-    m = chart_plane.dual_mat2()
+    chart_plane = plane_label(disjoint_spacelike_plane(graph) if chart_plane is None
+                              else chart_plane)
+    m = _spacelike_dual(chart_plane, ValueError("chart plane must be spacelike"))
     minv = np.linalg.inv(m)
     pts4 = np.einsum("ij,njk->nik", minv, graph.points().reshape(-1, 2, 2)).reshape(-1, 4)
     w = 0.5 * (pts4[:, 0] + pts4[:, 3])
@@ -477,14 +442,20 @@ def face_adjacency(hull):
     return np.stack([face[a[head]], face[b[head]]], axis=1), v[a[o]], np.append(start, len(o))
 
 
-def _dual_distances(m1, m2):
-    """arccosh(|tr(m1 m2^{-1})| / 2) per row of two dual stacks, normalized
-    as Mat2 does, by math.acosh; a NaN dual gives NaN.  A product of two
-    finite duals that cannot be normalized fails the hull (RuntimeError)."""
+def _quotients(m1, m2, what):
+    """m1 m2^{-1} per row of two broadcast dual stacks, normalized as Mat2
+    does; a NaN dual gives NaN.  A product of two finite duals that cannot
+    be normalized fails the hull (RuntimeError, naming `what`)."""
     prods = m1 @ mat2_stack(adjugate(m2))
-    both = np.isfinite(m1).all(axis=(1, 2)) & np.isfinite(m2).all(axis=(1, 2))
-    refuse_unnormalizable(prods[both], "a product of two face duals", RuntimeError)
-    rel = mat2_stack(prods)
+    both = np.isfinite(m1).all(axis=(-2, -1)) & np.isfinite(m2).all(axis=(-2, -1))
+    refuse_unnormalizable(prods[both], what, RuntimeError)
+    return mat2_stack(prods)
+
+
+def _dual_distances(m1, m2):
+    """arccosh(|tr(m1 m2^{-1})| / 2) per row of two dual stacks, by
+    math.acosh; a NaN dual gives NaN."""
+    rel = _quotients(m1, m2, "a product of two face duals")
     return per_value(math.acosh, np.maximum(np.abs(rel[:, 0, 0] + rel[:, 1, 1]) / 2.0, 1.0))
 
 
@@ -528,10 +499,8 @@ def extract_left_earthquake(hull):
     future-boundary edges (a shear weight is twice a bending weight)."""
     theta = hull.graph.samples[:, 0]
     if hull.flat:
-        plane = hull.flat_plane
-        if plane.classify() != "spacelike":
-            raise ValueError("flat hull on a non-spacelike plane")
-        cm = CircleMap.of_mobius(theta, _face_mobius(plane.dual_mat2()[None]))
+        dual = _spacelike_dual(hull.flat_plane, ValueError("flat hull on a non-spacelike plane"))
+        cm = CircleMap.of_mobius(theta, _face_mobius(dual[None]))
         return ExtractedEarthquake(np.eye(2)[None], cm, bending_data(hull), 0.0)
 
     # near-tangent sliver faces of the sampled hull classify as null;
@@ -543,9 +512,7 @@ def extract_left_earthquake(hull):
         raise ValueError("hull has no spacelike future faces")
     by_size = order[np.argsort(-np.diff(faces.start)[order], kind="stable")]
     duals = faces.duals[order]
-    left_factors = faces.duals[by_size[0]] @ mat2_stack(adjugate(duals))
-    refuse_unnormalizable(left_factors, "a left factor", RuntimeError)
-    left_factors = mat2_stack(left_factors)
+    left_factors = _quotients(faces.duals[by_size[0]], duals, "a left factor")
 
     # assign each sample to the future face of its nearest hull vertex
     # (ties to the earlier vertex by theta); a vertex belongs to the
@@ -697,7 +664,7 @@ def dependence_membership(p, graph, eps=EPS):
     when the test is indeterminate (planar graph, or a sample within
     eps of the plane).
     """
-    p = vec_of(p)
+    p = np.asarray(p, dtype=float).reshape(4)
     if graph.is_planar():
         return None
     pts = graph.points()
@@ -721,8 +688,3 @@ def lemma5_configuration():
           (-2 * math.sin(math.pi / 3), 2 * math.cos(math.pi / 3), r3)]
     down = [(x, y, -z) for x, y, z in up]
     return [chart_quadric_point(*p) for p in base + up + down]
-
-
-def plane_separates(plane, points):
-    """Constant-sign incidence of a plane on a list of 4-vectors."""
-    return _separates(plane.label, np.asarray(points, dtype=float))

@@ -1,4 +1,5 @@
-"""Scalar references of the array layer: the leaf type GeodesicH2 and
+"""Scalar references of the array layer: the Segre map of one ruling
+pair, which CircleGraph.points stacks, the leaf type GeodesicH2 and
 the pairwise linking test the stacked leaf routines are checked
 against, helpers between them and a LeafSet, the per-pair cocycle
 residual of the identity sweep, the per-sample nudge of a developed
@@ -16,6 +17,15 @@ from lorentz21.fuchsian import KEY_DIGITS, concat, reduce_word, signed_letters
 from lorentz21.laminations import LeafSet
 from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack,
                                  refuse_unnormalizable, row_keys)
+
+
+def segre(left, right):
+    """Quadric point of a ruling pair of 2-vectors: ((X1:Y1),(X2:Y2)) goes
+    to (X1 X2 : X1 Y2 : Y1 X2 : Y1 Y2), i.e. the rank-one matrix l r^T."""
+    l, r = np.asarray(left, dtype=float), np.asarray(right, dtype=float)
+    if np.max(np.abs(l)) == 0 or np.max(np.abs(r)) == 0:
+        raise ValueError("ruling coordinates must be nonzero")
+    return np.outer(l, r).reshape(4)
 
 
 class GeodesicH2:
@@ -114,7 +124,7 @@ def hull_obj(hull):
     """The OBJ of a HullComplex, each face's cycle ordered on its own:
     angles about the vertex mean in a basis of the face plane."""
     lines = ["# convex hull in affine chart; plane at infinity dual to"]
-    lines.append("# %s" % np.array2string(hull.chart_plane.label, precision=9))
+    lines.append("# %s" % np.array2string(hull.chart_plane, precision=9))
     index = {}
     for i in hull.vertex_ids:
         index[i] = len(index) + 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import tracemalloc
@@ -9,7 +10,6 @@ from lorentz21.adshull import (
     ROTATION_GENERATOR,
     CircleGraph,
     ConvexHull,
-    ProjectivePlane,
     _dual_distances,
     _face_mobius,
     _group_means,
@@ -24,21 +24,22 @@ from lorentz21.adshull import (
     face_adjacency,
     hyperbolic_traces,
     lemma5_configuration,
+    plane_classes,
+    plane_label,
     plane_separates,
     plane_z_equals,
     qform,
     qpair,
     rulings_of,
     sample_conjugacy,
-    segre,
-    vec_of,
 )
 from lorentz21.fuchsian import GroupBall, Representation, axis, euler_class, regular_polygon_rep
 from lorentz21.laminations import WeightedMulticurve
-from lorentz21.minkowski import Mat2, RP1Point, adjugate
-from lorentz21.quakes import rep_after_earthquake
+from lorentz21.minkowski import (Mat2, RP1Point, adjugate, hyperboloid_normalize, null_vectors,
+                                 rp1_from_thetas)
+from lorentz21.quakes import EquivariantEarthquakeMap, rep_after_earthquake
 import reference
-from reference import hull_obj
+from reference import hull_obj, segre
 
 
 def proj_err(u, v):
@@ -71,6 +72,10 @@ def shear_graph(s, n=96):
 
 def identity_graph(n=48):
     return CircleGraph([(k / n, k / n) for k in range(n)])
+
+
+def plane_class(label):
+    return str(plane_classes(np.asarray(label, dtype=float)[None])[0][0])
 
 
 def test_segre_examples():
@@ -106,30 +111,33 @@ def test_rulings_roundtrip_random():
 
 
 def test_plane_classify_examples():
-    assert ProjectivePlane([0.0, 1.0, -1.0, 0.0]).classify() == "spacelike"
-    assert ProjectivePlane([1.0, 0.0, 0.0, 0.0]).classify() == "null"
-    assert ProjectivePlane([0.0, 1.0, 1.0, 0.0]).classify() == "lorentzian"
+    assert plane_class(plane_label([0.0, 1.0, -1.0, 0.0])) == "spacelike"
+    assert plane_class(plane_label([1.0, 0.0, 0.0, 0.0])) == "null"
+    assert plane_class(plane_label([0.0, 1.0, 1.0, 0.0])) == "lorentzian"
 
 
 def test_dual_point_examples():
     # the plane {b = c} has dual point the class of [[0,1],[-1,0]]
-    p = ProjectivePlane([0.0, 1.0, -1.0, 0.0])
-    assert proj_err(p.dual_point(), vec_of(np.array([[0.0, 1.0], [-1.0, 0.0]]))) == 0.0
+    p = plane_label([0.0, 1.0, -1.0, 0.0])
+    assert proj_err(p, np.array([[0.0, 1.0], [-1.0, 0.0]]).reshape(4)) == 0.0
     # the dual of a spacelike plane is an AdS point off the plane
-    assert qform(p.dual_point()) > 0
-    assert abs(p.incidence(p.dual_point())) > 0.1
+    assert qform(p) > 0
+    assert abs(qpair(p, p)) > 0.1
     # a null plane is tangent to the quadric at its own label
-    n = ProjectivePlane([1.0, 0.0, 0.0, 0.0])
-    assert abs(qform(n.dual_point())) < 1e-15
-    assert abs(n.incidence(n.dual_point())) < 1e-15
+    n = plane_label([1.0, 0.0, 0.0, 0.0])
+    assert abs(qform(n)) < 1e-15
+    assert abs(qpair(n, n)) < 1e-15
     # duality is an involution
-    assert proj_err(ProjectivePlane(p.dual_point()).label, p.label) == 0.0
+    assert proj_err(plane_label(p), p) == 0.0
+    with pytest.raises(ValueError, match="zero label is not a plane"):
+        plane_label(np.zeros((2, 2)))
     # a null plane has no dual matrix, nor has one with q > 0 that
-    # classify() calls null
+    # plane_classes calls null, and it is no chart plane
     for label in ([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1e-12]):
-        assert ProjectivePlane(label).classify() == "null"
-        with pytest.raises(ValueError):
-            ProjectivePlane(label).dual_mat2()
+        classes, duals = plane_classes(plane_label(label)[None])
+        assert classes.tolist() == ["null"] and np.isnan(duals).all()
+        with pytest.raises(ValueError, match="chart plane must be spacelike"):
+            convex_hull(shear_graph(2.0, 16), label)
 
 
 def test_plane_incidence_is_quadric_polarization():
@@ -156,18 +164,39 @@ def test_chart_roundtrip():
 def test_disjoint_spacelike_plane_properties():
     for graph in (shear_graph(2.0), identity_graph()):
         plane = disjoint_spacelike_plane(graph)
-        assert plane.classify() == "spacelike"
+        assert plane_class(plane) == "spacelike"
         pts = graph.points()
-        inc = qpair(plane.label, pts)
+        inc = qpair(plane, pts)
         assert np.all(inc > 0) or np.all(inc < 0)
+
+
+@pytest.mark.parametrize("t", [0.5, 2.0, 10.0])
+def test_disjoint_spacelike_plane_recentres(t):
+    """The shear graph with its images moved by diag(e^(t/2), e^(-t/2))
+    is crossed by the first planes {Z = +-1/4} of the scan, so with the
+    scan cut there the plane through three spread samples recentres the
+    graph, and the scan then finds a plane that misses it."""
+    g = np.diag([math.exp(t / 2), math.exp(-t / 2)])
+    graph = CircleGraph([(tl, RP1Point.from_theta(tr).apply(g).theta)
+                         for tl, tr in shear_graph(2.0).samples])
+    pts = graph.points()
+    assert not plane_separates(plane_z_equals(0.25), pts)
+    assert not plane_separates(plane_z_equals(-0.25), pts)
+    label = disjoint_spacelike_plane(graph, cap=1)
+    assert label.dtype == float and label.shape == (4,)
+    assert plane_class(label) == "spacelike"
+    assert plane_separates(label, pts)
+    hull = convex_hull(graph, label)
+    assert not hull.flat and same_bits(hull.chart_plane, label)
+    assert hull.convexity_slack() > -1e-6
 
 
 def test_flat_hull_identity_graph():
     hull = convex_hull(identity_graph())
     assert hull.flat
-    assert hull.flat_plane.classify() == "spacelike"
+    assert plane_class(hull.flat_plane) == "spacelike"
     # the identity graph lies on the plane {b = c}
-    assert proj_err(hull.flat_plane.label, [0.0, 1.0, -1.0, 0.0]) < 1e-9
+    assert proj_err(hull.flat_plane, [0.0, 1.0, -1.0, 0.0]) < 1e-9
     assert "\nf " not in hull.to_obj() and hull.to_obj() == hull_obj(hull)
     pairs, shared, start, weights = bending_data(hull)
     assert pairs.shape == (0, 2) and len(shared) == len(weights) == 0 and start.tolist() == [0]
@@ -408,6 +437,40 @@ def test_extraction_equivariance():
     assert abs(edges[0] - 0.5 * math.log(s)) < 1e-9
 
 
+@pytest.mark.parametrize("golden, curves, scale", [
+    ("sheared_b1.json", [("b1", 1.0)], 0.55),
+    (None, [("a1", 0.7), ("a2", 0.4)], 1.0),
+    (None, [("a1", 0.5), ("b2", 0.3)], 1.0),
+    (None, [("a1 b1 A1 B1", 0.6)], 1.0)], ids=["b1-golden", "a1-a2", "a1-b2", "a1b1A1B1"])
+def test_face_duals_match_region_isometries(octagon, golden, curves, scale):
+    """The dual of a spacelike future face is the left earthquake's
+    isometry E on one complementary region, up to fixed factors, so on
+    the three largest such faces |tr(m_i m_j^-1)| = |tr(E_i^-1 E_j)|:
+    m_i the face's dual and E_i the isometry of the region that holds
+    the mean of the face's left ideal vertices.  Traces ignore the
+    conjugation between the two sides."""
+    mc = WeightedMulticurve(curves)
+    if golden:
+        rep_r = Representation.load(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                                  "data", "golden", golden))
+    else:
+        rep_r = rep_after_earthquake(octagon, mc, scale, L=3)
+    graph = sample_conjugacy(octagon, rep_r, 5)
+    faces = convex_hull(graph).faces
+    kept = np.flatnonzero(faces.future & (faces.classes == "spacelike"))
+    top = kept[np.argsort(-np.diff(faces.start)[kept], kind="stable")[:3]]
+    quake = EquivariantEarthquakeMap(octagon, mc, "left", scale)
+    regions = []
+    for i in top:
+        left = graph.samples[faces.ids[faces.start[i]:faces.start[i + 1]], 0]
+        p = hyperboloid_normalize(null_vectors(rp1_from_thetas(left)).mean(axis=0))
+        regions.append(quake.region_isometry(p)[0])
+    for i, j in itertools.combinations(range(3), 2):
+        dual = abs(np.trace(faces.duals[top[i]] @ adjugate(faces.duals[top[j]])))
+        quake_side = abs(np.trace(adjugate(regions[i]) @ regions[j]))
+        assert abs(dual - quake_side) < 1e-6
+
+
 def test_dependence_membership_cases():
     g = shear_graph(2.0, 64)
     # the identity point's dual plane misses the graph
@@ -430,15 +493,15 @@ def test_lemma5_plane_family():
         assert plane_separates(plane_z_equals(k), pts)
     for k in (0.0, 1.0, 1.5, -1.5):
         assert not plane_separates(plane_z_equals(k), pts)
-    assert plane_z_equals(2.0).classify() == "spacelike"
+    assert plane_class(plane_z_equals(2.0)) == "spacelike"
 
 
 def scalar_hull_faces(hull):
     """The per-face loop that HullFaces replaced, kept as the reference:
     Qhull's facets merged in a dict keyed by rounded equations, then one
-    ProjectivePlane, one class, one Mat2 dual and one flow sum per face.
+    plane_label, one class, one Mat2 dual and one flow sum per face.
     Returns (normal, offset, label, class, dual or None, future, ids) per face."""
-    minv = np.linalg.inv(hull.chart_plane.dual_mat2())
+    minv = np.linalg.inv(plane_classes(hull.chart_plane[None])[1][0])
     pts4 = np.einsum("ij,njk->nik", minv, hull.graph.points().reshape(-1, 2, 2)).reshape(-1, 4)
     pts4 = pts4 * np.sign(0.5 * (pts4[:, 0] + pts4[:, 3]))[:, None]
     qh = ConvexHull(hull.chart_points)
@@ -455,19 +518,19 @@ def scalar_hull_faces(hull):
         normal, offset = eq[:3] / np.linalg.norm(eq[:3]), float(eq[3])
         n1, n2, n3 = normal
         cov = 0.5 * np.array([[offset + n2, n1 + n3], [n1 - n3, offset - n2]])
-        plane = ProjectivePlane(chart_mat @ adjugate(cov.T))
+        label = plane_label(chart_mat @ adjugate(cov.T))
         flow = 0.0
         for i in ids[:8]:
-            dp = vec_of(pts4[i].reshape(2, 2) @ ROTATION_GENERATOR)
+            dp = (pts4[i].reshape(2, 2) @ ROTATION_GENERATOR).reshape(4)
             wp = 0.5 * (pts4[i, 0] + pts4[i, 3])
             dw = 0.5 * (dp[0] + dp[3])
             d3 = np.array([0.5 * (dp[1] + dp[2]), 0.5 * (dp[0] - dp[3]),
                            0.5 * (dp[1] - dp[2])])
             flow += float(np.dot(normal, (d3 - hull.chart_points[i] * dw) / wp))
-        q, scale = float(qform(plane.label)), float(np.dot(plane.label, plane.label))
+        q, scale = float(qform(label)), float(np.dot(label, label))
         kind = "spacelike" if q > 1e-9 * scale else "lorentzian" if q < -1e-9 * scale else "null"
-        dual = Mat2(plane.label.reshape(2, 2) / math.sqrt(q)) if kind == "spacelike" else None
-        faces.append((normal, offset, plane.label, kind, dual, flow > 0, ids))
+        dual = Mat2(label.reshape(2, 2) / math.sqrt(q)) if kind == "spacelike" else None
+        faces.append((normal, offset, label, kind, dual, flow > 0, ids))
     return faces
 
 
