@@ -98,30 +98,40 @@ def cocycle_from_lamination(rep, mc, basepoint=None, L=3):
                               basepoint)
 
 
+# word pairs per batch of the identity sweep: a bound on its memory
+SWEEP_BLOCK = 1024
+
+
 def cocycle_identity_sweep(rep, coc, ball):
     """Max cocycle-identity residual over all word pairs of the ball.
 
     Equivalent to looping the pairwise residual (tests/reference.py's
-    cocycle_residual) over every pair, but batched:
-    product matrices are formed in one matmul per row and resolved to
-    canonical ball representatives in one ball.find call per row.  The
-    free concatenations of the other pairs are folded in one batch per row.
+    cocycle_residual) over every pair, but batched over blocks of rows
+    alpha, at most SWEEP_BLOCK pairs each: product matrices are formed
+    in one matmul per block and resolved to canonical ball
+    representatives in one ball.find call.  The free concatenations of
+    the other pairs are folded in one batch per block.
     """
     # extended precision throughout: the three terms are exponentially
     # large in word length and cancel to near machine zero
     A = ball.evaluate(coc)
     T, F = A[:, :3, 3], A[:, :3, :3]
-    words = np.zeros((len(ball), ball.radius), dtype=int)
-    for i, w in enumerate(ball.words()):
-        words[i, :len(w)] = w
+    n = len(ball)
+    # words[i] is ball.word(i), zero-padded: its parent's word, then its letter
+    words = np.zeros((n, ball.radius), dtype=int)
+    for r, (lo, hi) in enumerate(zip(ball.offsets[1:-1], ball.offsets[2:])):
+        words[lo:hi] = words[ball.parent[lo:hi]]
+        words[lo:hi, r] = ball.letter[lo:hi]
     worst = 0.0
-    for i in range(len(ball)):
-        hits = ball.find(ball.elements[i] @ ball.elements)
+    rows = max(1, SWEEP_BLOCK // n)
+    for lo in range(0, n, rows):
+        alphas = np.arange(lo, min(lo + rows, n))
+        hits = ball.find((ball.elements[alphas, None] @ ball.elements).reshape(-1, 2, 2))
         vals = T[hits]
         free = np.flatnonzero(hits < 0)
-        betas = words[free]
+        betas = words[free % n]
         # walk up from alpha while its last letter cancels beta's next
-        start, cut = np.full(len(free), i), np.zeros(len(free), dtype=int)
+        start, cut = alphas[free // n], np.zeros(len(free), dtype=int)
         for k in range(ball.radius):
             up = (cut == k) & (betas[:, k] != 0) & (ball.letter[start] == -betas[:, k])
             start, cut = np.where(up, ball.parent[start], start), cut + up
@@ -130,7 +140,7 @@ def cocycle_identity_sweep(rep, coc, ball):
             live = np.flatnonzero((pos >= cut) & (betas[:, pos] != 0))
             cur[live] = cur[live] @ coc.steps()[letter_step(betas[live, pos])]
         vals[free] = cur[:, :3, 3]
-        base = T[i] + T @ F[i].T
+        base = (T[alphas, None] + T @ F[alphas].swapaxes(1, 2)).reshape(-1, 3)
         # np.maximum, unlike max(), carries a NaN residual through
         worst = np.maximum(worst, np.max(np.abs(vals - base)))
     return float(worst)

@@ -246,32 +246,45 @@ class GroupBall:
         self.genus = rep.genus
         letters, steps = signed_letters(rep.genus), rep.steps()
         mats, lets = np.eye(2)[None], np.array([0])
-        levels = [(mats, np.array([-1]), lets)]
+        levels = [[mats], [np.array([-1])], [lets]]  # matrices, parents, letters
         sorted_keys, key_order = row_keys(mats.reshape(-1, 4), KEY_DIGITS), np.array([0])
         self.offsets = [0, 1]
+        # each temporary is deleted once spent: the last level's would
+        # otherwise be alive together, several times the finished ball
         for _ in range(radius):
-            with np.errstate(over="ignore", invalid="ignore"):
-                prods = (mats[:, None] @ steps[None]).reshape(-1, 2, 2)
             par = np.repeat(np.arange(len(mats)), len(letters))
             let = np.tile(letters, len(mats))
             reduced = lets[par] != -let
-            prods, par, let = prods[reduced], par[reduced], let[reduced]
+            with np.errstate(over="ignore", invalid="ignore"):
+                prods = (mats[:, None] @ steps[None]).reshape(-1, 2, 2)[reduced]
+            par, let = par[reduced], let[reduced]
+            del reduced
             refuse_unnormalizable(prods, "a product of the generators")
             prods = mat2_stack(prods)
             known = len(sorted_keys)
             keys = np.concatenate([sorted_keys, row_keys(prods.reshape(-1, 4), KEY_DIGITS)])
+            del sorted_keys
             order = np.argsort(keys, kind="stable")
             run = keys[order]
+            del keys
             head = np.concatenate([[True], run[1:] != run[:-1]])
             heads = order[head]
+            del order
+            sorted_keys = run[head]
+            del run, head
             first = np.sort(heads[heads >= known] - known)
             index = np.full(len(prods), -1)
             index[first] = np.arange(len(first)) + self.offsets[-1]
-            key_order, sorted_keys = np.concatenate([key_order, index])[heads], run[head]
+            key_order = np.concatenate([key_order, index])[heads]
+            del index, heads
             mats, lets = prods[first], let[first]
-            levels.append((mats, par[first] + self.offsets[-2], lets))
+            del prods
+            for level, part in zip(levels, (mats, par[first] + self.offsets[-2], lets)):
+                level.append(part)
             self.offsets.append(self.offsets[-1] + len(first))
-        self.elements, self.parent, self.letter = (np.concatenate(a) for a in zip(*levels))
+        # each list is released once concatenated
+        del mats
+        self.elements, self.parent, self.letter = (np.concatenate(levels.pop(0)) for _ in range(3))
         self._sorted_keys, self._key_order = sorted_keys, key_order
 
     def __len__(self):

@@ -32,7 +32,7 @@ from .minkowski import (
     hyperboloid_normalize,
     inner,
     null_vectors,
-    per_value,
+    round_digits,
     rp1_stack,
     rp1_thetas,
 )
@@ -138,8 +138,8 @@ class LeafSet:
 
 def _leaf_keys(thetas):
     """The identifying key of each leaf of (N, 2) end parameters: both
-    rounded to 7 digits by round(), mod 1, in ascending order."""
-    return np.sort(per_value(lambda t: round(t, 7), thetas) % 1.0, axis=1)
+    rounded to 7 digits as round() does, mod 1, in ascending order."""
+    return np.sort(round_digits(thetas, 7) % 1.0, axis=1)
 
 
 EMPTY = LeafSet.from_ends(np.zeros((0, 2)), np.zeros((0, 2)), [])
@@ -200,13 +200,41 @@ def multicurve_lifts(rep, mc, radius):
                    classes=np.repeat(np.arange(len(sizes)), sizes))
 
 
+def _separated_and_nested(thetas, sep):
+    """Whether the 2N ends of the (N, 2) end parameters lie in [0, 1),
+    at least sep apart around the circle, and no two chords interleave.
+    The sorted ends read as parentheses, each chord opening at its lower
+    end, are matched as a stack matches them, all at once: grouped
+    stably by depth (after an open, before a close), the ends of each
+    depth alternate open, close, and each close matches the open before
+    it.  The chords are nested exactly when every match is one chord."""
+    ends = thetas.ravel()
+    if not np.all((ends >= 0.0) & (ends < 1.0)):
+        return False
+    order = np.argsort(ends, kind="stable")
+    run = ends[order]
+    if min(np.diff(run).min(), 1.0 - run[-1] + run[0]) < sep:
+        return False
+    opens = np.stack([thetas[:, 0] < thetas[:, 1], thetas[:, 0] > thetas[:, 1]], axis=1)
+    opens = opens.ravel()[order]
+    depth = np.cumsum(np.where(opens, 1, -1))
+    matched = (order // 2)[np.argsort(np.where(opens, depth, depth + 1), kind="stable")]
+    return bool(np.all(matched[0::2] == matched[1::2]))
+
+
 def first_crossing_pair(thetas, classes, same_tol=1e-7, tol=1e-9):
     """First pair (i, j), i < j, of leaves with end parameters thetas
     (N, 2) that are one geodesic within same_tol but of two classes or,
     being distinct, cross; None if there is none.  Leaf i is tested
     against all later leaves at once, exactly as the pairwise
     same_geodesic(g_i, g_j, same_tol), then the endpoints_linked(g_i,
-    g_j, tol) of tests/reference.py."""
+    g_j, tol) of tests/reference.py.  That row loop runs only if a
+    tolerance could decide it or a pair crosses: nested chords whose
+    ends are at least 2 max(same_tol, tol) apart have no pair within
+    either tolerance, and the loop's float order of (x - a) % 1 is then
+    their exact cyclic order, so it would return None."""
+    if len(thetas) < 2 or _separated_and_nested(thetas, 2 * max(same_tol, tol)):
+        return None
     for i in range(len(thetas) - 1):
         a, b = thetas[i]
         later = thetas[i + 1:]

@@ -38,13 +38,36 @@ SL2_BASIS = np.array([
 
 
 def per_value(fn, *arrays):
-    """A Python scalar function (from math, or round) applied to each
-    value of equal-shape arrays, as an array of their shape: the one
-    place the package's values meet Python's math, to which they are
-    pinned bit for bit, as numpy's counterparts can differ in the last bit."""
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    out = np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float, arrays[0].size)
-    return out.reshape(arrays[0].shape)
+    """A Python scalar function from math applied to each value of
+    equal-shape arrays, as an array of their shape: the one place the
+    package's values meet Python's math, to which they are pinned bit
+    for bit, as numpy's counterparts can differ in the last bit.  Values
+    are mapped 2^14 at a time, so no list of them all is ever held."""
+    flats = [np.asarray(a, dtype=float).ravel() for a in arrays]
+    out, step = np.empty(flats[0].size), 1 << 14
+    for lo in range(0, out.size, step):
+        out[lo:lo + step] = np.fromiter(map(fn, *(f[lo:lo + step].tolist() for f in flats)), float)
+    return out.reshape(np.shape(arrays[0]))
+
+
+def round_digits(values, digits):
+    """round(v, digits) of each value, bit for bit, for 0 <= digits <= 22
+    (where 10^digits is a float).  round returns the float nearest
+    N / 10^digits, N the integer nearest the exact v 10^digits (half to
+    even).  np.rint of the float product v 10^digits is that N, and one
+    correctly rounded division by 10^digits gives that float, unless the
+    product is within 4 ulp of a half, not finite, or too large (>= 2^52)
+    to hold N exactly; those values alone go through round itself."""
+    values = np.asarray(values, dtype=float)
+    scale = float(10 ** digits)
+    flat = values.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = flat * scale
+        out = np.rint(scaled) / scale
+        slow = ~(np.abs(scaled) < 2.0 ** 52) | (
+            np.abs(scaled - np.floor(scaled) - 0.5) <= 4.0 * np.spacing(np.abs(scaled)))
+    out[slow] = [round(v, digits) for v in flat[slow].tolist()]
+    return out.reshape(values.shape)
 
 
 def finite(values, what):

@@ -23,8 +23,8 @@ import numpy as np
 from . import laminations as lamins
 from .fuchsian import Representation
 from .minkowski import (G, adjoint_to_so21, finite, hyperboloid_normalize, inner, mat2_fold,
-                        mat2_stack, null_vectors, per_value, rp1_from_thetas, rp1_stack,
-                        rp1_units, unnormalizable)
+                        mat2_stack, null_vectors, per_value, round_digits, rp1_from_thetas,
+                        rp1_stack, rp1_units, unnormalizable)
 
 
 def uhp_point(u, v):
@@ -248,7 +248,7 @@ def boundary_value(quake, samples=256):
     endpoints."""
     if samples < 1:
         raise ValueError("boundary samples must be >= 1")
-    ends = np.unique(per_value(lambda t: round(t, 12), quake.lamination.leaves.thetas))
+    ends = np.unique(round_digits(quake.lamination.leaves.thetas, 12))
     ths = (np.arange(samples) + 0.5) / samples
     if len(ends):
         # a sample is nudged within 1e-9 of an end, or of an end less one:

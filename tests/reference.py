@@ -2,18 +2,18 @@
 pair, which CircleGraph.points stacks, the leaf type GeodesicH2 and
 the pairwise linking test the stacked leaf routines are checked
 against, helpers between them and a LeafSet, the per-pair cocycle
-residual of the identity sweep, the per-sample nudge of a developed
-surface, the per-face OBJ and convexity slack of a hull, the group
-ball's per-level dedup by `np.unique` and `np.isin`, and the conjugacy
-samples' lexsort and greedy loops; also the steep graphs the hull tests
-share."""
+residual of the identity sweep and the sweep one row at a time, the
+per-sample nudge of a developed surface, the per-face OBJ and
+convexity slack of a hull, the group ball's per-level dedup by
+`np.unique` and `np.isin`, and the conjugacy samples' lexsort and
+greedy loops; also the steep graphs the hull tests share."""
 
 import math
 
 import numpy as np
 
 from lorentz21.adshull import CircleGraph, attracting_thetas
-from lorentz21.fuchsian import KEY_DIGITS, concat, reduce_word, signed_letters
+from lorentz21.fuchsian import KEY_DIGITS, concat, letter_step, reduce_word, signed_letters
 from lorentz21.laminations import LeafSet
 from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack,
                                  refuse_unnormalizable, row_keys)
@@ -100,6 +100,36 @@ def cocycle_residual(rep, coc, alpha, beta, ball=None):
     p, a, b = (coc.affine(w) for w in (prod, alpha, beta))
     res = p[:3, 3] - a[:3, 3] - a[:3, :3] @ b[:3, 3]
     return float(np.max(np.abs(res)))
+
+
+def cocycle_identity_sweep_rows(rep, coc, ball):
+    """flatspace.cocycle_identity_sweep one row alpha at a time: one
+    ball.find of alpha times every element, then the free concatenations
+    of the row folded in one batch."""
+    A = ball.evaluate(coc)
+    T, F = A[:, :3, 3], A[:, :3, :3]
+    words = np.zeros((len(ball), ball.radius), dtype=int)
+    for i, w in enumerate(ball.words()):
+        words[i, :len(w)] = w
+    worst = 0.0
+    for i in range(len(ball)):
+        hits = ball.find(ball.elements[i] @ ball.elements)
+        vals = T[hits]
+        free = np.flatnonzero(hits < 0)
+        betas = words[free]
+        # walk up from alpha while its last letter cancels beta's next
+        start, cut = np.full(len(free), i), np.zeros(len(free), dtype=int)
+        for k in range(ball.radius):
+            up = (cut == k) & (betas[:, k] != 0) & (ball.letter[start] == -betas[:, k])
+            start, cut = np.where(up, ball.parent[start], start), cut + up
+        cur = A[start]
+        for pos in range(ball.radius):
+            live = np.flatnonzero((pos >= cut) & (betas[:, pos] != 0))
+            cur[live] = cur[live] @ coc.steps()[letter_step(betas[live, pos])]
+        vals[free] = cur[:, :3, 3]
+        base = T[i] + T @ F[i].T
+        worst = np.maximum(worst, np.max(np.abs(vals - base)))
+    return float(worst)
 
 
 def nudge_off(pts, normals):

@@ -23,7 +23,7 @@ from lorentz21.fuchsian import GroupBall, regular_polygon_rep
 from lorentz21.laminations import WeightedMulticurve, stable_lifts
 from lorentz21.minkowski import (CausalClass, adjoint_to_so21, apex, classify,
                                  hyperboloid_normalize, inner, null_vectors)
-from reference import cocycle_residual, nudge_off
+from reference import cocycle_identity_sweep_rows, cocycle_residual, nudge_off
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +145,29 @@ def test_identity_sweep_carries_nan(octagon):
                                    GroupBall(octagon, 1))
     assert math.isnan(worst)
     assert not _check("cocycle-identity", worst, 1e-8)["ok"]
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_blocked_sweep_matches_row_sweep(octagon, lam_cocycle, radius, monkeypatch):
+    """Bit for bit, whatever the block: the lamination cocycle, a
+    perturbed one, and (below radius 3, where NaN arithmetic in extended
+    precision takes seconds) one carrying a NaN; at radius 3 in the
+    default blocks only, which take two rows of 457 pairs each."""
+    from lorentz21 import flatspace
+
+    ball = GroupBall(octagon, radius)
+    vecs = [np.array(v, dtype=float) for v in lam_cocycle.to_json()["t"]]
+    vecs[0] = vecs[0] + np.array([0.05, 0.0, 0.0])
+    cocycles = [lam_cocycle, TranslationCocycle(octagon, vecs)]
+    if radius < 3:
+        cocycles.append(TranslationCocycle(octagon, [np.array([math.nan, 0.0, 0.0])]
+                                           + [np.zeros(3)] * 3))
+    for coc in cocycles:
+        want = cocycle_identity_sweep_rows(octagon, coc, ball)
+        for block in (1, 100, 1024, len(ball) ** 2) if radius < 3 else (1024,):
+            monkeypatch.setattr(flatspace, "SWEEP_BLOCK", block)
+            got = flatspace.cocycle_identity_sweep(octagon, coc, ball)
+            assert got == want or math.isnan(got) and math.isnan(want)
 
 
 def test_perturbed_cocycle_fails(octagon, lam_cocycle, ball2):

@@ -1,12 +1,15 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from lorentz21.fuchsian import GroupBall, regular_polygon_rep
 from lorentz21.laminations import (
+    LeafSet,
     WeightedMulticurve,
+    _separated_and_nested,
     closed_geodesic_of,
     crossings,
     default_basepoint,
@@ -18,7 +21,7 @@ from lorentz21.laminations import (
     transverse_vector,
 )
 from lorentz21.flatspace import cyclic_boost_rep
-from lorentz21.minkowski import RP1Point, hyperboloid_normalize, inner
+from lorentz21.minkowski import RP1Point, hyperboloid_normalize, inner, rp1_from_thetas
 from reference import GeodesicH2, endpoints_linked, geodesic
 
 
@@ -255,3 +258,75 @@ def test_one_enumeration_per_query(octagon, monkeypatch):
     quake = EquivariantEarthquakeMap(octagon, mc, "left", 0.5)
     quake.region_isometry(np.vstack([targets, targets[::-1]]))
     assert len(calls) == 4
+
+
+def nested_chords(rng, n):
+    """(n, 2) ends of n random nested chords on a grid of spacing 1e-4,
+    rotated so that some wrap past 0/1, in random row order and
+    orientation: a random balanced bracket sequence, matched."""
+    ends = np.sort(rng.choice(10000, 2 * n, replace=False)) * 1e-4
+    ends = (ends + rng.random()) % 1.0
+    stack, chords, opened = [], [], 0
+    for pos in range(2 * n):
+        if opened < n and (not stack or rng.random() < 0.5):
+            stack.append(pos)
+            opened += 1
+        else:
+            chords.append((stack.pop(), pos))
+    chords = ends[np.array(chords)][rng.permutation(n)]
+    flip = rng.random(n) < 0.5
+    chords[flip] = chords[flip, ::-1]
+    return chords
+
+
+def chord_leaves(thetas, classes=None):
+    leaves = LeafSet.from_ends(rp1_from_thetas(thetas[:, 0]), rp1_from_thetas(thetas[:, 1]),
+                               np.ones(len(thetas)))
+    return leaves if classes is None else replace(leaves, classes=np.asarray(classes))
+
+
+def inserted(thetas, rng, row):
+    """thetas with row inserted at a random position."""
+    at = rng.integers(0, len(thetas) + 1)
+    return np.insert(thetas, at, row, axis=0)
+
+
+def chord_cases(seed):
+    """(name, leaves) of the cases first_crossing_pair must decide as
+    the pairwise loop does."""
+    rng = np.random.default_rng(seed)
+    base = nested_chords(rng, 30)
+    a, b = base[rng.integers(30)]
+    lo, span = min(a, b), abs(a - b)
+    # a chord from inside the arc (lo, lo + span) to outside it crosses (a, b)
+    inside, outside = lo + span * 0.5 + 3e-5, (lo + span + (1 - span) * 0.5 + 3e-5) % 1.0
+    yield "nested", chord_leaves(base)
+    yield "crossing", chord_leaves(inserted(base, rng, [inside, outside]))
+    yield "touching", chord_leaves(inserted(base, rng, [(a + 5e-10) % 1.0, outside]))
+    # sharing lo within 1e-9, it interleaves (a, b) alone, and only there
+    beyond = (lo + span + 3e-5) % 1.0
+    yield "touching-only", chord_leaves(inserted(base, rng, [lo + 5e-10, beyond]))
+    # a leaf 5e-8 inside another at both ends: nested, yet one geodesic
+    near = np.sort(base[rng.integers(30)]) + [5e-8, -5e-8]
+    for classes in ([0] * 31, [0] * 30 + [1]):
+        thetas = np.vstack([base, near])
+        order = rng.permutation(31)
+        yield "same-%d" % classes[-1], chord_leaves(thetas[order], np.array(classes)[order])
+    # a chord 1.5e-7 inside (a, b) at both ends: closer than the gap the
+    # sweep asks for, yet neither one geodesic nor touching
+    yield "squeezed", chord_leaves(inserted(base, rng, [lo + 1.5e-7, lo + span - 1.5e-7]))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_first_crossing_pair_matches_pairwise_loop_on_chords(seed):
+    for name, leaves in chord_cases(seed):
+        pair = first_crossing_pair(leaves.thetas, leaves.classes)
+        assert pair == pairwise_first_crossing(leaves), name
+        if name == "nested":
+            assert pair is None and _separated_and_nested(leaves.thetas, 2e-7)
+        if name in ("crossing", "same-1"):
+            assert pair is not None, name
+        if name in ("touching-only", "same-0", "squeezed"):
+            assert pair is None, name
+        if name.startswith(("touching", "same")) or name == "squeezed":
+            assert not _separated_and_nested(leaves.thetas, 2e-7), name
