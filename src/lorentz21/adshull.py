@@ -159,19 +159,20 @@ class CircleGraph(CircleMap):
     def is_monotone(self, tol=1e-9):
         return super().is_monotone(tol)
 
-    def is_planar(self, tol=1e-9):
-        """True iff all sample points lie on one projective plane."""
+    def is_planar(self):
+        """True iff all sample points lie on one projective plane, to a
+        relative 1e-9 in the singular values."""
         pts = self.points()
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         s = np.linalg.svd(pts, compute_uv=False)
-        return s[-1] < tol * s[0]
+        return s[-1] < 1e-9 * s[0]
 
-    def spacelike_consecutive(self, tol=1e-12):
+    def spacelike_consecutive(self):
         """Consecutive samples must be mutually spacelike on the quadric,
         which for graph points means both ruling coordinates step in the
-        same direction."""
+        same direction (a product of steps below -1e-12 is a reversal)."""
         step = (np.roll(self.samples, -1, axis=0) - self.samples + 0.5) % 1.0 - 0.5
-        return not np.any(step[:, 0] * step[:, 1] < -tol)
+        return not np.any(step[:, 0] * step[:, 1] < -1e-12)
 
     @classmethod
     def from_csv_rows(cls, rows):
@@ -615,21 +616,23 @@ def _chain_heads(values, gap):
     return np.array(heads, dtype=np.intp)
 
 
-def sample_conjugacy(rep_l, rep_r, L, dedup=1e-4):
+# left angles of conjugacy samples closer than this to the last kept are dropped
+DEDUP = 1e-4
+
+
+def sample_conjugacy(rep_l, rep_r, L):
     """Graph samples of the circle map conjugating two Fuchsian-like
     representations: the attracting fixed point of rep_l(w) pairs with
     that of rep_r(w) over all nontrivial ball-L words.  Left angles
-    closer than `dedup` to the last kept one are dropped; among exactly
+    closer than DEDUP to the last kept one are dropped; among exactly
     equal left angles the smallest right angle is kept."""
-    if not dedup > 0:
-        raise ValueError("dedup must be > 0")
     ball = GroupBall(rep_l, L)
     left = attracting_thetas(ball.elements[1:])
     right = ball.evaluate(rep_r)[1:]
     hyperbolic_traces(right)
     order = np.argsort(left, kind="stable")
     lefts = left[order]
-    heads = _chain_heads(lefts.tolist(), dedup)
+    heads = _chain_heads(lefts.tolist(), DEDUP)
     # each kept head's run of equal left angles; right angles only there
     runs = np.searchsorted(lefts, lefts[heads], side="right") - heads
     starts = np.cumsum(runs) - runs
@@ -639,7 +642,7 @@ def sample_conjugacy(rep_l, rep_r, L, dedup=1e-4):
     # the per-element arrays go before the graph's arrays are made: made
     # above them on the heap, those would keep their memory from the system
     del ball, left, right, order, lefts, heads, runs, starts, rows, rights
-    if len(kept) > 1 and (kept[0][0] - kept[-1][0]) % 1.0 < dedup:
+    if len(kept) > 1 and (kept[0][0] - kept[-1][0]) % 1.0 < DEDUP:
         kept.pop()
     if len(kept) < 3:
         raise ValueError("the radius-%d ball gives %d conjugacy samples; "

@@ -126,7 +126,7 @@ def cmd_flat(args):
         patch = flatspace.develop_surface(rep, mc, density=args.density,
                                           L=args.ball, seed=args.seed)
         slope = flatspace.graph_slope_check(patch)
-        gap = flatspace.injectivity_gap(patch, max_pairs=20000, seed=args.seed + 1)
+        gap = flatspace.injectivity_gap(patch, seed=args.seed + 1)
         bad_x = sum(1 for x in patch.xvals
                     if classify(x) not in (CausalClass.SPACELIKE, CausalClass.ZERO))
         normals, offsets = flatspace.support_planes(patch)

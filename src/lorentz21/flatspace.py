@@ -88,11 +88,10 @@ def coboundary_cocycle(rep, v):
     return TranslationCocycle(rep, v - adjoint_to_so21(rep.generators) @ v)
 
 
-def cocycle_from_lamination(rep, mc, basepoint=None, L=3):
-    """t_g = transverse vector from the basepoint to its g-image, for
-    the 2g generators in one crossing record."""
-    if basepoint is None:
-        basepoint = lam.default_basepoint(rep, mc, L)
+def cocycle_from_lamination(rep, mc, L=3):
+    """t_g = transverse vector from the default basepoint to its
+    g-image, for the 2g generators in one crossing record."""
+    basepoint = lam.default_basepoint(rep, mc, L)
     targets = adjoint_to_so21(rep.generators) @ basepoint
     return TranslationCocycle(rep, lam.transverse_vector(rep, mc, basepoint, targets, L),
                               basepoint)
@@ -115,6 +114,10 @@ def cocycle_identity_sweep(rep, coc, ball):
     # extended precision throughout: the three terms are exponentially
     # large in word length and cancel to near machine zero
     A = ball.evaluate(coc)
+    # a NaN in T or F reaches every residual below (T @ F^T spreads it to
+    # every component, np.maximum carries it), so the sweep is decided
+    if np.isnan(A).any():
+        return math.nan
     T, F = A[:, :3, 3], A[:, :3, :3]
     n = len(ball)
     # words[i] is ball.word(i), zero-padded: its parent's word, then its letter
@@ -161,7 +164,7 @@ def relator_residual(rep, coc):
     return float(np.max(np.abs(coc.affine(rep.relator())[:3, 3])))
 
 
-def cyclic_boost_cocycle(lam_, weight, L=1):
+def cyclic_boost_cocycle(lam_, weight):
     """Displacement across the weighted axis leaf of the boost T(lam):
     the transverse vector between mirror points on the two sides of the
     axis plane {y = 0}.  This is the translation part (0, weight, 0) of
@@ -172,7 +175,7 @@ def cyclic_boost_cocycle(lam_, weight, L=1):
     mc = lam.WeightedMulticurve([((1,), weight)])
     p = hyperboloid_normalize(np.array([0.1, -0.4, 1.2]))
     q = hyperboloid_normalize(np.array([0.1, 0.4, 1.2]))
-    return lam.transverse_vector(rep, mc, p, q, L)
+    return lam.transverse_vector(rep, mc, p, q, 1)
 
 
 class DevelopedSurfacePatch:
@@ -188,25 +191,24 @@ class DevelopedSurfacePatch:
         return len(self.points)
 
 
-def develop_surface(rep, mc, radius=1.5, density=200, basepoint=None, L=3, seed=0):
+def develop_surface(rep, mc, density=200, L=3, seed=0):
     """Sample the deformed development over a hyperbolic disc.
 
-    Points are area-uniform in the disc of hyperbolic radius `radius`
-    about the basepoint; samples within tolerance of a leaf plane are
+    Points are area-uniform in the disc of hyperbolic radius 1.5 about
+    the default basepoint; samples within tolerance of a leaf plane are
     nudged off it and flagged.
     """
-    if basepoint is None:
-        basepoint = lam.default_basepoint(rep, mc, L)
+    basepoint = lam.default_basepoint(rep, mc, L)
 
     # |<n, b>| = sinh(distance from b to the leaf), so the cutoff below
-    # keeps exactly the leaves within reach of the samples
-    reach = math.sinh(radius + 0.5)
+    # keeps exactly the leaves within 0.5 of the samples' disc
+    reach = math.sinh(2.0)
     leaves = lam.stable_lifts(
         rep, mc, L, lambda lv: np.abs(inner(lv.normals, basepoint)) < reach)
 
     # one (u, v) row per sample reads the stream as draws of u then v do
     u, v = np.random.default_rng(seed).random((density, 2)).T
-    d = per_value(math.acosh, 1.0 + (math.cosh(radius) - 1.0) * u)
+    d = per_value(math.acosh, 1.0 + (math.cosh(1.5) - 1.0) * u)
     ang = 2.0 * math.pi * v
     # walk distance d from the apex, then recenter at the basepoint by a
     # stacked matvec, which keeps the bits of one product per point
@@ -289,16 +291,16 @@ def graph_slope_check(patch):
     return worst
 
 
-def support_planes(patch, count=64):
-    """(count, 3) normals and (count,) offsets of one null support plane
+def support_planes(patch):
+    """(64, 3) normals and (64,) offsets of one null support plane
     {<normal, y> >= offset} per sampled null direction.
 
     For the future direction n(phi) = (cos phi, sin phi, 1) the domain
     lies in {<n, y> < max_r <n, x_r>} over the sampled translations x_r;
     stored with the normal negated so membership reads >= offset.
     """
-    phi = 2.0 * math.pi * np.arange(count) / count
-    n = np.stack([per_value(math.cos, phi), per_value(math.sin, phi), np.ones(count)], axis=1)
+    phi = 2.0 * math.pi * np.arange(64) / 64
+    n = np.stack([per_value(math.cos, phi), per_value(math.sin, phi), np.ones(64)], axis=1)
     return -n, -inner(n[:, None], patch.xvals).max(axis=1)
 
 

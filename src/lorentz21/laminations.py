@@ -40,6 +40,9 @@ from .fuchsian import GroupBall, axis, parse_word, format_word, reduce_word
 
 HARD_CAP = 8
 
+# ends of two distinct leaves closer than this are one shared end: tangent
+TOUCH_TOL = 1e-9
+
 
 class EnumerationCapError(RuntimeError):
     """Lift enumeration failed to stabilize below the hard radius cap."""
@@ -222,18 +225,18 @@ def _separated_and_nested(thetas, sep):
     return bool(np.all(matched[0::2] == matched[1::2]))
 
 
-def first_crossing_pair(thetas, classes, same_tol=1e-7, tol=1e-9):
+def first_crossing_pair(thetas, classes, same_tol=1e-7):
     """First pair (i, j), i < j, of leaves with end parameters thetas
     (N, 2) that are one geodesic within same_tol but of two classes or,
     being distinct, cross; None if there is none.  Leaf i is tested
     against all later leaves at once, exactly as the pairwise
     same_geodesic(g_i, g_j, same_tol), then the endpoints_linked(g_i,
-    g_j, tol) of tests/reference.py.  That row loop runs only if a
+    g_j, TOUCH_TOL) of tests/reference.py.  That row loop runs only if a
     tolerance could decide it or a pair crosses: nested chords whose
-    ends are at least 2 max(same_tol, tol) apart have no pair within
-    either tolerance, and the loop's float order of (x - a) % 1 is then
-    their exact cyclic order, so it would return None."""
-    if len(thetas) < 2 or _separated_and_nested(thetas, 2 * max(same_tol, tol)):
+    ends are at least 2 max(same_tol, TOUCH_TOL) apart have no pair
+    within either tolerance, and the loop's float order of (x - a) % 1
+    is then their exact cyclic order, so it would return None."""
+    if len(thetas) < 2 or _separated_and_nested(thetas, 2 * max(same_tol, TOUCH_TOL)):
         return None
     for i in range(len(thetas) - 1):
         a, b = thetas[i]
@@ -243,7 +246,8 @@ def first_crossing_pair(thetas, classes, same_tol=1e-7, tol=1e-9):
         same = (near[:, 0, 0] & near[:, 1, 1]) | (near[:, 1, 0] & near[:, 0, 1])
         u, span = (later - a) % 1.0, (b - a) % 1.0
         # a shared endpoint is tangential, not linked
-        touch = ((u < tol) | (np.abs(u - span) < tol) | (1.0 - u < tol)).any(axis=1)
+        touch = ((u < TOUCH_TOL) | (np.abs(u - span) < TOUCH_TOL)
+                 | (1.0 - u < TOUCH_TOL)).any(axis=1)
         linked = ~touch & ((u[:, 0] < span) != (u[:, 1] < span))
         bad = np.where(same, classes[i + 1:] != classes[i], linked)
         if bad.any():
@@ -342,17 +346,17 @@ def transverse_vector(rep, mc, p, q, L):
     return transverse_sum(*lifted_crossings(rep, mc, p, q, L)).reshape(np.shape(q))
 
 
-def basepoint_off(normals, eps=1e-6):
+def basepoint_off(normals):
     """The first of the hyperboloid apex and its nudges to the Klein
     points (0.0131 k, 0.0271 k), k <= 33 (k = 34 leaves the disc),
-    farther than eps from every leaf plane of the (N, 3) normals."""
+    farther than 1e-6 from every leaf plane of the (N, 3) normals."""
     for k in range(34):
         p = hyperboloid_normalize(np.array([0.0131 * k, 0.0271 * k, 1.0]))
-        if not np.any(np.abs(inner(normals, p)) < eps):
+        if not np.any(np.abs(inner(normals, p)) < 1e-6):
             return p
     raise RuntimeError("no basepoint off all leaves within 33 nudges")
 
 
-def default_basepoint(rep, mc, L, eps=1e-6):
+def default_basepoint(rep, mc, L):
     """Hyperboloid apex, nudged off all leaf planes if necessary."""
-    return basepoint_off(multicurve_lifts(rep, mc, min(L + 2, HARD_CAP)).normals, eps)
+    return basepoint_off(multicurve_lifts(rep, mc, min(L + 2, HARD_CAP)).normals)

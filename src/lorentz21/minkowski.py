@@ -93,19 +93,17 @@ class CausalClass(enum.Enum):
     ZERO = "zero"
 
 
-def classify(v, eps=EPS):
-    """Causal trichotomy of v by the sign of <v,v> relative to eps*|v|^2."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+def classify(v):
+    """Causal trichotomy of v by the sign of <v,v> relative to EPS*|v|^2."""
     v = np.asarray(v, dtype=float)
     sup = np.max(np.abs(v))
-    if sup < eps:
+    if sup < EPS:
         return CausalClass.ZERO
     q = inner(v, v)
     scale = float(np.dot(v, v))  # Euclidean |v|^2
-    if q > eps * scale:
+    if q > EPS * scale:
         return CausalClass.SPACELIKE
-    if q < -eps * scale:
+    if q < -EPS * scale:
         return CausalClass.TIMELIKE
     return CausalClass.NULL
 
@@ -114,7 +112,7 @@ class Mat2:
     """Unimodular 2x2 real matrix, canonicalized up to sign.
 
     Representatives are unique: the first entry (row-major scan) larger
-    than tolerance in absolute value is made positive, so values are
+    than 1e-12 in absolute value is made positive, so values are
     hashable stand-ins for elements of PSL(2,R).
 
     The package computes on (N, 2, 2) stacks in this normal form
@@ -166,10 +164,10 @@ def adjugate(m):
     return np.stack(entries, axis=-1).reshape(m.shape)
 
 
-def canonical_signs(mats, tol=1e-12):
+def canonical_signs(mats):
     """Mat2's sign rule on a (N, 2, 2) stack: see the class docstring."""
     flat = mats.reshape(-1, 4)
-    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > tol, axis=1)]
+    lead = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-12, axis=1)]
     return mats * np.where(lead < 0, -1.0, 1.0)[:, None, None]
 
 
@@ -414,14 +412,10 @@ def null_vectors(vs):
     return n / n[..., 2:]
 
 
-def geodesic_normal(end1, end2, toward=None):
+def geodesic_normal(end1, end2):
     """Unit spacelike normal of the plane through the origin spanned by
     two distinct ideal points, given by their null vectors, or of each
-    pair in two (N, 3) stacks of null vectors.
-
-    If `toward` is given, the sign is fixed so <n, toward> > 0, i.e. the
-    normal points into the side containing `toward`.
-    """
+    pair in two (N, 3) stacks of null vectors."""
     u, v = np.asarray(end1, dtype=float), np.asarray(end2, dtype=float)
     n = np.cross(u, v) @ G
     # the direct <n,n> cancels catastrophically for nearby endpoints;
@@ -432,8 +426,4 @@ def geodesic_normal(end1, end2, toward=None):
     scale = np.sum(u * u, axis=-1) * np.sum(v * v, axis=-1)
     if np.any(q <= 1e-25 * scale):
         raise ValueError("ideal endpoints coincide")
-    n = n / np.sqrt(q)[..., None]
-    if toward is not None:
-        s = inner(n, np.asarray(toward, dtype=float))
-        n = np.where((s < 0)[..., None], -n, n)
-    return n
+    return n / np.sqrt(q)[..., None]

@@ -15,7 +15,6 @@ homeomorphism of the boundary circle.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -147,9 +146,6 @@ class EarthquakeMap:
         base-outward on the left."""
         return mat2_fold(self.shears, self._separating(np.reshape(targets, (-1, 3)), ideal))
 
-    def __call__(self, p):
-        return self.apply(p)
-
     def apply(self, p):
         """The image of a point off the leaves (on one, it is two-valued)."""
         p = np.asarray(p, dtype=float)
@@ -160,15 +156,15 @@ class EarthquakeMap:
         normals = self.lamination.leaves.normals
         return normals[np.abs(inner(normals, p)) < eps]
 
-    def one_sided_values(self, p, eps=1e-7):
+    def one_sided_values(self, p):
         """The two limits of the map at a point on (or near) a leaf: from
-        either side of the first leaf within eps."""
+        either side of the first leaf within 1e-7."""
         p = np.asarray(p, dtype=float)
-        near = self.near_normals(p, eps)
+        near = self.near_normals(p, 1e-7)
         if len(near) == 0:
             v = self.apply(p)
             return [v, v]
-        sides = hyperboloid_normalize(p + np.array([[eps], [-eps]]) * (G @ near[0]))
+        sides = hyperboloid_normalize(p + np.array([[1e-7], [-1e-7]]) * (G @ near[0]))
         return list(adjoint_to_so21(self.region_isometry(sides)) @ p)
 
     def boundary_point(self, x):
@@ -203,17 +199,6 @@ class CircleMap:
         outs = [b for _, b in sorted(self.samples.tolist())]
         steps = [(b - a) % 1.0 for a, b in zip(outs, outs[1:] + outs[:1])]
         return len(outs) < 3 or (abs(sum(steps) - 1.0) < 1e-6 and max(steps) < 1.0 - tol)
-
-    def evaluate(self, theta):
-        """Piecewise-linear interpolation of the samples."""
-        s = sorted(self.samples.tolist())
-        theta = theta % 1.0
-        i = bisect.bisect_right([a for a, _ in s], theta) - 1
-        (a0, b0), (a1, b1) = s[i % len(s)], s[(i + 1) % len(s)]
-        da, db = (a1 - a0) % 1.0, (b1 - b0) % 1.0
-        if da < 1e-15:
-            return b0
-        return (b0 + db * (((theta - a0) % 1.0) / da)) % 1.0
 
     def to_csv_rows(self):
         return ["%.12f,%.12f" % (a, b) for a, b in self.samples.tolist()]
@@ -279,12 +264,12 @@ def quadric_action_example(s):
     return {"start": start, "mid": mid, "end": end, "half": half}
 
 
-def equivariant_lamination(rep, mc, radius=1.5, L=3):
+def equivariant_lamination(rep, mc, L=3):
     """The lifted multicurve as a finite lamination: all leaves within
-    reach of the disc of the given hyperbolic radius about the nudged
-    apex, enumeration stabilized as in the development pipeline."""
+    reach of the disc of hyperbolic radius 1.5 about the nudged apex,
+    enumeration stabilized as in the development pipeline."""
     basepoint = lamins.default_basepoint(rep, mc, L)
-    reach = math.sinh(radius)
+    reach = math.sinh(1.5)
     leaves = lamins.stable_lifts(
         rep, mc, L, lambda lv: np.abs(inner(lv.normals, basepoint)) < reach)
     return FiniteLaminationH2(leaves, basepoint)

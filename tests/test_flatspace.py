@@ -136,14 +136,26 @@ def test_relation_pairs_match_mpmath_reference(octagon):
     assert abs(cocycle_identity_sweep(octagon, coc, ball) / 4.7540424930048e-09 - 1) < 1e-6
 
 
-def test_identity_sweep_carries_nan(octagon):
+def test_identity_sweep_carries_nan(octagon, monkeypatch):
+    """A NaN cocycle decides the sweep before any pair is resolved, at
+    radius 3, where sweeping its NaN pairs in extended precision takes
+    seconds."""
     from lorentz21.cli import _check
     from lorentz21.flatspace import cocycle_identity_sweep
 
+    ball = GroupBall(octagon, 3)
+    finds = []
+    find = GroupBall.find
+
+    def counted(self, mats):
+        finds.append(len(mats))
+        return find(self, mats)
+
+    monkeypatch.setattr(GroupBall, "find", counted)
     vecs = [np.array([math.nan, 0.0, 0.0])] + [np.zeros(3)] * 3
-    worst = cocycle_identity_sweep(octagon, TranslationCocycle(octagon, vecs),
-                                   GroupBall(octagon, 1))
+    worst = cocycle_identity_sweep(octagon, TranslationCocycle(octagon, vecs), ball)
     assert math.isnan(worst)
+    assert finds == []
     assert not _check("cocycle-identity", worst, 1e-8)["ok"]
 
 
@@ -275,8 +287,8 @@ def test_nudge_refuses_a_point_it_cannot_keep_timelike(near_leaves):
 
 
 def test_support_planes_contain_surface(patch):
-    normals, offsets = support_planes(patch, count=32)
-    assert normals.shape == (32, 3) and offsets.shape == (32,)
+    normals, offsets = support_planes(patch)
+    assert normals.shape == (64, 3) and offsets.shape == (64,)
     assert np.all(np.abs(inner(normals, normals)) < 1e-12)
     assert np.all(inner(normals[:, None], patch.fvals) >= offsets[:, None] - 1e-9)
 
@@ -284,7 +296,7 @@ def test_support_planes_contain_surface(patch):
 def test_support_planes_exclude_past(patch):
     # a deep past point violates some support plane
     far_past = np.array([0.0, 0.0, -50.0])
-    normals, offsets = support_planes(patch, count=32)
+    normals, offsets = support_planes(patch)
     assert not np.all(inner(normals, far_past) >= offsets)
 
 

@@ -253,8 +253,8 @@ def test_one_enumeration_per_query(octagon, monkeypatch):
     rows = [transverse_vector(octagon, mc, b, t, 3) for t in targets]
     monkeypatch.setattr(laminations, "stable_lifts", counted)
     assert np.array_equal(transverse_vector(octagon, mc, b, targets, 3), rows)
-    assert np.array_equal(cocycle_from_lamination(octagon, mc, b, 3).gen_vectors, rows)
-    develop_surface(octagon, mc, density=20, basepoint=b)
+    assert np.array_equal(cocycle_from_lamination(octagon, mc, 3).gen_vectors, rows)
+    develop_surface(octagon, mc, density=20)
     quake = EquivariantEarthquakeMap(octagon, mc, "left", 0.5)
     quake.region_isometry(np.vstack([targets, targets[::-1]]))
     assert len(calls) == 4

