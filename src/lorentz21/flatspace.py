@@ -78,16 +78,6 @@ class TranslationCocycle:
         return {"t": [[float(v) for v in t] for t in self.gen_vectors]}
 
 
-def zero_cocycle(rep):
-    return TranslationCocycle(rep, [np.zeros(3)] * (2 * rep.genus))
-
-
-def coboundary_cocycle(rep, v):
-    """t_g = v - f(g) v, exact on the group by telescoping."""
-    v = np.asarray(v, dtype=float)
-    return TranslationCocycle(rep, v - adjoint_to_so21(rep.generators) @ v)
-
-
 def cocycle_from_lamination(rep, mc, L=3):
     """t_g = transverse vector from the default basepoint to its
     g-image, for the 2g generators in one crossing record."""
@@ -120,11 +110,7 @@ def cocycle_identity_sweep(rep, coc, ball):
         return math.nan
     T, F = A[:, :3, 3], A[:, :3, :3]
     n = len(ball)
-    # words[i] is ball.word(i), zero-padded: its parent's word, then its letter
-    words = np.zeros((n, ball.radius), dtype=int)
-    for r, (lo, hi) in enumerate(zip(ball.offsets[1:-1], ball.offsets[2:])):
-        words[lo:hi] = words[ball.parent[lo:hi]]
-        words[lo:hi, r] = ball.letter[lo:hi]
+    words = ball.words()
     worst = 0.0
     rows = max(1, SWEEP_BLOCK // n)
     for lo in range(0, n, rows):

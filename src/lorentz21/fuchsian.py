@@ -20,9 +20,9 @@ import math
 
 import numpy as np
 
-from .minkowski import (adjugate, canonical_signs, finite, mat2_fold, mat2_of, mat2_stack,
-                        refuse_unnormalizable, row_keys, rp1_from_thetas, rp1_stack, rp1_units,
-                        unnormalizable)
+from .minkowski import (adjugate, canonical_signs, finite, json_fields, mat2_fold, mat2_of,
+                        mat2_stack, refuse_unnormalizable, row_keys, rp1_from_thetas, rp1_stack,
+                        rp1_units, unnormalizable)
 
 
 class EllipticDegeneracyError(RuntimeError):
@@ -39,14 +39,6 @@ def reduce_word(w):
         else:
             out.append(int(x))
     return tuple(out)
-
-
-def invert_word(w):
-    return tuple(-x for x in reversed(w))
-
-
-def concat(*words):
-    return reduce_word([x for w in words for x in w])
 
 
 def letter_step(x):
@@ -122,10 +114,6 @@ class Representation:
         self._steps.flags.writeable = False  # generators and inverses stay paired
         self.generators = self._steps[::2]
 
-    @classmethod
-    def trivial(cls, genus):
-        return cls(genus, np.tile(np.eye(2), (2 * genus, 1, 1)))
-
     def relator(self):
         return surface_relator(self.genus)
 
@@ -160,10 +148,10 @@ class Representation:
 
     @classmethod
     def from_json(cls, data):
-        genus = data["genus"]
+        genus, generators = json_fields(data, ("genus", "generators"), "representation")
         if isinstance(genus, bool) or not isinstance(genus, int):
             raise ValueError("genus must be an integer, not %r" % (genus,))
-        return cls(genus, [finite(g, "generator entries") for g in data["generators"]])
+        return cls(genus, [finite(g, "generator entries") for g in generators])
 
     @classmethod
     def load(cls, path):
@@ -290,15 +278,15 @@ class GroupBall:
     def __len__(self):
         return len(self.elements)
 
-    def word(self, i):
-        out = []
-        while i > 0:
-            out.append(int(self.letter[i]))
-            i = self.parent[i]
-        return tuple(reversed(out))
-
     def words(self):
-        return [self.word(i) for i in range(len(self))]
+        """(N, radius) int array: row i is element i's word, zero-padded
+        on the right, built one level at a time as its parent's word,
+        then its letter."""
+        words = np.zeros((len(self), self.radius), dtype=int)
+        for r, (lo, hi) in enumerate(zip(self.offsets[1:-1], self.offsets[2:])):
+            words[lo:hi] = words[self.parent[lo:hi]]
+            words[lo:hi, r] = self.letter[lo:hi]
+        return words
 
     def find(self, mats):
         """Ball index of each matrix in a (M, 2, 2) stack, or -1 where

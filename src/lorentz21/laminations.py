@@ -31,6 +31,7 @@ from .minkowski import (
     geodesic_normal,
     hyperboloid_normalize,
     inner,
+    json_fields,
     null_vectors,
     round_digits,
     rp1_stack,
@@ -78,7 +79,9 @@ class WeightedMulticurve:
 
     @classmethod
     def from_json(cls, data):
-        return cls([(c["word"], c["weight"]) for c in data["curves"]])
+        (curves,) = json_fields(data, ("curves",), "multicurve")
+        return cls([json_fields(c, ("word", "weight"), "curves[%d]" % i)
+                    for i, c in enumerate(curves)])
 
     @classmethod
     def load(cls, path):

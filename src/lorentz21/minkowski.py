@@ -79,6 +79,18 @@ def finite(values, what):
     return out
 
 
+def json_fields(record, keys, what):
+    """The values of keys in a JSON object of an input file, named
+    `what` there; a record that is not an object, or that lacks one of
+    the keys, is invalid input, reported by name."""
+    if not isinstance(record, dict):
+        raise ValueError("%s must be a JSON object, not %s" % (what, type(record).__name__))
+    missing = [key for key in keys if key not in record]
+    if missing:
+        raise ValueError("%s lacks the key %r" % (what, missing[0]))
+    return [record[key] for key in keys]
+
+
 def inner(u, v):
     """Minkowski inner product <u,v> = ux vx + uy vy - ut vt."""
     u = np.asarray(u, dtype=float)
@@ -257,16 +269,6 @@ def adjoint_to_so21(m):
     return np.stack([x, y, t], axis=-1).swapaxes(-1, -2)
 
 
-def is_lorentz_linear(A, eps=EPS):
-    """Check A^T G A = G, det A = 1, and orthochronous A[t][t] >= 1."""
-    A = np.asarray(A, dtype=float)
-    if np.max(np.abs(A.T @ G @ A - G)) > eps * max(1.0, np.max(np.abs(A)) ** 2):
-        return False
-    if abs(np.linalg.det(A) - 1.0) > 1e-6:
-        return False
-    return A[2, 2] >= 1.0 - eps
-
-
 @dataclass(frozen=True)
 class LorentzIsometry:
     """Affine map x -> A x + b with A in SO(2,1)_0."""
@@ -307,18 +309,6 @@ def hyperboloid_normalize(v):
     return v / np.sqrt(-q)[..., None]
 
 
-def apex():
-    return np.array([0.0, 0.0, 1.0])
-
-
-def h2_distance(p, q):
-    """Hyperbolic distance arccosh(-<p,q>) between hyperboloid points."""
-    c = -inner(p, q)
-    if c < 1.0 - 1e-6:
-        raise ValueError("inputs are not points of the hyperboloid")
-    return math.acosh(max(c, 1.0))
-
-
 def boost_y_axis(lam):
     """Boost T(lam) fixing the spacelike y-axis, translating the geodesic
     {y = 0} of H^2 by lam.  This is the standard boost every cyclic and
@@ -327,11 +317,6 @@ def boost_y_axis(lam):
     """
     c, s = math.cosh(lam), math.sinh(lam)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, c]])
-
-
-def rotation_t_axis(theta):
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 class RP1Point:

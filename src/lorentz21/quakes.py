@@ -21,22 +21,9 @@ import numpy as np
 
 from . import laminations as lamins
 from .fuchsian import Representation
-from .minkowski import (G, adjoint_to_so21, finite, hyperboloid_normalize, inner, mat2_fold,
-                        mat2_stack, null_vectors, per_value, round_digits, rp1_from_thetas,
-                        rp1_stack, rp1_units, unnormalizable)
-
-
-def uhp_point(u, v):
-    """Upper-half-plane point u + iv as a hyperboloid point."""
-    if v <= 0:
-        raise ValueError("need v > 0")
-    return np.array([-u / v, (u * u + v * v - 1) / (2 * v), (u * u + v * v + 1) / (2 * v)])
-
-
-def real_boundary_point(r):
-    """Boundary real r (None for infinity) as a unit vector in
-    rp1_units' normal form."""
-    return rp1_units(np.array([[1.0, 0.0] if r is None else [float(r), 1.0]]))[0]
+from .minkowski import (G, adjoint_to_so21, finite, hyperboloid_normalize, inner, json_fields,
+                        mat2_fold, mat2_stack, null_vectors, per_value, round_digits,
+                        rp1_from_thetas, rp1_stack, unnormalizable)
 
 
 class FiniteLaminationH2:
@@ -62,20 +49,10 @@ class FiniteLaminationH2:
         self.basepoint = basepoint
 
 
-def lamination_to_json(lamination):
-    return {
-        "leaves": [
-            {"end1": end1, "end2": end2, "weight": w}
-            for (end1, end2), w in zip(lamination.leaves.thetas.tolist(),
-                                       lamination.leaves.weights.tolist())
-        ],
-        "basepoint": [float(v) for v in lamination.basepoint],
-    }
-
-
 def lamination_from_json(data):
-    rows = finite([[float(rec[k]) for k in ("end1", "end2", "weight")]
-                   for rec in data["leaves"]], "leaf").reshape(-1, 3)
+    (leaves,) = json_fields(data, ("leaves",), "lamination")
+    rows = finite([list(map(float, json_fields(rec, ("end1", "end2", "weight"), "leaves[%d]" % i)))
+                   for i, rec in enumerate(leaves)], "leaf").reshape(-1, 3)
     ends = rp1_from_thetas(rows[:, :2].ravel()).reshape(-1, 2, 2)
     basepoint = data.get("basepoint")
     if basepoint is not None:
@@ -166,11 +143,6 @@ class EarthquakeMap:
             return [v, v]
         sides = hyperboloid_normalize(p + np.array([[1e-7], [-1e-7]]) * (G @ near[0]))
         return list(adjoint_to_so21(self.region_isometry(sides)) @ p)
-
-    def boundary_point(self, x):
-        """Image of an ideal point, a unit vector in rp1_units' normal
-        form (not renormalized), under the boundary extension, in that form."""
-        return rp1_units((self.region_isometry(null_vectors(x), ideal=True)[0] @ x)[None])[0]
 
 
 class CircleMap:

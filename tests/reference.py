@@ -6,17 +6,62 @@ residual of the identity sweep and the sweep one row at a time, the
 per-sample nudge of a developed surface, the per-face OBJ and
 convexity slack of a hull, the group ball's per-level dedup by
 `np.unique` and `np.isin`, and the conjugacy samples' lexsort and
-greedy loops; also the steep graphs the hull tests share."""
+greedy loops; also the steep graphs the hull tests share, and the
+helpers several test modules use that no program path calls: word
+concatenation, a ball's words as tuples, the trivial representation,
+the apex, upper-half-plane points and boundary reals, and an
+earthquake's boundary extension."""
 
 import math
 
 import numpy as np
 
 from lorentz21.adshull import CircleGraph, attracting_thetas
-from lorentz21.fuchsian import KEY_DIGITS, concat, letter_step, reduce_word, signed_letters
+from lorentz21.fuchsian import (KEY_DIGITS, Representation, letter_step, reduce_word,
+                                signed_letters)
 from lorentz21.laminations import LeafSet
-from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack,
-                                 refuse_unnormalizable, row_keys)
+from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack, null_vectors,
+                                 refuse_unnormalizable, row_keys, rp1_units)
+
+
+def concat(*words):
+    """The reduced free concatenation of words."""
+    return reduce_word([x for w in words for x in w])
+
+
+def ball_words(ball):
+    """The words of a GroupBall as tuples, in ball order."""
+    return [tuple(w[w != 0].tolist()) for w in ball.words()]
+
+
+def trivial_rep(genus):
+    """The representation sending every generator to the identity."""
+    return Representation(genus, np.tile(np.eye(2), (2 * genus, 1, 1)))
+
+
+def apex():
+    """The hyperboloid point (0, 0, 1)."""
+    return np.array([0.0, 0.0, 1.0])
+
+
+def uhp_point(u, v):
+    """Upper-half-plane point u + iv as a hyperboloid point."""
+    if v <= 0:
+        raise ValueError("need v > 0")
+    return np.array([-u / v, (u * u + v * v - 1) / (2 * v), (u * u + v * v + 1) / (2 * v)])
+
+
+def real_boundary_point(r):
+    """Boundary real r (None for infinity) as a unit vector in
+    rp1_units' normal form."""
+    return rp1_units(np.array([[1.0, 0.0] if r is None else [float(r), 1.0]]))[0]
+
+
+def boundary_point(quake, x):
+    """Image of an ideal point, a unit vector in rp1_units' normal form
+    (not renormalized), under the boundary extension of an earthquake,
+    in that form."""
+    return rp1_units((quake.region_isometry(null_vectors(x), ideal=True)[0] @ x)[None])[0]
 
 
 def segre(left, right):
@@ -96,7 +141,7 @@ def cocycle_residual(rep, coc, alpha, beta, ball=None):
     if ball is not None:
         i = int(ball.find(rep.evaluate(prod)[None])[0])
         if i >= 0:
-            prod = ball.word(i)
+            prod = ball_words(ball)[i]
     p, a, b = (coc.affine(w) for w in (prod, alpha, beta))
     res = p[:3, 3] - a[:3, 3] - a[:3, :3] @ b[:3, 3]
     return float(np.max(np.abs(res)))
@@ -108,9 +153,7 @@ def cocycle_identity_sweep_rows(rep, coc, ball):
     of the row folded in one batch."""
     A = ball.evaluate(coc)
     T, F = A[:, :3, 3], A[:, :3, :3]
-    words = np.zeros((len(ball), ball.radius), dtype=int)
-    for i, w in enumerate(ball.words()):
-        words[i, :len(w)] = w
+    words = ball.words()
     worst = 0.0
     for i in range(len(ball)):
         hits = ball.find(ball.elements[i] @ ball.elements)

@@ -15,13 +15,13 @@ import pytest
 from lorentz21 import adshull, flatspace, quakes
 from lorentz21.fuchsian import (
     GroupBall,
-    Representation,
     euler_class,
     regular_polygon_rep,
 )
 from lorentz21.laminations import WeightedMulticurve
 from lorentz21.minkowski import CausalClass, Mat2, RP1Point, classify
-from reference import GeodesicH2, leaves_of
+from reference import (GeodesicH2, boundary_point, leaves_of, real_boundary_point, trivial_rep,
+                       uhp_point)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +51,7 @@ def verdict(k, ok, detail):
 
 def test_criterion_1_euler_class(octagon):
     t0 = time.perf_counter()
-    e_trivial = euler_class(Representation.trivial(2))
+    e_trivial = euler_class(trivial_rep(2))
     e_oct = euler_class(octagon)
     rng = np.random.default_rng(17)
     conj_ok = True
@@ -126,13 +126,12 @@ def test_criterion_5_earthquake_anchors():
             ex["end"] - np.array([[s * s, s], [s, 1.0]])))))
         worst_chain = max(worst_chain, float(np.max(np.abs(
             ex["half"] - np.array([[s, r], [r, 1.0]])))))
-        leaf = GeodesicH2(quakes.real_boundary_point(0.0),
-                          quakes.real_boundary_point(None))
+        leaf = GeodesicH2(real_boundary_point(0.0), real_boundary_point(None))
         lamination = quakes.FiniteLaminationH2(leaves_of([(leaf, math.log(s))]),
-                                               quakes.uhp_point(-1.0, 1.0))
+                                               uhp_point(-1.0, 1.0))
         quake = quakes.EarthquakeMap(lamination, side="left")
         for rr in (-2.0, -0.5, 0.5, 3.0):
-            u, v = quake.boundary_point(quakes.real_boundary_point(rr))
+            u, v = boundary_point(quake, real_boundary_point(rr))
             img = u / v
             expect = rr if rr < 0 else s * rr
             worst_boundary = max(worst_boundary,

@@ -1,10 +1,15 @@
 """The package's one value type for group elements, ideal points and
 planes is the array: `Mat2` and `RP1Point` are the scalar reference of
 `minkowski`, which no other module binds, the functions that once
-returned them return arrays, and a plane is its (4,) label."""
+returned them return arrays, and a plane is its (4,) label.  And the
+package holds no code that only the tests call."""
 
+import ast
+import glob
 import importlib
+import os
 import pkgutil
+import re
 
 import numpy as np
 
@@ -13,8 +18,6 @@ from lorentz21 import minkowski
 from lorentz21.adshull import (CircleGraph, convex_hull, disjoint_spacelike_plane, plane_classes,
                                plane_z_equals)
 from lorentz21.fuchsian import axis, regular_polygon_rep
-from lorentz21.quakes import EarthquakeMap, FiniteLaminationH2, real_boundary_point, uhp_point
-from reference import GeodesicH2, leaves_of
 
 
 def test_only_minkowski_binds_the_scalar_types():
@@ -39,10 +42,6 @@ def test_group_elements_and_ideal_points_are_arrays():
     assert att.shape == rep.shape == (2,) and isinstance(length, float)
     dual = plane_classes(plane_z_equals(2.0)[None])[1][0]
     assert type(dual) is np.ndarray and dual.shape == (2, 2)
-    leaf = GeodesicH2(real_boundary_point(0.0), real_boundary_point(None))
-    quake = EarthquakeMap(FiniteLaminationH2(leaves_of([(leaf, 1.0)]), uhp_point(-1.0, 1.0)))
-    x = quake.boundary_point(real_boundary_point(2.0))
-    assert type(x) is np.ndarray and x.shape == (2,)
 
 
 def test_no_module_binds_a_plane_type():
@@ -57,3 +56,54 @@ def test_planes_are_labels():
     for label in (plane_z_equals(2.0), disjoint_spacelike_plane(graph),
                   convex_hull(graph).chart_plane):
         assert type(label) is np.ndarray and label.dtype == float and label.shape == (4,)
+
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+
+# public names that only tests call and that stay in the package: the
+# paper's constructions, which the acceptance tests check, the ruling,
+# plane and lifted-lamination constructors of the paper's examples, and
+# bundled, the package's entry to its sample files
+TEST_ONLY_ALLOWED = {"lemma5_configuration", "StandardTorusSpacetime",
+                     "cyclic_initial_singularity", "quadric_action_example",
+                     "dependence_membership", "rulings_of", "plane_z_equals",
+                     "equivariant_lamination", "bundled"}
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def _names(path, strings):
+    """Every name a file reads, imports or looks up as an attribute;
+    with strings, also the parts of its dotted-name string constants,
+    as the benchmark's tracer names its targets."""
+    out = set()
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def test_every_public_name_has_a_program_caller():
+    """A top-level public function or class of the package is named by
+    the package's code or by the benchmark's, or is allowed above: code
+    only the tests call lives under tests/."""
+    src = sorted(glob.glob(os.path.join(ROOT, "src", "lorentz21", "*.py")))
+    named = set().union(*(_names(path, False) for path in src),
+                        *(_names(path, True)
+                          for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))))
+    unused = [(os.path.basename(path), node.name) for path in src
+              for node in _parse(path).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in named | TEST_ONLY_ALLOWED]
+    assert len(src) > 5 and not unused, "only tests call %s" % unused

@@ -10,7 +10,7 @@ import pytest
 import lorentz21
 from lorentz21 import adshull
 from lorentz21.cli import main
-from lorentz21.fuchsian import regular_polygon_rep
+from lorentz21.fuchsian import Representation, regular_polygon_rep
 from reference import hull_obj, steep_graph_rows
 
 
@@ -310,6 +310,18 @@ def _rep(genus, generators):
 _I = [[1.0, 0.0], [0.0, 1.0]]
 
 
+def _malformed(command, data):
+    """A command reading a file that holds data: the octagon's flat
+    check of a multicurve, a quake along a lamination, or the Euler
+    class of a representation."""
+    def argv(path):
+        path.write_text(json.dumps(data))
+        return {"flat": ["flat", "check", lorentz21.bundled("octagon_rep.json"), str(path)],
+                "quake": ["quake", str(path), "1.0", "--density", "8"],
+                "euler": ["euler", str(path)]}[command]
+    return argv
+
+
 def _points(path):
     path.write_text("1.0,0.5,1.5\nnan,0.5,1.5\n")
     return ["quake", lorentz21.bundled("single_leaf_lamination.json"), "1.0",
@@ -371,6 +383,11 @@ def _golden_point(scale):
     (_rep(2, [[[1e200, 0.0], [0.0, 1e200]]] + [_I] * 3), "finite positive determinant"),
     (_rep(2.7, [_I] * 4), "genus must be an integer"),
     (_rep(True, [_I] * 2), "genus must be an integer"),
+    # a record that is not an object, or lacks a key, is named
+    (_malformed("flat", {"curves": [["a1", 1.0]]}), "curves[0] must be a JSON object"),
+    (_malformed("flat", {"curves": [{"word": "a1"}]}), "curves[0] lacks the key 'weight'"),
+    (_malformed("quake", {"leaves": [[0.1, 0.3, 1.0]]}), "leaves[0] must be a JSON object"),
+    (_malformed("euler", []), "representation must be a JSON object"),
     # a spacelike basepoint, and the apex, which lies on the bundled leaf
     (_lamination("basepoint", 2.0), "future timelike"),
     (_lamination("basepoint", 0.0), "within 1e-9 of a leaf"),
@@ -388,6 +405,7 @@ def _golden_point(scale):
     ids=["tol-nan", "tol-negative", "flat-tol-nan", "scale-nan", "scale-inf",
          "density-zero", "density-negative", "scale-overflow", "weight-overflow",
          "matrix-overflow", "generator-overflow", "genus-float", "genus-bool",
+         "curve-not-object", "curve-without-weight", "leaf-not-object", "rep-not-object",
          "basepoint-spacelike", "basepoint-on-leaf", "point-spacelike", "point-scaled",
          "flat-density-negative", "flat-density-zero", "flat-density-one",
          "ads-density-negative", "ads-density-one", "ads-density-two"])
@@ -539,3 +557,34 @@ def test_default_density_shear_in_band(tmp_path, capsys, curve, w):
     assert code == 0
     assert abs(report["values"]["total_shear"] - w) < 0.05 * w
     assert report["diagnostics"]["strata"] >= 2
+
+
+def _conjugated(path, t, out):
+    """The representation file at path conjugated by diag(e^t, e^-t), a
+    translation by 2t in H^2, written to out."""
+    rep = Representation.load(path).conjugate(np.diag(np.exp([t, -t])))
+    out.write_text(json.dumps(rep.to_json()))
+    return str(out)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: conjugating the input changes the flat verdict "
+                   "(cocycle-identity 6.3e-5, relator-residual 9.2e-6 at t = 2)")
+def test_flat_check_is_conjugation_invariant(tmp_path, capsys):
+    rep = _conjugated(lorentz21.bundled("octagon_rep.json"), 2.0, tmp_path / "rep.json")
+    code, report = run_cli(["flat", "check", rep, lorentz21.bundled("single_curve.json")], capsys)
+    assert code == 0, report["checks"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: conjugating both inputs changes the ads shear "
+                   "(0.2836 with 2 strata at t = 6, against 0.55)")
+def test_ads_between_is_conjugation_invariant(tmp_path, capsys):
+    pair = [lorentz21.bundled("octagon_rep.json"), os.path.join(_GOLDEN, "sheared_b1.json")]
+    flags = ["--ball", "5", "--density", "0"]
+    want = run_cli(["ads", "between", *pair, *flags], capsys)[1]["values"]["total_shear"]
+    conjugated = [_conjugated(path, 6.0, tmp_path / ("%d.json" % i))
+                  for i, path in enumerate(pair)]
+    code, report = run_cli(["ads", "between", *conjugated, *flags], capsys)
+    assert code == 0
+    assert abs(report["values"]["total_shear"] - want) < 1e-6

@@ -7,7 +7,6 @@ from lorentz21.flatspace import (
     StandardTorusSpacetime,
     TranslationCocycle,
     _nudge_off,
-    coboundary_cocycle,
     cocycle_from_lamination,
     cyclic_boost_cocycle,
     cyclic_boost_rep,
@@ -17,13 +16,13 @@ from lorentz21.flatspace import (
     injectivity_gap,
     relator_residual,
     support_planes,
-    zero_cocycle,
 )
 from lorentz21.fuchsian import GroupBall, regular_polygon_rep
 from lorentz21.laminations import WeightedMulticurve, stable_lifts
-from lorentz21.minkowski import (CausalClass, adjoint_to_so21, apex, classify,
+from lorentz21.minkowski import (CausalClass, adjoint_to_so21, classify,
                                  hyperboloid_normalize, inner, null_vectors)
-from reference import cocycle_identity_sweep_rows, cocycle_residual, nudge_off
+from reference import (apex, ball_words, cocycle_identity_sweep_rows, cocycle_residual, concat,
+                       nudge_off)
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +45,18 @@ def ball2(octagon):
     return GroupBall(octagon, 2)
 
 
+def zero_cocycle(rep):
+    return TranslationCocycle(rep, [np.zeros(3)] * (2 * rep.genus))
+
+
+def coboundary_cocycle(rep, v):
+    """t_g = v - f(g) v, exact on the group by telescoping."""
+    v = np.asarray(v, dtype=float)
+    return TranslationCocycle(rep, v - adjoint_to_so21(rep.generators) @ v)
+
+
 def all_pair_residual(rep, coc, ball):
-    words = ball.words()
+    words = ball_words(ball)
     worst = 0.0
     for alpha in words:
         for beta in words:
@@ -85,8 +94,8 @@ def test_ball_evaluate_matches_affine_fold(octagon, lam_cocycle):
     ball = GroupBall(octagon, 3)
     vals = ball.evaluate(lam_cocycle)
     assert vals.dtype == np.longdouble and vals.shape == (len(ball), 4, 4)
-    for i in range(len(ball)):
-        assert np.array_equal(vals[i], lam_cocycle.affine(ball.word(i)))
+    for i, w in enumerate(ball_words(ball)):
+        assert np.array_equal(vals[i], lam_cocycle.affine(w))
 
 
 def test_relation_pairs_match_mpmath_reference(octagon):
@@ -99,11 +108,10 @@ def test_relation_pairs_match_mpmath_reference(octagon):
     is zero by construction."""
     mp = pytest.importorskip("mpmath")
     from lorentz21.flatspace import cocycle_identity_sweep
-    from lorentz21.fuchsian import concat
 
     coc = cocycle_from_lamination(octagon, WeightedMulticurve([("a1", 5.0)]), L=3)
     ball = GroupBall(octagon, 3)
-    words = ball.words()
+    words = ball_words(ball)
     pairs = []
     for i, alpha in enumerate(words):
         hits = ball.find(ball.elements[i] @ ball.elements)

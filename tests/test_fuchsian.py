@@ -7,10 +7,8 @@ from lorentz21.fuchsian import (
     GroupBall,
     Representation,
     axis,
-    concat,
     euler_class,
     format_word,
-    invert_word,
     letter_step,
     milnor_wood_ok,
     parse_word,
@@ -22,12 +20,16 @@ from lorentz21.fuchsian import (
 from lorentz21.laminations import WeightedMulticurve
 from lorentz21.minkowski import Mat2, RP1Point
 from lorentz21.quakes import rep_after_earthquake
-from reference import group_ball
+from reference import ball_words, concat, group_ball, trivial_rep
 
 
 @pytest.fixture(scope="module")
 def octagon():
     return regular_polygon_rep(2)
+
+
+def invert_word(w):
+    return tuple(-x for x in reversed(w))
 
 
 def test_word_reduction():
@@ -56,7 +58,7 @@ def test_surface_relator():
 
 
 def test_trivial_rep():
-    rep = Representation.trivial(2)
+    rep = trivial_rep(2)
     assert rep.is_valid()
     assert euler_class(rep) == 0
     assert milnor_wood_ok(rep)
@@ -150,6 +152,13 @@ def sheared_b1(octagon):
             for w in (3, 4, 6, 8)}
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: float keys decide group identity, and the "
+                   "w = 3 radius-6 ball holds 155,579 elements, not 155,577")
+def test_sheared_group_ball_matches_growth_series(sheared_b1):
+    assert len(GroupBall(sheared_b1[3], 6)) == growth_series(2, 6)[-1]
+
+
 @pytest.mark.parametrize("w, radius", [(0, r) for r in range(7)] + [(3, 6), (4, 6)])
 def test_group_ball_matches_reference(octagon, sheared_b1, w, radius):
     """One stable sort per level gives the arrays of np.unique and
@@ -186,12 +195,12 @@ def test_group_ball_names_an_overflow():
 
 def test_group_ball_prefix_closed(octagon):
     big = GroupBall(octagon, 5)
-    big_words = big.words()
+    big_words = ball_words(big)
     for r in range(5):
         small = GroupBall(octagon, r)
         n = big.offsets[r + 1]
         assert len(small) == n
-        assert small.words() == big_words[:n]
+        assert ball_words(small) == big_words[:n]
         assert np.array_equal(small.elements, big.elements[:n])
 
 
@@ -199,9 +208,9 @@ def test_group_ball_find_and_evaluate(octagon):
     ball = GroupBall(octagon, 3)
     assert np.array_equal(ball.find(ball.elements), np.arange(len(ball)))
     assert np.array_equal(ball.find(-ball.elements), np.arange(len(ball)))
-    mats = ball.evaluate(octagon)
+    mats, words = ball.evaluate(octagon), ball_words(ball)
     for i in (1, 7, 100, len(ball) - 1):
-        assert Mat2(mats[i]).dist(Mat2.normalized(octagon.evaluate(ball.word(i)))) < 1e-9
+        assert Mat2(mats[i]).dist(Mat2.normalized(octagon.evaluate(words[i]))) < 1e-9
 
 
 def test_group_ball_lookup(octagon):
@@ -212,7 +221,7 @@ def test_group_ball_lookup(octagon):
     assert Mat2(ball.elements[hit]).dist(Mat2.normalized(m)) < 1e-10
     # relator representative is canonicalized to the empty word
     hit = int(ball.find(Mat2.identity().m[None])[0])
-    assert ball.word(hit) == ()
+    assert ball_words(ball)[hit] == ()
 
 
 def test_axis_fixed_points(octagon):

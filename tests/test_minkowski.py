@@ -4,27 +4,48 @@ import numpy as np
 import pytest
 
 from lorentz21.minkowski import (
+    EPS,
     G,
     CausalClass,
     LorentzIsometry,
     Mat2,
     RP1Point,
     adjoint_to_so21,
-    apex,
     boost_y_axis,
     classify,
     geodesic_normal,
-    h2_distance,
     hyperboloid_normalize,
     inner,
-    is_lorentz_linear,
     mat2_fold,
     per_value,
-    rotation_t_axis,
     round_digits,
     rp1_from_thetas,
     rp1_stack,
 )
+from reference import apex
+
+
+def is_lorentz_linear(A, eps=EPS):
+    """Check A^T G A = G, det A = 1, and orthochronous A[t][t] >= 1."""
+    A = np.asarray(A, dtype=float)
+    if np.max(np.abs(A.T @ G @ A - G)) > eps * max(1.0, np.max(np.abs(A)) ** 2):
+        return False
+    if abs(np.linalg.det(A) - 1.0) > 1e-6:
+        return False
+    return A[2, 2] >= 1.0 - eps
+
+
+def h2_distance(p, q):
+    """Hyperbolic distance arccosh(-<p,q>) between hyperboloid points."""
+    c = -inner(p, q)
+    if c < 1.0 - 1e-6:
+        raise ValueError("inputs are not points of the hyperboloid")
+    return math.acosh(max(c, 1.0))
+
+
+def rotation_t_axis(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def rand_mat2(rng):
