@@ -17,7 +17,10 @@ faces yield the left earthquake with the graph as boundary value.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
+import sys
+import types
 
 import numpy as np
 
@@ -320,13 +323,83 @@ class HullComplex:
         return "\n".join(lines) + "\n"
 
 
-def ConvexHull(points, qhull_options=None):
-    """scipy.spatial.ConvexHull, imported on first use so that commands
-    that build no hull do not load scipy.  It keeps scipy's name, under
-    which perfbench's tracer counts the QJ fallback."""
-    from scipy.spatial import ConvexHull as qhull
+# the parent's end of the open qhull_process worker's pipe, or None
+_QHULL = None
 
-    return qhull(points, qhull_options=qhull_options)
+
+def _qhull_worker(parent_end, conn):
+    """Import scipy.spatial, then answer each (points, qhull_options)
+    request with Qhull's (equations, simplices, vertices) or the
+    exception it raised, until the pipe closes."""
+    parent_end.close()  # so the parent's exit closes the pipe
+    from scipy.spatial import ConvexHull as qhull  # while the parent works
+
+    while True:
+        try:
+            points, options = conn.recv()
+        except EOFError:
+            return
+        try:
+            hull = qhull(points, qhull_options=options)
+            reply = (hull.equations, hull.simplices, hull.vertices), None
+        except Exception as exc:  # sent to the parent, which raises it
+            reply = None, exc
+        conn.send(reply)
+
+
+@contextlib.contextmanager
+def qhull_process():
+    """Run Qhull in a forked worker while the context is open: the
+    worker imports scipy while this process works, and ConvexHull sends
+    it its requests.  On exit the worker is killed and reaped, so no
+    refusal waits for the import and no process outlives the context.
+    The fork start method copies this process in milliseconds, where a
+    fresh interpreter would import numpy and lorentz21 again; the CLI
+    starts no thread that a fork could copy mid-work.  Where there is
+    no fork, or where scipy is already loaded and there is no import to
+    overlap, nothing starts and ConvexHull runs scipy in this process."""
+    global _QHULL
+    import multiprocessing
+
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # no fork on this platform
+        ctx = None
+    if ctx is None or "scipy.spatial" in sys.modules:
+        yield
+        return
+    parent_end, conn = ctx.Pipe()
+    worker = ctx.Process(target=_qhull_worker, args=(parent_end, conn))
+    worker.start()
+    try:
+        conn.close()
+        _QHULL = parent_end
+        yield
+    finally:
+        _QHULL = None
+        worker.kill()
+        worker.join()
+        parent_end.close()
+
+
+def ConvexHull(points, qhull_options=None):
+    """scipy.spatial.ConvexHull's equations, simplices and vertices:
+    from the qhull_process worker when one is open, else from scipy,
+    imported on first use so that commands that build no hull do not
+    load it.  It keeps scipy's name, under which perfbench's tracer
+    counts the QJ fallback."""
+    if _QHULL is None:
+        from scipy.spatial import ConvexHull as qhull
+
+        return qhull(points, qhull_options=qhull_options)
+    try:
+        _QHULL.send((points, qhull_options))
+        arrays, exc = _QHULL.recv()
+    except (EOFError, OSError) as err:
+        raise RuntimeError("the Qhull worker process exited") from err
+    if exc is not None:
+        raise exc
+    return types.SimpleNamespace(equations=arrays[0], simplices=arrays[1], vertices=arrays[2])
 
 
 def convex_hull(graph, chart_plane=None):
@@ -354,11 +427,15 @@ def convex_hull(graph, chart_plane=None):
         return HullComplex(graph, chart_plane, chart_pts, faces,
                            np.arange(len(graph)), flat=True, flat_plane=plane)
 
-    from scipy.spatial import QhullError
-
     try:
         hull, joggled = ConvexHull(chart_pts), False
-    except QhullError:
+    except RuntimeError as exc:
+        # scipy is imported here only on failure: a hull from the
+        # qhull_process worker leaves it out of this process
+        from scipy.spatial import QhullError
+
+        if not isinstance(exc, QhullError):
+            raise
         hull, joggled = ConvexHull(chart_pts, qhull_options="QJ"), True
     # inv(minv), not m: the round trip differs from m in the last bits
     faces = _merged_faces(hull, pts4, chart_pts, np.linalg.inv(minv))

@@ -252,26 +252,30 @@ def _hull_pipeline(args, graph, inputs, extra_values):
     return _emit(_report("ads", args, inputs, values, checks, diagnostics), args.out)
 
 
+# the ads commands run Qhull in a worker, which imports scipy while
+# they read their inputs and sample the conjugacy
 def cmd_ads_hull(args):
-    with open(args.graph) as fh:
-        graph = adshull.CircleGraph.from_csv_rows(fh.readlines())
-    return _hull_pipeline(args, graph, {"graph": args.graph}, {"mode": "hull"})
+    with adshull.qhull_process():
+        with open(args.graph) as fh:
+            graph = adshull.CircleGraph.from_csv_rows(fh.readlines())
+        return _hull_pipeline(args, graph, {"graph": args.graph}, {"mode": "hull"})
 
 
 def cmd_ads_between(args):
     if args.density < 0 or args.density in (1, 2):
         raise ValueError("--density must be 0 or >= 3")
-    rep_l = Representation.from_json(_load_json(args.repL))
-    rep_r = Representation.from_json(_load_json(args.repR))
-    graph = adshull.sample_conjugacy(rep_l, rep_r, args.ball)
-    if args.density and args.density < len(graph):
-        step = len(graph) / float(args.density)
-        keep = sorted({int(i * step) for i in range(args.density)})
-        graph = adshull.CircleGraph(graph.samples[keep])
-    extra = {"mode": "between", "genus": rep_l.genus,
-             "relator_defect_L": rep_l.relator_defect(),
-             "relator_defect_R": rep_r.relator_defect()}
-    return _hull_pipeline(args, graph, {"repL": args.repL, "repR": args.repR}, extra)
+    with adshull.qhull_process():
+        rep_l = Representation.from_json(_load_json(args.repL))
+        rep_r = Representation.from_json(_load_json(args.repR))
+        graph = adshull.sample_conjugacy(rep_l, rep_r, args.ball)
+        if args.density and args.density < len(graph):
+            step = len(graph) / float(args.density)
+            keep = sorted({int(i * step) for i in range(args.density)})
+            graph = adshull.CircleGraph(graph.samples[keep])
+        extra = {"mode": "between", "genus": rep_l.genus,
+                 "relator_defect_L": rep_l.relator_defect(),
+                 "relator_defect_R": rep_r.relator_defect()}
+        return _hull_pipeline(args, graph, {"repL": args.repL, "repR": args.repR}, extra)
 
 
 def build_parser():

@@ -20,9 +20,9 @@ import math
 
 import numpy as np
 
-from .minkowski import (adjugate, canonical_signs, finite, json_fields, mat2_fold, mat2_of,
-                        mat2_stack, refuse_unnormalizable, row_keys, rp1_from_thetas, rp1_stack,
-                        rp1_units, unnormalizable)
+from .minkowski import (adjugate, canonical_signs, finite, json_array, json_fields, mat2_fold,
+                        mat2_of, mat2_stack, refuse_unnormalizable, row_keys, rp1_from_thetas,
+                        rp1_stack, rp1_units, unnormalizable)
 
 
 class EllipticDegeneracyError(RuntimeError):
@@ -151,7 +151,8 @@ class Representation:
         genus, generators = json_fields(data, ("genus", "generators"), "representation")
         if isinstance(genus, bool) or not isinstance(genus, int):
             raise ValueError("genus must be an integer, not %r" % (genus,))
-        return cls(genus, [finite(g, "generator entries") for g in generators])
+        return cls(genus, [finite(g, "generator entries")
+                           for g in json_array(generators, "generators")])
 
     @classmethod
     def load(cls, path):
@@ -208,6 +209,8 @@ def regular_polygon_rep(g):
 
 # decimal digits of the matrix entries that identify a GroupBall element
 KEY_DIGITS = 6
+# rows of one level that GroupBall.evaluate forms at a time
+EVALUATE_BLOCK = 2 ** 14
 
 
 class GroupBall:
@@ -312,9 +315,13 @@ class GroupBall:
         step = letter_step(self.letter)
         out = np.empty((len(self),) + steps.shape[1:], dtype=steps.dtype)
         out[0] = np.eye(steps.shape[1])
+        # in blocks, as the gathered factors of a whole level would be
+        # alive together; matmul rows are independent, so the bits agree
         with np.errstate(over="ignore", invalid="ignore"):
             for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
-                out[lo:hi] = out[self.parent[lo:hi]] @ steps[step[lo:hi]]
+                for a in range(lo, hi, EVALUATE_BLOCK):
+                    b = min(a + EVALUATE_BLOCK, hi)
+                    out[a:b] = out[self.parent[a:b]] @ steps[step[a:b]]
         if np.isfinite(steps).all() and not np.isfinite(out).all():
             raise ValueError("a product along the ball's words overflows")
         return out

@@ -31,6 +31,7 @@ from .minkowski import (
     geodesic_normal,
     hyperboloid_normalize,
     inner,
+    json_array,
     json_fields,
     null_vectors,
     round_digits,
@@ -81,7 +82,7 @@ class WeightedMulticurve:
     def from_json(cls, data):
         (curves,) = json_fields(data, ("curves",), "multicurve")
         return cls([json_fields(c, ("word", "weight"), "curves[%d]" % i)
-                    for i, c in enumerate(curves)])
+                    for i, c in enumerate(json_array(curves, "curves"))])
 
     @classmethod
     def load(cls, path):

@@ -91,6 +91,14 @@ def json_fields(record, keys, what):
     return [record[key] for key in keys]
 
 
+def json_array(value, what):
+    """value, a list of records in an input file, named `what` there;
+    anything but a JSON array is invalid input, reported by name."""
+    if not isinstance(value, list):
+        raise ValueError("%s must be a JSON array, not %s" % (what, type(value).__name__))
+    return value
+
+
 def inner(u, v):
     """Minkowski inner product <u,v> = ux vx + uy vy - ut vt."""
     u = np.asarray(u, dtype=float)

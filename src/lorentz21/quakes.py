@@ -21,9 +21,9 @@ import numpy as np
 
 from . import laminations as lamins
 from .fuchsian import Representation
-from .minkowski import (G, adjoint_to_so21, finite, hyperboloid_normalize, inner, json_fields,
-                        mat2_fold, mat2_stack, null_vectors, per_value, round_digits,
-                        rp1_from_thetas, rp1_stack, unnormalizable)
+from .minkowski import (G, adjoint_to_so21, finite, hyperboloid_normalize, inner, json_array,
+                        json_fields, mat2_fold, mat2_stack, null_vectors, per_value,
+                        round_digits, rp1_from_thetas, rp1_stack, unnormalizable)
 
 
 class FiniteLaminationH2:
@@ -52,7 +52,8 @@ class FiniteLaminationH2:
 def lamination_from_json(data):
     (leaves,) = json_fields(data, ("leaves",), "lamination")
     rows = finite([list(map(float, json_fields(rec, ("end1", "end2", "weight"), "leaves[%d]" % i)))
-                   for i, rec in enumerate(leaves)], "leaf").reshape(-1, 3)
+                   for i, rec in enumerate(json_array(leaves, "leaves"))],
+                  "leaf").reshape(-1, 3)
     ends = rp1_from_thetas(rows[:, :2].ravel()).reshape(-1, 2, 2)
     basepoint = data.get("basepoint")
     if basepoint is not None:

@@ -666,3 +666,21 @@ def test_flat_hull_peak_memory():
         tracemalloc.stop()
     assert hull.flat
     assert peak <= 8e6
+
+
+def test_sample_conjugacy_peak_memory(octagon, conjugacy_pairs):
+    """GroupBall.evaluate forms each level in blocks of 2**14 rows, so a
+    whole level's gathered factors are never alive together.  The
+    tracemalloc peak of this radius-6 conjugacy (octagon to the golden
+    b1 shear) was 34.0 MB with one product per level and is 27.7 MB in
+    blocks (numpy 2.4).  In `ads between`, whose Qhull worker holds
+    scipy, this conjugacy sets the CLI process's peak RSS."""
+    rep_r, radius = conjugacy_pairs[1]
+    assert radius == 6
+    tracemalloc.start()
+    try:
+        sample_conjugacy(octagon, rep_r, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30.5e6

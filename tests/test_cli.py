@@ -264,9 +264,86 @@ def test_ads_between_genus_mismatch(tmp_path, capsys, genus):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only the hull needs scipy; euler and flat never pay for it
-    code = "import sys, lorentz21.cli; sys.exit(int('scipy' in sys.modules))"
+    # only the hull needs scipy, and only the ads commands start a Qhull
+    # worker; euler and flat never pay for either
+    code = ("import sys, lorentz21.cli; "
+            "sys.exit(int('scipy' in sys.modules or 'multiprocessing' in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+# runs each argv of argv[1] (a JSON list) through cli.main in a fresh
+# interpreter, from the one numbered argv[2] on with scipy's hull failing
+# in every forked child; prints [exit code, stdout, scipy loaded here,
+# a child left unreaped] per command
+_FRESH_CLI = """
+import contextlib, io, json, os, sys
+from lorentz21.cli import main
+
+
+def fail_in_worker():
+    import scipy.spatial
+
+    def fail(points, qhull_options=None):
+        raise scipy.spatial.QhullError("QH6154 initial simplex is flat, options %r"
+                                       % qhull_options)
+    scipy.spatial.ConvexHull = fail
+
+
+results = []
+for i, argv in enumerate(json.loads(sys.argv[1])):
+    if i == int(sys.argv[2]):
+        os.register_at_fork(after_in_child=fail_in_worker)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        left = True
+    except ChildProcessError:
+        left = False
+    results.append([code, out.getvalue(), "scipy" in sys.modules, left])
+print(json.dumps(results))
+"""
+
+
+_BETWEEN = ["ads", "between", lorentz21.bundled("octagon_rep.json"),
+            os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden",
+                         "sheared_b1.json"), "--ball", "3", "--density", "0"]
+
+
+@pytest.fixture(scope="module")
+def fresh_cli(tmp_path_factory):
+    """_FRESH_CLI's results for a success, a refusal (the genus-mismatch
+    pair) and a Qhull failure, run in one interpreter."""
+    tmp = tmp_path_factory.mktemp("fresh_cli")
+    other = tmp / "genus3.json"
+    other.write_text(json.dumps(regular_polygon_rep(3).to_json()))
+    graph = tmp / "stairs.csv"
+    graph.write_text("\n".join(_staircase_rows()) + "\n")
+    argvs = [_BETWEEN, ["ads", "between", lorentz21.bundled("octagon_rep.json"), str(other)],
+             ["ads", "hull", str(graph)]]
+    run = subprocess.run([sys.executable, "-c", _FRESH_CLI, json.dumps(argvs), "2"],
+                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=True)
+    return json.loads(run.stdout)
+
+
+def test_ads_between_runs_qhull_in_a_worker(fresh_cli, capsys):
+    # a fresh CLI process leaves scipy to its forked worker, and the
+    # report is the one Qhull gives in this process, which holds scipy
+    code, out, loaded, _ = fresh_cli[0]
+    assert (code, loaded) == (0, False)
+    assert main(_BETWEEN) == 0
+    assert out == capsys.readouterr().out
+
+
+def test_ads_commands_leave_no_child_process(fresh_cli):
+    # the worker is reaped after a success, a refusal and a Qhull failure,
+    # whose QJ retry the worker answers too
+    assert [(code, left) for code, _, _, left in fresh_cli] == [(0, False), (2, False), (1, False)]
+    assert [loaded for _, _, loaded, _ in fresh_cli] == [False, False, True]
+    assert "genus" in json.loads(fresh_cli[1][1])["error"]
+    assert json.loads(fresh_cli[2][1])["error"] == (
+        "QhullError: QH6154 initial simplex is flat, options 'QJ'")
 
 
 def _nan_rep(path):
@@ -388,6 +465,13 @@ def _golden_point(scale):
     (_malformed("flat", {"curves": [{"word": "a1"}]}), "curves[0] lacks the key 'weight'"),
     (_malformed("quake", {"leaves": [[0.1, 0.3, 1.0]]}), "leaves[0] must be a JSON object"),
     (_malformed("euler", []), "representation must be a JSON object"),
+    # a list of records that is not a JSON array is named
+    (_malformed("flat", {"curves": {"word": "a1", "weight": 1.0}}),
+     "curves must be a JSON array, not dict"),
+    (_malformed("flat", {"curves": 5}), "curves must be a JSON array, not int"),
+    (_malformed("quake", {"leaves": 5}), "leaves must be a JSON array, not int"),
+    (_malformed("euler", {"genus": 2, "generators": 5}),
+     "generators must be a JSON array, not int"),
     # a spacelike basepoint, and the apex, which lies on the bundled leaf
     (_lamination("basepoint", 2.0), "future timelike"),
     (_lamination("basepoint", 0.0), "within 1e-9 of a leaf"),
@@ -406,6 +490,7 @@ def _golden_point(scale):
          "density-zero", "density-negative", "scale-overflow", "weight-overflow",
          "matrix-overflow", "generator-overflow", "genus-float", "genus-bool",
          "curve-not-object", "curve-without-weight", "leaf-not-object", "rep-not-object",
+         "curves-object", "curves-int", "leaves-int", "generators-int",
          "basepoint-spacelike", "basepoint-on-leaf", "point-spacelike", "point-scaled",
          "flat-density-negative", "flat-density-zero", "flat-density-one",
          "ads-density-negative", "ads-density-one", "ads-density-two"])

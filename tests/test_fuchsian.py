@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lorentz21 import fuchsian
 from lorentz21.fuchsian import (
     GroupBall,
     Representation,
@@ -184,6 +185,15 @@ def test_group_ball_names_a_lost_determinant(sheared_b1, w, radius):
     with pytest.raises(ValueError, match=message):
         group_ball(sheared_b1[w], radius)
     GroupBall(sheared_b1[w], radius - 1)
+
+
+def test_blocked_evaluate_matches_one_product_per_level(octagon, monkeypatch):
+    # the radius-5 level holds 19,096 rows, more than one block
+    ball = GroupBall(octagon, 5)
+    assert max(np.diff(ball.offsets)) > fuchsian.EVALUATE_BLOCK
+    blocked = ball.evaluate(octagon)
+    monkeypatch.setattr(fuchsian, "EVALUATE_BLOCK", len(ball))
+    assert blocked.tobytes() == ball.evaluate(octagon).tobytes()
 
 
 def test_group_ball_names_an_overflow():
