@@ -737,12 +737,12 @@ def sample_conjugacy(rep_l, rep_r, L):
     return CircleGraph(clean)
 
 
-def dependence_membership(p, graph, eps=EPS):
+def dependence_membership(p, graph):
     """Whether the dual plane of p misses the sampled graph circle.
 
     Returns True/False by the sign pattern of the incidences, or None
     when the test is indeterminate (planar graph, or a sample within
-    eps of the plane).
+    EPS of the plane).
     """
     p = np.asarray(p, dtype=float).reshape(4)
     if graph.is_planar():
@@ -750,7 +750,7 @@ def dependence_membership(p, graph, eps=EPS):
     pts = graph.points()
     inc = qpair(p, pts)
     scale = np.linalg.norm(p) * np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(inc) < eps * scale):
+    if np.any(np.abs(inc) < EPS * scale):
         return None
     return bool(np.all(inc > 0) or np.all(inc < 0))
 

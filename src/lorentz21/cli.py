@@ -2,7 +2,8 @@
 
 Subcommands load representations, multicurves, laminations and circle
 graphs from files, run the constructions, and emit deterministic JSON
-reports plus OBJ/CSV artifacts.  Every invariant check appears in the
+reports plus OBJ/CSV artifacts.  Stdout carries exactly one JSON
+document, the report or the error.  Every invariant check appears in the
 report with its numeric residual.  The exit status is 0 when every
 check passes, 1 when a check fails or the computation fails on its
 input (a RuntimeError), and 2 when an input is invalid.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -43,8 +45,20 @@ def _check(name, residual, tolerance):
     }
 
 
-def _report(name, args, inputs, values, checks, diagnostics=None):
-    return {
+def _json(data):
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _lines(rows):
+    return "\n".join(rows) + "\n"
+
+
+def _finish(name, args, inputs, values, checks, diagnostics=None, artifacts=None):
+    """The one exit of every command: format the report; with --out,
+    write each artifact ({file name: text}), then report.json, and only
+    then print the report.  A failed write therefore leaves the error
+    document as the only JSON on stdout."""
+    text = _json({
         "schema": "%s/%s/1" % (SCHEMA_PREFIX, name),
         "command": [name] + ["%s=%s" % (k, v) for k, v in sorted(vars(args).items())
                              if k != "func"],
@@ -53,34 +67,18 @@ def _report(name, args, inputs, values, checks, diagnostics=None):
         "checks": checks,
         # what the run did (counts, fallbacks that fired), kept out of values
         "diagnostics": diagnostics or {},
-    }
-
-
-def _emit(report, out=None):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    })
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+        for fname, body in {**(artifacts or {}), "report.json": text}.items():
+            with open(os.path.join(args.out, fname), "w") as fh:
+                fh.write(body)
     sys.stdout.write(text)
-    if out is not None:
-        _write(out, "report.json", text)
-    return 0 if all(c["ok"] for c in report["checks"]) else 1
-
-
-def _write(outdir, name, text):
-    import os
-
-    os.makedirs(outdir, exist_ok=True)
-    path = os.path.join(outdir, name)
-    with open(path, "w") as fh:
-        fh.write(text)
-    return path
-
-
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    return 0 if all(c["ok"] for c in checks) else 1
 
 
 def cmd_euler(args):
-    rep = Representation.from_json(_load_json(args.rep))
+    rep = Representation.load(args.rep)
     e = euler_class(rep)
     bound = max(0, 2 * rep.genus - 2)
     checks = [
@@ -89,7 +87,7 @@ def cmd_euler(args):
     ]
     values = {"euler_class": e, "genus": rep.genus, "milnor_wood_bound": bound,
               "milnor_wood_ok": abs(e) <= bound}
-    return _emit(_report("euler", args, {"rep": args.rep}, values, checks), args.out)
+    return _finish("euler", args, {"rep": args.rep}, values, checks)
 
 
 def _cocycle_checks(rep, coc, ball_radius, tol):
@@ -105,24 +103,20 @@ def _cocycle_checks(rep, coc, ball_radius, tol):
 def cmd_flat(args):
     if args.flat_mode == "build" and args.density < 2:
         raise ValueError("--density must be >= 2")
-    rep = Representation.from_json(_load_json(args.rep))
-    mc = lamins.WeightedMulticurve.from_json(_load_json(args.multicurve))
+    rep = Representation.load(args.rep)
+    mc = lamins.WeightedMulticurve.load(args.multicurve)
     disjoint = lamins.disjointness_check(rep, mc, args.ball)
     checks = [_check("multicurve-disjoint", 0.0 if disjoint else 1.0, 0)]
-    if not disjoint:
-        values = {"mode": args.flat_mode, "curves": len(mc)}
-        return _emit(_report("flat", args, {"rep": args.rep, "multicurve": args.multicurve},
-                             values, checks), args.out)
-    coc = flatspace.cocycle_from_lamination(rep, mc, L=args.ball)
-    more, radius = _cocycle_checks(rep, coc, args.ball, args.tol)
-    checks, diagnostics = checks + more, {"sweep_ball_radius": radius}
-    values = {
-        "mode": args.flat_mode,
-        "curves": len(mc),
-        "generator_vectors": coc.to_json()["t"],
-        "basepoint": [float(v) for v in coc.basepoint],
-    }
-    if args.flat_mode == "build":
+    values = {"mode": args.flat_mode, "curves": len(mc)}
+    diagnostics, artifacts = {}, None
+    if disjoint:
+        coc = flatspace.cocycle_from_lamination(rep, mc, L=args.ball)
+        more, radius = _cocycle_checks(rep, coc, args.ball, args.tol)
+        checks += more
+        diagnostics["sweep_ball_radius"] = radius
+        values["generator_vectors"] = coc.to_json()["t"]
+        values["basepoint"] = [float(v) for v in coc.basepoint]
+    if disjoint and args.flat_mode == "build":
         patch = flatspace.develop_surface(rep, mc, density=args.density,
                                           L=args.ball, seed=args.seed)
         slope = flatspace.graph_slope_check(patch)
@@ -138,32 +132,31 @@ def cmd_flat(args):
         values["samples"] = len(patch)
         diagnostics["perturbed_samples"] = int(patch.perturbed.sum())
         values["support_planes"] = len(offsets)
-        if args.out is not None:
-            _write(args.out, "cocycle.json", json.dumps(
-                {"schema": "%s/cocycle/1" % SCHEMA_PREFIX,
-                 "t": values["generator_vectors"],
-                 "basepoint": values["basepoint"]},
-                sort_keys=True, indent=2) + "\n")
-            obj = ["# developed surface point cloud, coordinates (x, y, t)"]
-            obj += ["v %.9f %.9f %.9f" % tuple(p) for p in patch.fvals]
-            _write(args.out, "surface.obj", "\n".join(obj) + "\n")
-            _write(args.out, "support_planes.json", json.dumps(
+        artifacts = {
+            "cocycle.json": _json({"schema": "%s/cocycle/1" % SCHEMA_PREFIX,
+                                   "t": values["generator_vectors"],
+                                   "basepoint": values["basepoint"]}),
+            "surface.obj": _lines(["# developed surface point cloud, coordinates (x, y, t)"]
+                                  + ["v %.9f %.9f %.9f" % tuple(p) for p in patch.fvals]),
+            "support_planes.json": _json(
                 {"schema": "%s/support-planes/1" % SCHEMA_PREFIX,
                  "planes": [{"normal": n, "offset": c}
-                            for n, c in zip(normals.tolist(), offsets.tolist())]},
-                sort_keys=True, indent=2) + "\n")
-    return _emit(_report("flat", args, {"rep": args.rep, "multicurve": args.multicurve},
-                         values, checks, diagnostics), args.out)
+                            for n, c in zip(normals.tolist(), offsets.tolist())]}),
+        }
+    return _finish("flat", args, {"rep": args.rep, "multicurve": args.multicurve},
+                   values, checks, diagnostics, artifacts)
 
 
 def cmd_quake(args):
-    lamination = quakes.lamination_from_json(_load_json(args.lamination))
+    with open(args.lamination) as fh:
+        lamination = quakes.lamination_from_json(json.load(fh))
     quake = quakes.EarthquakeMap(lamination, side=args.side, scale=args.scale)
     cm = quakes.boundary_value(quake, samples=args.density)
     checks = [_check("boundary-monotone", 0.0 if cm.is_monotone() else 1.0, 0)]
     values = {"leaves": len(lamination.leaves), "scale": args.scale,
               "side": args.side, "boundary_samples": len(cm)}
     inputs = {"lamination": args.lamination}
+    artifacts = {"boundary.csv": _lines(cm.to_csv_rows())}
     if args.points is not None:
         inputs["points"] = args.points
         rows = []
@@ -191,13 +184,9 @@ def cmd_quake(args):
                                     % (p[0], p[1], p[2], q[0], q[1], q[2], tag))
         values["points"] = len(rows)
         values["ambiguous_points"] = ambiguous
-        if args.out is not None:
-            _write(args.out, "images.csv", "\n".join(rows) + "\n")
-    # written once every input row is read, so refused input leaves no artifact
-    if args.out is not None:
-        _write(args.out, "boundary.csv", "\n".join(cm.to_csv_rows()) + "\n")
-    return _emit(_report("quake", args, inputs, values, checks,
-                         {"shear_trace_error": quake.shear_trace_error()}), args.out)
+        artifacts["images.csv"] = _lines(rows)
+    return _finish("quake", args, inputs, values, checks,
+                   {"shear_trace_error": quake.shear_trace_error()}, artifacts)
 
 
 def _hull_pipeline(args, graph, inputs, extra_values):
@@ -237,19 +226,19 @@ def _hull_pipeline(args, graph, inputs, extra_values):
                    int((hull.faces.future & (hull.faces.classes == "null")).sum())}
     if hull.flat:
         values["notice"] = "flat hull: graph lies on a single plane, identity earthquake"
+    artifacts = None
+    # the hull's OBJ and bending texts are costly, so they are formatted for --out only
     if args.out is not None:
-        _write(args.out, "hull.obj", hull.to_obj())
         shared, start = shared.tolist(), start.tolist()
         bend = [{"face_i": i, "face_j": j, "weight": w if ok else None,
                  "shared_vertices": shared[lo:hi]} for (i, j), w, ok, lo, hi
                 in zip(pairs.tolist(), weights.tolist(), bent.tolist(), start[:-1], start[1:])]
-        _write(args.out, "bending.json", json.dumps(
-            {"schema": "%s/bending/1" % SCHEMA_PREFIX, "edges": bend},
-            sort_keys=True, indent=2) + "\n")
-        _write(args.out, "boundary.csv",
-               "\n".join(quake.boundary_map.to_csv_rows()) + "\n")
-        _write(args.out, "graph.csv", "\n".join(graph.to_csv_rows()) + "\n")
-    return _emit(_report("ads", args, inputs, values, checks, diagnostics), args.out)
+        artifacts = {"hull.obj": hull.to_obj(),
+                     "bending.json": _json({"schema": "%s/bending/1" % SCHEMA_PREFIX,
+                                            "edges": bend}),
+                     "boundary.csv": _lines(quake.boundary_map.to_csv_rows()),
+                     "graph.csv": _lines(graph.to_csv_rows())}
+    return _finish("ads", args, inputs, values, checks, diagnostics, artifacts)
 
 
 # the ads commands run Qhull in a worker, which imports scipy while
@@ -265,8 +254,8 @@ def cmd_ads_between(args):
     if args.density < 0 or args.density in (1, 2):
         raise ValueError("--density must be 0 or >= 3")
     with adshull.qhull_process():
-        rep_l = Representation.from_json(_load_json(args.repL))
-        rep_r = Representation.from_json(_load_json(args.repR))
+        rep_l = Representation.load(args.repL)
+        rep_r = Representation.load(args.repR)
         graph = adshull.sample_conjugacy(rep_l, rep_r, args.ball)
         if args.density and args.density < len(graph):
             step = len(graph) / float(args.density)
@@ -336,9 +325,8 @@ def main(argv=None):
             raise ValueError("--tol must be >= 0")
         code = args.func(args)
     except (OSError, ValueError, KeyError, TypeError, RuntimeError) as exc:
-        err = {"schema": "%s/error/1" % SCHEMA_PREFIX,
-               "error": "%s: %s" % (type(exc).__name__, exc)}
-        sys.stdout.write(json.dumps(err, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json({"schema": "%s/error/1" % SCHEMA_PREFIX,
+                                "error": "%s: %s" % (type(exc).__name__, exc)}))
         # invalid input (JSON errors are ValueErrors) exits 2; an internal
         # failure, such as an enumeration cap or Qhull, exits 1
         return 1 if isinstance(exc, RuntimeError) else 2

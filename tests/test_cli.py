@@ -531,6 +531,40 @@ def test_unread_flag_is_refused(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+_FINISHING = ["euler", "flat check", "flat build", "quake", "ads hull"]
+
+
+def _finishing(name, tmp_path):
+    """A command that finishes with a report, with its inputs."""
+    graph = tmp_path / "graph.csv"
+    graph.write_text("\n".join(steep_graph_rows(0)) + "\n")
+    curve = lorentz21.bundled("single_curve.json")
+    return {"euler": ["euler", _OCTAGON],
+            "flat check": ["flat", "check", _OCTAGON, curve, "--ball", "2"],
+            "flat build": ["flat", "build", _OCTAGON, curve, "--ball", "2", "--density", "8"],
+            "quake": ["quake", _LEAF, "1.0", "--density", "8"],
+            "ads hull": ["ads", "hull", str(graph)]}[name]
+
+
+@pytest.mark.parametrize("name", _FINISHING)
+def test_out_naming_a_file_prints_the_error_alone(tmp_path, capsys, name):
+    # --out is filled before the report is printed, so a failed write
+    # leaves one JSON document on stdout, the error
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file\n")
+    code, report = run_cli(_finishing(name, tmp_path) + ["--out", str(taken)], capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"
+    assert taken.read_text() == "a regular file\n"
+
+
+@pytest.mark.parametrize("name", _FINISHING)
+def test_report_json_is_stdout(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    assert main(_finishing(name, tmp_path) + ["--out", str(out)]) in (0, 1)
+    assert (out / "report.json").read_bytes() == capsys.readouterr().out.encode()
+
+
 def test_enumeration_cap_is_an_internal_failure(monkeypatch, capsys):
     from lorentz21 import laminations
 
