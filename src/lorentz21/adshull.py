@@ -17,10 +17,11 @@ faces yield the left earthquake with the graph as boundary value.
 from __future__ import annotations
 
 import bisect
-import contextlib
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
-import types
 
 import numpy as np
 
@@ -323,83 +324,44 @@ class HullComplex:
         return "\n".join(lines) + "\n"
 
 
-# the parent's end of the open qhull_process worker's pipe, or None
-_QHULL = None
-
-
-def _qhull_worker(parent_end, conn):
-    """Import scipy.spatial, then answer each (points, qhull_options)
-    request with Qhull's (equations, simplices, vertices) or the
-    exception it raised, until the pipe closes."""
-    parent_end.close()  # so the parent's exit closes the pipe
-    from scipy.spatial import ConvexHull as qhull  # while the parent works
-
-    while True:
-        try:
-            points, options = conn.recv()
-        except EOFError:
-            return
-        try:
-            hull = qhull(points, qhull_options=options)
-            reply = (hull.equations, hull.simplices, hull.vertices), None
-        except Exception as exc:  # sent to the parent, which raises it
-            reply = None, exc
-        conn.send(reply)
-
-
-@contextlib.contextmanager
-def qhull_process():
-    """Run Qhull in a forked worker while the context is open: the
-    worker imports scipy while this process works, and ConvexHull sends
-    it its requests.  On exit the worker is killed and reaped, so no
-    refusal waits for the import and no process outlives the context.
-    The fork start method copies this process in milliseconds, where a
-    fresh interpreter would import numpy and lorentz21 again; the CLI
-    starts no thread that a fork could copy mid-work.  Where there is
-    no fork, or where scipy is already loaded and there is no import to
-    overlap, nothing starts and ConvexHull runs scipy in this process."""
-    global _QHULL
-    import multiprocessing
-
+def _scipy_extension(name):
+    """The scipy extension module `name`, loaded from its own file
+    without running the __init__ of the packages above it; the module in
+    sys.modules if one is there, so a process that has imported
+    scipy.spatial shares its classes."""
+    if name in sys.modules:
+        return sys.modules[name]
+    package = name.split(".")[1:-1]
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(root, *package)
+               for root in importlib.util.find_spec("scipy").submodule_search_locations])
+    if spec is None:
+        raise ImportError("scipy has no module %s" % name, name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # as import does, before the module runs
     try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # no fork on this platform
-        ctx = None
-    if ctx is None or "scipy.spatial" in sys.modules:
-        yield
-        return
-    parent_end, conn = ctx.Pipe()
-    worker = ctx.Process(target=_qhull_worker, args=(parent_end, conn))
-    worker.start()
-    try:
-        conn.close()
-        _QHULL = parent_end
-        yield
-    finally:
-        _QHULL = None
-        worker.kill()
-        worker.join()
-        parent_end.close()
+        spec.loader.exec_module(module)
+    except BaseException:
+        sys.modules.pop(name, None)
+        raise
+    return module
+
+
+def _qhull():
+    """scipy.spatial._qhull, which holds ConvexHull and QhullError.
+    The scipy.linalg.cython_lapack it cimports is loaded first, or the
+    cimport would import scipy.linalg's Python layer.  The two take
+    0.02-0.06 s, where `import scipy.spatial` takes 0.29-0.41 s, as it
+    also loads scipy.sparse, scipy.special and scipy.linalg."""
+    _scipy_extension("scipy.linalg.cython_lapack")
+    return _scipy_extension("scipy.spatial._qhull")
 
 
 def ConvexHull(points, qhull_options=None):
-    """scipy.spatial.ConvexHull's equations, simplices and vertices:
-    from the qhull_process worker when one is open, else from scipy,
-    imported on first use so that commands that build no hull do not
-    load it.  It keeps scipy's name, under which perfbench's tracer
-    counts the QJ fallback."""
-    if _QHULL is None:
-        from scipy.spatial import ConvexHull as qhull
-
-        return qhull(points, qhull_options=qhull_options)
-    try:
-        _QHULL.send((points, qhull_options))
-        arrays, exc = _QHULL.recv()
-    except (EOFError, OSError) as err:
-        raise RuntimeError("the Qhull worker process exited") from err
-    if exc is not None:
-        raise exc
-    return types.SimpleNamespace(equations=arrays[0], simplices=arrays[1], vertices=arrays[2])
+    """scipy.spatial.ConvexHull, loaded on first use so that commands
+    that build no hull do not load Qhull.  It keeps scipy's name, under
+    which perfbench's tracer counts the QJ fallback."""
+    return _qhull().ConvexHull(points, qhull_options=qhull_options)
 
 
 def convex_hull(graph, chart_plane=None):
@@ -429,13 +391,7 @@ def convex_hull(graph, chart_plane=None):
 
     try:
         hull, joggled = ConvexHull(chart_pts), False
-    except RuntimeError as exc:
-        # scipy is imported here only on failure: a hull from the
-        # qhull_process worker leaves it out of this process
-        from scipy.spatial import QhullError
-
-        if not isinstance(exc, QhullError):
-            raise
+    except _qhull().QhullError:
         hull, joggled = ConvexHull(chart_pts, qhull_options="QJ"), True
     # inv(minv), not m: the round trip differs from m in the last bits
     faces = _merged_faces(hull, pts4, chart_pts, np.linalg.inv(minv))

@@ -56,8 +56,9 @@ def _lines(rows):
 def _finish(name, args, inputs, values, checks, diagnostics=None, artifacts=None):
     """The one exit of every command: format the report; with --out,
     write each artifact ({file name: text}), then report.json, and only
-    then print the report.  A failed write therefore leaves the error
-    document as the only JSON on stdout."""
+    then print the report.  A failed write removes the files this call
+    wrote, so it leaves none of them and the error document is the only
+    JSON on stdout."""
     text = _json({
         "schema": "%s/%s/1" % (SCHEMA_PREFIX, name),
         "command": [name] + ["%s=%s" % (k, v) for k, v in sorted(vars(args).items())
@@ -70,9 +71,16 @@ def _finish(name, args, inputs, values, checks, diagnostics=None, artifacts=None
     })
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        for fname, body in {**(artifacts or {}), "report.json": text}.items():
-            with open(os.path.join(args.out, fname), "w") as fh:
-                fh.write(body)
+        written = []
+        try:
+            for fname, body in {**(artifacts or {}), "report.json": text}.items():
+                with open(os.path.join(args.out, fname), "w") as fh:
+                    written.append(fh.name)
+                    fh.write(body)
+        except OSError:
+            for path in written:
+                os.remove(path)
+            raise
     sys.stdout.write(text)
     return 0 if all(c["ok"] for c in checks) else 1
 
@@ -241,30 +249,26 @@ def _hull_pipeline(args, graph, inputs, extra_values):
     return _finish("ads", args, inputs, values, checks, diagnostics, artifacts)
 
 
-# the ads commands run Qhull in a worker, which imports scipy while
-# they read their inputs and sample the conjugacy
 def cmd_ads_hull(args):
-    with adshull.qhull_process():
-        with open(args.graph) as fh:
-            graph = adshull.CircleGraph.from_csv_rows(fh.readlines())
-        return _hull_pipeline(args, graph, {"graph": args.graph}, {"mode": "hull"})
+    with open(args.graph) as fh:
+        graph = adshull.CircleGraph.from_csv_rows(fh.readlines())
+    return _hull_pipeline(args, graph, {"graph": args.graph}, {"mode": "hull"})
 
 
 def cmd_ads_between(args):
     if args.density < 0 or args.density in (1, 2):
         raise ValueError("--density must be 0 or >= 3")
-    with adshull.qhull_process():
-        rep_l = Representation.load(args.repL)
-        rep_r = Representation.load(args.repR)
-        graph = adshull.sample_conjugacy(rep_l, rep_r, args.ball)
-        if args.density and args.density < len(graph):
-            step = len(graph) / float(args.density)
-            keep = sorted({int(i * step) for i in range(args.density)})
-            graph = adshull.CircleGraph(graph.samples[keep])
-        extra = {"mode": "between", "genus": rep_l.genus,
-                 "relator_defect_L": rep_l.relator_defect(),
-                 "relator_defect_R": rep_r.relator_defect()}
-        return _hull_pipeline(args, graph, {"repL": args.repL, "repR": args.repR}, extra)
+    rep_l = Representation.load(args.repL)
+    rep_r = Representation.load(args.repR)
+    graph = adshull.sample_conjugacy(rep_l, rep_r, args.ball)
+    if args.density and args.density < len(graph):
+        step = len(graph) / float(args.density)
+        keep = sorted({int(i * step) for i in range(args.density)})
+        graph = adshull.CircleGraph(graph.samples[keep])
+    extra = {"mode": "between", "genus": rep_l.genus,
+             "relator_defect_L": rep_l.relator_defect(),
+             "relator_defect_R": rep_r.relator_defect()}
+    return _hull_pipeline(args, graph, {"repL": args.repL, "repR": args.repR}, extra)
 
 
 def build_parser():

@@ -1,6 +1,8 @@
 import itertools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -355,6 +357,41 @@ def conjugacy_graphs(octagon, conjugacy_pairs):
     return [sample_conjugacy(octagon, rep_r, radius) for rep_r, radius in conjugacy_pairs]
 
 
+# the hull arrays of adshull.ConvexHull, with and without QJ, on the
+# points in the .npy file argv[1], from a fresh interpreter that loads
+# Qhull alone, saved to the .npz file argv[2]
+_LOADED_ALONE = """
+import sys
+import numpy as np
+from lorentz21.adshull import ConvexHull
+
+points = np.load(sys.argv[1])
+hulls = {str(options): ConvexHull(points, qhull_options=options) for options in (None, "QJ")}
+assert not {"scipy.spatial", "scipy.linalg"} & set(sys.modules)
+np.savez(sys.argv[2], **{"%s %s" % (options, name): getattr(hull, name)
+                         for options, hull in hulls.items()
+                         for name in ("equations", "simplices", "vertices")})
+"""
+
+
+def test_qhull_loaded_alone_is_scipys(tmp_path, conjugacy_graphs):
+    """Qhull's extension module loaded by itself gives the arrays of
+    scipy.spatial.ConvexHull, joggled or not, on the chart points of the
+    octagon to golden b1 conjugacy graph: a scipy whose _qhull moved or
+    cimports more fails here."""
+    import scipy.spatial
+
+    points = convex_hull(conjugacy_graphs[0]).chart_points
+    np.save(tmp_path / "points.npy", points)
+    subprocess.run([sys.executable, "-c", _LOADED_ALONE, str(tmp_path / "points.npy"),
+                    str(tmp_path / "hulls.npz")], check=True)
+    alone = np.load(tmp_path / "hulls.npz")
+    for options in (None, "QJ"):
+        hull = scipy.spatial.ConvexHull(points, qhull_options=options)
+        for name in ("equations", "simplices", "vertices"):
+            assert same_bits(alone["%s %s" % (options, name)], getattr(hull, name))
+
+
 def test_sample_conjugacy_matches_reference(octagon, conjugacy_pairs, conjugacy_graphs):
     """The chain over kept samples, with right angles taken only on their
     runs of equal left angles, gives the lexsort-and-loop samples bit for
@@ -640,7 +677,7 @@ def test_convex_hull_peak_memory():
     per-face loop's tracemalloc peak on it was 4.55 MB (numpy 2.4,
     scipy 1.17); the record's is about 1.9 MB."""
     graph = shear_graph(2.0, 2400)
-    convex_hull(graph)  # load scipy and cache the graph points first
+    convex_hull(graph)  # load Qhull and cache the graph points first
     tracemalloc.start()
     try:
         hull = convex_hull(graph)
@@ -673,8 +710,8 @@ def test_sample_conjugacy_peak_memory(octagon, conjugacy_pairs):
     whole level's gathered factors are never alive together.  The
     tracemalloc peak of this radius-6 conjugacy (octagon to the golden
     b1 shear) was 34.0 MB with one product per level and is 27.7 MB in
-    blocks (numpy 2.4).  In `ads between`, whose Qhull worker holds
-    scipy, this conjugacy sets the CLI process's peak RSS."""
+    blocks (numpy 2.4).  In `ads between`, which loads Qhull's extension
+    module alone, this conjugacy sets the CLI process's peak RSS."""
     rep_r, radius = conjugacy_pairs[1]
     assert radius == 6
     tracemalloc.start()

@@ -264,45 +264,28 @@ def test_ads_between_genus_mismatch(tmp_path, capsys, genus):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # only the hull needs scipy, and only the ads commands start a Qhull
-    # worker; euler and flat never pay for either
+    # only the hull needs scipy, and it loads Qhull when it is built;
+    # euler and flat never pay for it
     code = ("import sys, lorentz21.cli; "
             "sys.exit(int('scipy' in sys.modules or 'multiprocessing' in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
-# runs each argv of argv[1] (a JSON list) through cli.main in a fresh
-# interpreter, from the one numbered argv[2] on with scipy's hull failing
-# in every forked child; prints [exit code, stdout, scipy loaded here,
-# a child left unreaped] per command
+# runs the argv argv[1] (JSON) through cli.main in a fresh interpreter;
+# prints [exit code, stdout, {each later argv: loaded}, a child unreaped]
 _FRESH_CLI = """
 import contextlib, io, json, os, sys
 from lorentz21.cli import main
 
-
-def fail_in_worker():
-    import scipy.spatial
-
-    def fail(points, qhull_options=None):
-        raise scipy.spatial.QhullError("QH6154 initial simplex is flat, options %r"
-                                       % qhull_options)
-    scipy.spatial.ConvexHull = fail
-
-
-results = []
-for i, argv in enumerate(json.loads(sys.argv[1])):
-    if i == int(sys.argv[2]):
-        os.register_at_fork(after_in_child=fail_in_worker)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    try:
-        os.waitpid(-1, os.WNOHANG)
-        left = True
-    except ChildProcessError:
-        left = False
-    results.append([code, out.getvalue(), "scipy" in sys.modules, left])
-print(json.dumps(results))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(json.loads(sys.argv[1]))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    child = True
+except ChildProcessError:
+    child = False
+print(json.dumps([code, out.getvalue(), {m: m in sys.modules for m in sys.argv[2:]}, child]))
 """
 
 
@@ -311,39 +294,19 @@ _BETWEEN = ["ads", "between", lorentz21.bundled("octagon_rep.json"),
                          "sheared_b1.json"), "--ball", "3", "--density", "0"]
 
 
-@pytest.fixture(scope="module")
-def fresh_cli(tmp_path_factory):
-    """_FRESH_CLI's results for a success, a refusal (the genus-mismatch
-    pair) and a Qhull failure, run in one interpreter."""
-    tmp = tmp_path_factory.mktemp("fresh_cli")
-    other = tmp / "genus3.json"
-    other.write_text(json.dumps(regular_polygon_rep(3).to_json()))
-    graph = tmp / "stairs.csv"
-    graph.write_text("\n".join(_staircase_rows()) + "\n")
-    argvs = [_BETWEEN, ["ads", "between", lorentz21.bundled("octagon_rep.json"), str(other)],
-             ["ads", "hull", str(graph)]]
-    run = subprocess.run([sys.executable, "-c", _FRESH_CLI, json.dumps(argvs), "2"],
+def test_ads_between_loads_qhull_alone(capsys):
+    # a fresh CLI process loads Qhull's extension module and no scipy
+    # package beside it, starts no process, and prints the report of
+    # this process, which may hold all of scipy.spatial
+    modules = ["scipy.spatial._qhull", "scipy.spatial", "scipy.linalg", "scipy.sparse",
+               "scipy.special", "multiprocessing"]
+    run = subprocess.run([sys.executable, "-c", _FRESH_CLI, json.dumps(_BETWEEN)] + modules,
                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=True)
-    return json.loads(run.stdout)
-
-
-def test_ads_between_runs_qhull_in_a_worker(fresh_cli, capsys):
-    # a fresh CLI process leaves scipy to its forked worker, and the
-    # report is the one Qhull gives in this process, which holds scipy
-    code, out, loaded, _ = fresh_cli[0]
-    assert (code, loaded) == (0, False)
+    code, out, loaded, child = json.loads(run.stdout)
+    assert (code, child) == (0, False)
+    assert [m for m in modules if loaded[m]] == ["scipy.spatial._qhull"]
     assert main(_BETWEEN) == 0
     assert out == capsys.readouterr().out
-
-
-def test_ads_commands_leave_no_child_process(fresh_cli):
-    # the worker is reaped after a success, a refusal and a Qhull failure,
-    # whose QJ retry the worker answers too
-    assert [(code, left) for code, _, _, left in fresh_cli] == [(0, False), (2, False), (1, False)]
-    assert [loaded for _, _, loaded, _ in fresh_cli] == [False, False, True]
-    assert "genus" in json.loads(fresh_cli[1][1])["error"]
-    assert json.loads(fresh_cli[2][1])["error"] == (
-        "QhullError: QH6154 initial simplex is flat, options 'QJ'")
 
 
 def _nan_rep(path):
@@ -558,6 +521,17 @@ def test_out_naming_a_file_prints_the_error_alone(tmp_path, capsys, name):
     assert taken.read_text() == "a regular file\n"
 
 
+def test_failed_write_removes_the_written_artifacts(tmp_path, capsys):
+    # report.json, written last, cannot be written here, so boundary.csv,
+    # written before it, is removed again
+    out = tmp_path / "D"
+    (out / "report.json").mkdir(parents=True)
+    code, report = run_cli(["quake", _LEAF, "1.0", "--density", "8", "--out", str(out)], capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"
+    assert os.listdir(out) == ["report.json"]
+
+
 @pytest.mark.parametrize("name", _FINISHING)
 def test_report_json_is_stdout(tmp_path, capsys, name):
     out = tmp_path / "out"
@@ -594,7 +568,7 @@ def test_qhull_failure_is_an_internal_failure(tmp_path, monkeypatch, capsys):
     from lorentz21 import adshull
 
     def fail(points, qhull_options=None):
-        raise QhullError("QH6154 initial simplex is flat")
+        raise QhullError("QH6154 initial simplex is flat, options %r" % qhull_options)
 
     monkeypatch.setattr(adshull, "ConvexHull", fail)
     graph = tmp_path / "stairs.csv"
@@ -602,7 +576,8 @@ def test_qhull_failure_is_an_internal_failure(tmp_path, monkeypatch, capsys):
     code, report = run_cli(["ads", "hull", str(graph)], capsys)
     assert code == 1
     assert report["schema"] == "lorentz21/error/1"
-    assert report["error"].startswith("QhullError: ")
+    # the failure is retried with the QJ joggle, whose failure is reported
+    assert report["error"] == "QhullError: QH6154 initial simplex is flat, options 'QJ'"
 
 
 def _staircase_rows(steps=3, m=5):
