@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .fuchsian import GroupBall
+from .fuchsian import EVALUATE_BLOCK, GroupBall
 from .minkowski import (EPS, adjugate, finite, mat2_stack, per_value, refuse_unnormalizable,
                         rp1_from_thetas, rp1_stack, rp1_units, row_keys)
 from .quakes import CircleMap
@@ -141,6 +141,8 @@ class CircleGraph(CircleMap):
         s = self.samples % 1.0
         self.samples = s[np.lexsort((s[:, 1], s[:, 0]))]
         self._points = None
+        # counts from the sampling that made the graph, for a report
+        self.diagnostics = {}
 
     def points(self):
         """(N, 4) array of quadric points, one per sample, with
@@ -604,32 +606,50 @@ def _components(n, pairs):
         label = new
 
 
-def hyperbolic_traces(mats):
-    """Trace t of each matrix in a (N, 2, 2) stack and its discriminant
-    t * t - 4.0, refusing a stack in which a discriminant overflows or
-    a matrix is not hyperbolic."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = mats[:, 0, 0] + mats[:, 1, 1]
-        disc = t * t - 4.0
-    if not np.isfinite(disc).all():
-        raise ValueError("a trace is too large for its fixed points")
-    if np.any(disc <= 0):
-        raise ValueError("element is not hyperbolic (trace %.6f)" % t[np.argmax(disc <= 0)])
-    return t, disc
+def _hyperbolic_blocks(mats):
+    """(start, t, disc) of each EVALUATE_BLOCK rows of a (N, 2, 2) stack:
+    the trace t of each matrix and its discriminant t * t - 4.0.  Refuses
+    as one pass over the stack would: a discriminant that overflows in
+    any block before a matrix that is not hyperbolic, named by the first
+    one's trace; no block is yielded once such a matrix is seen."""
+    bad = None
+    for lo in range(0, len(mats), EVALUATE_BLOCK):
+        block = mats[lo:lo + EVALUATE_BLOCK]
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = block[:, 0, 0] + block[:, 1, 1]
+            disc = t * t - 4.0
+        if not np.isfinite(disc).all():
+            raise ValueError("a trace is too large for its fixed points")
+        if bad is None and np.any(disc <= 0):
+            bad = t[np.argmax(disc <= 0)]
+        if bad is None:
+            yield lo, t, disc
+    if bad is not None:
+        raise ValueError("element is not hyperbolic (trace %.6f)" % bad)
+
+
+def refuse_nonhyperbolic(mats):
+    """Refuse a (N, 2, 2) stack in which a trace is too large for its
+    fixed points or a matrix is not hyperbolic, as `_hyperbolic_blocks`."""
+    for _ in _hyperbolic_blocks(mats):
+        pass
 
 
 def attracting_thetas(mats):
     """Angle parameter of the attracting fixed point of each hyperbolic
-    matrix in a (N, 2, 2) stack, in closed form: the eigenvector
-    (b, lam - a) of the larger eigenvalue lam, or (lam - d, c) where
-    that is nearly zero (near-diagonal matrices)."""
-    t, disc = hyperbolic_traces(mats)
-    a, b, c, d = (mats[:, i, j] for i in (0, 1) for j in (0, 1))
-    lam = 0.5 * (t + np.copysign(np.sqrt(disc), t))
-    v = np.stack([b, lam - a], axis=1)
-    near = np.max(np.abs(v), axis=1) < 1e-12 * np.maximum(np.abs(lam), 1.0)
-    v[near] = np.stack([lam - d, c], axis=1)[near]
-    return rp1_stack(v)[1]
+    matrix in a (N, 2, 2) stack, in closed form, one block at a time: the
+    eigenvector (b, lam - a) of the larger eigenvalue lam, or (lam - d, c)
+    where that is nearly zero (near-diagonal matrices)."""
+    out = np.empty(len(mats))
+    for lo, t, disc in _hyperbolic_blocks(mats):
+        hi = lo + len(t)
+        a, b, c, d = (mats[lo:hi, i, j] for i in (0, 1) for j in (0, 1))
+        lam = 0.5 * (t + np.copysign(np.sqrt(disc), t))
+        v = np.stack([b, lam - a], axis=1)
+        near = np.max(np.abs(v), axis=1) < 1e-12 * np.maximum(np.abs(lam), 1.0)
+        v[near] = np.stack([lam - d, c], axis=1)[near]
+        out[lo:hi] = rp1_stack(v)[1]
+    return out
 
 
 def _chain_heads(values, gap):
@@ -658,23 +678,27 @@ def sample_conjugacy(rep_l, rep_r, L):
     representations: the attracting fixed point of rep_l(w) pairs with
     that of rep_r(w) over all nontrivial ball-L words.  Left angles
     closer than DEDUP to the last kept one are dropped; among exactly
-    equal left angles the smallest right angle is kept."""
+    equal left angles the smallest right angle is kept.  The graph's
+    `diagnostics` count the candidate words, the samples the dedup keeps
+    and those the jitter rule then drops."""
     ball = GroupBall(rep_l, L)
     left = attracting_thetas(ball.elements[1:])
     right = ball.evaluate(rep_r)[1:]
-    hyperbolic_traces(right)
+    del ball
+    refuse_nonhyperbolic(right)
     order = np.argsort(left, kind="stable")
     lefts = left[order]
-    heads = _chain_heads(lefts.tolist(), DEDUP)
+    heads = _chain_heads(memoryview(lefts), DEDUP)
     # each kept head's run of equal left angles; right angles only there
     runs = np.searchsorted(lefts, lefts[heads], side="right") - heads
     starts = np.cumsum(runs) - runs
     rows = order[np.arange(runs.sum()) + np.repeat(heads - starts, runs)]
     rights = np.minimum.reduceat(attracting_thetas(right[rows]), starts)
     kept = list(zip(lefts[heads].tolist(), rights.tolist()))
+    candidates = len(left)
     # the per-element arrays go before the graph's arrays are made: made
     # above them on the heap, those would keep their memory from the system
-    del ball, left, right, order, lefts, heads, runs, starts, rows, rights
+    del left, right, order, lefts, heads, runs, starts, rows, rights
     if len(kept) > 1 and (kept[0][0] - kept[-1][0]) % 1.0 < DEDUP:
         kept.pop()
     if len(kept) < 3:
@@ -690,7 +714,10 @@ def sample_conjugacy(rep_l, rep_r, L):
         if step < 0:
             continue
         clean.append((tl, tr))
-    return CircleGraph(clean)
+    graph = CircleGraph(clean)
+    graph.diagnostics = {"conjugacy_candidates": candidates, "conjugacy_dedup_kept": len(kept),
+                         "conjugacy_jitter_dropped": len(kept) - len(clean)}
+    return graph
 
 
 def dependence_membership(p, graph):

@@ -197,7 +197,7 @@ def cmd_quake(args):
                    {"shear_trace_error": quake.shear_trace_error()}, artifacts)
 
 
-def _hull_pipeline(args, graph, inputs, extra_values):
+def _hull_pipeline(args, graph, inputs, extra_values, sampling):
     checks = [
         _check("graph-monotone", 0.0 if graph.is_monotone() else 1.0, 0),
         _check("graph-spacelike", 0.0 if graph.spacelike_consecutive() else 1.0, 0),
@@ -228,10 +228,10 @@ def _hull_pipeline(args, graph, inputs, extra_values):
                                                        pairs[bent].tolist())],
         "boundary_roundtrip_sup": roundtrip,
     })
-    diagnostics = {"qhull_facets": hull.qhull_facets, "merged_faces": len(hull.faces),
-                   "qhull_joggled": hull.joggled, "strata": quake.strata,
-                   "null_future_faces_skipped":
-                   int((hull.faces.future & (hull.faces.classes == "null")).sum())}
+    diagnostics = dict(sampling, qhull_facets=hull.qhull_facets, merged_faces=len(hull.faces),
+                       qhull_joggled=hull.joggled, strata=quake.strata,
+                       null_future_faces_skipped=int(
+                           (hull.faces.future & (hull.faces.classes == "null")).sum()))
     if hull.flat:
         values["notice"] = "flat hull: graph lies on a single plane, identity earthquake"
     artifacts = None
@@ -252,7 +252,7 @@ def _hull_pipeline(args, graph, inputs, extra_values):
 def cmd_ads_hull(args):
     with open(args.graph) as fh:
         graph = adshull.CircleGraph.from_csv_rows(fh.readlines())
-    return _hull_pipeline(args, graph, {"graph": args.graph}, {"mode": "hull"})
+    return _hull_pipeline(args, graph, {"graph": args.graph}, {"mode": "hull"}, {})
 
 
 def cmd_ads_between(args):
@@ -261,6 +261,7 @@ def cmd_ads_between(args):
     rep_l = Representation.load(args.repL)
     rep_r = Representation.load(args.repR)
     graph = adshull.sample_conjugacy(rep_l, rep_r, args.ball)
+    sampling = graph.diagnostics
     if args.density and args.density < len(graph):
         step = len(graph) / float(args.density)
         keep = sorted({int(i * step) for i in range(args.density)})
@@ -268,7 +269,7 @@ def cmd_ads_between(args):
     extra = {"mode": "between", "genus": rep_l.genus,
              "relator_defect_L": rep_l.relator_defect(),
              "relator_defect_R": rep_r.relator_defect()}
-    return _hull_pipeline(args, graph, {"repL": args.repL, "repR": args.repR}, extra)
+    return _hull_pipeline(args, graph, {"repL": args.repL, "repR": args.repR}, extra, sampling)
 
 
 def build_parser():

@@ -15,14 +15,15 @@ polygon construction of a discrete cocompact representation.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
 import numpy as np
 
 from .minkowski import (adjugate, canonical_signs, finite, json_array, json_fields, mat2_fold,
-                        mat2_of, mat2_stack, refuse_unnormalizable, row_keys, rp1_from_thetas,
-                        rp1_stack, rp1_units, unnormalizable)
+                        mat2_of, mat2_stack, row_keys, rp1_from_thetas, rp1_stack, rp1_units,
+                        unnormalizable, unnormalizable_cause)
 
 
 class EllipticDegeneracyError(RuntimeError):
@@ -209,8 +210,52 @@ def regular_polygon_rep(g):
 
 # decimal digits of the matrix entries that identify a GroupBall element
 KEY_DIGITS = 6
-# rows of one level that GroupBall.evaluate forms at a time
+# rows formed at a time: a GroupBall level's candidates, GroupBall.evaluate's
+# products and adshull's fixed points
 EVALUATE_BLOCK = 2 ** 14
+_MIX = np.array([0xBF58476D1CE4E5B9, 0x94D049BB133111EB], dtype=np.uint64)
+
+
+def _key_hash(keys):
+    """A 64-bit hash of each `row_keys` key, its words folded in one at a
+    time by splitmix64's finalizer.  Equal keys hash equal, so a hash only
+    filters: GroupBall compares full keys wherever two hashes agree."""
+    h = np.zeros(len(keys), dtype=np.uint64)
+    for word in keys.view(np.uint64).reshape(len(keys), -1).T:
+        h ^= word
+        for shift, mix in zip((30, 27), _MIX):
+            h ^= h >> np.uint64(shift)
+            h *= mix
+        h ^= h >> np.uint64(31)
+    return h
+
+
+def _in_sorted(table, x):
+    """Whether each value of x is in the sorted, nonempty array table."""
+    return table[np.minimum(np.searchsorted(table, x), len(table) - 1)] == x
+
+
+def _new_rows(elements, hashes, known):
+    """Indices, in order, of the rows of elements[known:] whose key is
+    neither a row's before `known` nor an earlier row's after it.  A row
+    whose hash no other row shares is new; the rest are decided on their
+    full keys, against the rows before `known` that share their hashes."""
+    order = np.argsort(hashes[:known])
+    seen, h = hashes[:known][order], hashes[known:]
+    twins = np.argsort(h)
+    same = h[twins[1:]] == h[twins[:-1]]
+    suspect = np.zeros(len(h), dtype=bool)
+    suspect[twins[1:][same]] = suspect[twins[:-1][same]] = True
+    del twins, same
+    suspect |= _in_sorted(seen, h)
+    rows = np.flatnonzero(suspect)
+    if len(rows):
+        keys = row_keys(elements[known + rows].reshape(-1, 4), KEY_DIGITS)
+        old = order[_in_sorted(np.sort(h[rows]), seen)]
+        old = row_keys(elements[old].reshape(-1, 4), KEY_DIGITS)
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        suspect[rows[first[~np.isin(keys[first], old)]]] = False
+    return np.flatnonzero(~suspect)
 
 
 class GroupBall:
@@ -223,11 +268,12 @@ class GroupBall:
     `offsets[r + 1]` entries are exactly the radius-r ball.  Matrices
     are identified by their entries rounded to KEY_DIGITS; each level
     extends only the new elements of the level before, since a word
-    equal to an earlier one has no new products.  The known keys are
-    kept sorted, with the element each one names, so a level takes one
-    stable sort of them and its own keys: each run of equal keys heads
-    with a known element or with the level's first occurrence of a new
-    one, and the heads are the next sorted key table.
+    equal to an earlier one has no new products.  A level's candidates
+    are formed in blocks straight after the known elements, with a
+    64-bit hash of each key; a candidate whose hash no known element and
+    no other candidate shares is new, and the few others are decided on
+    their full keys: new if no known element has the key and no earlier
+    candidate does.  The new ones are then packed down in place.
     """
 
     def __init__(self, rep, radius):
@@ -236,47 +282,53 @@ class GroupBall:
         self.radius = radius
         self.genus = rep.genus
         letters, steps = signed_letters(rep.genus), rep.steps()
-        mats, lets = np.eye(2)[None], np.array([0])
-        levels = [[mats], [np.array([-1])], [lets]]  # matrices, parents, letters
-        sorted_keys, key_order = row_keys(mats.reshape(-1, 4), KEY_DIGITS), np.array([0])
+        elements, parent, letter = np.eye(2)[None], np.array([-1]), np.array([0])
+        hashes = _key_hash(row_keys(elements.reshape(-1, 4), KEY_DIGITS))
         self.offsets = [0, 1]
-        # each temporary is deleted once spent: the last level's would
-        # otherwise be alive together, several times the finished ball
+        per_block = max(1, EVALUATE_BLOCK // len(letters))
         for _ in range(radius):
-            par = np.repeat(np.arange(len(mats)), len(letters))
-            let = np.tile(letters, len(mats))
-            reduced = lets[par] != -let
-            with np.errstate(over="ignore", invalid="ignore"):
-                prods = (mats[:, None] @ steps[None]).reshape(-1, 2, 2)[reduced]
-            par, let = par[reduced], let[reduced]
-            del reduced
-            refuse_unnormalizable(prods, "a product of the generators")
-            prods = mat2_stack(prods)
-            known = len(sorted_keys)
-            keys = np.concatenate([sorted_keys, row_keys(prods.reshape(-1, 4), KEY_DIGITS)])
-            del sorted_keys
-            order = np.argsort(keys, kind="stable")
-            run = keys[order]
-            del keys
-            head = np.concatenate([[True], run[1:] != run[:-1]])
-            heads = order[head]
-            del order
-            sorted_keys = run[head]
-            del run, head
-            first = np.sort(heads[heads >= known] - known)
-            index = np.full(len(prods), -1)
-            index[first] = np.arange(len(first)) + self.offsets[-1]
-            key_order = np.concatenate([key_order, index])[heads]
-            del index, heads
-            mats, lets = prods[first], let[first]
-            del prods
-            for level, part in zip(levels, (mats, par[first] + self.offsets[-2], lets)):
-                level.append(part)
-            self.offsets.append(self.offsets[-1] + len(first))
-        # each list is released once concatenated
-        del mats
-        self.elements, self.parent, self.letter = (np.concatenate(levels.pop(0)) for _ in range(3))
-        self._sorted_keys, self._key_order = sorted_keys, key_order
+            lo, hi = self.offsets[-2:]
+            # every parent but the identity has one letter that cancels
+            end = hi + (hi - lo) * len(letters) - np.count_nonzero(letter[lo:hi])
+            known = (elements, parent, letter, hashes)
+            elements, parent, letter, hashes = [np.empty((end,) + a.shape[1:], dtype=a.dtype)
+                                                for a in known]
+            for grown, a in zip((elements, parent, letter, hashes), known):
+                grown[:hi] = a[:hi]
+            del known
+            at, cause = hi, None
+            for a in range(lo, hi, per_block):
+                b = min(a + per_block, hi)
+                par = np.repeat(np.arange(a, b), len(letters))
+                let = np.tile(letters, b - a)
+                reduced = letter[par] != -let
+                with np.errstate(over="ignore", invalid="ignore"):
+                    prods = (elements[a:b, None] @ steps[None]).reshape(-1, 2, 2)[reduced]
+                # the level's refusal is the one a single pass over it makes:
+                # an overflow in any block before a lost determinant
+                block_cause = unnormalizable_cause(prods)
+                if block_cause == "overflows":
+                    raise ValueError("a product of the generators overflows")
+                cause = cause or block_cause
+                if cause is not None:
+                    continue
+                to = at + len(prods)
+                elements[at:to] = mat2_stack(prods)
+                parent[at:to], letter[at:to] = par[reduced], let[reduced]
+                hashes[at:to] = _key_hash(row_keys(elements[at:to].reshape(-1, 4), KEY_DIGITS))
+                at = to
+            if cause is not None:
+                raise ValueError("a product of the generators %s" % cause)
+            new = hi + _new_rows(elements, hashes, hi)
+            # new[i] >= hi + i, so each block reads only rows not yet overwritten
+            for a in range(0, len(new), EVALUATE_BLOCK):
+                rows = new[a:a + EVALUATE_BLOCK]
+                for arr in (elements, parent, letter, hashes):
+                    arr[hi + a:hi + a + len(rows)] = arr[rows]
+            self.offsets.append(hi + len(new))
+        # views: past the ball lie only the last level's repeated candidates
+        n = self.offsets[-1]
+        self.elements, self.parent, self.letter = elements[:n], parent[:n], letter[:n]
 
     def __len__(self):
         return len(self.elements)
@@ -291,14 +343,23 @@ class GroupBall:
             words[lo:hi, r] = self.letter[lo:hi]
         return words
 
+    @functools.cached_property
+    def _index(self):
+        """The elements' keys, sorted, and the element each one names,
+        built at the first `find`: the keys are unique, so one argsort."""
+        keys = row_keys(self.elements.reshape(-1, 4), KEY_DIGITS)
+        order = np.argsort(keys)
+        return keys[order], order
+
     def find(self, mats):
         """Ball index of each matrix in a (M, 2, 2) stack, or -1 where
         the matrix (up to sign) is not in the ball."""
         mats = canonical_signs(np.asarray(mats, dtype=float))
         keys = row_keys(mats.reshape(-1, 4), KEY_DIGITS)
-        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), len(self) - 1)
-        idx = self._key_order[pos]
-        hit = (self._sorted_keys[pos] == keys) & (
+        sorted_keys, key_order = self._index
+        pos = np.minimum(np.searchsorted(sorted_keys, keys), len(self) - 1)
+        idx = key_order[pos]
+        hit = (sorted_keys[pos] == keys) & (
             np.abs(self.elements[idx] - mats).max(axis=(1, 2)) < 1e-5)
         return np.where(hit, idx, -1)
 

@@ -205,17 +205,25 @@ def unnormalizable(mats):
     return ~(np.isfinite(det) & (det > 0))
 
 
-def refuse_unnormalizable(prods, what, error=ValueError):
-    """Raise `error` if a product in a stack of products of
-    determinant-one factors is unnormalizable, naming the cause: `what`
-    "overflows" if a determinant is not finite, and "lost its
-    determinant to rounding" if one is finite but not positive."""
+def unnormalizable_cause(prods):
+    """Why a stack of products of determinant-one factors cannot be
+    Mat2-normalized: "overflows" if a determinant is not finite, else
+    "lost its determinant to rounding" if one is not positive, else None."""
     with np.errstate(over="ignore", invalid="ignore"):
         det = _det(prods)
     if not np.isfinite(det).all():
-        raise error("%s overflows" % what)
+        return "overflows"
     if (det <= 0).any():
-        raise error("%s lost its determinant to rounding" % what)
+        return "lost its determinant to rounding"
+    return None
+
+
+def refuse_unnormalizable(prods, what, error=ValueError):
+    """Raise `error` if a product in a stack of products of
+    determinant-one factors is unnormalizable: `what`, then the cause."""
+    cause = unnormalizable_cause(prods)
+    if cause is not None:
+        raise error("%s %s" % (what, cause))
 
 
 def mat2_stack(mats):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lorentz21 import adshull
 from lorentz21.adshull import (
     ROTATION_GENERATOR,
     CircleGraph,
@@ -24,7 +25,6 @@ from lorentz21.adshull import (
     disjoint_spacelike_plane,
     extract_left_earthquake,
     face_adjacency,
-    hyperbolic_traces,
     lemma5_configuration,
     plane_classes,
     plane_label,
@@ -32,6 +32,7 @@ from lorentz21.adshull import (
     plane_z_equals,
     qform,
     qpair,
+    refuse_nonhyperbolic,
     rulings_of,
     sample_conjugacy,
 )
@@ -304,6 +305,33 @@ def test_attracting_thetas_near_diagonal():
         attracting_thetas(np.array([np.diag([2.0, 0.5]), np.eye(2)]))
 
 
+def test_blocked_fixed_points_match_one_block(monkeypatch, octagon):
+    # the radius-5 ball holds 22,288 nontrivial rows, more than one block
+    mats = GroupBall(octagon, 5).elements[1:]
+    assert len(mats) > adshull.EVALUATE_BLOCK
+    blocked = attracting_thetas(mats)
+    monkeypatch.setattr(adshull, "EVALUATE_BLOCK", len(mats))
+    assert blocked.tobytes() == attracting_thetas(mats).tobytes()
+
+
+def test_blocked_fixed_points_keep_the_refusal_order():
+    """One pass over a stack refuses an overflowing discriminant anywhere
+    before a matrix that is not hyperbolic, and names the first such
+    matrix by its trace; blocks of 2**14 rows must refuse the same way."""
+    mats = np.tile(np.diag([2.0, 0.5]), (adshull.EVALUATE_BLOCK + 16, 1, 1))
+    mats[5], mats[-3] = np.eye(2), np.diag([1e200, 1e-200])
+    for refuse in (refuse_nonhyperbolic, attracting_thetas):
+        with pytest.raises(ValueError, match="a trace is too large for its fixed points"):
+            refuse(mats)
+    mats[-3] = -np.eye(2)
+    for refuse in (refuse_nonhyperbolic, attracting_thetas):
+        with pytest.raises(ValueError, match=r"not hyperbolic \(trace 2\.000000\)"):
+            refuse(mats)
+    mats[5] = np.diag([2.0, 0.5])
+    with pytest.raises(ValueError, match=r"not hyperbolic \(trace -2\.000000\)"):
+        refuse_nonhyperbolic(mats)
+
+
 def test_graph_monotone_and_spacelike():
     g = shear_graph(3.0)
     assert g.is_monotone()
@@ -435,7 +463,7 @@ def test_sample_conjugacy_refuses_a_dropped_row(monkeypatch, octagon, bad, messa
     with pytest.raises(ValueError, match=message):
         sample_conjugacy(octagon, octagon, 3)
     with pytest.raises(ValueError, match=message):
-        hyperbolic_traces(ball.evaluate(octagon)[1:])
+        refuse_nonhyperbolic(ball.evaluate(octagon)[1:])
 
 
 def test_conjugacy_pair_euler_classes(octagon):
@@ -706,12 +734,16 @@ def test_flat_hull_peak_memory():
 
 
 def test_sample_conjugacy_peak_memory(octagon, conjugacy_pairs):
-    """GroupBall.evaluate forms each level in blocks of 2**14 rows, so a
-    whole level's gathered factors are never alive together.  The
-    tracemalloc peak of this radius-6 conjugacy (octagon to the golden
-    b1 shear) was 34.0 MB with one product per level and is 27.7 MB in
-    blocks (numpy 2.4).  In `ads between`, which loads Qhull's extension
-    module alone, this conjugacy sets the CLI process's peak RSS."""
+    """GroupBall forms each level's candidates in blocks of 2**14 rows
+    straight after the known elements and tells them apart by 8-byte
+    hashes, and the fixed points and their refusals go block by block, so
+    no whole level's temporaries are alive together.  The tracemalloc peak
+    of this radius-6 conjugacy (octagon to the golden b1 shear) was 34.0
+    MB with one product per level, 27.7 MB with GroupBall.evaluate in
+    blocks and a sort of 32-byte keys per level, and is 16.5 MB (numpy
+    2.4): the ball and its right-hand evaluation, alive together.  In
+    `ads between` this is now about the CLI process's resident set
+    through the hull and the report."""
     rep_r, radius = conjugacy_pairs[1]
     assert radius == 6
     tracemalloc.start()
@@ -720,4 +752,4 @@ def test_sample_conjugacy_peak_memory(octagon, conjugacy_pairs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30.5e6
+    assert peak <= 18.2e6

@@ -598,11 +598,14 @@ def test_diagnostics_block(tmp_path, capsys):
     graph.write_text("\n".join(_staircase_rows()) + "\n")
     octagon = lorentz21.bundled("octagon_rep.json")
     curve = lorentz21.bundled("single_curve.json")
-    runs = {"ads": ["ads", "hull", str(graph)],
+    runs = {"ads": ["ads", "hull", str(graph)], "between": _BETWEEN,
             "flat": ["flat", "build", octagon, curve, "--ball", "3", "--density", "50"],
             "quake": ["quake", _GOLDEN_LAMINATION, "0.8", "--density", "8"]}
-    keys = {"ads": {"qhull_facets", "merged_faces", "qhull_joggled", "strata",
-                    "null_future_faces_skipped"},
+    hull_keys = {"qhull_facets", "merged_faces", "qhull_joggled", "strata",
+                 "null_future_faces_skipped"}
+    keys = {"ads": hull_keys,
+            "between": hull_keys | {"conjugacy_candidates", "conjugacy_dedup_kept",
+                                    "conjugacy_jitter_dropped"},
             "flat": {"sweep_ball_radius", "perturbed_samples"},
             "quake": {"shear_trace_error"}}
     for name, argv in runs.items():
@@ -618,6 +621,12 @@ def test_diagnostics_block(tmp_path, capsys):
             assert diag["merged_faces"] < diag["qhull_facets"]
             assert diag["null_future_faces_skipped"] > 0
             assert diag["qhull_joggled"] is False
+        elif name == "between":
+            # every nontrivial element of the radius-3 ball is a candidate;
+            # at --density 0 the graph holds what the jitter rule leaves
+            assert diag["conjugacy_candidates"] == 456
+            assert diag["conjugacy_jitter_dropped"] == 0
+            assert diag["conjugacy_dedup_kept"] == first["values"]["samples"]
         elif name == "flat":
             # the identity sweep stops at radius 2 whatever --ball says
             assert diag["sweep_ball_radius"] == 2

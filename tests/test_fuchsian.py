@@ -23,6 +23,8 @@ from lorentz21.minkowski import Mat2, RP1Point
 from lorentz21.quakes import rep_after_earthquake
 from reference import ball_words, concat, group_ball, trivial_rep
 
+KEY_HASH = fuchsian._key_hash  # the ball's own hash, kept before a test replaces it
+
 
 @pytest.fixture(scope="module")
 def octagon():
@@ -160,20 +162,38 @@ def test_sheared_group_ball_matches_growth_series(sheared_b1):
     assert len(GroupBall(sheared_b1[3], 6)) == growth_series(2, 6)[-1]
 
 
-@pytest.mark.parametrize("w, radius", [(0, r) for r in range(7)] + [(3, 6), (4, 6)])
-def test_group_ball_matches_reference(octagon, sheared_b1, w, radius):
-    """One stable sort per level gives the arrays of np.unique and
-    np.isin per level and one final argsort, bit for bit."""
-    ball = GroupBall(sheared_b1[w] if w else octagon, radius)
-    elements, parent, letter, offsets, sorted_keys, key_order = group_ball(
-        sheared_b1[w] if w else octagon, radius)
+def _assert_matches_reference(rep, radius):
+    ball = GroupBall(rep, radius)
+    elements, parent, letter, offsets, sorted_keys, key_order = group_ball(rep, radius)
+    got_keys, got_order = ball._index
     for got, want in ((ball.elements, elements), (ball.parent, parent),
-                      (ball.letter, letter), (ball._sorted_keys, sorted_keys),
-                      (ball._key_order, key_order)):
+                      (ball.letter, letter), (got_keys, sorted_keys),
+                      (got_order, key_order)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     assert ball.offsets == offsets
     assert np.array_equal(ball.find(ball.elements), np.arange(len(ball)))
+    assert np.array_equal(ball.find(-ball.elements), np.arange(len(ball)))
+
+
+@pytest.mark.parametrize("w, radius", [(0, r) for r in range(7)] + [(3, 6), (4, 6)])
+def test_group_ball_matches_reference(octagon, sheared_b1, w, radius):
+    """Hashed keys decided on full keys where hashes agree, levels formed
+    in blocks and the find index built from the elements give the arrays
+    of np.unique and np.isin per level and one final argsort, bit for bit."""
+    _assert_matches_reference(sheared_b1[w] if w else octagon, radius)
+
+
+@pytest.mark.parametrize("collide", [
+    lambda keys: np.zeros(len(keys), dtype=np.uint64),
+    lambda keys: KEY_HASH(keys) & np.uint64(1)], ids=["constant", "one-bit"])
+@pytest.mark.parametrize("w, radius", [(0, r) for r in range(5)] + [(3, r) for r in range(5)])
+def test_group_ball_hash_never_decides_identity(monkeypatch, octagon, sheared_b1, collide,
+                                                w, radius):
+    # every key collides with every other, or with half of them: the
+    # full keys alone must decide which candidates are new
+    monkeypatch.setattr(fuchsian, "_key_hash", collide)
+    _assert_matches_reference(sheared_b1[w] if w else octagon, radius)
 
 
 @pytest.mark.parametrize("w, radius", [(6, 6), (8, 5)])
@@ -194,6 +214,21 @@ def test_blocked_evaluate_matches_one_product_per_level(octagon, monkeypatch):
     blocked = ball.evaluate(octagon)
     monkeypatch.setattr(fuchsian, "EVALUATE_BLOCK", len(ball))
     assert blocked.tobytes() == ball.evaluate(octagon).tobytes()
+
+
+@pytest.mark.parametrize("block", [8, fuchsian.EVALUATE_BLOCK])
+def test_group_ball_names_an_overflow_before_a_lost_determinant(monkeypatch, block):
+    # at radius 2, a1 b1 = [[1 + 1e18, 1e9], [1e9, 1]] loses its
+    # determinant in the first parent's block and b2 b2 overflows in a
+    # later one (8 rows, one parent, per block): a single pass over the
+    # level names the overflow
+    unipotents = [np.array([[1.0, 1e9], [0.0, 1.0]]), np.array([[1.0, 0.0], [1e9, 1.0]])]
+    rep = Representation(2, unipotents + [np.diag([2.0, 0.5]), np.diag([1e200, 1e-200])])
+    monkeypatch.setattr(fuchsian, "EVALUATE_BLOCK", block)
+    assert len(GroupBall(rep, 1)) == 9
+    for build in (GroupBall, group_ball):
+        with pytest.raises(ValueError, match="a product of the generators overflows"):
+            build(rep, 2)
 
 
 def test_group_ball_names_an_overflow():
