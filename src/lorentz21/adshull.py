@@ -360,10 +360,29 @@ def _qhull():
 
 
 def ConvexHull(points, qhull_options=None):
-    """scipy.spatial.ConvexHull, loaded on first use so that commands
-    that build no hull do not load Qhull.  It keeps scipy's name, under
-    which perfbench's tracer counts the QJ fallback."""
-    return _qhull().ConvexHull(points, qhull_options=qhull_options)
+    """The (M, 3) vertex ids and (M, 4) facet equations of Qhull's
+    triangulated hull of (N, 3) points, as scipy.spatial.ConvexHull
+    computes them, from its extension module without the wrapper: that
+    wrapper's masked-array check and its vertices load numpy.ma, and its
+    area and volume go unread.  Loaded on first use, so that commands
+    that build no hull do not load Qhull; scipy's name and signature
+    stay, under which perfbench's tracer counts the QJ fallback."""
+    qhull = _qhull()._Qhull(b"i", np.ascontiguousarray(points, dtype=np.double),
+                            (qhull_options or "").encode("latin1"), required_options=b"Qt")
+    try:
+        qhull.triangulate()
+        simplices, _, equations, _, _ = qhull.get_simplex_facet_array()
+    finally:
+        qhull.close()
+    return simplices, equations
+
+
+def _sorted_unique(values):
+    """np.unique of an integer array, whose plain form loads numpy.ma."""
+    values = np.sort(values, axis=None)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def convex_hull(graph, chart_plane=None):
@@ -392,14 +411,13 @@ def convex_hull(graph, chart_plane=None):
                            np.arange(len(graph)), flat=True, flat_plane=plane)
 
     try:
-        hull, joggled = ConvexHull(chart_pts), False
+        (simplices, equations), joggled = ConvexHull(chart_pts), False
     except _qhull().QhullError:
-        hull, joggled = ConvexHull(chart_pts, qhull_options="QJ"), True
+        (simplices, equations), joggled = ConvexHull(chart_pts, qhull_options="QJ"), True
     # inv(minv), not m: the round trip differs from m in the last bits
-    faces = _merged_faces(hull, pts4, chart_pts, np.linalg.inv(minv))
-    return HullComplex(graph, chart_plane, chart_pts, faces,
-                       np.sort(hull.vertices),
-                       qhull_facets=len(hull.equations), joggled=joggled)
+    faces = _merged_faces(simplices, equations, pts4, chart_pts, np.linalg.inv(minv))
+    return HullComplex(graph, chart_plane, chart_pts, faces, _sorted_unique(simplices),
+                       qhull_facets=len(equations), joggled=joggled)
 
 
 def _group_means(rows, group):
@@ -413,12 +431,12 @@ def _group_means(rows, group):
     return total / np.bincount(group)[:, None]
 
 
-def _merged_faces(hull, pts4, chart_pts, chart_mat):
-    """Qhull's facets merged into a HullFaces record, each stacked step
-    equal to the per-face arithmetic bit for bit.  Facets whose equations
-    agree to 6 decimals form one face, numbered by first appearance, with
-    the mean equation; chart_mat is the chart transport m."""
-    eqs = hull.equations
+def _merged_faces(simplices, eqs, pts4, chart_pts, chart_mat):
+    """Qhull's facets (vertex ids and equations) merged into a HullFaces
+    record, each stacked step equal to the per-face arithmetic bit for
+    bit.  Facets whose equations agree to 6 decimals form one face,
+    numbered by first appearance, with the mean equation; chart_mat is
+    the chart transport m."""
     keys = row_keys(eqs, 6)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     face = np.argsort(np.argsort(first))[inverse]
@@ -434,7 +452,7 @@ def _merged_faces(hull, pts4, chart_pts, chart_mat):
     labels = labels / np.max(np.abs(labels), axis=1, keepdims=True)
 
     n = len(chart_pts)
-    code = np.unique(face[:, None] * n + hull.simplices)
+    code = _sorted_unique(face[:, None] * n + simplices)
     ids, start = code % n, np.searchsorted(code, np.arange(len(mean) + 1) * n)
 
     # time orientation: the rotation flow v -> v . R(t) points to the
@@ -578,8 +596,8 @@ def extract_left_earthquake(hull):
     # the two largest, so measure the shear between their duals directly
     label = _components(len(order), np.searchsorted(order, pairs[2.0 * weights < 1e-3]))
     stratum = label[np.searchsorted(order, faces.owner[held])]
-    vertices = np.bincount(np.unique(stratum * len(theta) + faces.ids[held]) // len(theta))
-    heads = np.unique(label)
+    vertices = np.bincount(_sorted_unique(stratum * len(theta) + faces.ids[held]) // len(theta))
+    heads = _sorted_unique(label)
     lead = np.full(len(order), len(order))
     # by_size permutes the ascending order, so argsort gives each one's rank
     np.minimum.at(lead, label, np.argsort(by_size))
@@ -606,32 +624,33 @@ def _components(n, pairs):
         label = new
 
 
-def _hyperbolic_blocks(mats):
-    """(start, t, disc) of each EVALUATE_BLOCK rows of a (N, 2, 2) stack:
-    the trace t of each matrix and its discriminant t * t - 4.0.  Refuses
-    as one pass over the stack would: a discriminant that overflows in
-    any block before a matrix that is not hyperbolic, named by the first
-    one's trace; no block is yielded once such a matrix is seen."""
-    bad = None
-    for lo in range(0, len(mats), EVALUATE_BLOCK):
-        block = mats[lo:lo + EVALUATE_BLOCK]
+def _hyperbolic_blocks(blocks):
+    """(t, disc) of each (k, 2, 2) stack of an iterable: the trace t of
+    each matrix and its discriminant t * t - 4.0.  Refuses once the
+    blocks are spent, as one pass over them would: a discriminant that
+    overflows in any block before a matrix that is not hyperbolic, named
+    by the first one's trace; no block is yielded once either is seen."""
+    too_large, bad = False, None
+    for block in blocks:
         with np.errstate(over="ignore", invalid="ignore"):
             t = block[:, 0, 0] + block[:, 1, 1]
             disc = t * t - 4.0
-        if not np.isfinite(disc).all():
-            raise ValueError("a trace is too large for its fixed points")
+        too_large = too_large or not np.isfinite(disc).all()
         if bad is None and np.any(disc <= 0):
             bad = t[np.argmax(disc <= 0)]
-        if bad is None:
-            yield lo, t, disc
+        if not too_large and bad is None:
+            yield t, disc
+    if too_large:
+        raise ValueError("a trace is too large for its fixed points")
     if bad is not None:
         raise ValueError("element is not hyperbolic (trace %.6f)" % bad)
 
 
-def refuse_nonhyperbolic(mats):
-    """Refuse a (N, 2, 2) stack in which a trace is too large for its
-    fixed points or a matrix is not hyperbolic, as `_hyperbolic_blocks`."""
-    for _ in _hyperbolic_blocks(mats):
+def refuse_nonhyperbolic(stacks):
+    """Refuse an iterable of (k, 2, 2) stacks in which a trace is too
+    large for its fixed points or a matrix is not hyperbolic, as
+    `_hyperbolic_blocks`, once the stacks are spent."""
+    for _ in _hyperbolic_blocks(stacks):
         pass
 
 
@@ -641,7 +660,9 @@ def attracting_thetas(mats):
     eigenvector (b, lam - a) of the larger eigenvalue lam, or (lam - d, c)
     where that is nearly zero (near-diagonal matrices)."""
     out = np.empty(len(mats))
-    for lo, t, disc in _hyperbolic_blocks(mats):
+    lo = 0
+    blocks = (mats[a:a + EVALUATE_BLOCK] for a in range(0, len(mats), EVALUATE_BLOCK))
+    for t, disc in _hyperbolic_blocks(blocks):
         hi = lo + len(t)
         a, b, c, d = (mats[lo:hi, i, j] for i in (0, 1) for j in (0, 1))
         lam = 0.5 * (t + np.copysign(np.sqrt(disc), t))
@@ -649,6 +670,7 @@ def attracting_thetas(mats):
         near = np.max(np.abs(v), axis=1) < 1e-12 * np.maximum(np.abs(lam), 1.0)
         v[near] = np.stack([lam - d, c], axis=1)[near]
         out[lo:hi] = rp1_stack(v)[1]
+        lo = hi
     return out
 
 
@@ -680,25 +702,41 @@ def sample_conjugacy(rep_l, rep_r, L):
     closer than DEDUP to the last kept one are dropped; among exactly
     equal left angles the smallest right angle is kept.  The graph's
     `diagnostics` count the candidate words, the samples the dedup keeps
-    and those the jitter rule then drops."""
+    and those the jitter rule then drops.
+
+    The left matrices go once their angles are taken; rep_r is then
+    evaluated in blocks along the ball's words, and only the rows the
+    dedup keeps are held.  Every row is still refused as a
+    whole evaluation would be: an overflow anywhere, then a trace too
+    large for its fixed points, then a matrix that is not hyperbolic."""
     ball = GroupBall(rep_l, L)
     left = attracting_thetas(ball.elements[1:])
-    right = ball.evaluate(rep_r)[1:]
-    del ball
-    refuse_nonhyperbolic(right)
+    del ball.elements
     order = np.argsort(left, kind="stable")
     lefts = left[order]
     heads = _chain_heads(memoryview(lefts), DEDUP)
     # each kept head's run of equal left angles; right angles only there
     runs = np.searchsorted(lefts, lefts[heads], side="right") - heads
     starts = np.cumsum(runs) - runs
-    rows = order[np.arange(runs.sum()) + np.repeat(heads - starts, runs)]
-    rights = np.minimum.reduceat(attracting_thetas(right[rows]), starts)
-    kept = list(zip(lefts[heads].tolist(), rights.tolist()))
+    rows = 1 + order[np.arange(runs.sum()) + np.repeat(heads - starts, runs)]
     candidates = len(left)
+    del left, order
+    by_row = np.argsort(rows)
+    sorted_rows, right = rows[by_row], np.empty((len(rows), 2, 2))
+
+    def blocks():
+        for lo, block in ball.products(rep_r):
+            a, b = np.searchsorted(sorted_rows, [lo, lo + len(block)])
+            right[by_row[a:b]] = block[sorted_rows[a:b] - lo]
+            if lo:
+                yield block
+
+    refuse_nonhyperbolic(blocks())
+    rights = np.minimum.reduceat(attracting_thetas(right), starts)
+    kept = list(zip(lefts[heads].tolist(), rights.tolist()))
     # the per-element arrays go before the graph's arrays are made: made
     # above them on the heap, those would keep their memory from the system
-    del left, right, order, lefts, heads, runs, starts, rows, rights
+    del ball, lefts, heads, runs, starts, rows, by_row, sorted_rows, right, rights
     if len(kept) > 1 and (kept[0][0] - kept[-1][0]) % 1.0 < DEDUP:
         kept.pop()
     if len(kept) < 3:

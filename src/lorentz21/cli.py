@@ -12,7 +12,6 @@ input (a RuntimeError), and 2 when an input is invalid.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -25,11 +24,21 @@ from . import laminations as lamins
 from .fuchsian import GroupBall, Representation, euler_class
 from .minkowski import CausalClass, classify, finite, inner
 
+# SHA-256 from CPython's built-in module, not from hashlib, whose import
+# loads OpenSSL: _sha2 from Python 3.12, _sha256 before
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 SCHEMA_PREFIX = "lorentz21"
 
 
 def _digest(path):
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as fh:
         h.update(fh.read())
     return h.hexdigest()

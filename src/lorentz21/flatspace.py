@@ -96,10 +96,10 @@ def cocycle_identity_sweep(rep, coc, ball):
 
     Equivalent to looping the pairwise residual (tests/reference.py's
     cocycle_residual) over every pair, but batched over blocks of rows
-    alpha, at most SWEEP_BLOCK pairs each: product matrices are formed
-    in one matmul per block and resolved to canonical ball
-    representatives in one ball.find call.  The free concatenations of
-    the other pairs are folded in one batch per block.
+    alpha, at most SWEEP_BLOCK pairs each: the products are resolved to
+    their normal forms in the ball by one ball.find call per block.  The
+    free concatenations of the other pairs are folded in one batch per
+    block.
     """
     # extended precision throughout: the three terms are exponentially
     # large in word length and cancel to near machine zero
@@ -115,7 +115,7 @@ def cocycle_identity_sweep(rep, coc, ball):
     rows = max(1, SWEEP_BLOCK // n)
     for lo in range(0, n, rows):
         alphas = np.arange(lo, min(lo + rows, n))
-        hits = ball.find((ball.elements[alphas, None] @ ball.elements).reshape(-1, 2, 2))
+        hits = ball.find(alphas.repeat(n), np.tile(np.arange(n), len(alphas)))
         vals = T[hits]
         free = np.flatnonzero(hits < 0)
         betas = words[free % n]

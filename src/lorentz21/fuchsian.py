@@ -5,12 +5,21 @@ Words are tuples of signed generator indices: +k means generator k
 generators a_1, b_1, .., a_g, b_g numbered 1..2g with the single relator
 prod_i [a_i, b_i].
 
+Group identity needs no matrices.  A Knuth-Bendix completion of the
+presentation under the shortlex order of a_1 < a_1^-1 < b_1 < .., cut
+at a word length, gives rewriting rules; the words no rule reduces
+number the Cannon / Floyd-Plotnick growth series at every length, which
+proves them the shortlex normal forms, one per group element.  The word
+ball of a genus and radius (the normal forms, breadth first) is built
+once and cached, and products of ball elements are rewritten to their
+normal forms.
+
 A representation is one stack of letter steps, in the order a_1,
 a_1^-1, b_1, .. of `letter_step` and `signed_letters`: word evaluation,
-ball enumeration with matrix deduplication, the affine cocycle and the
-Euler class (from lifts of the letters to the universal cover of RP^1)
-all read it.  Also here: axes of hyperbolic elements and the regular
-polygon construction of a discrete cocompact representation.
+the matrices along the word ball, the affine cocycle and the Euler class
+(from lifts of the letters to the universal cover of RP^1) all read it.
+Also here: axes of hyperbolic elements and the regular polygon
+construction of a discrete cocompact representation.
 """
 
 from __future__ import annotations
@@ -21,9 +30,9 @@ import math
 
 import numpy as np
 
-from .minkowski import (adjugate, canonical_signs, finite, json_array, json_fields, mat2_fold,
-                        mat2_of, mat2_stack, row_keys, rp1_from_thetas, rp1_stack, rp1_units,
-                        unnormalizable, unnormalizable_cause)
+from .minkowski import (adjugate, finite, json_array, json_fields, mat2_fold, mat2_of,
+                        mat2_stack, rp1_from_thetas, rp1_stack, rp1_units, unnormalizable,
+                        unnormalizable_cause)
 
 
 class EllipticDegeneracyError(RuntimeError):
@@ -208,72 +217,182 @@ def regular_polygon_rep(g):
     return rep
 
 
-# decimal digits of the matrix entries that identify a GroupBall element
-KEY_DIGITS = 6
-# rows formed at a time: a GroupBall level's candidates, GroupBall.evaluate's
-# products and adshull's fixed points
+# rows formed at a time: GroupBall's level products, its evaluations and
+# adshull's fixed points
 EVALUATE_BLOCK = 2 ** 14
-_MIX = np.array([0xBF58476D1CE4E5B9, 0x94D049BB133111EB], dtype=np.uint64)
 
 
-def _key_hash(keys):
-    """A 64-bit hash of each `row_keys` key, its words folded in one at a
-    time by splitmix64's finalizer.  Equal keys hash equal, so a hash only
-    filters: GroupBall compares full keys wherever two hashes agree."""
-    h = np.zeros(len(keys), dtype=np.uint64)
-    for word in keys.view(np.uint64).reshape(len(keys), -1).T:
-        h ^= word
-        for shift, mix in zip((30, 27), _MIX):
-            h ^= h >> np.uint64(shift)
-            h *= mix
-        h ^= h >> np.uint64(31)
-    return h
+def growth_series(genus, radius):
+    """Cumulative ball sizes of the genus-g surface group in its standard
+    generators, from the Floyd-Plotnick / Cannon rational growth function
+    (Invent. Math. 88, 1987): (1 + 2z + .. + 2z^{2g-1} + z^{2g}) /
+    (1 - (4g-2)(z + .. + z^{2g-1}) + z^{2g})."""
+    n = 2 * genus
+    num = [1] + [2] * (n - 1) + [1]
+    den = [1] + [-(4 * genus - 2)] * (n - 1) + [1]
+    spheres = []
+    for k in range(radius + 1):
+        s = num[k] if k <= n else 0
+        s -= sum(den[j] * spheres[k - j] for j in range(1, min(k, n) + 1))
+        spheres.append(s)
+    return [int(c) for c in np.cumsum(spheres)]
 
 
-def _in_sorted(table, x):
-    """Whether each value of x is in the sorted, nonempty array table."""
-    return table[np.minimum(np.searchsorted(table, x), len(table) - 1)] == x
+def _rewrite(word, rules):
+    """The word with every left side of `rules` replaced by its right
+    side until none is left."""
+    again = True
+    while again:
+        again = False
+        for lhs, rhs in rules.items():
+            if lhs in word:
+                word, again = word.replace(lhs, rhs), True
+    return word
 
 
-def _new_rows(elements, hashes, known):
-    """Indices, in order, of the rows of elements[known:] whose key is
-    neither a row's before `known` nor an earlier row's after it.  A row
-    whose hash no other row shares is new; the rest are decided on their
-    full keys, against the rows before `known` that share their hashes."""
-    order = np.argsort(hashes[:known])
-    seen, h = hashes[:known][order], hashes[known:]
-    twins = np.argsort(h)
-    same = h[twins[1:]] == h[twins[:-1]]
-    suspect = np.zeros(len(h), dtype=bool)
-    suspect[twins[1:][same]] = suspect[twins[:-1][same]] = True
-    del twins, same
-    suspect |= _in_sorted(seen, h)
-    rows = np.flatnonzero(suspect)
-    if len(rows):
-        keys = row_keys(elements[known + rows].reshape(-1, 4), KEY_DIGITS)
-        old = order[_in_sorted(np.sort(h[rows]), seen)]
-        old = row_keys(elements[old].reshape(-1, 4), KEY_DIGITS)
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        suspect[rows[first[~np.isin(keys[first], old)]]] = False
-    return np.flatnonzero(~suspect)
+def _completion(genus, longest):
+    """Knuth-Bendix completion of the genus-g surface group under the
+    shortlex order of letter_step, keeping only rules whose left side
+    has at most `longest` letters: {left: right}, words as strings of
+    chr(letter_step).  The free cancellations and the splits of the
+    relator's cyclic conjugates and their inverses seed it; each round
+    orients the pending equations, drops the rules a new left side
+    makes redundant (their equations pend again), and adds the critical
+    pairs of the new rules' overlaps.  Every rule is a relation of the
+    group; the growth series decides whether the truncation is complete
+    up to a length (see _rewriting)."""
+    n = 4 * genus
+    swap = {k: k ^ 1 for k in range(n)}
+
+    def inverse(w):
+        return w[::-1].translate(swap)
+
+    relator = "".join(chr(k) for k in letter_step(np.array(surface_relator(genus))).tolist())
+    pending = [(chr(k) + chr(k ^ 1), "") for k in range(n)]
+    for c in (relator, inverse(relator)):
+        for _ in range(n):
+            c = c[1:] + c[0]
+            pending += [(c[:k], inverse(c[k:])) for k in range(1, n)]
+    rules = {}
+    while pending:
+        fresh = []
+        while pending:
+            u, v = (_rewrite(w, rules) for w in pending.pop())
+            if u == v:
+                continue
+            if (len(u), u) < (len(v), v):
+                u, v = v, u
+            if len(u) > longest:
+                continue
+            pending += [(lhs, rules.pop(lhs)) for lhs in [lhs for lhs in rules if u in lhs]]
+            rules[u] = v
+            fresh.append(u)
+        for lhs, rhs in rules.items():
+            rules[lhs] = _rewrite(rhs, rules)
+        for a in [u for u in fresh if u in rules]:
+            for b in list(rules):
+                for x, y in ((a, b), (b, a)):
+                    pending += [(rules[x] + y[k:], x[:-k] + rules[y])
+                                for k in range(1, min(len(x), len(y))) if x[-k:] == y[:k]]
+    return rules
+
+
+def _automaton(rules, n):
+    """Aho-Corasick automaton of the rules' left sides over n letters:
+    the (states, n) transition table and whether a left side ends at each
+    state, that is, whether the word read so far is reducible."""
+    delta, reducible = [[-1] * n], [False]
+    for lhs in rules:
+        s = 0
+        for k in map(ord, lhs):
+            if delta[s][k] < 0:
+                delta[s][k] = len(delta)
+                delta.append([-1] * n)
+                reducible.append(False)
+            s = delta[s][k]
+        reducible[s] = True
+    fail = [0] * len(delta)
+    queue = []
+    for k in range(n):
+        if delta[0][k] < 0:
+            delta[0][k] = 0
+        else:
+            queue.append(delta[0][k])
+    for s in queue:  # breadth first: a failure target is settled before s
+        reducible[s] = reducible[s] or reducible[fail[s]]
+        for k in range(n):
+            t = delta[s][k]
+            if t < 0:
+                delta[s][k] = delta[fail[s]][k]
+            else:
+                fail[t] = delta[fail[s]][k]
+                queue.append(t)
+    return np.array(delta), np.array(reducible)
+
+
+@functools.cache
+def _rewriting(genus, longest):
+    """The rules of `_completion(genus, longest)` and their automaton,
+    proved complete on words of length <= longest: the irreducible words
+    of each length, counted over the automaton's states, must number the
+    growth series' sphere.  Every rule is a relation, so each element
+    keeps at least its shortlex least word irreducible; equal counts
+    leave it exactly that one, so rewriting any word of length <= longest
+    until no rule applies gives its shortlex normal form."""
+    rules = _completion(genus, longest)
+    delta, reducible = _automaton(rules, 4 * genus)
+    # moves[s, t]: the letters that take state s to the irreducible state t
+    moves = np.zeros((len(delta), len(delta)), dtype=int)
+    np.add.at(moves, (np.arange(len(delta)).repeat(4 * genus), delta.ravel()), 1)
+    moves[:, reducible] = 0
+    counts, sizes = np.zeros(len(delta), dtype=int), growth_series(genus, longest)
+    counts[0] = 1
+    for r in range(1, longest + 1):
+        counts = counts @ moves
+        if counts.sum() != sizes[r] - sizes[r - 1]:
+            raise RuntimeError("the genus-%d rewriting rules leave %d words of length %d, "
+                               "not the growth series' %d"
+                               % (genus, counts.sum(), r, sizes[r] - sizes[r - 1]))
+    return rules, delta, reducible
+
+
+@functools.cache
+def _word_ball(genus, radius):
+    """(children, step, offsets) of the genus-g word ball: the shortlex
+    normal forms of length <= radius, the words `_rewriting` leaves
+    irreducible, in breadth-first order.  Each word below the last level
+    has children[i] children, which follow the children of the words
+    before it; each word is its parent's, then the letter of letter_step
+    step[i] (0 for the empty word).  A level is one gather of the
+    automaton's transitions, and holds the growth series' sphere.  Cached
+    in the smallest dtypes that hold 4g."""
+    _, delta, reducible = _rewriting(genus, radius)
+    n, small = 4 * genus, np.min_scalar_type(4 * genus)
+    children, step = [], [np.zeros(1, dtype=small)]
+    states, offsets = np.zeros(1, dtype=int), [0, 1]
+    for _ in range(radius):
+        nxt = delta[states].ravel()
+        keep = np.flatnonzero(~reducible[nxt])
+        children.append(np.bincount(keep // n, minlength=len(states)).astype(small))
+        step.append((keep % n).astype(small))
+        states = nxt[keep]
+        offsets.append(offsets[-1] + len(keep))
+    return np.concatenate(children or [np.zeros(0, dtype=small)]), np.concatenate(step), offsets
 
 
 class GroupBall:
-    """All reduced words of length <= radius, one per distinct matrix.
+    """The ball of radius `radius` of a surface group, one word per
+    element, and a representation's matrices along those words.
 
-    Stored as arrays in breadth-first order: `elements` holds the
-    (N, 2, 2) canonical matrices, and element i is element `parent[i]`
-    times the generator `letter[i]` (signed index; 0 for the identity).
-    Words of length r occupy `offsets[r]:offsets[r + 1]`, so the first
-    `offsets[r + 1]` entries are exactly the radius-r ball.  Matrices
-    are identified by their entries rounded to KEY_DIGITS; each level
-    extends only the new elements of the level before, since a word
-    equal to an earlier one has no new products.  A level's candidates
-    are formed in blocks straight after the known elements, with a
-    64-bit hash of each key; a candidate whose hash no known element and
-    no other candidate shares is new, and the few others are decided on
-    their full keys: new if no known element has the key and no earlier
-    candidate does.  The new ones are then packed down in place.
+    The words are the genus's shortlex normal forms of length <= radius
+    (`_word_ball`, one per group element, proved by the growth series),
+    stored in breadth-first order: element i is element `parent[i]` times
+    the generator `letter[i]` (signed index; 0 for the identity), and the
+    words of length r occupy `offsets[r]:offsets[r + 1]`, so the first
+    `offsets[r + 1]` entries are exactly the radius-r ball.  `elements`
+    holds the (N, 2, 2) Mat2-normalized matrices, formed one level at a
+    time from the parents' in blocks; a product that overflows anywhere
+    in a level is refused before one that lost its determinant.
     """
 
     def __init__(self, rep, radius):
@@ -281,57 +400,31 @@ class GroupBall:
             raise ValueError("radius must be >= 0")
         self.radius = radius
         self.genus = rep.genus
-        letters, steps = signed_letters(rep.genus), rep.steps()
-        elements, parent, letter = np.eye(2)[None], np.array([-1]), np.array([0])
-        hashes = _key_hash(row_keys(elements.reshape(-1, 4), KEY_DIGITS))
-        self.offsets = [0, 1]
-        per_block = max(1, EVALUATE_BLOCK // len(letters))
-        for _ in range(radius):
-            lo, hi = self.offsets[-2:]
-            # every parent but the identity has one letter that cancels
-            end = hi + (hi - lo) * len(letters) - np.count_nonzero(letter[lo:hi])
-            known = (elements, parent, letter, hashes)
-            elements, parent, letter, hashes = [np.empty((end,) + a.shape[1:], dtype=a.dtype)
-                                                for a in known]
-            for grown, a in zip((elements, parent, letter, hashes), known):
-                grown[:hi] = a[:hi]
-            del known
-            at, cause = hi, None
-            for a in range(lo, hi, per_block):
-                b = min(a + per_block, hi)
-                par = np.repeat(np.arange(a, b), len(letters))
-                let = np.tile(letters, b - a)
-                reduced = letter[par] != -let
+        children, self._step, self.offsets = _word_ball(rep.genus, radius)
+        self.parent = np.concatenate([[-1], np.arange(len(children)).repeat(children)])
+        self.letter = signed_letters(rep.genus)[self._step]
+        self.letter[0] = 0
+        steps, step = rep.steps(), self._step
+        self.elements = elements = np.empty((len(self.parent), 2, 2))
+        elements[0] = np.eye(2)
+        for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
+            cause = None
+            for a in range(lo, hi, EVALUATE_BLOCK):
+                b = min(a + EVALUATE_BLOCK, hi)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    prods = (elements[a:b, None] @ steps[None]).reshape(-1, 2, 2)[reduced]
-                # the level's refusal is the one a single pass over it makes:
-                # an overflow in any block before a lost determinant
+                    prods = (np.take(elements, self.parent[a:b], axis=0)
+                             @ np.take(steps, step[a:b], axis=0))
                 block_cause = unnormalizable_cause(prods)
                 if block_cause == "overflows":
                     raise ValueError("a product of the generators overflows")
                 cause = cause or block_cause
-                if cause is not None:
-                    continue
-                to = at + len(prods)
-                elements[at:to] = mat2_stack(prods)
-                parent[at:to], letter[at:to] = par[reduced], let[reduced]
-                hashes[at:to] = _key_hash(row_keys(elements[at:to].reshape(-1, 4), KEY_DIGITS))
-                at = to
+                if cause is None:
+                    elements[a:b] = mat2_stack(prods)
             if cause is not None:
                 raise ValueError("a product of the generators %s" % cause)
-            new = hi + _new_rows(elements, hashes, hi)
-            # new[i] >= hi + i, so each block reads only rows not yet overwritten
-            for a in range(0, len(new), EVALUATE_BLOCK):
-                rows = new[a:a + EVALUATE_BLOCK]
-                for arr in (elements, parent, letter, hashes):
-                    arr[hi + a:hi + a + len(rows)] = arr[rows]
-            self.offsets.append(hi + len(new))
-        # views: past the ball lie only the last level's repeated candidates
-        n = self.offsets[-1]
-        self.elements, self.parent, self.letter = elements[:n], parent[:n], letter[:n]
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.parent)
 
     def words(self):
         """(N, radius) int array: row i is element i's word, zero-padded
@@ -344,47 +437,65 @@ class GroupBall:
         return words
 
     @functools.cached_property
-    def _index(self):
-        """The elements' keys, sorted, and the element each one names,
-        built at the first `find`: the keys are unique, so one argsort."""
-        keys = row_keys(self.elements.reshape(-1, 4), KEY_DIGITS)
-        order = np.argsort(keys)
-        return keys[order], order
+    def _normal_forms(self):
+        """Each element's word as a string of chr(letter_step), and the
+        element each such string names."""
+        words = [""]
+        for p, k in zip(self.parent[1:].tolist(), self._step[1:].tolist()):
+            words.append(words[p] + chr(k))
+        return words, {w: i for i, w in enumerate(words)}
 
-    def find(self, mats):
-        """Ball index of each matrix in a (M, 2, 2) stack, or -1 where
-        the matrix (up to sign) is not in the ball."""
-        mats = canonical_signs(np.asarray(mats, dtype=float))
-        keys = row_keys(mats.reshape(-1, 4), KEY_DIGITS)
-        sorted_keys, key_order = self._index
-        pos = np.minimum(np.searchsorted(sorted_keys, keys), len(self) - 1)
-        idx = key_order[pos]
-        hit = (sorted_keys[pos] == keys) & (
-            np.abs(self.elements[idx] - mats).max(axis=(1, 2)) < 1e-5)
-        return np.where(hit, idx, -1)
+    def find(self, alphas, betas):
+        """Ball index of each product of elements alphas[i] and betas[i]
+        (index arrays), or -1 where the product lies outside the ball:
+        their words' concatenation rewritten to its normal form by the
+        rules `_rewriting` proves complete up to twice the radius."""
+        rules = _rewriting(self.genus, 2 * self.radius)[0]
+        words, index = self._normal_forms
+        return np.array([index.get(_rewrite(words[a] + words[b], rules), -1)
+                         for a, b in zip(np.asarray(alphas).tolist(), np.asarray(betas).tolist())],
+                        dtype=int)
 
-    def evaluate(self, hol):
+    def products(self, hol):
         """A holonomy with a `genus` and a letter_step-ordered `steps()`
         stack (Representation, flatspace.TranslationCocycle) along the
-        ball's words, one level at a time; nothing is renormalized.  A
-        product of finite steps past the float range is invalid; a
-        non-finite step is carried through."""
+        ball's words: yields (first row, products) for the identity, then
+        for blocks of at most EVALUATE_BLOCK rows in ball order, each
+        formed from its parents' products; only a level that another
+        follows is held whole.  Nothing is renormalized.  Once the blocks
+        are spent, a product of finite steps past the float range is
+        invalid; a non-finite step is carried through."""
         if hol.genus != self.genus:
             raise ValueError("a genus-%d representation cannot be evaluated on "
                              "genus-%d words" % (hol.genus, self.genus))
-        steps = hol.steps()
-        step = letter_step(self.letter)
-        out = np.empty((len(self),) + steps.shape[1:], dtype=steps.dtype)
-        out[0] = np.eye(steps.shape[1])
-        # in blocks, as the gathered factors of a whole level would be
-        # alive together; matmul rows are independent, so the bits agree
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
-                for a in range(lo, hi, EVALUATE_BLOCK):
-                    b = min(a + EVALUATE_BLOCK, hi)
-                    out[a:b] = out[self.parent[a:b]] @ steps[step[a:b]]
-        if np.isfinite(steps).all() and not np.isfinite(out).all():
+        steps, step = hol.steps(), self._step
+        level = np.eye(steps.shape[1], dtype=steps.dtype)[None]
+        yield 0, level
+        overflow = False
+        for lo, hi, up in zip(self.offsets[1:-1], self.offsets[2:], self.offsets):
+            out = None
+            if hi < len(self):
+                out = np.empty((hi - lo,) + steps.shape[1:], dtype=steps.dtype)
+            for a in range(lo, hi, EVALUATE_BLOCK):
+                b = min(a + EVALUATE_BLOCK, hi)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    block = (np.take(level, self.parent[a:b] - up, axis=0)
+                             @ np.take(steps, step[a:b], axis=0))
+                overflow = overflow or not np.isfinite(block).all()
+                if out is not None:
+                    out[a - lo:b - lo] = block
+                yield a, block
+            level = out
+        if overflow and np.isfinite(steps).all():
             raise ValueError("a product along the ball's words overflows")
+
+    def evaluate(self, hol):
+        """The (N, ...) stack of `products`, whole."""
+        out = None
+        for lo, block in self.products(hol):
+            if out is None:
+                out = np.empty((len(self),) + block.shape[1:], dtype=block.dtype)
+            out[lo:lo + len(block)] = block
         return out
 
 

@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from lorentz21.adshull import CircleGraph, attracting_thetas
-from lorentz21.fuchsian import (KEY_DIGITS, Representation, letter_step, reduce_word,
-                                signed_letters)
+from lorentz21.fuchsian import (Representation, letter_step, reduce_word, signed_letters,
+                                surface_relator)
 from lorentz21.laminations import LeafSet
 from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack, null_vectors,
                                  refuse_unnormalizable, row_keys, rp1_units)
@@ -27,6 +27,34 @@ from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack, n
 def concat(*words):
     """The reduced free concatenation of words."""
     return reduce_word([x for w in words for x in w])
+
+
+def dehn_reduce(word, genus):
+    """Dehn's algorithm for the genus-g surface group (Lyndon-Schupp
+    V.4): after free reduction, a subword that is more than half of a
+    cyclic conjugate of the relator or of its inverse is replaced by the
+    inverse of the rest, until none is left.  The relator's small
+    cancellation makes the result empty exactly for the identity."""
+    relator = surface_relator(genus)
+    n = len(relator)
+    inverse = [-x for x in reversed(relator)]
+    halves = {}
+    for c in (list(relator), inverse):
+        for k in range(n):
+            turn = c[k:] + c[:k]
+            for m in range(n // 2 + 1, n + 1):
+                halves[tuple(turn[:m])] = tuple(-x for x in reversed(turn[m:]))
+    word = reduce_word(word)
+    again = True
+    while again:
+        again = False
+        for lhs, rhs in halves.items():
+            for at in range(len(word) - len(lhs) + 1):
+                if word[at:at + len(lhs)] == lhs:
+                    word = reduce_word(word[:at] + rhs + word[at + len(lhs):])
+                    again = True
+                    break
+    return word
 
 
 def ball_words(ball):
@@ -131,17 +159,19 @@ def cocycle_residual(rep, coc, alpha, beta, ball=None):
     """Norm of t_{alpha beta} - t_alpha - f(alpha) t_beta.
 
     The product word is replaced by its canonical ball representative
-    when the product matrix is found in the ball, so a cocycle that does
-    not descend to the group (e.g. a perturbed one) shows a residual on
-    pairs whose free concatenation is not the canonical representative.
+    when the product matrix is one of the ball's, within 1e-5 in every
+    entry, so a cocycle that does not descend to the group (e.g. a
+    perturbed one) shows a residual on pairs whose free concatenation is
+    not the canonical representative.  Matrices, not words, decide here:
+    an oracle apart from GroupBall.find.
     """
     alpha = reduce_word(alpha)
     beta = reduce_word(beta)
     prod = concat(alpha, beta)
     if ball is not None:
-        i = int(ball.find(rep.evaluate(prod)[None])[0])
-        if i >= 0:
-            prod = ball_words(ball)[i]
+        near = np.abs(ball.elements - rep.evaluate(prod)).max(axis=(1, 2)) < 1e-5
+        if near.any():
+            prod = ball_words(ball)[int(np.argmax(near))]
     p, a, b = (coc.affine(w) for w in (prod, alpha, beta))
     res = p[:3, 3] - a[:3, 3] - a[:3, :3] @ b[:3, 3]
     return float(np.max(np.abs(res)))
@@ -155,8 +185,9 @@ def cocycle_identity_sweep_rows(rep, coc, ball):
     T, F = A[:, :3, 3], A[:, :3, :3]
     words = ball.words()
     worst = 0.0
-    for i in range(len(ball)):
-        hits = ball.find(ball.elements[i] @ ball.elements)
+    n = len(ball)
+    for i in range(n):
+        hits = ball.find(np.full(n, i), np.arange(n))
         vals = T[hits]
         free = np.flatnonzero(hits < 0)
         betas = words[free]
@@ -227,14 +258,17 @@ def convexity_slack(hull):
 
 
 def group_ball(rep, radius):
-    """(elements, parent, letter, offsets, sorted keys, key order) of
-    GroupBall(rep, radius): each level's new keys by `np.unique` (first
-    occurrences) minus `np.isin` of the known ones, and one argsort of
-    all keys at the end."""
+    """(elements, parent, letter, offsets) of the float-key ball that
+    GroupBall was before its words were normal forms: one word per
+    distinct matrix, each level's new keys (entries rounded to 6
+    decimals) by `np.unique` (first occurrences) minus `np.isin` of the
+    known ones.  On a faithful representation whose distinct elements
+    round apart, its words are the shortlex normal forms."""
+    digits = 6
     letters, steps = signed_letters(rep.genus), rep.steps()
     mats, lets = np.eye(2)[None], np.array([0])
     levels = [(mats, np.array([-1]), lets)]
-    keys = row_keys(mats.reshape(-1, 4), KEY_DIGITS)
+    keys = row_keys(mats.reshape(-1, 4), digits)
     offsets = [0, 1]
     for _ in range(radius):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -245,7 +279,7 @@ def group_ball(rep, radius):
         prods, par, let = prods[reduced], par[reduced], let[reduced]
         refuse_unnormalizable(prods, "a product of the generators")
         prods = mat2_stack(prods)
-        level_keys = row_keys(prods.reshape(-1, 4), KEY_DIGITS)
+        level_keys = row_keys(prods.reshape(-1, 4), digits)
         first = np.sort(np.unique(level_keys, return_index=True)[1])
         first = first[~np.isin(level_keys[first], keys)]
         mats, lets = prods[first], let[first]
@@ -253,8 +287,7 @@ def group_ball(rep, radius):
         keys = np.concatenate([keys, level_keys[first]])
         offsets.append(offsets[-1] + len(first))
     elements, parent, letter = (np.concatenate(a) for a in zip(*levels))
-    order = np.argsort(keys)
-    return elements, parent, letter, offsets, keys[order], order
+    return elements, parent, letter, offsets
 
 
 def sample_conjugacy(ball, rep_r, dedup=1e-4):

@@ -320,16 +320,18 @@ def test_blocked_fixed_points_keep_the_refusal_order():
     matrix by its trace; blocks of 2**14 rows must refuse the same way."""
     mats = np.tile(np.diag([2.0, 0.5]), (adshull.EVALUATE_BLOCK + 16, 1, 1))
     mats[5], mats[-3] = np.eye(2), np.diag([1e200, 1e-200])
-    for refuse in (refuse_nonhyperbolic, attracting_thetas):
+    refusals = (lambda m: refuse_nonhyperbolic([m]),
+                lambda m: refuse_nonhyperbolic(np.array_split(m, 7)), attracting_thetas)
+    for refuse in refusals:
         with pytest.raises(ValueError, match="a trace is too large for its fixed points"):
             refuse(mats)
     mats[-3] = -np.eye(2)
-    for refuse in (refuse_nonhyperbolic, attracting_thetas):
+    for refuse in refusals:
         with pytest.raises(ValueError, match=r"not hyperbolic \(trace 2\.000000\)"):
             refuse(mats)
     mats[5] = np.diag([2.0, 0.5])
     with pytest.raises(ValueError, match=r"not hyperbolic \(trace -2\.000000\)"):
-        refuse_nonhyperbolic(mats)
+        refuse_nonhyperbolic([mats])
 
 
 def test_graph_monotone_and_spacelike():
@@ -391,22 +393,26 @@ def conjugacy_graphs(octagon, conjugacy_pairs):
 _LOADED_ALONE = """
 import sys
 import numpy as np
-from lorentz21.adshull import ConvexHull
+from lorentz21.adshull import ConvexHull, _sorted_unique
 
 points = np.load(sys.argv[1])
-hulls = {str(options): ConvexHull(points, qhull_options=options) for options in (None, "QJ")}
-assert not {"scipy.spatial", "scipy.linalg"} & set(sys.modules)
-np.savez(sys.argv[2], **{"%s %s" % (options, name): getattr(hull, name)
-                         for options, hull in hulls.items()
-                         for name in ("equations", "simplices", "vertices")})
+hulls = {}
+for options in (None, "QJ"):
+    simplices, equations = ConvexHull(points, qhull_options=options)
+    hulls[str(options)] = {"equations": equations, "simplices": simplices,
+                           "vertices": _sorted_unique(simplices)}
+assert not {"scipy.spatial", "scipy.linalg", "numpy.ma"} & set(sys.modules)
+np.savez(sys.argv[2], **{"%s %s" % (options, name): array
+                         for options, hull in hulls.items() for name, array in hull.items()})
 """
 
 
 def test_qhull_loaded_alone_is_scipys(tmp_path, conjugacy_graphs):
-    """Qhull's extension module loaded by itself gives the arrays of
-    scipy.spatial.ConvexHull, joggled or not, on the chart points of the
-    octagon to golden b1 conjugacy graph: a scipy whose _qhull moved or
-    cimports more fails here."""
+    """Qhull's extension module loaded by itself, called without scipy's
+    wrapper, gives the arrays of scipy.spatial.ConvexHull, joggled or
+    not, on the chart points of the octagon to golden b1 conjugacy graph,
+    and loads neither scipy's packages nor numpy.ma: a scipy whose _qhull
+    moved or cimports more, or whose _Qhull call changed, fails here."""
     import scipy.spatial
 
     points = convex_hull(conjugacy_graphs[0]).chart_points
@@ -452,18 +458,19 @@ def test_sample_conjugacy_refuses_a_dropped_row(monkeypatch, octagon, bad, messa
     ball = GroupBall(octagon, 3)
     kept = sample_conjugacy(octagon, octagon, 3).samples[:, 0]
     dropped = 1 + np.flatnonzero(~np.isin(attracting_thetas(ball.elements[1:]), kept))[0]
-    evaluate = GroupBall.evaluate
+    products = GroupBall.products
 
     def patched(self, hol):
-        out = evaluate(self, hol)
-        out[dropped] = bad
-        return out
+        for lo, block in products(self, hol):
+            if lo <= dropped < lo + len(block):
+                block[dropped - lo] = bad
+            yield lo, block
 
-    monkeypatch.setattr(GroupBall, "evaluate", patched)
+    monkeypatch.setattr(GroupBall, "products", patched)
     with pytest.raises(ValueError, match=message):
         sample_conjugacy(octagon, octagon, 3)
     with pytest.raises(ValueError, match=message):
-        refuse_nonhyperbolic(ball.evaluate(octagon)[1:])
+        refuse_nonhyperbolic([ball.evaluate(octagon)[1:]])
 
 
 def test_conjugacy_pair_euler_classes(octagon):
@@ -569,9 +576,9 @@ def scalar_hull_faces(hull):
     minv = np.linalg.inv(plane_classes(hull.chart_plane[None])[1][0])
     pts4 = np.einsum("ij,njk->nik", minv, hull.graph.points().reshape(-1, 2, 2)).reshape(-1, 4)
     pts4 = pts4 * np.sign(0.5 * (pts4[:, 0] + pts4[:, 3]))[:, None]
-    qh = ConvexHull(hull.chart_points)
+    simplices, equations = ConvexHull(hull.chart_points)
     groups = {}
-    for eq, simplex in zip(qh.equations, qh.simplices):
+    for eq, simplex in zip(equations, simplices):
         ids, eqs = groups.setdefault(tuple(np.round(eq, 6)), (set(), []))
         ids.update(int(i) for i in simplex)
         eqs.append(eq)
@@ -734,16 +741,16 @@ def test_flat_hull_peak_memory():
 
 
 def test_sample_conjugacy_peak_memory(octagon, conjugacy_pairs):
-    """GroupBall forms each level's candidates in blocks of 2**14 rows
-    straight after the known elements and tells them apart by 8-byte
-    hashes, and the fixed points and their refusals go block by block, so
-    no whole level's temporaries are alive together.  The tracemalloc peak
-    of this radius-6 conjugacy (octagon to the golden b1 shear) was 34.0
-    MB with one product per level, 27.7 MB with GroupBall.evaluate in
-    blocks and a sort of 32-byte keys per level, and is 16.5 MB (numpy
-    2.4): the ball and its right-hand evaluation, alive together.  In
-    `ads between` this is now about the CLI process's resident set
-    through the hull and the report."""
+    """The ball's matrices go once the left fixed points are taken, and
+    the right representation is evaluated in blocks along the ball's
+    words, keeping only the rows the dedup keeps, so its products are
+    never alive whole.  The tracemalloc peak of this radius-6 conjugacy
+    (octagon to the golden b1 shear) was 34.0 MB with one product per
+    level, 27.7 MB with GroupBall.evaluate in blocks and a sort of 32-byte
+    keys per level, 16.5 MB with hashed keys and the whole right-hand
+    evaluation, and is 11.4 MB (numpy 2.4): the ball's matrices, words
+    and left angles while those angles are taken.  In `ads between` the
+    hull and the report now set the process's resident peak."""
     rep_r, radius = conjugacy_pairs[1]
     assert radius == 6
     tracemalloc.start()
@@ -752,4 +759,23 @@ def test_sample_conjugacy_peak_memory(octagon, conjugacy_pairs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 18.2e6
+    assert peak <= 12.5e6
+
+
+@pytest.mark.parametrize("radius, message", [
+    (1, r"element is not hyperbolic \(trace 2\.000000\)"),
+    (2, "a trace is too large for its fixed points"),
+    (4, "a product along the ball's words overflows")],
+    ids=["not-hyperbolic", "trace-too-large", "overflow"])
+def test_streamed_right_evaluation_keeps_the_refusal_order(octagon, radius, message):
+    """b1, a2 and b2 go to the identity, which is not hyperbolic, from
+    radius 1; a1^2 has a trace whose square overflows, and a1^4 entries
+    past the float range.  Evaluated in blocks, the right representation
+    is refused as the whole evaluation and one pass over its fixed
+    points refuse it: an overflowing product anywhere first, then a
+    trace too large, then the first matrix that is not hyperbolic."""
+    rep_r = Representation(2, [np.diag([1e100, 1e-100])] + [np.eye(2)] * 3)
+    for run in (lambda: sample_conjugacy(octagon, rep_r, radius),
+                lambda: reference.sample_conjugacy(GroupBall(octagon, radius), rep_r)):
+        with pytest.raises(ValueError, match=message):
+            run()

@@ -237,15 +237,28 @@ def test_ads_between_ball_zero(capsys):
     assert report["error"] == _too_few_samples(0, 0)
 
 
+def test_ads_between_ball_one_on_one_axis(tmp_path, capsys):
+    # the octagon's radius-1 ball gives 8 samples; generators that share
+    # one axis attract to its two ends, so their 8 words give two samples
+    rep = tmp_path / "one_axis.json"
+    rep.write_text(json.dumps({"genus": 2, "generators": [np.diag([k, 1.0 / k]).tolist()
+                                                          for k in (2.0, 3.0, 2.0, 3.0)]}))
+    code, report = run_cli(["ads", "between", str(rep), str(rep), "--ball", "1"], capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"
+    assert report["error"] == _too_few_samples(1, 2)
+
+
 def test_ads_between_ball_one_with_one_generator(tmp_path, capsys):
-    # the octagon's radius-1 ball gives 8 samples; one non-trivial
-    # generator g gives two, g and g^-1
+    # the ball holds one word per group element, so the generators the
+    # representation sends to the identity are elements that are not
+    # hyperbolic: no Fuchsian conjugacy samples them
     rep = tmp_path / "one_generator.json"
     rep.write_text(json.dumps({"genus": 2, "generators": [[[2.0, 0.0], [0.0, 0.5]]] + [_I] * 3}))
     code, report = run_cli(["ads", "between", str(rep), str(rep), "--ball", "1"], capsys)
     assert code == 2
     assert report["schema"] == "lorentz21/error/1"
-    assert report["error"] == _too_few_samples(1, 2)
+    assert report["error"] == "ValueError: element is not hyperbolic (trace 2.000000)"
 
 
 @pytest.mark.parametrize("genus", [1, 3])
@@ -307,6 +320,31 @@ def test_ads_between_loads_qhull_alone(capsys):
     assert [m for m in modules if loaded[m]] == ["scipy.spatial._qhull"]
     assert main(_BETWEEN) == 0
     assert out == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["euler", lorentz21.bundled("octagon_rep.json")], _BETWEEN],
+                         ids=["euler", "ads between"])
+def test_cli_loads_neither_openssl_nor_numpy_ma(argv):
+    # the input digests come from CPython's built-in SHA-256, and the
+    # hull calls Qhull without scipy's wrapper; hashlib would load
+    # OpenSSL and scipy's wrapper or a plain np.unique numpy.ma
+    modules = ["_hashlib", "hashlib", "numpy.ma"]
+    run = subprocess.run([sys.executable, "-c", _FRESH_CLI, json.dumps(argv)] + modules,
+                         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=True)
+    code, _, loaded, _ = json.loads(run.stdout)
+    assert code == 0
+    assert [m for m in modules if loaded[m]] == []
+
+
+def test_input_digests_are_sha256():
+    import hashlib
+
+    from lorentz21.cli import _digest
+
+    data = os.path.dirname(lorentz21.bundled("octagon_rep.json"))
+    for name in sorted(os.listdir(data)):
+        with open(os.path.join(data, name), "rb") as fh:
+            assert _digest(os.path.join(data, name)) == hashlib.sha256(fh.read()).hexdigest()
 
 
 def _nan_rep(path):

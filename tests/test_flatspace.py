@@ -114,7 +114,7 @@ def test_relation_pairs_match_mpmath_reference(octagon):
     words = ball_words(ball)
     pairs = []
     for i, alpha in enumerate(words):
-        hits = ball.find(ball.elements[i] @ ball.elements)
+        hits = ball.find(np.full(len(ball), i), np.arange(len(ball)))
         pairs += [(alpha, words[j], words[k]) for j, k in enumerate(hits)
                   if k >= 0 and words[k] != concat(alpha, words[j])]
     assert len(pairs) == 48
@@ -155,9 +155,9 @@ def test_identity_sweep_carries_nan(octagon, monkeypatch):
     finds = []
     find = GroupBall.find
 
-    def counted(self, mats):
-        finds.append(len(mats))
-        return find(self, mats)
+    def counted(self, alphas, betas):
+        finds.append(len(alphas))
+        return find(self, alphas, betas)
 
     monkeypatch.setattr(GroupBall, "find", counted)
     vecs = [np.array([math.nan, 0.0, 0.0])] + [np.zeros(3)] * 3

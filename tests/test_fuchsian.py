@@ -10,6 +10,7 @@ from lorentz21.fuchsian import (
     axis,
     euler_class,
     format_word,
+    growth_series,
     letter_step,
     milnor_wood_ok,
     parse_word,
@@ -19,11 +20,9 @@ from lorentz21.fuchsian import (
     surface_relator,
 )
 from lorentz21.laminations import WeightedMulticurve
-from lorentz21.minkowski import Mat2, RP1Point
+from lorentz21.minkowski import Mat2, RP1Point, mat2_stack, row_keys
 from lorentz21.quakes import rep_after_earthquake
-from reference import ball_words, concat, group_ball, trivial_rep
-
-KEY_HASH = fuchsian._key_hash  # the ball's own hash, kept before a test replaces it
+from reference import ball_words, concat, dehn_reduce, group_ball, trivial_rep
 
 
 @pytest.fixture(scope="module")
@@ -121,90 +120,128 @@ def test_group_ball_counts(octagon):
     assert len(ball) == 65
 
 
-def growth_series(genus, radius):
-    """Cumulative ball sizes from the Floyd-Plotnick / Cannon rational
-    growth function of the genus-g surface group (Invent. Math. 88,
-    1987): (1 + 2z + ... + 2z^{2g-1} + z^{2g}) /
-    (1 - (4g-2)(z + ... + z^{2g-1}) + z^{2g})."""
-    n = 2 * genus
-    num = [1] + [2] * (n - 1) + [1]
-    den = [1] + [-(4 * genus - 2)] * (n - 1) + [1]
-    spheres = []
-    for k in range(radius + 1):
-        s = num[k] if k <= n else 0
-        s -= sum(den[j] * spheres[k - j] for j in range(1, min(k, n) + 1))
-        spheres.append(s)
-    return list(np.cumsum(spheres))
-
-
 def test_group_ball_growth_series():
     assert growth_series(2, 5) == [1, 9, 65, 457, 3193, 22289]
     assert growth_series(3, 4) == [1, 13, 145, 1597, 17569]
+    assert growth_series(2, 7)[-1] == 1085905
+    assert growth_series(3, 5)[-1] == 193261
+    # genus 1 is Z^2 in a and b: 4r words of length r
+    assert growth_series(1, 4) == [1, 5, 13, 25, 41]
     for genus, radius in ((2, 5), (3, 4)):
         ball = GroupBall(regular_polygon_rep(genus), radius)
         assert ball.offsets[1:] == growth_series(genus, radius)
 
 
+@pytest.mark.parametrize("genus, radius", [(1, 8), (2, 7), (3, 5)])
+def test_word_ball_matches_growth_series(genus, radius):
+    """The truncated completion's irreducible words number the growth
+    series at every length: one word per group element."""
+    offsets = fuchsian._word_ball(genus, radius)[2]
+    assert offsets[1:] == growth_series(genus, radius)
+    assert offsets[-1] == {1: 145, 2: 1085905, 3: 193261}[genus]
+
+
+def test_word_ball_words_are_the_irreducible_ones():
+    """Every freely reduced word of length <= 4 that no rule's left side
+    divides, and no other, is a ball word, in shortlex order."""
+    rules = fuchsian._rewriting(2, 4)[0]
+    letters = signed_letters(2).tolist()
+    words, level = [()], [()]
+    for _ in range(4):
+        level = [w + (x,) for w in level for x in letters if not w or w[-1] != -x]
+        words += [w for w in level
+                  if not any(lhs in "".join(chr(letter_step(x)) for x in w) for lhs in rules)]
+    ball = GroupBall(regular_polygon_rep(2), 4)
+    assert ball_words(ball) == sorted(words, key=lambda w: (len(w), [letter_step(x) for x in w]))
+
+
+def test_word_ball_refuses_an_incomplete_rule_set(monkeypatch):
+    # without one relator rule, level 4 holds words of two equal elements
+    rules = dict(fuchsian._completion(2, 4))
+    del rules[max(rules, key=len)]
+    monkeypatch.setattr(fuchsian, "_completion", lambda genus, longest: rules)
+    with pytest.raises(RuntimeError, match="leave 2737 words of length 4, not the "
+                                           "growth series' 2736"):
+        fuchsian._rewriting.__wrapped__(2, 4)
+
+
 @pytest.fixture(scope="module")
-def sheared_b1(octagon):
-    """The octagon sheared along b1 by w, for w = 3, 4, 6, 8: valid
-    surfaces whose radius-6 balls hold more elements than the growth
-    series allows (155,579 and 155,612 for w = 3, 4), or whose level
-    products lose their determinants (w = 6, 8)."""
-    return {w: rep_after_earthquake(octagon, WeightedMulticurve([("b1", 1.0)]), w)
-            for w in (3, 4, 6, 8)}
+def sheared(octagon):
+    """The octagon sheared along a1, b1, a2 or b2 by w: the benchmark's
+    range w in (0.3, 0.65, 1.0), and along b1 by w = 3, 4, 6, 8: valid
+    surfaces where rounded matrix entries merged distinct elements (the
+    float-key ball held 155,579 and 155,612 elements at radius 6 for
+    w = 3, 4), or whose level products lose their determinants (w = 6,
+    8)."""
+    pairs = [(c, w) for c in ("a1", "b1", "a2", "b2") for w in (0.3, 0.65, 1.0)]
+    pairs += [("b1", w) for w in (3, 4, 6, 8)]
+    return {(c, w): rep_after_earthquake(octagon, WeightedMulticurve([(c, 1.0)]), w)
+            for c, w in pairs}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: float keys decide group identity, and the "
-                   "w = 3 radius-6 ball holds 155,579 elements, not 155,577")
-def test_sheared_group_ball_matches_growth_series(sheared_b1):
-    assert len(GroupBall(sheared_b1[3], 6)) == growth_series(2, 6)[-1]
+def test_sheared_group_ball_matches_growth_series(sheared):
+    for w in (3, 4):
+        assert len(GroupBall(sheared["b1", w], 6)) == growth_series(2, 6)[-1]
+
+
+def _words(parent, letter):
+    words = [()]
+    for p, x in zip(parent[1:].tolist(), letter[1:].tolist()):
+        words.append(words[p] + (x,))
+    return words
 
 
 def _assert_matches_reference(rep, radius):
+    """GroupBall against the float-key ball: bit for bit where the keys
+    told the elements apart.  Where they split an element in two, the
+    float-key ball holds every normal form, in order and with the same
+    matrices, and each of its other words is, by Dehn's algorithm, the
+    element of the normal form whose matrix is nearest its own."""
     ball = GroupBall(rep, radius)
-    elements, parent, letter, offsets, sorted_keys, key_order = group_ball(rep, radius)
-    got_keys, got_order = ball._index
-    for got, want in ((ball.elements, elements), (ball.parent, parent),
-                      (ball.letter, letter), (got_keys, sorted_keys),
-                      (got_order, key_order)):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-    assert ball.offsets == offsets
-    assert np.array_equal(ball.find(ball.elements), np.arange(len(ball)))
-    assert np.array_equal(ball.find(-ball.elements), np.arange(len(ball)))
+    elements, parent, letter, offsets = group_ball(rep, radius)
+    if offsets == ball.offsets:
+        for got, want in ((ball.elements, elements), (ball.parent, parent),
+                          (ball.letter, letter)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        return
+    words, ref = ball_words(ball), _words(parent, letter)
+    position = {w: i for i, w in enumerate(ref)}
+    keep = [position[w] for w in words]
+    assert keep == sorted(keep)
+    assert elements[keep].tobytes() == ball.elements.tobytes()
+    extra = sorted(set(range(len(ref))) - set(keep))
+    for i in extra:
+        k = np.argmin(np.abs(ball.elements - elements[i]).max(axis=(1, 2)))
+        assert dehn_reduce(ref[i] + invert_word(words[k]), 2) == ()
+    return len(extra)
 
 
 @pytest.mark.parametrize("w, radius", [(0, r) for r in range(7)] + [(3, 6), (4, 6)])
-def test_group_ball_matches_reference(octagon, sheared_b1, w, radius):
-    """Hashed keys decided on full keys where hashes agree, levels formed
-    in blocks and the find index built from the elements give the arrays
-    of np.unique and np.isin per level and one final argsort, bit for bit."""
-    _assert_matches_reference(sheared_b1[w] if w else octagon, radius)
+def test_group_ball_matches_reference(octagon, sheared, w, radius):
+    """On the octagon (w = 0) the words' parents, letters and offsets
+    and the matrices along them equal the float-key ball's bit for bit;
+    on the b1 shears by 3 and 4 at radius 6 that ball holds 2 and 35
+    words of elements it had already."""
+    extra = _assert_matches_reference(sheared["b1", w] if w else octagon, radius)
+    assert extra == {0: None, 3: 2, 4: 35}[w]
 
 
-@pytest.mark.parametrize("collide", [
-    lambda keys: np.zeros(len(keys), dtype=np.uint64),
-    lambda keys: KEY_HASH(keys) & np.uint64(1)], ids=["constant", "one-bit"])
-@pytest.mark.parametrize("w, radius", [(0, r) for r in range(5)] + [(3, r) for r in range(5)])
-def test_group_ball_hash_never_decides_identity(monkeypatch, octagon, sheared_b1, collide,
-                                                w, radius):
-    # every key collides with every other, or with half of them: the
-    # full keys alone must decide which candidates are new
-    monkeypatch.setattr(fuchsian, "_key_hash", collide)
-    _assert_matches_reference(sheared_b1[w] if w else octagon, radius)
+@pytest.mark.parametrize("curve", ["a1", "b1", "a2", "b2"])
+@pytest.mark.parametrize("w", [0.3, 0.65, 1.0])
+def test_sheared_group_ball_matches_reference(sheared, curve, w):
+    _assert_matches_reference(sheared[curve, w], 6)
 
 
 @pytest.mark.parametrize("w, radius", [(6, 6), (8, 5)])
-def test_group_ball_names_a_lost_determinant(sheared_b1, w, radius):
+def test_group_ball_names_a_lost_determinant(sheared, w, radius):
     # entries reach only 2e7-4e7, but the recomputed determinant cancels to <= 0
     message = "a product of the generators lost its determinant to rounding"
     with pytest.raises(ValueError, match=message):
-        GroupBall(sheared_b1[w], radius)
+        GroupBall(sheared["b1", w], radius)
     with pytest.raises(ValueError, match=message):
-        group_ball(sheared_b1[w], radius)
-    GroupBall(sheared_b1[w], radius - 1)
+        group_ball(sheared["b1", w], radius)
+    GroupBall(sheared["b1", w], radius - 1)
 
 
 def test_blocked_evaluate_matches_one_product_per_level(octagon, monkeypatch):
@@ -219,9 +256,8 @@ def test_blocked_evaluate_matches_one_product_per_level(octagon, monkeypatch):
 @pytest.mark.parametrize("block", [8, fuchsian.EVALUATE_BLOCK])
 def test_group_ball_names_an_overflow_before_a_lost_determinant(monkeypatch, block):
     # at radius 2, a1 b1 = [[1 + 1e18, 1e9], [1e9, 1]] loses its
-    # determinant in the first parent's block and b2 b2 overflows in a
-    # later one (8 rows, one parent, per block): a single pass over the
-    # level names the overflow
+    # determinant in the first block and b2 b2 overflows in a later one
+    # (8 words per block): a single pass over the level names the overflow
     unipotents = [np.array([[1.0, 1e9], [0.0, 1.0]]), np.array([[1.0, 0.0], [1e9, 1.0]])]
     rep = Representation(2, unipotents + [np.diag([2.0, 0.5]), np.diag([1e200, 1e-200])])
     monkeypatch.setattr(fuchsian, "EVALUATE_BLOCK", block)
@@ -232,8 +268,10 @@ def test_group_ball_names_an_overflow_before_a_lost_determinant(monkeypatch, blo
 
 
 def test_group_ball_names_an_overflow():
+    # one word per group element, whatever the representation sends it
+    # to: the identity images of b1, a2 and b2 do not shrink the ball
     big = Representation(2, [np.diag([1e100, 1e-100])] + [np.eye(2)] * 3)
-    assert len(GroupBall(big, 3)) == 7
+    assert len(GroupBall(big, 3)) == growth_series(2, 3)[-1]
     with pytest.raises(ValueError, match="a product of the generators overflows"):
         GroupBall(big, 4)
 
@@ -251,22 +289,63 @@ def test_group_ball_prefix_closed(octagon):
 
 def test_group_ball_find_and_evaluate(octagon):
     ball = GroupBall(octagon, 3)
-    assert np.array_equal(ball.find(ball.elements), np.arange(len(ball)))
-    assert np.array_equal(ball.find(-ball.elements), np.arange(len(ball)))
+    every = np.arange(len(ball))
+    assert np.array_equal(ball.find(every, np.zeros_like(every)), every)
+    assert np.array_equal(ball.find(np.zeros_like(every), every), every)
     mats, words = ball.evaluate(octagon), ball_words(ball)
     for i in (1, 7, 100, len(ball) - 1):
         assert Mat2(mats[i]).dist(Mat2.normalized(octagon.evaluate(words[i]))) < 1e-9
 
 
 def test_group_ball_lookup(octagon):
-    ball = GroupBall(octagon, 3)
-    m = octagon.evaluate((1, 2, -1))
-    hit = int(ball.find(m[None])[0])
-    assert hit >= 0
-    assert Mat2(ball.elements[hit]).dist(Mat2.normalized(m)) < 1e-10
-    # relator representative is canonicalized to the empty word
-    hit = int(ball.find(Mat2.identity().m[None])[0])
-    assert ball_words(ball)[hit] == ()
+    ball = GroupBall(octagon, 4)
+    words = ball_words(ball)
+
+    def product(u, v):
+        return words[ball.find([words.index(u)], [words.index(v)])[0]]
+
+    assert product((1, 2), (-1,)) == (1, 2, -1)
+    # a2 b2 A2 B2 is (a1 b1 A1 B1)^-1 = b1 a1 B1 A1 by the relator, the
+    # shortlex-smaller word of length 4, and a1 b1 A1 B1 a2 b2 A2 is b2
+    assert product((3, 4, -3), (-4,)) == (2, 1, -2, -1)
+    assert product((1, 2, -1, -2), (3, 4, -3)) == (4,)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_group_ball_find_matches_the_matrices(octagon, radius):
+    """The product of every pair of elements is the ball element whose
+    matrix is the product's, entries rounded to 6 digits, or -1 when no
+    element's is: the float-key lookup the words replaced, exact on the
+    octagon's small balls."""
+    ball = GroupBall(octagon, radius)
+    n = len(ball)
+    found = ball.find(np.arange(n).repeat(n), np.tile(np.arange(n), n))
+    prods = mat2_stack((ball.elements[:, None] @ ball.elements).reshape(-1, 2, 2))
+    keys = row_keys(ball.elements.reshape(-1, 4), 6)
+    order = np.argsort(keys)
+    wanted = row_keys(prods.reshape(-1, 4), 6)
+    near = order[np.minimum(np.searchsorted(keys[order], wanted), n - 1)]
+    assert np.array_equal(found, np.where(keys[near] == wanted, near, -1))
+    assert (found >= 0).sum() == {0: 1, 1: 25, 2: 697, 3: 11329}[radius]
+
+
+def test_group_ball_find_agrees_with_dehn(octagon):
+    """Dehn's algorithm (Lyndon-Schupp V.4) on random pairs of a radius-4
+    and a radius-2 word: a found product's word times the inverse of the
+    pair's is the identity, and two distinct ball words are distinct
+    elements."""
+    ball = GroupBall(octagon, 4)
+    words = ball_words(ball)
+    rng = np.random.default_rng(5)
+    a, b = rng.integers(len(ball), size=1000), rng.integers(ball.offsets[3], size=1000)
+    found = ball.find(a, b)
+    assert (found >= 0).sum() > 100
+    for i, j, k in zip(a.tolist(), b.tolist(), found.tolist()):
+        if k >= 0:
+            assert dehn_reduce(words[i] + words[j] + invert_word(words[k]), 2) == ()
+        if i != j:
+            assert dehn_reduce(words[i] + invert_word(words[j]), 2) != ()
+    assert dehn_reduce(surface_relator(2), 2) == ()
 
 
 def test_axis_fixed_points(octagon):
