@@ -233,6 +233,37 @@ def test_sheared_group_ball_matches_reference(sheared, curve, w):
     _assert_matches_reference(sheared[curve, w], 6)
 
 
+@pytest.mark.parametrize("collide", [np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])],
+                         ids=["constant", "one-bit"])
+@pytest.mark.parametrize("w, radius", [(0, r) for r in range(5)] + [(3, r) for r in range(5)])
+def test_group_ball_hash_never_decides_identity(octagon, sheared, collide, w, radius):
+    """Every generator sent to the identity, or to a quarter turn: each
+    element's matrix is one and the same, or one of two by the parity of
+    its length.  The ball keeps the words of the octagon's or the w = 3
+    shear's ball, and its lookups name the product of each pair by
+    Dehn's algorithm and by the faithful matrices: no matrix decides
+    which words are one element."""
+    rep = sheared["b1", w] if w else octagon
+    ball = GroupBall(rep, radius)
+    flat = GroupBall(Representation(2, np.tile(collide, (4, 1, 1))), radius)
+    assert flat.offsets == ball.offsets == fuchsian._word_ball(2, radius)[2]
+    for got, want in ((flat.parent, ball.parent), (flat.letter, ball.letter)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    parity = np.repeat(np.arange(radius + 1) % 2, np.diff(ball.offsets))
+    assert np.array_equal(flat.elements, mat2_stack(np.stack([np.eye(2), collide]))[parity])
+    rng = np.random.default_rng(radius)
+    a, b = rng.integers(len(ball), size=300), rng.integers(len(ball), size=300)
+    found = flat.find(a, b)
+    assert np.array_equal(found, ball.find(a, b))
+    assert (found >= 0).any()
+    words = ball_words(flat)
+    for i, j, k in zip(a.tolist(), b.tolist(), found.tolist()):
+        if k >= 0:
+            assert dehn_reduce(words[i] + words[j] + invert_word(words[k]), 2) == ()
+            prod = Mat2(ball.elements[i] @ ball.elements[j])
+            assert Mat2(ball.elements[k]).dist(prod) < 1e-6 * max(1.0, np.abs(prod.m).max())
+
+
 @pytest.mark.parametrize("w, radius", [(6, 6), (8, 5)])
 def test_group_ball_names_a_lost_determinant(sheared, w, radius):
     # entries reach only 2e7-4e7, but the recomputed determinant cancels to <= 0
