@@ -187,8 +187,11 @@ class CircleGraph(CircleMap):
             row = row.strip()
             if not row or row.startswith("#"):
                 continue
-            a, b = row.split(",")
-            samples.append((float(a), float(b)))
+            try:
+                a, b = (float(v) for v in row.split(","))
+            except ValueError:
+                raise ValueError("graph row %r is not two numbers theta_in,theta_out" % row) from None
+            samples.append((a, b))
         finite(samples, "graph samples")
         return cls(samples)
 
@@ -624,54 +627,40 @@ def _components(n, pairs):
         label = new
 
 
-def _hyperbolic_blocks(blocks):
-    """(t, disc) of each (k, 2, 2) stack of an iterable: the trace t of
-    each matrix and its discriminant t * t - 4.0.  Refuses once the
-    blocks are spent, as one pass over them would: a discriminant that
-    overflows in any block before a matrix that is not hyperbolic, named
-    by the first one's trace; no block is yielded once either is seen."""
-    too_large, bad = False, None
-    for block in blocks:
+def attracting_thetas(stacks, keep=None):
+    """Angle parameter of the attracting fixed point of each hyperbolic
+    matrix of an iterable of (k, 2, 2) stacks, read as one stack, at its
+    ascending rows `keep` (every row when None), in closed form: the
+    eigenvector (b, lam - a) of the larger eigenvalue lam, or (lam - d, c)
+    where that is nearly zero (near-diagonal matrices).  Every row is
+    checked, kept or not, and refused as one pass would once the stacks
+    are spent: a trace whose discriminant overflows anywhere, then the
+    first matrix that is not hyperbolic, named by its trace."""
+    out, lo, too_large, bad = [], 0, False, None
+    for mats in stacks:
         with np.errstate(over="ignore", invalid="ignore"):
-            t = block[:, 0, 0] + block[:, 1, 1]
+            t = mats[:, 0, 0] + mats[:, 1, 1]
             disc = t * t - 4.0
         too_large = too_large or not np.isfinite(disc).all()
         if bad is None and np.any(disc <= 0):
             bad = t[np.argmax(disc <= 0)]
         if not too_large and bad is None:
-            yield t, disc
+            rows = slice(None)
+            if keep is not None:
+                rows = keep[np.searchsorted(keep, lo):np.searchsorted(keep, lo + len(mats))] - lo
+            a, b, c, d = (mats[rows, i, j] for i in (0, 1) for j in (0, 1))
+            t, disc = t[rows], disc[rows]
+            lam = 0.5 * (t + np.copysign(np.sqrt(disc), t))
+            v = np.stack([b, lam - a], axis=1)
+            near = np.max(np.abs(v), axis=1) < 1e-12 * np.maximum(np.abs(lam), 1.0)
+            v[near] = np.stack([lam - d, c], axis=1)[near]
+            out.append(rp1_stack(v)[1])
+        lo += len(mats)
     if too_large:
         raise ValueError("a trace is too large for its fixed points")
     if bad is not None:
         raise ValueError("element is not hyperbolic (trace %.6f)" % bad)
-
-
-def refuse_nonhyperbolic(stacks):
-    """Refuse an iterable of (k, 2, 2) stacks in which a trace is too
-    large for its fixed points or a matrix is not hyperbolic, as
-    `_hyperbolic_blocks`, once the stacks are spent."""
-    for _ in _hyperbolic_blocks(stacks):
-        pass
-
-
-def attracting_thetas(mats):
-    """Angle parameter of the attracting fixed point of each hyperbolic
-    matrix in a (N, 2, 2) stack, in closed form, one block at a time: the
-    eigenvector (b, lam - a) of the larger eigenvalue lam, or (lam - d, c)
-    where that is nearly zero (near-diagonal matrices)."""
-    out = np.empty(len(mats))
-    lo = 0
-    blocks = (mats[a:a + EVALUATE_BLOCK] for a in range(0, len(mats), EVALUATE_BLOCK))
-    for t, disc in _hyperbolic_blocks(blocks):
-        hi = lo + len(t)
-        a, b, c, d = (mats[lo:hi, i, j] for i in (0, 1) for j in (0, 1))
-        lam = 0.5 * (t + np.copysign(np.sqrt(disc), t))
-        v = np.stack([b, lam - a], axis=1)
-        near = np.max(np.abs(v), axis=1) < 1e-12 * np.maximum(np.abs(lam), 1.0)
-        v[near] = np.stack([lam - d, c], axis=1)[near]
-        out[lo:hi] = rp1_stack(v)[1]
-        lo = hi
-    return out
+    return np.concatenate(out or [np.empty(0)])
 
 
 def _chain_heads(values, gap):
@@ -706,11 +695,12 @@ def sample_conjugacy(rep_l, rep_r, L):
 
     The left matrices go once their angles are taken; rep_r is then
     evaluated in blocks along the ball's words, and only the rows the
-    dedup keeps are held.  Every row is still refused as a
+    dedup keeps get fixed points.  Every row is still refused as a
     whole evaluation would be: an overflow anywhere, then a trace too
     large for its fixed points, then a matrix that is not hyperbolic."""
     ball = GroupBall(rep_l, L)
-    left = attracting_thetas(ball.elements[1:])
+    left = attracting_thetas(ball.elements[a:a + EVALUATE_BLOCK]
+                             for a in range(1, len(ball), EVALUATE_BLOCK))
     del ball.elements
     order = np.argsort(left, kind="stable")
     lefts = left[order]
@@ -718,25 +708,16 @@ def sample_conjugacy(rep_l, rep_r, L):
     # each kept head's run of equal left angles; right angles only there
     runs = np.searchsorted(lefts, lefts[heads], side="right") - heads
     starts = np.cumsum(runs) - runs
-    rows = 1 + order[np.arange(runs.sum()) + np.repeat(heads - starts, runs)]
+    rows = order[np.arange(runs.sum()) + np.repeat(heads - starts, runs)]
     candidates = len(left)
     del left, order
-    by_row = np.argsort(rows)
-    sorted_rows, right = rows[by_row], np.empty((len(rows), 2, 2))
-
-    def blocks():
-        for lo, block in ball.products(rep_r):
-            a, b = np.searchsorted(sorted_rows, [lo, lo + len(block)])
-            right[by_row[a:b]] = block[sorted_rows[a:b] - lo]
-            if lo:
-                yield block
-
-    refuse_nonhyperbolic(blocks())
-    rights = np.minimum.reduceat(attracting_thetas(right), starts)
+    keep = np.sort(rows)
+    right = attracting_thetas((b for lo, b in ball.products(rep_r) if lo), keep)
+    rights = np.minimum.reduceat(right[np.searchsorted(keep, rows)], starts)
     kept = list(zip(lefts[heads].tolist(), rights.tolist()))
     # the per-element arrays go before the graph's arrays are made: made
     # above them on the heap, those would keep their memory from the system
-    del ball, lefts, heads, runs, starts, rows, by_row, sorted_rows, right, rights
+    del ball, lefts, heads, runs, starts, rows, keep, right, rights
     if len(kept) > 1 and (kept[0][0] - kept[-1][0]) % 1.0 < DEDUP:
         kept.pop()
     if len(kept) < 3:

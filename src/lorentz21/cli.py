@@ -125,7 +125,9 @@ def cmd_flat(args):
     disjoint = lamins.disjointness_check(rep, mc, args.ball)
     checks = [_check("multicurve-disjoint", 0.0 if disjoint else 1.0, 0)]
     values = {"mode": args.flat_mode, "curves": len(mc)}
-    diagnostics, artifacts = {}, None
+    # the lifts the check compared, read back from leaf_lifts' memo
+    diagnostics = {"leaf_lifts": len(lamins.multicurve_lifts(rep, mc, args.ball))}
+    artifacts = None
     if disjoint:
         coc = flatspace.cocycle_from_lamination(rep, mc, L=args.ball)
         more, radius = _cocycle_checks(rep, coc, args.ball, args.tol)

@@ -294,8 +294,8 @@ def sample_conjugacy(ball, rep_r, dedup=1e-4):
     """sample_conjugacy's graph from a built ball: both representations'
     attracting fixed points on every row, sorted by (left, right), then
     the greedy dedup and jitter loops over (left, right) pairs."""
-    thetas = np.stack([attracting_thetas(ball.elements[1:]),
-                       attracting_thetas(ball.evaluate(rep_r)[1:])], axis=1)
+    thetas = np.stack([attracting_thetas([ball.elements[1:]]),
+                       attracting_thetas([ball.evaluate(rep_r)[1:]])], axis=1)
     kept = []
     for tl, tr in thetas[np.lexsort((thetas[:, 1], thetas[:, 0]))].tolist():
         if kept and tl - kept[-1][0] < dedup:

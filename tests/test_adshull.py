@@ -32,7 +32,6 @@ from lorentz21.adshull import (
     plane_z_equals,
     qform,
     qpair,
-    refuse_nonhyperbolic,
     rulings_of,
     sample_conjugacy,
 )
@@ -290,7 +289,7 @@ def test_graph_points_match_scalar_segre():
 
 def test_attracting_thetas_match_axis(octagon):
     mats = GroupBall(octagon, 4).elements[1:]
-    thetas = attracting_thetas(mats)
+    thetas = attracting_thetas([mats])
     for m, t in zip(mats, thetas):
         d = abs(RP1Point.normalized(axis(m)[0]).theta - t)
         assert min(d, 1.0 - d) < 1e-12
@@ -300,28 +299,42 @@ def test_attracting_thetas_near_diagonal():
     # (b, lam - a) vanishes for diag(2, 1/2): the fallback (lam - d, c)
     # gives the x-axis
     mats = np.array([np.diag([2.0, 0.5]), np.diag([0.5, 2.0]), -np.diag([2.0, 0.5])])
-    assert attracting_thetas(mats).tolist() == [0.0, 0.5, 0.0]
+    assert attracting_thetas([mats]).tolist() == [0.0, 0.5, 0.0]
     with pytest.raises(ValueError, match="not hyperbolic"):
-        attracting_thetas(np.array([np.diag([2.0, 0.5]), np.eye(2)]))
+        attracting_thetas([np.array([np.diag([2.0, 0.5]), np.eye(2)])])
 
 
-def test_blocked_fixed_points_match_one_block(monkeypatch, octagon):
-    # the radius-5 ball holds 22,288 nontrivial rows, more than one block
+def test_blocked_fixed_points_match_one_block(octagon):
+    """The radius-5 ball's 22,288 nontrivial rows, read as one stack, as
+    seven and as blocks of EVALUATE_BLOCK rows, give at every ascending
+    set of kept rows (none, a random one, all) the one stack's angles
+    at those rows, bit for bit."""
     mats = GroupBall(octagon, 5).elements[1:]
-    assert len(mats) > adshull.EVALUATE_BLOCK
-    blocked = attracting_thetas(mats)
-    monkeypatch.setattr(adshull, "EVALUATE_BLOCK", len(mats))
-    assert blocked.tobytes() == attracting_thetas(mats).tobytes()
+    assert len(mats) == 22288 > adshull.EVALUATE_BLOCK
+    whole = attracting_thetas([mats])
+    rng = np.random.default_rng(0)
+    keeps = [np.zeros(0, dtype=int), np.sort(rng.choice(len(mats), 3000, replace=False)),
+             np.arange(len(mats))]
+    for splits in ([mats], np.array_split(mats, 7),
+                   [mats[a:a + adshull.EVALUATE_BLOCK]
+                    for a in range(0, len(mats), adshull.EVALUATE_BLOCK)]):
+        assert attracting_thetas(splits).tobytes() == whole.tobytes()
+        for keep in keeps:
+            assert attracting_thetas(splits, keep).tobytes() == whole[keep].tobytes()
 
 
 def test_blocked_fixed_points_keep_the_refusal_order():
     """One pass over a stack refuses an overflowing discriminant anywhere
     before a matrix that is not hyperbolic, and names the first such
-    matrix by its trace; blocks of 2**14 rows must refuse the same way."""
+    matrix by its trace; seven stacks, blocks of 2**14 rows and a pass
+    that keeps neither bad row must refuse the same way."""
     mats = np.tile(np.diag([2.0, 0.5]), (adshull.EVALUATE_BLOCK + 16, 1, 1))
     mats[5], mats[-3] = np.eye(2), np.diag([1e200, 1e-200])
-    refusals = (lambda m: refuse_nonhyperbolic([m]),
-                lambda m: refuse_nonhyperbolic(np.array_split(m, 7)), attracting_thetas)
+    refusals = (lambda m: attracting_thetas([m]),
+                lambda m: attracting_thetas(np.array_split(m, 7)),
+                lambda m: attracting_thetas([m[:adshull.EVALUATE_BLOCK],
+                                             m[adshull.EVALUATE_BLOCK:]]),
+                lambda m: attracting_thetas(np.array_split(m, 7), keep=np.array([0, 6, 7])))
     for refuse in refusals:
         with pytest.raises(ValueError, match="a trace is too large for its fixed points"):
             refuse(mats)
@@ -331,7 +344,7 @@ def test_blocked_fixed_points_keep_the_refusal_order():
             refuse(mats)
     mats[5] = np.diag([2.0, 0.5])
     with pytest.raises(ValueError, match=r"not hyperbolic \(trace -2\.000000\)"):
-        refuse_nonhyperbolic([mats])
+        attracting_thetas([mats])
 
 
 def test_graph_monotone_and_spacelike():
@@ -436,7 +449,7 @@ def test_sample_conjugacy_matches_reference(octagon, conjugacy_pairs, conjugacy_
         want = reference.sample_conjugacy(ball, rep_r).samples
         assert graph.samples.shape == want.shape
         assert graph.samples.tobytes() == want.tobytes()
-        left = attracting_thetas(ball.elements[1:])
+        left = attracting_thetas([ball.elements[1:]])
         values, counts = np.unique(left, return_counts=True)
         assert np.isin(graph.samples[:, 0], values[counts > 1]).any()
 
@@ -457,7 +470,7 @@ def test_sample_conjugacy_refuses_a_dropped_row(monkeypatch, octagon, bad, messa
     the right representation, not only those whose samples are kept."""
     ball = GroupBall(octagon, 3)
     kept = sample_conjugacy(octagon, octagon, 3).samples[:, 0]
-    dropped = 1 + np.flatnonzero(~np.isin(attracting_thetas(ball.elements[1:]), kept))[0]
+    dropped = 1 + np.flatnonzero(~np.isin(attracting_thetas([ball.elements[1:]]), kept))[0]
     products = GroupBall.products
 
     def patched(self, hol):
@@ -470,7 +483,20 @@ def test_sample_conjugacy_refuses_a_dropped_row(monkeypatch, octagon, bad, messa
     with pytest.raises(ValueError, match=message):
         sample_conjugacy(octagon, octagon, 3)
     with pytest.raises(ValueError, match=message):
-        refuse_nonhyperbolic([ball.evaluate(octagon)[1:]])
+        attracting_thetas([ball.evaluate(octagon)[1:]])
+
+
+def test_right_fixed_points_only_on_the_dedup_runs(monkeypatch, octagon, conjugacy_pairs):
+    """At radius 4 every nontrivial left row reaches rp1_stack, and of
+    the right rows only the runs of left angles equal to a kept head's."""
+    left = np.sort(attracting_thetas([GroupBall(octagon, 4).elements[1:]]))
+    heads = left[adshull._chain_heads(memoryview(left), adshull.DEDUP)]
+    runs = np.isin(left, heads).sum()
+    assert len(heads) <= runs < len(left)
+    sizes, rp1_stack = [], adshull.rp1_stack
+    monkeypatch.setattr(adshull, "rp1_stack", lambda v: sizes.append(len(v)) or rp1_stack(v))
+    sample_conjugacy(octagon, conjugacy_pairs[0][0], 4)
+    assert sum(sizes) == len(left) + runs
 
 
 def test_conjugacy_pair_euler_classes(octagon):

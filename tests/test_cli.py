@@ -9,6 +9,7 @@ import pytest
 
 import lorentz21
 from lorentz21 import adshull
+from lorentz21 import laminations as lamins
 from lorentz21.cli import main
 from lorentz21.fuchsian import Representation, regular_polygon_rep
 from reference import hull_obj, steep_graph_rows
@@ -75,6 +76,10 @@ def test_flat_check_crossing_curves_fails(tmp_path, capsys):
     assert code == 1
     names = {c["name"]: c for c in report["checks"]}
     assert not names["multicurve-disjoint"]["ok"]
+    # the failed check still reports the leaf lifts it compared
+    lifts = lamins.multicurve_lifts(Representation.load(lorentz21.bundled("octagon_rep.json")),
+                                    lamins.WeightedMulticurve.load(str(mc)), 3)
+    assert report["diagnostics"] == {"leaf_lifts": len(lifts)} and len(lifts) > 0
 
 
 def test_flat_build_empty_multicurve(tmp_path, capsys):
@@ -435,6 +440,13 @@ def _point(lamination, row):
     return argv
 
 
+def _graph_row(row):
+    def argv(path):
+        path.write_text("0.0,0.0\n%s\n0.5,0.5\n0.75,0.75\n" % row)
+        return ["ads", "hull", str(path)]
+    return argv
+
+
 def _golden_point(scale):
     """The first golden point, which lies on a leaf of the golden
     lamination, times scale, as a points row."""
@@ -479,6 +491,9 @@ def _golden_point(scale):
     # points off the hyperboloid: a spacelike one, and an on-leaf one scaled
     (_point(_LEAF, "2,0,1"), "not a point (x, y, t) of the hyperboloid"),
     (_point(_GOLDEN_LAMINATION, _golden_point(1e9)), "not a point (x, y, t) of the hyperboloid"),
+    # graph rows that are not two numbers are named
+    *[(_graph_row(row), "graph row %r is not two numbers theta_in,theta_out" % row)
+      for row in ("0.3,0.4,0.5", "0.3", "0.3,x")],
     # a build needs two samples for its injectivity pairs
     *[(["flat", "build", lorentz21.bundled("octagon_rep.json"),
         lorentz21.bundled("single_curve.json"), "--density", d], "--density must be >= 2")
@@ -493,6 +508,7 @@ def _golden_point(scale):
          "curve-not-object", "curve-without-weight", "leaf-not-object", "rep-not-object",
          "curves-object", "curves-int", "leaves-int", "generators-int",
          "basepoint-spacelike", "basepoint-on-leaf", "point-spacelike", "point-scaled",
+         "graph-row-three", "graph-row-one", "graph-row-text",
          "flat-density-negative", "flat-density-zero", "flat-density-one",
          "ads-density-negative", "ads-density-one", "ads-density-two"])
 def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
@@ -644,7 +660,7 @@ def test_diagnostics_block(tmp_path, capsys):
     keys = {"ads": hull_keys,
             "between": hull_keys | {"conjugacy_candidates", "conjugacy_dedup_kept",
                                     "conjugacy_jitter_dropped"},
-            "flat": {"sweep_ball_radius", "perturbed_samples"},
+            "flat": {"leaf_lifts", "sweep_ball_radius", "perturbed_samples"},
             "quake": {"shear_trace_error"}}
     for name, argv in runs.items():
         first = run_cli(argv, capsys)[1]
@@ -668,6 +684,7 @@ def test_diagnostics_block(tmp_path, capsys):
         elif name == "flat":
             # the identity sweep stops at radius 2 whatever --ball says
             assert diag["sweep_ball_radius"] == 2
+            assert diag["leaf_lifts"] > 0
             assert 0 <= diag["perturbed_samples"] <= first["values"]["samples"]
         else:
             # the golden lamination's shears are formed to rounding
@@ -709,7 +726,7 @@ def _conjugated(path, t, out):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: conjugating the input changes the flat verdict "
+                   reason="ROADMAP item 2: conjugating the input changes the flat verdict "
                    "(cocycle-identity 6.3e-5, relator-residual 9.2e-6 at t = 2)")
 def test_flat_check_is_conjugation_invariant(tmp_path, capsys):
     rep = _conjugated(lorentz21.bundled("octagon_rep.json"), 2.0, tmp_path / "rep.json")
@@ -718,7 +735,7 @@ def test_flat_check_is_conjugation_invariant(tmp_path, capsys):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: conjugating both inputs changes the ads shear "
+                   reason="ROADMAP item 2: conjugating both inputs changes the ads shear "
                    "(0.2836 with 2 strata at t = 6, against 0.55)")
 def test_ads_between_is_conjugation_invariant(tmp_path, capsys):
     pair = [lorentz21.bundled("octagon_rep.json"), os.path.join(_GOLDEN, "sheared_b1.json")]
