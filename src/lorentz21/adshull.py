@@ -27,7 +27,7 @@ import numpy as np
 
 from .fuchsian import EVALUATE_BLOCK, GroupBall
 from .minkowski import (EPS, adjugate, finite, mat2_stack, per_value, refuse_unnormalizable,
-                        rp1_from_thetas, rp1_stack, rp1_units, row_keys)
+                        rp1_from_thetas, rp1_stack, rp1_units, row_keys, sorted_unique)
 from .quakes import CircleMap
 
 # derivative at 0 of the rotation subgroup [[cos t, sin t], [-sin t, cos t]];
@@ -289,8 +289,6 @@ class HullComplex:
     def vertex_on_quadric_error(self):
         pts = self.graph.points()
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        if len(self.vertex_ids) == 0:
-            return 0.0
         return float(np.max(np.abs(qform(pts[self.vertex_ids]))))
 
     def convexity_slack(self):
@@ -380,14 +378,6 @@ def ConvexHull(points, qhull_options=None):
     return simplices, equations
 
 
-def _sorted_unique(values):
-    """np.unique of an integer array, whose plain form loads numpy.ma."""
-    values = np.sort(values, axis=None)
-    first = np.ones(len(values), dtype=bool)
-    first[1:] = values[1:] != values[:-1]
-    return values[first]
-
-
 def convex_hull(graph, chart_plane=None):
     """Convex hull of the graph in the chart of a disjoint spacelike
     plane, with coplanar facets merged and faces split future/past by
@@ -419,7 +409,7 @@ def convex_hull(graph, chart_plane=None):
         (simplices, equations), joggled = ConvexHull(chart_pts, qhull_options="QJ"), True
     # inv(minv), not m: the round trip differs from m in the last bits
     faces = _merged_faces(simplices, equations, pts4, chart_pts, np.linalg.inv(minv))
-    return HullComplex(graph, chart_plane, chart_pts, faces, _sorted_unique(simplices),
+    return HullComplex(graph, chart_plane, chart_pts, faces, sorted_unique(simplices),
                        qhull_facets=len(equations), joggled=joggled)
 
 
@@ -455,7 +445,7 @@ def _merged_faces(simplices, eqs, pts4, chart_pts, chart_mat):
     labels = labels / np.max(np.abs(labels), axis=1, keepdims=True)
 
     n = len(chart_pts)
-    code = _sorted_unique(face[:, None] * n + simplices)
+    code = sorted_unique(face[:, None] * n + simplices)
     ids, start = code % n, np.searchsorted(code, np.arange(len(mean) + 1) * n)
 
     # time orientation: the rotation flow v -> v . R(t) points to the
@@ -599,8 +589,8 @@ def extract_left_earthquake(hull):
     # the two largest, so measure the shear between their duals directly
     label = _components(len(order), np.searchsorted(order, pairs[2.0 * weights < 1e-3]))
     stratum = label[np.searchsorted(order, faces.owner[held])]
-    vertices = np.bincount(_sorted_unique(stratum * len(theta) + faces.ids[held]) // len(theta))
-    heads = _sorted_unique(label)
+    vertices = np.bincount(sorted_unique(stratum * len(theta) + faces.ids[held]) // len(theta))
+    heads = sorted_unique(label)
     lead = np.full(len(order), len(order))
     # by_size permutes the ascending order, so argsort gives each one's rank
     np.minimum.at(lead, label, np.argsort(by_size))

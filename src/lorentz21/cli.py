@@ -110,7 +110,7 @@ def cmd_euler(args):
 def _cocycle_checks(rep, coc, ball_radius, tol):
     # the identity sweep's radius is capped at 2 whatever --ball says
     ball = GroupBall(rep, min(2, ball_radius))
-    worst = flatspace.cocycle_identity_sweep(rep, coc, ball)
+    worst = flatspace.cocycle_identity_sweep(coc, ball)
     return [
         _check("cocycle-identity", worst, tol),
         _check("relator-residual", flatspace.relator_residual(rep, coc), tol),
@@ -185,12 +185,15 @@ def cmd_quake(args):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                p = finite([float(v) for v in line.split(",")], "point")
+                named = "points row %r is not a point (x, y, t) of the hyperboloid" % line
+                try:
+                    p = finite([float(v) for v in line.split(",")], "point")
+                except ValueError as exc:
+                    raise ValueError("%s: %s" % (named, exc)) from None
                 # future timelike, with |<p, p> + 1| <= 1e-9 |p|^2 (Euclidean)
                 sq = float(inner(p, p)) if p.shape == (3,) else 0.0
                 if not (sq < 0 < p[2] and abs(sq + 1.0) <= 1e-9 * float(p @ p)):
-                    raise ValueError("points row %r is not a point (x, y, t) of the "
-                                     "hyperboloid" % line)
+                    raise ValueError(named)
                 try:
                     q = quake.apply(p)
                     rows.append("%.12f,%.12f,%.12f,%.12f,%.12f,%.12f,ok"

@@ -91,7 +91,7 @@ def cocycle_from_lamination(rep, mc, L=3):
 SWEEP_BLOCK = 1024
 
 
-def cocycle_identity_sweep(rep, coc, ball):
+def cocycle_identity_sweep(coc, ball):
     """Max cocycle-identity residual over all word pairs of the ball.
 
     Equivalent to looping the pairwise residual (tests/reference.py's

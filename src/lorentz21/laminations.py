@@ -34,7 +34,6 @@ from .minkowski import (
     json_array,
     json_fields,
     null_vectors,
-    round_digits,
     rp1_stack,
     rp1_thetas,
 )
@@ -145,8 +144,8 @@ class LeafSet:
 
 def _leaf_keys(thetas):
     """The identifying key of each leaf of (N, 2) end parameters: both
-    rounded to 7 digits as round() does, mod 1, in ascending order."""
-    return np.sort(round_digits(thetas, 7) % 1.0, axis=1)
+    rounded to 7 digits, mod 1, in ascending order."""
+    return np.sort(np.round(thetas, 7) % 1.0, axis=1)
 
 
 EMPTY = LeafSet.from_ends(np.zeros((0, 2)), np.zeros((0, 2)), [])

@@ -50,24 +50,12 @@ def per_value(fn, *arrays):
     return out.reshape(np.shape(arrays[0]))
 
 
-def round_digits(values, digits):
-    """round(v, digits) of each value, bit for bit, for 0 <= digits <= 22
-    (where 10^digits is a float).  round returns the float nearest
-    N / 10^digits, N the integer nearest the exact v 10^digits (half to
-    even).  np.rint of the float product v 10^digits is that N, and one
-    correctly rounded division by 10^digits gives that float, unless the
-    product is within 4 ulp of a half, not finite, or too large (>= 2^52)
-    to hold N exactly; those values alone go through round itself."""
-    values = np.asarray(values, dtype=float)
-    scale = float(10 ** digits)
-    flat = values.ravel()
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = flat * scale
-        out = np.rint(scaled) / scale
-        slow = ~(np.abs(scaled) < 2.0 ** 52) | (
-            np.abs(scaled - np.floor(scaled) - 0.5) <= 4.0 * np.spacing(np.abs(scaled)))
-    out[slow] = [round(v, digits) for v in flat[slow].tolist()]
-    return out.reshape(values.shape)
+def sorted_unique(values):
+    """np.unique of an array of finite values, whose plain form loads numpy.ma."""
+    values = np.sort(values, axis=None)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def finite(values, what):

@@ -23,7 +23,7 @@ from . import laminations as lamins
 from .fuchsian import Representation
 from .minkowski import (G, adjoint_to_so21, finite, hyperboloid_normalize, inner, json_array,
                         json_fields, mat2_fold, mat2_stack, null_vectors, per_value,
-                        round_digits, rp1_from_thetas, rp1_stack, unnormalizable)
+                        rp1_from_thetas, rp1_stack, sorted_unique, unnormalizable)
 
 
 class FiniteLaminationH2:
@@ -206,7 +206,7 @@ def boundary_value(quake, samples=256):
     endpoints."""
     if samples < 1:
         raise ValueError("boundary samples must be >= 1")
-    ends = np.unique(round_digits(quake.lamination.leaves.thetas, 12))
+    ends = sorted_unique(np.round(quake.lamination.leaves.thetas, 12))
     ths = (np.arange(samples) + 0.5) / samples
     if len(ends):
         # a sample is nudged within 1e-9 of an end, or of an end less one:

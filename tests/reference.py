@@ -177,7 +177,7 @@ def cocycle_residual(rep, coc, alpha, beta, ball=None):
     return float(np.max(np.abs(res)))
 
 
-def cocycle_identity_sweep_rows(rep, coc, ball):
+def cocycle_identity_sweep_rows(coc, ball):
     """flatspace.cocycle_identity_sweep one row alpha at a time: one
     ball.find of alpha times every element, then the free concatenations
     of the row folded in one batch."""

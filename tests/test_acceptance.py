@@ -79,7 +79,7 @@ def test_criterion_2_cocycle_suite(octagon):
         coc = flatspace.cocycle_from_lamination(octagon, mc, L=3)
         cocs[w] = coc
         worst_rel = max(worst_rel, flatspace.relator_residual(octagon, coc))
-        worst_id = max(worst_id, flatspace.cocycle_identity_sweep(octagon, coc, ball))
+        worst_id = max(worst_id, flatspace.cocycle_identity_sweep(coc, ball))
     lin = 0.0
     for v01, v1, v5 in zip(cocs[0.1].gen_vectors, cocs[1.0].gen_vectors,
                            cocs[5.0].gen_vectors):

@@ -406,14 +406,15 @@ def conjugacy_graphs(octagon, conjugacy_pairs):
 _LOADED_ALONE = """
 import sys
 import numpy as np
-from lorentz21.adshull import ConvexHull, _sorted_unique
+from lorentz21.adshull import ConvexHull
+from lorentz21.minkowski import sorted_unique
 
 points = np.load(sys.argv[1])
 hulls = {}
 for options in (None, "QJ"):
     simplices, equations = ConvexHull(points, qhull_options=options)
     hulls[str(options)] = {"equations": equations, "simplices": simplices,
-                           "vertices": _sorted_unique(simplices)}
+                           "vertices": sorted_unique(simplices)}
 assert not {"scipy.spatial", "scipy.linalg", "numpy.ma"} & set(sys.modules)
 np.savez(sys.argv[2], **{"%s %s" % (options, name): array
                          for options, hull in hulls.items() for name, array in hull.items()})
@@ -579,6 +580,12 @@ def test_dependence_membership_cases():
     assert dependence_membership(m, g) is False
     # planar graphs are flagged indeterminate
     assert dependence_membership(np.eye(2), identity_graph()) is None
+    # so is a point whose dual plane passes within EPS of a sample: the
+    # identity moved along (1, 0, 0, 0) until its plane meets sample 10
+    q, e, r = g.points()[10], np.eye(2).ravel(), np.array([1.0, 0.0, 0.0, 0.0])
+    p = e - qpair(e, q) / qpair(r, q) * r
+    assert 0.0 < abs(qpair(e, q)) and abs(qpair(p, q)) < 1e-15
+    assert dependence_membership(p, g) is None
 
 
 def test_lemma5_plane_family():

@@ -327,8 +327,10 @@ def test_ads_between_loads_qhull_alone(capsys):
     assert out == capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [["euler", lorentz21.bundled("octagon_rep.json")], _BETWEEN],
-                         ids=["euler", "ads between"])
+@pytest.mark.parametrize("argv", [
+    ["euler", lorentz21.bundled("octagon_rep.json")], _BETWEEN,
+    ["quake", lorentz21.bundled("single_leaf_lamination.json"), "1.0", "--density", "8"]],
+    ids=["euler", "ads between", "quake"])
 def test_cli_loads_neither_openssl_nor_numpy_ma(argv):
     # the input digests come from CPython's built-in SHA-256, and the
     # hull calls Qhull without scipy's wrapper; hashlib would load
@@ -491,6 +493,11 @@ def _golden_point(scale):
     # points off the hyperboloid: a spacelike one, and an on-leaf one scaled
     (_point(_LEAF, "2,0,1"), "not a point (x, y, t) of the hyperboloid"),
     (_point(_GOLDEN_LAMINATION, _golden_point(1e9)), "not a point (x, y, t) of the hyperboloid"),
+    # a cell that is no number, or not finite, names its row
+    (_point(_LEAF, "0.1,0.2,x"),
+     "points row '0.1,0.2,x' is not a point (x, y, t) of the hyperboloid"),
+    (_point(_LEAF, "nan,0.5,1.5"),
+     "points row 'nan,0.5,1.5' is not a point (x, y, t) of the hyperboloid"),
     # graph rows that are not two numbers are named
     *[(_graph_row(row), "graph row %r is not two numbers theta_in,theta_out" % row)
       for row in ("0.3,0.4,0.5", "0.3", "0.3,x")],
@@ -501,16 +508,24 @@ def _golden_point(scale):
     # a hull needs three samples; the missing second file shows that the
     # density is refused before either representation is read
     *[(["ads", "between", lorentz21.bundled("octagon_rep.json"), "missing_rep.json",
-        "--density", d], "--density must be 0 or >= 3") for d in ("-5", "1", "2")]],
+        "--density", d], "--density must be 0 or >= 3") for d in ("-5", "1", "2")],
+    # a negative ball radius or quake scale
+    (["flat", "check", lorentz21.bundled("octagon_rep.json"),
+      lorentz21.bundled("single_curve.json"), "--ball", "-1"], "radius must be >= 0"),
+    (["ads", "between", lorentz21.bundled("octagon_rep.json"),
+      os.path.join(_GOLDEN, "sheared_b1.json"), "--ball", "-1"], "radius must be >= 0"),
+    (["quake", _LEAF, "-1"], "scale must be >= 0")],
     ids=["tol-nan", "tol-negative", "flat-tol-nan", "scale-nan", "scale-inf",
          "density-zero", "density-negative", "scale-overflow", "weight-overflow",
          "matrix-overflow", "generator-overflow", "genus-float", "genus-bool",
          "curve-not-object", "curve-without-weight", "leaf-not-object", "rep-not-object",
          "curves-object", "curves-int", "leaves-int", "generators-int",
          "basepoint-spacelike", "basepoint-on-leaf", "point-spacelike", "point-scaled",
+         "point-text", "point-nan-named",
          "graph-row-three", "graph-row-one", "graph-row-text",
          "flat-density-negative", "flat-density-zero", "flat-density-one",
-         "ads-density-negative", "ads-density-one", "ads-density-two"])
+         "ads-density-negative", "ads-density-one", "ads-density-two",
+         "flat-ball-negative", "ads-ball-negative", "scale-negative"])
 def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
     if callable(argv):
         argv = argv(tmp_path / "input")

@@ -7,6 +7,7 @@ from lorentz21.flatspace import (
     StandardTorusSpacetime,
     TranslationCocycle,
     _nudge_off,
+    _transport_to,
     cocycle_from_lamination,
     cyclic_boost_cocycle,
     cyclic_boost_rep,
@@ -18,8 +19,8 @@ from lorentz21.flatspace import (
     support_planes,
 )
 from lorentz21.fuchsian import GroupBall, regular_polygon_rep
-from lorentz21.laminations import WeightedMulticurve, stable_lifts
-from lorentz21.minkowski import (CausalClass, adjoint_to_so21, classify,
+from lorentz21.laminations import WeightedMulticurve, default_basepoint, stable_lifts
+from lorentz21.minkowski import (G, CausalClass, adjoint_to_so21, classify,
                                  hyperboloid_normalize, inner, null_vectors)
 from reference import (apex, ball_words, cocycle_identity_sweep_rows, cocycle_residual, concat,
                        nudge_off)
@@ -86,7 +87,7 @@ def test_identity_sweep_matches_pair_loop(octagon, lam_cocycle):
 
     for radius in (1, 2):
         ball = GroupBall(octagon, radius)
-        assert abs(cocycle_identity_sweep(octagon, lam_cocycle, ball)
+        assert abs(cocycle_identity_sweep(lam_cocycle, ball)
                    - all_pair_residual(octagon, lam_cocycle, ball)) < 1e-12
 
 
@@ -141,7 +142,7 @@ def test_relation_pairs_match_mpmath_reference(octagon):
     assert worst < 5e-12
     # the free concatenations are folded after cancellation, as reduced
     # words; folding alpha and beta whole would read 4.41e-09 here
-    assert abs(cocycle_identity_sweep(octagon, coc, ball) / 4.7540424930048e-09 - 1) < 1e-6
+    assert abs(cocycle_identity_sweep(coc, ball) / 4.7540424930048e-09 - 1) < 1e-6
 
 
 def test_identity_sweep_carries_nan(octagon, monkeypatch):
@@ -161,7 +162,7 @@ def test_identity_sweep_carries_nan(octagon, monkeypatch):
 
     monkeypatch.setattr(GroupBall, "find", counted)
     vecs = [np.array([math.nan, 0.0, 0.0])] + [np.zeros(3)] * 3
-    worst = cocycle_identity_sweep(octagon, TranslationCocycle(octagon, vecs), ball)
+    worst = cocycle_identity_sweep(TranslationCocycle(octagon, vecs), ball)
     assert math.isnan(worst)
     assert finds == []
     assert not _check("cocycle-identity", worst, 1e-8)["ok"]
@@ -183,10 +184,10 @@ def test_blocked_sweep_matches_row_sweep(octagon, lam_cocycle, radius, monkeypat
         cocycles.append(TranslationCocycle(octagon, [np.array([math.nan, 0.0, 0.0])]
                                            + [np.zeros(3)] * 3))
     for coc in cocycles:
-        want = cocycle_identity_sweep_rows(octagon, coc, ball)
+        want = cocycle_identity_sweep_rows(coc, ball)
         for block in (1, 100, 1024, len(ball) ** 2) if radius < 3 else (1024,):
             monkeypatch.setattr(flatspace, "SWEEP_BLOCK", block)
-            got = flatspace.cocycle_identity_sweep(octagon, coc, ball)
+            got = flatspace.cocycle_identity_sweep(coc, ball)
             assert got == want or math.isnan(got) and math.isnan(want)
 
 
@@ -260,6 +261,27 @@ def test_develop_surface_empty_multicurve(octagon):
     p = develop_surface(octagon, WeightedMulticurve([]), density=30, L=2, seed=1)
     assert np.max(np.abs(p.xvals)) == 0.0
     assert np.max(np.abs(p.fvals - p.points)) == 0.0
+
+
+def test_transport_off_the_apex_is_a_symmetric_boost(octagon):
+    # the nudged basepoint of the octagon's "a1 A2" curve, and a far point
+    near = default_basepoint(octagon, WeightedMulticurve([("a1 A2", 1.0)]), 2)
+    for b in (near, np.array([3.0, -4.0, math.sqrt(26.0)])):
+        assert np.linalg.norm(b[:2]) > 0.01
+        A = _transport_to(b)
+        assert np.max(np.abs(A.T @ G @ A - G)) < 1e-12
+        assert np.max(np.abs(A @ apex() - b)) < 1e-12
+        assert np.array_equal(A, A.T)
+
+
+def test_develop_surface_off_the_apex(octagon):
+    mc = WeightedMulticurve([("a1 A2", 1.0)])
+    b = default_basepoint(octagon, mc, 2)
+    p = develop_surface(octagon, mc, density=50, L=2)
+    assert len(p) == 50
+    # the samples fill the disc of radius 1.5 about b, not about the apex
+    dist = np.arccosh(np.maximum(-inner(p.points, b), 1.0))
+    assert np.all(dist < 1.5 + 1e-6)
 
 
 @pytest.fixture(scope="module")

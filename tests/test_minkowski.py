@@ -18,7 +18,6 @@ from lorentz21.minkowski import (
     inner,
     mat2_fold,
     per_value,
-    round_digits,
     rp1_from_thetas,
     rp1_stack,
 )
@@ -173,29 +172,6 @@ def test_per_value_maps_across_chunks():
     got = per_value(math.exp, values)
     assert got.shape == values.shape
     assert np.array_equal(got.ravel(), [math.exp(v) for v in values.ravel().tolist()])
-
-
-def _same_bits(got, want):
-    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-@pytest.mark.parametrize("digits", [7, 12])
-def test_round_digits_matches_round(digits):
-    rng = np.random.default_rng(digits)
-    spread = rng.random(20000) * 10.0 ** rng.integers(-12, 4, 20000) * rng.choice([-1, 1], 20000)
-    # exact decimal half-ties k.5 10^-digits (as floats) and their neighbours
-    ties = (rng.integers(-10 ** 8, 10 ** 8, 3000) + 0.5) / 10.0 ** digits
-    ties = np.concatenate([ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
-                           [0.5, 2.5, -0.5, 0.05, 0.125, 0.375]])
-    # tiny values keep their sign through 0; huge ones have |v 10^d| >= 2^52
-    edge = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, -2.5e-8, -4e-13,
-                     math.inf, -math.inf, math.nan, 2.0 ** 52 / 10.0 ** digits,
-                     -2.0 ** 53 / 10.0 ** digits, 123456789.123456789, 1e300, -1e300])
-    for values in (spread, ties, edge, np.roll(ties, 7)[:3000].reshape(1000, 3)):
-        want = np.array([round(v, digits) for v in values.ravel().tolist()]).reshape(values.shape)
-        assert _same_bits(round_digits(values, digits), want)
-    for shape in ((0,), (0, 2)):
-        assert round_digits(np.zeros(shape), digits).shape == shape
 
 
 def test_rp1_theta_roundtrip():

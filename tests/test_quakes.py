@@ -126,6 +126,10 @@ def test_on_leaf_point_two_valued():
     # one limit fixes the point, the other moves it along the leaf
     assert vals[0] < 1e-6
     assert vals[1] > 0.1
+    # off every leaf, both limits are the map's one value
+    q = uhp_point(1.0, 1.0)
+    lo, hi = quake.one_sided_values(q)
+    assert np.array_equal(lo, quake.apply(q)) and np.array_equal(hi, lo)
 
 
 def test_mobius_equivariance():
