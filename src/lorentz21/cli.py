@@ -191,8 +191,10 @@ def cmd_quake(args):
                 except ValueError as exc:
                     raise ValueError("%s: %s" % (named, exc)) from None
                 # future timelike, with |<p, p> + 1| <= 1e-9 |p|^2 (Euclidean)
-                sq = float(inner(p, p)) if p.shape == (3,) else 0.0
-                if not (sq < 0 < p[2] and abs(sq + 1.0) <= 1e-9 * float(p @ p)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sq = float(inner(p, p)) if p.shape == (3,) else 0.0
+                    norm = float(p @ p)
+                if not (sq < 0 < p[2] and abs(sq + 1.0) <= 1e-9 * norm):
                     raise ValueError(named)
                 try:
                     q = quake.apply(p)

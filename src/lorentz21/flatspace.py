@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from . import laminations as lam
-from .fuchsian import Representation, letter_step, reduce_word, signed_letters
+from .fuchsian import (GroupBall, Representation, letter_step, reduce_word,
+                       signed_letters, surface_relator)
 from .minkowski import (
     LorentzIsometry,
     adjoint_to_so21,
@@ -49,7 +50,7 @@ class TranslationCocycle:
     def __init__(self, rep, gen_vectors, basepoint=None):
         if len(gen_vectors) != 2 * rep.genus:
             raise ValueError("expected one vector per generator")
-        self.genus = rep.genus
+        self.rep, self.genus = rep, rep.genus
         # extended precision: word extensions multiply by linear parts
         # whose norms grow exponentially in word length, and the cocycle
         # identity is checked to absolute (not relative) tolerance
@@ -96,10 +97,10 @@ def cocycle_identity_sweep(coc, ball):
 
     Equivalent to looping the pairwise residual (tests/reference.py's
     cocycle_residual) over every pair, but batched over blocks of rows
-    alpha, at most SWEEP_BLOCK pairs each: the products are resolved to
-    their normal forms in the ball by one ball.find call per block.  The
-    free concatenations of the other pairs are folded in one batch per
-    block.
+    alpha, at most SWEEP_BLOCK pairs each.  A product of two words of
+    length <= r has a normal form of length <= 2r, so one find per block
+    on the radius-2r ball resolves every pair, and t of the product is
+    read from the cocycle evaluated once on that ball.
     """
     # extended precision throughout: the three terms are exponentially
     # large in word length and cancel to near machine zero
@@ -109,26 +110,16 @@ def cocycle_identity_sweep(coc, ball):
     if np.isnan(A).any():
         return math.nan
     T, F = A[:, :3, 3], A[:, :3, :3]
+    # the radius-r ball is the first n elements of the radius-2r ball;
+    # only the translation column of its stack is kept
+    big = GroupBall(coc.rep, 2 * ball.radius)
+    P = big.evaluate(coc)[:, :3, 3].copy()
     n = len(ball)
-    words = ball.words()
     worst = 0.0
     rows = max(1, SWEEP_BLOCK // n)
     for lo in range(0, n, rows):
         alphas = np.arange(lo, min(lo + rows, n))
-        hits = ball.find(alphas.repeat(n), np.tile(np.arange(n), len(alphas)))
-        vals = T[hits]
-        free = np.flatnonzero(hits < 0)
-        betas = words[free % n]
-        # walk up from alpha while its last letter cancels beta's next
-        start, cut = alphas[free // n], np.zeros(len(free), dtype=int)
-        for k in range(ball.radius):
-            up = (cut == k) & (betas[:, k] != 0) & (ball.letter[start] == -betas[:, k])
-            start, cut = np.where(up, ball.parent[start], start), cut + up
-        cur = A[start]
-        for pos in range(ball.radius):
-            live = np.flatnonzero((pos >= cut) & (betas[:, pos] != 0))
-            cur[live] = cur[live] @ coc.steps()[letter_step(betas[live, pos])]
-        vals[free] = cur[:, :3, 3]
+        vals = P[big.find(alphas.repeat(n), np.tile(np.arange(n), len(alphas)))]
         base = (T[alphas, None] + T @ F[alphas].swapaxes(1, 2)).reshape(-1, 3)
         # np.maximum, unlike max(), carries a NaN residual through
         worst = np.maximum(worst, np.max(np.abs(vals - base)))
@@ -144,10 +135,11 @@ def relator_residual(rep, coc):
     descends to the surface group exactly when t_r = 0: then
     t_{g r g^-1} = f(g) t_r vanishes on every conjugate of r, hence on
     the normal closure, and t_{g n} = t_g there.  The ball sweep
-    (cocycle_identity_sweep) only samples this on the pairs whose
-    product has a shorter canonical representative.
+    (cocycle_identity_sweep) samples this on the pairs whose product's
+    normal form is not their free reduction, reading t there from the
+    normal form's word.
     """
-    return float(np.max(np.abs(coc.affine(rep.relator())[:3, 3])))
+    return float(np.max(np.abs(coc.affine(surface_relator(rep.genus))[:3, 3])))
 
 
 def cyclic_boost_cocycle(lam_, weight):

@@ -124,9 +124,6 @@ class Representation:
         self._steps.flags.writeable = False  # generators and inverses stay paired
         self.generators = self._steps[::2]
 
-    def relator(self):
-        return surface_relator(self.genus)
-
     def evaluate(self, w):
         """The (2, 2) matrix of the word w, Mat2-normalized after each letter."""
         w = np.array(w, dtype=int).reshape(-1)
@@ -142,7 +139,7 @@ class Representation:
 
     def relator_defect(self):
         """Max-norm distance of the evaluated relator from +-identity."""
-        r = self.evaluate(self.relator())
+        r = self.evaluate(surface_relator(self.genus))
         return float(min(np.abs(r - np.eye(2)).max(), np.abs(r + np.eye(2)).max()))
 
     def is_valid(self, tol=1e-8):
@@ -426,16 +423,6 @@ class GroupBall:
     def __len__(self):
         return len(self.parent)
 
-    def words(self):
-        """(N, radius) int array: row i is element i's word, zero-padded
-        on the right, built one level at a time as its parent's word,
-        then its letter."""
-        words = np.zeros((len(self), self.radius), dtype=int)
-        for r, (lo, hi) in enumerate(zip(self.offsets[1:-1], self.offsets[2:])):
-            words[lo:hi] = words[self.parent[lo:hi]]
-            words[lo:hi, r] = self.letter[lo:hi]
-        return words
-
     @functools.cached_property
     def _normal_forms(self):
         """Each element's word as a string of chr(letter_step), and the
@@ -533,11 +520,12 @@ def euler_class(rep):
     convention makes the discrete cocompact polygon representations come
     out at 2 - 2g.
     """
-    if not np.abs(rep.evaluate(rep.relator()) - np.eye(2)).max() < 1e-6:
+    relator = surface_relator(rep.genus)
+    if not np.abs(rep.evaluate(relator) - np.eye(2)).max() < 1e-6:
         raise ValueError("relator is not central; representation invalid")
     steps = rep.steps()
     x = 0.0
-    for letter in reversed(rep.relator()):
+    for letter in reversed(relator):
         k = letter_step(letter)
         if letter > 0:
             x = _sigma(steps[k], x)

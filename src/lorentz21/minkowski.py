@@ -307,8 +307,9 @@ class LorentzIsometry:
 def hyperboloid_normalize(v):
     """Project v, or each row of v, onto the upper hyperboloid <v,v> = -1, t > 0."""
     v = np.asarray(v, dtype=float)
-    q = inner(v, v)
-    if np.any((q >= 0) | (v[..., 2] <= 0)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = inner(v, v)
+    if not np.all((q < 0) & np.isfinite(q) & (v[..., 2] > 0)):
         raise ValueError("point must be future timelike")
     return v / np.sqrt(-q)[..., None]
 

@@ -13,11 +13,12 @@ the apex, upper-half-plane points and boundary reals, and an
 earthquake's boundary extension."""
 
 import math
+import weakref
 
 import numpy as np
 
 from lorentz21.adshull import CircleGraph, attracting_thetas
-from lorentz21.fuchsian import (Representation, letter_step, reduce_word, signed_letters,
+from lorentz21.fuchsian import (GroupBall, Representation, reduce_word, signed_letters,
                                 surface_relator)
 from lorentz21.laminations import LeafSet
 from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack, null_vectors,
@@ -57,9 +58,19 @@ def dehn_reduce(word, genus):
     return word
 
 
+# ball_words' lists, built once per ball
+_BALL_WORDS = weakref.WeakKeyDictionary()
+
+
 def ball_words(ball):
-    """The words of a GroupBall as tuples, in ball order."""
-    return [tuple(w[w != 0].tolist()) for w in ball.words()]
+    """The words of a GroupBall as tuples, in ball order: each element's
+    word is its parent's, then its letter."""
+    if ball not in _BALL_WORDS:
+        words = [()]
+        for p, x in zip(ball.parent[1:].tolist(), ball.letter[1:].tolist()):
+            words.append(words[p] + (x,))
+        _BALL_WORDS[ball] = words
+    return list(_BALL_WORDS[ball])
 
 
 def trivial_rep(genus):
@@ -179,30 +190,17 @@ def cocycle_residual(rep, coc, alpha, beta, ball=None):
 
 def cocycle_identity_sweep_rows(coc, ball):
     """flatspace.cocycle_identity_sweep one row alpha at a time: one
-    ball.find of alpha times every element, then the free concatenations
-    of the row folded in one batch."""
+    find of alpha times every element on the radius-2r ball, where the
+    cocycle evaluated once gives t of each product."""
     A = ball.evaluate(coc)
     T, F = A[:, :3, 3], A[:, :3, :3]
-    words = ball.words()
+    big = GroupBall(coc.rep, 2 * ball.radius)
+    P = big.evaluate(coc)[:, :3, 3]
     worst = 0.0
     n = len(ball)
     for i in range(n):
-        hits = ball.find(np.full(n, i), np.arange(n))
-        vals = T[hits]
-        free = np.flatnonzero(hits < 0)
-        betas = words[free]
-        # walk up from alpha while its last letter cancels beta's next
-        start, cut = np.full(len(free), i), np.zeros(len(free), dtype=int)
-        for k in range(ball.radius):
-            up = (cut == k) & (betas[:, k] != 0) & (ball.letter[start] == -betas[:, k])
-            start, cut = np.where(up, ball.parent[start], start), cut + up
-        cur = A[start]
-        for pos in range(ball.radius):
-            live = np.flatnonzero((pos >= cut) & (betas[:, pos] != 0))
-            cur[live] = cur[live] @ coc.steps()[letter_step(betas[live, pos])]
-        vals[free] = cur[:, :3, 3]
-        base = T[i] + T @ F[i].T
-        worst = np.maximum(worst, np.max(np.abs(vals - base)))
+        vals = P[big.find(np.full(n, i), np.arange(n))]
+        worst = np.maximum(worst, np.max(np.abs(vals - (T[i] + T @ F[i].T))))
     return float(worst)
 
 

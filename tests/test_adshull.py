@@ -500,6 +500,27 @@ def test_right_fixed_points_only_on_the_dedup_runs(monkeypatch, octagon, conjuga
     assert sum(sizes) == len(left) + runs
 
 
+_GAP = math.nextafter(1e-4, 1.0)
+
+
+@pytest.mark.parametrize("values, gap, expected", [
+    # the bisection on a + gap lands on the second value, closer than
+    # gap to the first, and the forward step moves past it
+    ([0.6369616873214543, 0.6370616873214543, 1.1370616873214543], 1e-4, [0, 2]),
+    # a + gap rounds up past b while b - a rounds to gap: the bisection
+    # lands past b and the backward step returns to it.  Both are ties
+    # broken to even, which needs a gap with an even significand; DEDUP,
+    # 1e-4, has an odd one, so there this step does not run
+    ([1.5 * math.ulp(_GAP), _GAP + math.ulp(_GAP)], _GAP, [0, 1])],
+    ids=["forward", "backward"])
+def test_chain_heads_match_the_greedy_loop(values, gap, expected):
+    heads = [0]
+    for j, v in enumerate(values):
+        if v - values[heads[-1]] >= gap:
+            heads.append(j)
+    assert adshull._chain_heads(values, gap).tolist() == heads == expected
+
+
 def test_conjugacy_pair_euler_classes(octagon):
     # both holonomies of a sheared spacelike surface keep Euler class 2-2g
     rep_r = rep_after_earthquake(octagon, WeightedMulticurve([("a1", 0.4)]), 1.0)

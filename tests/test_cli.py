@@ -372,7 +372,7 @@ def _lamination(field, value):
     def argv(path):
         data = json.load(open(lorentz21.bundled("single_leaf_lamination.json")))
         if field == "basepoint":
-            data["basepoint"] = [value, 0.0, 1.0]
+            data["basepoint"] = value
         else:
             data["leaves"][0][field] = value
         path.write_text(json.dumps(data))
@@ -420,7 +420,8 @@ def _graph(path):
 
 @pytest.mark.parametrize("make_argv", [
     _nan_rep, _weight(math.nan), _weight(math.inf), _lamination("end1", math.nan),
-    _lamination("weight", math.inf), _lamination("basepoint", -math.inf), _points, _graph],
+    _lamination("weight", math.inf), _lamination("basepoint", [-math.inf, 0.0, 1.0]), _points,
+    _graph],
     ids=["rep-nan", "weight-nan", "weight-inf", "end-nan", "leaf-weight-inf",
          "basepoint-inf", "point-nan", "graph-nan"])
 def test_non_finite_input_is_invalid(tmp_path, capsys, make_argv):
@@ -488,8 +489,10 @@ def _golden_point(scale):
     (_malformed("euler", {"genus": 2, "generators": 5}),
      "generators must be a JSON array, not int"),
     # a spacelike basepoint, and the apex, which lies on the bundled leaf
-    (_lamination("basepoint", 2.0), "future timelike"),
-    (_lamination("basepoint", 0.0), "within 1e-9 of a leaf"),
+    (_lamination("basepoint", [2.0, 0.0, 1.0]), "future timelike"),
+    (_lamination("basepoint", [0.0, 0.0, 1.0]), "within 1e-9 of a leaf"),
+    # a null direction whose Minkowski square overflows
+    (_lamination("basepoint", [1e200, 0.0, 1e200]), "future timelike"),
     # points off the hyperboloid: a spacelike one, and an on-leaf one scaled
     (_point(_LEAF, "2,0,1"), "not a point (x, y, t) of the hyperboloid"),
     (_point(_GOLDEN_LAMINATION, _golden_point(1e9)), "not a point (x, y, t) of the hyperboloid"),
@@ -498,6 +501,8 @@ def _golden_point(scale):
      "points row '0.1,0.2,x' is not a point (x, y, t) of the hyperboloid"),
     (_point(_LEAF, "nan,0.5,1.5"),
      "points row 'nan,0.5,1.5' is not a point (x, y, t) of the hyperboloid"),
+    (_point(_LEAF, "1e200,0,1e200"),
+     "points row '1e200,0,1e200' is not a point (x, y, t) of the hyperboloid"),
     # graph rows that are not two numbers are named
     *[(_graph_row(row), "graph row %r is not two numbers theta_in,theta_out" % row)
       for row in ("0.3,0.4,0.5", "0.3", "0.3,x")],
@@ -520,8 +525,8 @@ def _golden_point(scale):
          "matrix-overflow", "generator-overflow", "genus-float", "genus-bool",
          "curve-not-object", "curve-without-weight", "leaf-not-object", "rep-not-object",
          "curves-object", "curves-int", "leaves-int", "generators-int",
-         "basepoint-spacelike", "basepoint-on-leaf", "point-spacelike", "point-scaled",
-         "point-text", "point-nan-named",
+         "basepoint-spacelike", "basepoint-on-leaf", "basepoint-overflow", "point-spacelike",
+         "point-scaled", "point-text", "point-nan-named", "point-overflow",
          "graph-row-three", "graph-row-one", "graph-row-text",
          "flat-density-negative", "flat-density-zero", "flat-density-one",
          "ads-density-negative", "ads-density-one", "ads-density-two",

@@ -56,13 +56,23 @@ def coboundary_cocycle(rep, v):
     return TranslationCocycle(rep, v - adjoint_to_so21(rep.generators) @ v)
 
 
-def all_pair_residual(rep, coc, ball):
+def all_pair_residual(rep, coc, ball, lookup=None):
+    """Max cocycle_residual over the ball's word pairs, each product
+    looked up by its matrix in `lookup` (the ball itself by default)."""
+    lookup = ball if lookup is None else lookup
     words = ball_words(ball)
     worst = 0.0
     for alpha in words:
         for beta in words:
-            worst = max(worst, cocycle_residual(rep, coc, alpha, beta, ball))
+            worst = max(worst, cocycle_residual(rep, coc, alpha, beta, lookup))
     return worst
+
+
+def perturbed(rep, coc):
+    """coc with t_{a1} moved by (0.05, 0, 0): it no longer descends."""
+    vecs = [np.array(v, dtype=float) for v in coc.to_json()["t"]]
+    vecs[0] = vecs[0] + np.array([0.05, 0.0, 0.0])
+    return TranslationCocycle(rep, vecs)
 
 
 def test_zero_cocycle(octagon, ball2):
@@ -83,12 +93,16 @@ def test_lamination_cocycle_descends(octagon, lam_cocycle, ball2):
 
 
 def test_identity_sweep_matches_pair_loop(octagon, lam_cocycle):
+    """Every product of two radius-r words lies in the radius-2r ball, so
+    the pair loop looks each one up there, by its matrix: an oracle
+    apart from GroupBall.find."""
     from lorentz21.flatspace import cocycle_identity_sweep
 
     for radius in (1, 2):
-        ball = GroupBall(octagon, radius)
-        assert abs(cocycle_identity_sweep(lam_cocycle, ball)
-                   - all_pair_residual(octagon, lam_cocycle, ball)) < 1e-12
+        ball, big = GroupBall(octagon, radius), GroupBall(octagon, 2 * radius)
+        for coc in (lam_cocycle, perturbed(octagon, lam_cocycle)):
+            assert abs(cocycle_identity_sweep(coc, ball)
+                       - all_pair_residual(octagon, coc, ball, big)) < 1e-12
 
 
 def test_ball_evaluate_matches_affine_fold(octagon, lam_cocycle):
@@ -140,8 +154,11 @@ def test_relation_pairs_match_mpmath_reference(octagon):
             assert abs(cocycle_residual(octagon, coc, alpha, beta, ball) - exact) < 1e-14
             worst = max(worst, exact)
     assert worst < 5e-12
-    # the free concatenations are folded after cancellation, as reduced
-    # words; folding alpha and beta whole would read 4.41e-09 here
+    # the sweep reads t of every product from the radius-6 ball, formed
+    # left to right along its normal form: for a free reduction the same
+    # matmuls as from its reduced words (folding alpha and beta whole
+    # would read 4.41e-09 here), and the 1,416 relation pairs outside the
+    # radius-3 ball change no bit of the maximum
     assert abs(cocycle_identity_sweep(coc, ball) / 4.7540424930048e-09 - 1) < 1e-6
 
 
@@ -177,9 +194,7 @@ def test_blocked_sweep_matches_row_sweep(octagon, lam_cocycle, radius, monkeypat
     from lorentz21 import flatspace
 
     ball = GroupBall(octagon, radius)
-    vecs = [np.array(v, dtype=float) for v in lam_cocycle.to_json()["t"]]
-    vecs[0] = vecs[0] + np.array([0.05, 0.0, 0.0])
-    cocycles = [lam_cocycle, TranslationCocycle(octagon, vecs)]
+    cocycles = [lam_cocycle, perturbed(octagon, lam_cocycle)]
     if radius < 3:
         cocycles.append(TranslationCocycle(octagon, [np.array([math.nan, 0.0, 0.0])]
                                            + [np.zeros(3)] * 3))
@@ -192,16 +207,36 @@ def test_blocked_sweep_matches_row_sweep(octagon, lam_cocycle, radius, monkeypat
 
 
 def test_perturbed_cocycle_fails(octagon, lam_cocycle, ball2):
-    vecs = [np.array(v, dtype=float) for v in lam_cocycle.to_json()["t"]]
-    vecs[0] = vecs[0] + np.array([0.05, 0.0, 0.0])
-    bad = TranslationCocycle(octagon, vecs)
-    # ball-2 pairs concatenate freely (the shortest relation has length
-    # 8), so the identity is only violated once a relation appears: the
-    # two relator halves multiply to the canonical empty word
+    from lorentz21.flatspace import cocycle_identity_sweep
+
+    bad = perturbed(octagon, lam_cocycle)
+    # the two relator halves multiply to the canonical empty word
     assert relator_residual(octagon, bad) > 1e-4
     ball0 = GroupBall(octagon, 0)
     res = cocycle_residual(octagon, bad, (1, 2, -1, -2), (3, 4, -3, -4), ball0)
     assert res > 1e-4
+    # the radius-2 sweep reads t of its 8 relation pairs' products at
+    # their normal forms, as t of the group element; it reads 2.57
+    assert cocycle_identity_sweep(bad, ball2) > 1
+
+
+@pytest.mark.parametrize("radius, pairs, inside", [(2, 8, 0), (3, 1464, 48)])
+def test_relation_pairs(octagon, radius, pairs, inside):
+    """The word pairs of the radius-r ball whose product's normal form
+    is not their free reduction, where the cocycle identity is a
+    statement about the group: every product is found in the radius-2r
+    ball, and `inside` of these normal forms lie in the radius-r ball
+    (at radius 3 the mpmath reference's 48)."""
+    ball, big = GroupBall(octagon, radius), GroupBall(octagon, 2 * radius)
+    words, big_words = ball_words(ball), ball_words(big)
+    n = len(ball)
+    alphas, betas = np.arange(n).repeat(n), np.tile(np.arange(n), n)
+    hits = big.find(alphas, betas)
+    assert (hits >= 0).all()
+    rel = [k for a, b, k in zip(alphas.tolist(), betas.tolist(), hits.tolist())
+           if big_words[k] != concat(words[a], words[b])]
+    assert len(rel) == pairs
+    assert sum(k < n for k in rel) == inside
 
 
 def test_cocycle_linearity_in_weight(octagon):
