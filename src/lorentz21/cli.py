@@ -107,13 +107,13 @@ def cmd_euler(args):
     return _finish("euler", args, {"rep": args.rep}, values, checks)
 
 
-def _cocycle_checks(rep, coc, ball_radius, tol):
+def _cocycle_checks(coc, ball_radius, tol):
     # the identity sweep's radius is capped at 2 whatever --ball says
-    ball = GroupBall(rep, min(2, ball_radius))
+    ball = GroupBall(coc.rep, min(2, ball_radius))
     worst = flatspace.cocycle_identity_sweep(coc, ball)
     return [
         _check("cocycle-identity", worst, tol),
-        _check("relator-residual", flatspace.relator_residual(rep, coc), tol),
+        _check("relator-residual", flatspace.relator_residual(coc), tol),
     ], ball.radius
 
 
@@ -130,7 +130,7 @@ def cmd_flat(args):
     artifacts = None
     if disjoint:
         coc = flatspace.cocycle_from_lamination(rep, mc, L=args.ball)
-        more, radius = _cocycle_checks(rep, coc, args.ball, args.tol)
+        more, radius = _cocycle_checks(coc, args.ball, args.tol)
         checks += more
         diagnostics["sweep_ball_radius"] = radius
         values["generator_vectors"] = coc.to_json()["t"]

@@ -55,6 +55,8 @@ class TranslationCocycle:
         # whose norms grow exponentially in word length, and the cocycle
         # identity is checked to absolute (not relative) tolerance
         self.gen_vectors = np.array(gen_vectors, dtype=np.longdouble).reshape(-1, 3)
+        if not np.isfinite(self.gen_vectors).all():
+            raise ValueError("translation vectors must be finite")
         self.basepoint = basepoint
         # linear parts as rep.evaluate((x,)) folds them, normalized once more
         f = adjoint_to_so21(mat2_stack(np.eye(2) @ rep.steps())).astype(np.longdouble)
@@ -88,45 +90,29 @@ def cocycle_from_lamination(rep, mc, L=3):
                               basepoint)
 
 
-# word pairs per batch of the identity sweep: a bound on its memory
-SWEEP_BLOCK = 1024
-
-
 def cocycle_identity_sweep(coc, ball):
     """Max cocycle-identity residual over all word pairs of the ball.
 
     Equivalent to looping the pairwise residual (tests/reference.py's
-    cocycle_residual) over every pair, but batched over blocks of rows
-    alpha, at most SWEEP_BLOCK pairs each.  A product of two words of
-    length <= r has a normal form of length <= 2r, so one find per block
-    on the radius-2r ball resolves every pair, and t of the product is
-    read from the cocycle evaluated once on that ball.
+    cocycle_residual) over every pair, in one batch.  A product of two
+    words of length <= r has a normal form of length <= 2r, so one find
+    on the radius-2r ball resolves every pair; the cocycle, evaluated
+    once on that ball, gives t of each product, and T and F of the
+    pairs' factors in its first len(ball) rows, the radius-r ball.
     """
-    # extended precision throughout: the three terms are exponentially
-    # large in word length and cancel to near machine zero
-    A = ball.evaluate(coc)
-    # a NaN in T or F reaches every residual below (T @ F^T spreads it to
-    # every component, np.maximum carries it), so the sweep is decided
-    if np.isnan(A).any():
-        return math.nan
-    T, F = A[:, :3, 3], A[:, :3, :3]
-    # the radius-r ball is the first n elements of the radius-2r ball;
-    # only the translation column of its stack is kept
     big = GroupBall(coc.rep, 2 * ball.radius)
-    P = big.evaluate(coc)[:, :3, 3].copy()
+    # extended precision throughout: the three terms are exponentially
+    # large in word length and cancel to near machine zero; only the
+    # columns read below outlive the (N, 4, 4) stack
+    A = big.evaluate(coc)
     n = len(ball)
-    worst = 0.0
-    rows = max(1, SWEEP_BLOCK // n)
-    for lo in range(0, n, rows):
-        alphas = np.arange(lo, min(lo + rows, n))
-        vals = P[big.find(alphas.repeat(n), np.tile(np.arange(n), len(alphas)))]
-        base = (T[alphas, None] + T @ F[alphas].swapaxes(1, 2)).reshape(-1, 3)
-        # np.maximum, unlike max(), carries a NaN residual through
-        worst = np.maximum(worst, np.max(np.abs(vals - base)))
-    return float(worst)
+    T, F, P = A[:n, :3, 3].copy(), A[:n, :3, :3].copy(), A[:, :3, 3].copy()
+    del A
+    vals = P[big.find(np.arange(n).repeat(n), np.tile(np.arange(n), n))].reshape(n, n, 3)
+    return float(np.max(np.abs(vals - (T[:, None] + T @ F.swapaxes(1, 2)))))
 
 
-def relator_residual(rep, coc):
+def relator_residual(coc):
     """Max norm of t_r, the cocycle's value on the surface relator r.
 
     This is the deciding descent check.  A TranslationCocycle lives on
@@ -139,7 +125,7 @@ def relator_residual(rep, coc):
     normal form is not their free reduction, reading t there from the
     normal form's word.
     """
-    return float(np.max(np.abs(coc.affine(surface_relator(rep.genus))[:3, 3])))
+    return float(np.max(np.abs(coc.affine(surface_relator(coc.genus))[:3, 3])))
 
 
 def cyclic_boost_cocycle(lam_, weight):

@@ -449,14 +449,13 @@ class GroupBall:
         ball's words: yields (first row, products) for the identity, then
         for blocks of at most EVALUATE_BLOCK rows in ball order, each
         formed from its parents' products; only a level that another
-        follows is held whole.  Nothing is renormalized.  A block of
-        finite steps' products past the float range is refused as soon as
-        it is formed; a non-finite step is carried through."""
+        follows is held whole.  Nothing is renormalized.  A block with a
+        non-finite product is refused as an overflow as soon as it is
+        formed."""
         if hol.genus != self.genus:
             raise ValueError("a genus-%d representation cannot be evaluated on "
                              "genus-%d words" % (hol.genus, self.genus))
         steps, step = hol.steps(), self._step
-        finite_steps = np.isfinite(steps).all()
         level = np.eye(steps.shape[1], dtype=steps.dtype)[None]
         yield 0, level
         for lo, hi, up in zip(self.offsets[1:-1], self.offsets[2:], self.offsets):
@@ -468,7 +467,7 @@ class GroupBall:
                 with np.errstate(over="ignore", invalid="ignore"):
                     block = (np.take(level, self.parent[a:b] - up, axis=0)
                              @ np.take(steps, step[a:b], axis=0))
-                if finite_steps and not np.isfinite(block).all():
+                if not np.isfinite(block).all():
                     raise ValueError("a product along the ball's words overflows")
                 if out is not None:
                     out[a - lo:b - lo] = block

@@ -182,10 +182,13 @@ _LIFTS = weakref.WeakKeyDictionary()
 
 def leaf_lifts(rep, w, radius):
     """LeafSet of the distinct conjugate axes of the class of w over the
-    radius-ball, in first-seen order."""
+    radius-ball, in first-seen order.  A radius above HARD_CAP is
+    refused before any ball is built."""
     w = _class_word(rep, w)
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    if radius > HARD_CAP:
+        raise EnumerationCapError("lift radius %d is above the cap %d" % (radius, HARD_CAP))
     if rep not in _LIFTS or _LIFTS[rep][0].radius < radius:
         _LIFTS[rep] = (GroupBall(rep, radius), {})
     ball, by_word = _LIFTS[rep]

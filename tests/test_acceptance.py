@@ -78,7 +78,7 @@ def test_criterion_2_cocycle_suite(octagon):
         mc = WeightedMulticurve([("a1", w)])
         coc = flatspace.cocycle_from_lamination(octagon, mc, L=3)
         cocs[w] = coc
-        worst_rel = max(worst_rel, flatspace.relator_residual(octagon, coc))
+        worst_rel = max(worst_rel, flatspace.relator_residual(coc))
         worst_id = max(worst_id, flatspace.cocycle_identity_sweep(coc, ball))
     lin = 0.0
     for v01, v1, v5 in zip(cocs[0.1].gen_vectors, cocs[1.0].gen_vectors,

@@ -624,6 +624,26 @@ def test_enumeration_cap_is_an_internal_failure(monkeypatch, capsys):
     assert report["error"].startswith("EnumerationCapError: ")
 
 
+def test_flat_ball_above_the_cap_builds_no_ball_above_it(monkeypatch, capsys):
+    from lorentz21 import laminations
+    from lorentz21.fuchsian import GroupBall
+
+    monkeypatch.setattr(laminations, "HARD_CAP", 3)
+    radii = []
+    init = GroupBall.__init__
+
+    def counted(self, rep, radius):
+        radii.append(radius)
+        init(self, rep, radius)
+
+    monkeypatch.setattr(GroupBall, "__init__", counted)
+    code, report = run_cli(["flat", "check", lorentz21.bundled("octagon_rep.json"),
+                            lorentz21.bundled("single_curve.json"), "--ball", "4"], capsys)
+    assert code == 1
+    assert report["error"].startswith("EnumerationCapError: ")
+    assert max(radii, default=0) <= 3
+
+
 def test_no_basepoint_off_the_leaves_is_an_internal_failure(tmp_path, capsys):
     # a leaf through the apex and every nudge of laminations.basepoint_off
     theta = math.atan2(0.0271, 0.0131) / (2.0 * math.pi) + 0.25

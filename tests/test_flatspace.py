@@ -78,18 +78,18 @@ def perturbed(rep, coc):
 def test_zero_cocycle(octagon, ball2):
     coc = zero_cocycle(octagon)
     assert all_pair_residual(octagon, coc, ball2) == 0.0
-    assert relator_residual(octagon, coc) == 0.0
+    assert relator_residual(coc) == 0.0
 
 
 def test_coboundary_cocycle(octagon, ball2):
     coc = coboundary_cocycle(octagon, np.array([0.3, -1.1, 0.2]))
     assert all_pair_residual(octagon, coc, ball2) < 1e-10
-    assert relator_residual(octagon, coc) < 1e-10
+    assert relator_residual(coc) < 1e-10
 
 
 def test_lamination_cocycle_descends(octagon, lam_cocycle, ball2):
     assert all_pair_residual(octagon, lam_cocycle, ball2) < 1e-8
-    assert relator_residual(octagon, lam_cocycle) < 1e-8
+    assert relator_residual(lam_cocycle) < 1e-8
 
 
 def test_identity_sweep_matches_pair_loop(octagon, lam_cocycle):
@@ -162,48 +162,44 @@ def test_relation_pairs_match_mpmath_reference(octagon):
     assert abs(cocycle_identity_sweep(coc, ball) / 4.7540424930048e-09 - 1) < 1e-6
 
 
-def test_identity_sweep_carries_nan(octagon, monkeypatch):
-    """A NaN cocycle decides the sweep before any pair is resolved, at
-    radius 3, where sweeping its NaN pairs in extended precision takes
-    seconds."""
-    from lorentz21.cli import _check
-    from lorentz21.flatspace import cocycle_identity_sweep
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cocycle_refuses_non_finite_vectors(octagon, bad):
+    with pytest.raises(ValueError, match="translation vectors must be finite"):
+        TranslationCocycle(octagon, [np.zeros(3)] * 2 + [np.array([0.0, bad, 0.0]), np.zeros(3)])
 
-    ball = GroupBall(octagon, 3)
-    finds = []
-    find = GroupBall.find
 
-    def counted(self, alphas, betas):
-        finds.append(len(alphas))
-        return find(self, alphas, betas)
-
-    monkeypatch.setattr(GroupBall, "find", counted)
-    vecs = [np.array([math.nan, 0.0, 0.0])] + [np.zeros(3)] * 3
-    worst = cocycle_identity_sweep(TranslationCocycle(octagon, vecs), ball)
-    assert math.isnan(worst)
-    assert finds == []
-    assert not _check("cocycle-identity", worst, 1e-8)["ok"]
+def test_cocycle_finiteness_is_read_in_extended_precision(octagon):
+    huge = np.longdouble("1e400")
+    if not np.isfinite(huge):
+        pytest.skip("long double has the range of a double here")
+    coc = TranslationCocycle(octagon, [np.array([huge, 0, 0], dtype=np.longdouble)]
+                             + [np.zeros(3)] * 3)
+    assert coc.gen_vectors[0, 0] == huge
 
 
 @pytest.mark.parametrize("radius", [1, 2, 3])
-def test_blocked_sweep_matches_row_sweep(octagon, lam_cocycle, radius, monkeypatch):
-    """Bit for bit, whatever the block: the lamination cocycle, a
-    perturbed one, and (below radius 3, where NaN arithmetic in extended
-    precision takes seconds) one carrying a NaN; at radius 3 in the
-    default blocks only, which take two rows of 457 pairs each."""
-    from lorentz21 import flatspace
+def test_sweep_matches_row_sweep(octagon, lam_cocycle, radius):
+    """Bit for bit, on the lamination cocycle and a perturbed one."""
+    from lorentz21.flatspace import cocycle_identity_sweep
 
     ball = GroupBall(octagon, radius)
-    cocycles = [lam_cocycle, perturbed(octagon, lam_cocycle)]
-    if radius < 3:
-        cocycles.append(TranslationCocycle(octagon, [np.array([math.nan, 0.0, 0.0])]
-                                           + [np.zeros(3)] * 3))
-    for coc in cocycles:
-        want = cocycle_identity_sweep_rows(coc, ball)
-        for block in (1, 100, 1024, len(ball) ** 2) if radius < 3 else (1024,):
-            monkeypatch.setattr(flatspace, "SWEEP_BLOCK", block)
-            got = flatspace.cocycle_identity_sweep(coc, ball)
-            assert got == want or math.isnan(got) and math.isnan(want)
+    for coc in (lam_cocycle, perturbed(octagon, lam_cocycle)):
+        assert cocycle_identity_sweep(coc, ball) == cocycle_identity_sweep_rows(coc, ball)
+
+
+def test_sweep_evaluates_the_cocycle_once(octagon, lam_cocycle, ball2, monkeypatch):
+    from lorentz21.flatspace import cocycle_identity_sweep
+
+    calls = []
+    products = GroupBall.products
+
+    def counted(self, hol):
+        calls.append((hol, self.radius))
+        return products(self, hol)
+
+    monkeypatch.setattr(GroupBall, "products", counted)
+    cocycle_identity_sweep(lam_cocycle, ball2)
+    assert calls == [(lam_cocycle, 4)]
 
 
 def test_perturbed_cocycle_fails(octagon, lam_cocycle, ball2):
@@ -211,7 +207,7 @@ def test_perturbed_cocycle_fails(octagon, lam_cocycle, ball2):
 
     bad = perturbed(octagon, lam_cocycle)
     # the two relator halves multiply to the canonical empty word
-    assert relator_residual(octagon, bad) > 1e-4
+    assert relator_residual(bad) > 1e-4
     ball0 = GroupBall(octagon, 0)
     res = cocycle_residual(octagon, bad, (1, 2, -1, -2), (3, 4, -3, -4), ball0)
     assert res > 1e-4

@@ -7,6 +7,8 @@ import pytest
 
 from lorentz21.fuchsian import GroupBall, regular_polygon_rep
 from lorentz21.laminations import (
+    HARD_CAP,
+    EnumerationCapError,
     LeafSet,
     WeightedMulticurve,
     _separated_and_nested,
@@ -98,6 +100,15 @@ def test_leaf_lift_memo_lives_as_long_as_its_representation():
 def test_leaf_lifts_rejects_out_of_range_generator(octagon):
     with pytest.raises(ValueError, match="out of range"):
         leaf_lifts(octagon, (17,), 1)
+
+
+def test_leaf_lifts_refuses_a_radius_above_the_cap(octagon, monkeypatch):
+    built = []
+    monkeypatch.setattr(GroupBall, "__init__", lambda self, rep, radius: built.append(radius))
+    with pytest.raises(EnumerationCapError, match="lift radius %d is above the cap %d"
+                       % (HARD_CAP + 1, HARD_CAP)):
+        leaf_lifts(octagon, "a1", HARD_CAP + 1)
+    assert built == []
 
 
 def test_disjointness(octagon):
