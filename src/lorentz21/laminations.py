@@ -46,7 +46,7 @@ TOUCH_TOL = 1e-9
 
 
 class EnumerationCapError(RuntimeError):
-    """Lift enumeration failed to stabilize below the hard radius cap."""
+    """A lift radius above the hard cap, refused before any ball is built."""
 
 
 def same_geodesic(g1, g2, tol=1e-9):
@@ -270,27 +270,24 @@ def disjointness_check(rep, mc, L):
 
 def stable_lifts(rep, mc, L, keep):
     """The leaf lifts selected by keep(leaves), a boolean mask over a
-    LeafSet, enumerated over a radius grown from L until two
-    consecutive increments select no new leaf, up to the hard cap.  A
-    leaf shared between classes keeps its first row; rows come in
-    first-seen order."""
+    LeafSet, over the radius-r ball at the least r >= L + 2 whose
+    selection has as many leaves as at r - 2.  Balls are prefix-closed,
+    lifts first-seen and keep decides per leaf, so a selection only
+    grows with r: this is "two increments select no new leaf".  The
+    first collect, at L + 2, builds the ball smaller radii read as a
+    prefix; leaf_lifts refuses a radius above the cap.  A leaf shared
+    between classes keeps its first row; rows come in first-seen order."""
 
     def collect(radius):
         leaves = multicurve_lifts(rep, mc, radius)
         leaves = leaves[_first_rows(leaves.keys)]
         return leaves[keep(leaves)]
 
-    radius = min(L, HARD_CAP)
+    radius = L + 2
     leaves = collect(radius)
-    stable = 0
-    while stable < 2:
-        if radius >= HARD_CAP:
-            raise EnumerationCapError(
-                "leaf set did not stabilize at radius cap %d" % HARD_CAP)
+    while len(leaves) != len(collect(radius - 2)):
         radius += 1
-        nxt = collect(radius)
-        stable = stable + 1 if len(nxt) == len(leaves) else 0
-        leaves = nxt
+        leaves = collect(radius)
     return leaves
 
 
@@ -364,5 +361,6 @@ def basepoint_off(normals):
 
 
 def default_basepoint(rep, mc, L):
-    """Hyperboloid apex, nudged off all leaf planes if necessary."""
-    return basepoint_off(multicurve_lifts(rep, mc, min(L + 2, HARD_CAP)).normals)
+    """Hyperboloid apex, nudged off all leaf planes if necessary, over
+    the radius-(L + 2) ball of every query's first collect."""
+    return basepoint_off(multicurve_lifts(rep, mc, L + 2).normals)

@@ -1,25 +1,29 @@
 """Scalar references of the array layer: the Segre map of one ruling
 pair, which CircleGraph.points stacks, the leaf type GeodesicH2 and
 the pairwise linking test the stacked leaf routines are checked
-against, helpers between them and a LeafSet, the per-pair cocycle
-residual of the identity sweep and the sweep one row at a time, the
-per-sample nudge of a developed surface, the per-face OBJ and
-convexity slack of a hull, the group ball's per-level dedup by
-`np.unique` and `np.isin`, and the conjugacy samples' lexsort and
-greedy loops; also the steep graphs the hull tests share, and the
-helpers several test modules use that no program path calls: word
-concatenation, a ball's words as tuples, the trivial representation,
-the apex, upper-half-plane points and boundary reals, and an
-earthquake's boundary extension."""
+against, helpers between them and a LeafSet, lift stabilization by
+unit radius increments, the per-pair cocycle residual of the identity
+sweep and the sweep one row at a time, the per-sample nudge of a
+developed surface, the per-face OBJ and convexity slack of a hull, the
+group ball's per-level dedup by `np.unique` and `np.isin`, and the
+conjugacy samples' lexsort and greedy loops; also the steep graphs the
+hull tests share, and the helpers several test modules use that no
+program path calls: word concatenation, a ball's words as tuples, the
+radii of the balls a block builds, the trivial representation, the
+apex, upper-half-plane points and boundary reals, and an earthquake's
+boundary extension."""
 
+import contextlib
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 
 from lorentz21.adshull import CircleGraph, attracting_thetas
 from lorentz21.fuchsian import (GroupBall, Representation, reduce_word, signed_letters,
                                 surface_relator)
+from lorentz21 import laminations
 from lorentz21.laminations import LeafSet
 from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack, null_vectors,
                                  refuse_unnormalizable, row_keys, rp1_units)
@@ -71,6 +75,20 @@ def ball_words(ball):
             words.append(words[p] + (x,))
         _BALL_WORDS[ball] = words
     return list(_BALL_WORDS[ball])
+
+
+@contextlib.contextmanager
+def ball_radii():
+    """The radii of the GroupBalls built inside the block, in order."""
+    radii = []
+    init = GroupBall.__init__
+
+    def counted(self, rep, radius):
+        radii.append(radius)
+        init(self, rep, radius)
+
+    with mock.patch.object(GroupBall, "__init__", counted):
+        yield radii
 
 
 def trivial_rep(genus):
@@ -164,6 +182,30 @@ def leaves_of(pairs):
 def geodesic(leaves, i):
     """Row i of a LeafSet as a GeodesicH2 with the same end vectors."""
     return GeodesicH2(RP1Point.normalized(leaves.end1[i]), RP1Point.normalized(leaves.end2[i]))
+
+
+def stable_lifts_by_increments(rep, mc, L, keep):
+    """laminations.stable_lifts as a loop of unit increments from radius
+    L, up to the cap, until two increments in a row select no new leaf;
+    also the radius it stops at."""
+
+    def collect(radius):
+        leaves = laminations.multicurve_lifts(rep, mc, radius)
+        leaves = leaves[laminations._first_rows(leaves.keys)]
+        return leaves[keep(leaves)]
+
+    radius = min(L, laminations.HARD_CAP)
+    leaves = collect(radius)
+    stable = 0
+    while stable < 2:
+        if radius >= laminations.HARD_CAP:
+            raise laminations.EnumerationCapError(
+                "leaf set did not stabilize at radius cap %d" % laminations.HARD_CAP)
+        radius += 1
+        nxt = collect(radius)
+        stable = stable + 1 if len(nxt) == len(leaves) else 0
+        leaves = nxt
+    return leaves, radius
 
 
 def cocycle_residual(rep, coc, alpha, beta, ball=None):

@@ -12,7 +12,7 @@ from lorentz21 import adshull
 from lorentz21 import laminations as lamins
 from lorentz21.cli import main
 from lorentz21.fuchsian import Representation, regular_polygon_rep
-from reference import hull_obj, steep_graph_rows
+from reference import ball_radii, hull_obj, steep_graph_rows
 
 
 def run_cli(args, capsys):
@@ -624,24 +624,30 @@ def test_enumeration_cap_is_an_internal_failure(monkeypatch, capsys):
     assert report["error"].startswith("EnumerationCapError: ")
 
 
-def test_flat_ball_above_the_cap_builds_no_ball_above_it(monkeypatch, capsys):
-    from lorentz21 import laminations
-    from lorentz21.fuchsian import GroupBall
-
-    monkeypatch.setattr(laminations, "HARD_CAP", 3)
-    radii = []
-    init = GroupBall.__init__
-
-    def counted(self, rep, radius):
-        radii.append(radius)
-        init(self, rep, radius)
-
-    monkeypatch.setattr(GroupBall, "__init__", counted)
-    code, report = run_cli(["flat", "check", lorentz21.bundled("octagon_rep.json"),
-                            lorentz21.bundled("single_curve.json"), "--ball", "4"], capsys)
+@pytest.mark.parametrize("cap, ball", [(3, 4), (4, 3)])
+def test_flat_ball_above_the_cap_builds_no_ball_above_it(monkeypatch, capsys, cap, ball):
+    # at --ball 3 under the cap 4, the basepoint's lift radius L + 2 = 5
+    # is refused before any ball above the disjointness check's
+    monkeypatch.setattr(lamins, "HARD_CAP", cap)
+    with ball_radii() as radii:
+        code, report = run_cli(["flat", "check", lorentz21.bundled("octagon_rep.json"),
+                                lorentz21.bundled("single_curve.json"), "--ball", str(ball)],
+                               capsys)
     assert code == 1
     assert report["error"].startswith("EnumerationCapError: ")
     assert max(radii, default=0) <= 3
+
+
+@pytest.mark.parametrize("ball", [7, 12])
+def test_empty_multicurve_passes_at_any_ball(capsys, ball):
+    # no class, so no lift radius to refuse: only the sweep builds balls
+    with ball_radii() as radii:
+        code, report = run_cli(["flat", "check", lorentz21.bundled("octagon_rep.json"),
+                                lorentz21.bundled("empty_multicurve.json"), "--ball",
+                                str(ball)], capsys)
+    assert code == 0
+    assert all(check["ok"] for check in report["checks"])
+    assert sorted(radii) == [2, 4]
 
 
 def test_no_basepoint_off_the_leaves_is_an_internal_failure(tmp_path, capsys):

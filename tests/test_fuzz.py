@@ -3,8 +3,10 @@
 2 and prints a JSON report or error with a schema, `quake` and `ads
 hull` write no non-finite number, `ads hull` writes an OBJ of its
 reported vertices and faces, `euler`, `flat check` and `ads between`
-raise no warning, and `euler` and `ads between` refuse a malformed
-representation with exit 2.
+raise no warning, `euler` and `ads between` refuse a malformed
+representation with exit 2, and `flat check` under a lift cap of 4
+refuses at the cap only a valid curve at a --ball L with L + 2 above
+it, building no ball above L.
 Endpoints, weights, scales and points are drawn near the values that
 matter (0, negatives, 1e300, non-finite, crossing and duplicate leaves,
 points on leaves); graphs are monotone, planar, non-monotone,
@@ -24,15 +26,17 @@ import os
 import re
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import lorentz21
+from lorentz21 import laminations as lamins
 from lorentz21.cli import main
 from lorentz21.fuchsian import regular_polygon_rep
 from lorentz21.minkowski import RP1Point, geodesic_normal, hyperboloid_normalize, inner
-from reference import steep_graph_rows
+from reference import ball_radii, steep_graph_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -358,4 +362,26 @@ def test_flat_check_exit_contract(multicurve):
             warnings.simplefilter("always")
             code, report = _run(["flat", "check", rep, path, "--ball", "2"])
     assert not caught, [str(w.message) for w in caught]
+    hypothesis.event(report.get("error", "exit %d" % code)[:60])
+
+
+@hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@hypothesis.given(multicurve_files(), st.integers(0, 6))
+def test_flat_check_lift_cap(multicurve, ball):
+    """With the lift cap at 4, `flat check` at --ball L refuses with an
+    EnumerationCapError only for a multicurve that holds a valid curve,
+    when L + 2 is above the cap, and then builds no ball above L.  The
+    cap is patched per example: the monkeypatch fixture is not reset
+    between examples."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(lamins, "HARD_CAP", 4), \
+            ball_radii() as radii:
+        path = os.path.join(tmp, "multicurve.json")
+        with open(path, "w") as fh:
+            json.dump(multicurve, fh)
+        code, report = _run(["flat", "check", lorentz21.bundled("octagon_rep.json"), path,
+                             "--ball", str(ball)])
+    if report.get("error", "").startswith("EnumerationCapError"):
+        assert len(lamins.WeightedMulticurve.from_json(multicurve)) > 0
+        assert ball + 2 > 4
+        assert max(radii, default=0) <= ball
     hypothesis.event(report.get("error", "exit %d" % code)[:60])

@@ -1,6 +1,7 @@
 import gc
+import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,11 +21,15 @@ from lorentz21.laminations import (
     leaf_lifts,
     multicurve_lifts,
     same_geodesic,
+    separating,
+    stable_lifts,
     transverse_vector,
 )
 from lorentz21.flatspace import cyclic_boost_rep
-from lorentz21.minkowski import RP1Point, hyperboloid_normalize, inner, rp1_from_thetas
-from reference import GeodesicH2, endpoints_linked, geodesic
+from lorentz21.minkowski import (RP1Point, adjoint_to_so21, hyperboloid_normalize, inner,
+                                 rp1_from_thetas)
+from reference import (GeodesicH2, ball_radii, endpoints_linked, geodesic,
+                       stable_lifts_by_increments)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +114,53 @@ def test_leaf_lifts_refuses_a_radius_above_the_cap(octagon, monkeypatch):
                        % (HARD_CAP + 1, HARD_CAP)):
         leaf_lifts(octagon, "a1", HARD_CAP + 1)
     assert built == []
+
+
+STABLE_CURVES = [[("a1", 1.0)], [("b1", 1.0)], [("a1 A2", 1.0)], [("a1", 0.7), ("a2", 0.4)],
+                 [("a1 b1 A1 B1", 1.0)]]
+
+
+def test_stable_lifts_match_unit_increments(octagon):
+    """stable_lifts equals the loop of unit increments from L, row for
+    row and bit for bit, on segments from the default basepoint b to
+    g b, g every 13th element of the radius-2 and radius-3 spheres; the
+    queries stop at every radius from L + 2 to 6."""
+    ball = GroupBall(octagon, 3)
+    stops = {L: set() for L in (0, 1, 2)}
+    for curves in STABLE_CURVES:
+        mc = WeightedMulticurve(curves)
+        for L in stops:
+            b = default_basepoint(octagon, mc, L)
+            for g in ball.elements[ball.offsets[2]:ball.offsets[4]:13]:
+                target = adjoint_to_so21(g) @ b
+
+                def keep(lv):
+                    return separating(lv.normals, b, target[None])[0]
+
+                want, radius = stable_lifts_by_increments(octagon, mc, L, keep)
+                got = stable_lifts(octagon, mc, L, keep)
+                for f in fields(LeafSet):
+                    assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+                stops[L].add(radius)
+    assert stops == {L: set(range(L + 2, 7)) for L in stops}
+
+
+def test_stable_lifts_builds_one_ball():
+    """A query from L = 3 that stops at radius 5 builds the radius-5 ball
+    alone and reads radius 3 as its prefix; unit increments from L
+    build radii 3, 4 and 5."""
+    rep = regular_polygon_rep(2)
+
+    def near(lv):
+        return np.abs(inner(lv.normals, np.array([0.0, 0.0, 1.0]))) < math.sinh(2.0)
+
+    mc = WeightedMulticurve([("a1", 1.0)])
+    with ball_radii() as built:
+        leaves = stable_lifts(rep, mc, 3, near)
+    assert built == [5]
+    want, radius = stable_lifts_by_increments(rep, mc, 3, near)
+    assert radius == 5
+    assert np.array_equal(leaves.keys, want.keys)
 
 
 def test_disjointness(octagon):
