@@ -107,16 +107,6 @@ def cmd_euler(args):
     return _finish("euler", args, {"rep": args.rep}, values, checks)
 
 
-def _cocycle_checks(coc, ball_radius, tol):
-    # the identity sweep's radius is capped at 2 whatever --ball says
-    ball = GroupBall(coc.rep, min(2, ball_radius))
-    worst = flatspace.cocycle_identity_sweep(coc, ball)
-    return [
-        _check("cocycle-identity", worst, tol),
-        _check("relator-residual", flatspace.relator_residual(coc), tol),
-    ], ball.radius
-
-
 def cmd_flat(args):
     if args.flat_mode == "build" and args.density < 2:
         raise ValueError("--density must be >= 2")
@@ -130,9 +120,13 @@ def cmd_flat(args):
     artifacts = None
     if disjoint:
         coc = flatspace.cocycle_from_lamination(rep, mc, L=args.ball)
-        more, radius = _cocycle_checks(coc, args.ball, args.tol)
-        checks += more
-        diagnostics["sweep_ball_radius"] = radius
+        # the identity sweep's radius is capped at 2 whatever --ball says
+        ball = GroupBall(rep, min(2, args.ball))
+        checks += [
+            _check("cocycle-identity", flatspace.cocycle_identity_sweep(coc, ball), args.tol),
+            _check("relator-residual", flatspace.relator_residual(coc), args.tol),
+        ]
+        diagnostics["sweep_ball_radius"] = ball.radius
         values["generator_vectors"] = coc.to_json()["t"]
         values["basepoint"] = [float(v) for v in coc.basepoint]
     if disjoint and args.flat_mode == "build":
@@ -197,15 +191,12 @@ def cmd_quake(args):
                 if not (sq < 0 < p[2] and abs(sq + 1.0) <= 1e-9 * norm):
                     raise ValueError(named)
                 try:
-                    q = quake.apply(p)
-                    rows.append("%.12f,%.12f,%.12f,%.12f,%.12f,%.12f,ok"
-                                % (p[0], p[1], p[2], q[0], q[1], q[2]))
+                    images = [("ok", quake.apply(p))]
                 except ValueError:
                     ambiguous += 1
-                    for tag, q in zip(("limit1", "limit2"),
-                                      quake.one_sided_values(p)):
-                        rows.append("%.12f,%.12f,%.12f,%.12f,%.12f,%.12f,%s"
-                                    % (p[0], p[1], p[2], q[0], q[1], q[2], tag))
+                    images = zip(("limit1", "limit2"), quake.one_sided_values(p))
+                rows += ["%.12f,%.12f,%.12f,%.12f,%.12f,%.12f,%s" % (*p, *q, tag)
+                         for tag, q in images]
         values["points"] = len(rows)
         values["ambiguous_points"] = ambiguous
         artifacts["images.csv"] = _lines(rows)

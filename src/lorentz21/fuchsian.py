@@ -39,6 +39,10 @@ class EllipticDegeneracyError(RuntimeError):
     """Raised when circle-lift tracking is ambiguous beyond tolerance."""
 
 
+class EnumerationCapError(RuntimeError):
+    """A ball radius above HARD_CAP, refused before the ball is built."""
+
+
 def reduce_word(w):
     out = []
     for x in w:
@@ -218,6 +222,9 @@ def regular_polygon_rep(g):
 # adshull's fixed points
 EVALUATE_BLOCK = 2 ** 14
 
+# the largest GroupBall radius (the radius-8 genus-2 ball has 7,579,441 words)
+HARD_CAP = 8
+
 
 def growth_series(genus, radius):
     """Cumulative ball sizes of the genus-g surface group in its standard
@@ -384,24 +391,25 @@ class GroupBall:
     The words are the genus's shortlex normal forms of length <= radius
     (`_word_ball`, one per group element, proved by the growth series),
     stored in breadth-first order: element i is element `parent[i]` times
-    the generator `letter[i]` (signed index; 0 for the identity), and the
+    the letter of letter_step `step[i]` (0 for the identity), and the
     words of length r occupy `offsets[r]:offsets[r + 1]`, so the first
     `offsets[r + 1]` entries are exactly the radius-r ball.  `elements`
     holds the (N, 2, 2) Mat2-normalized matrices, formed one level at a
     time from the parents' in blocks; a product that overflows anywhere
-    in a level is refused before one that lost its determinant.
+    in a level is refused before one that lost its determinant.  A
+    radius above HARD_CAP is refused before anything is built.
     """
 
     def __init__(self, rep, radius):
         if radius < 0:
             raise ValueError("radius must be >= 0")
+        if radius > HARD_CAP:
+            raise EnumerationCapError("ball radius %d is above the cap %d" % (radius, HARD_CAP))
         self.radius = radius
         self.genus = rep.genus
-        children, self._step, self.offsets = _word_ball(rep.genus, radius)
+        children, self.step, self.offsets = _word_ball(rep.genus, radius)
         self.parent = np.concatenate([[-1], np.arange(len(children)).repeat(children)])
-        self.letter = signed_letters(rep.genus)[self._step]
-        self.letter[0] = 0
-        steps, step = rep.steps(), self._step
+        steps, step = rep.steps(), self.step
         self.elements = elements = np.empty((len(self.parent), 2, 2))
         elements[0] = np.eye(2)
         for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
@@ -428,7 +436,7 @@ class GroupBall:
         """Each element's word as a string of chr(letter_step), and the
         element each such string names."""
         words = [""]
-        for p, k in zip(self.parent[1:].tolist(), self._step[1:].tolist()):
+        for p, k in zip(self.parent[1:].tolist(), self.step[1:].tolist()):
             words.append(words[p] + chr(k))
         return words, {w: i for i, w in enumerate(words)}
 
@@ -455,7 +463,7 @@ class GroupBall:
         if hol.genus != self.genus:
             raise ValueError("a genus-%d representation cannot be evaluated on "
                              "genus-%d words" % (hol.genus, self.genus))
-        steps, step = hol.steps(), self._step
+        steps, step = hol.steps(), self.step
         level = np.eye(steps.shape[1], dtype=steps.dtype)[None]
         yield 0, level
         for lo, hi, up in zip(self.offsets[1:-1], self.offsets[2:], self.offsets):

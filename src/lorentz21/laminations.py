@@ -39,14 +39,8 @@ from .minkowski import (
 )
 from .fuchsian import GroupBall, axis, parse_word, format_word, reduce_word
 
-HARD_CAP = 8
-
 # ends of two distinct leaves closer than this are one shared end: tangent
 TOUCH_TOL = 1e-9
-
-
-class EnumerationCapError(RuntimeError):
-    """A lift radius above the hard cap, refused before any ball is built."""
 
 
 def same_geodesic(g1, g2, tol=1e-9):
@@ -182,13 +176,10 @@ _LIFTS = weakref.WeakKeyDictionary()
 
 def leaf_lifts(rep, w, radius):
     """LeafSet of the distinct conjugate axes of the class of w over the
-    radius-ball, in first-seen order.  A radius above HARD_CAP is
-    refused before any ball is built."""
+    radius-ball, in first-seen order."""
     w = _class_word(rep, w)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if radius > HARD_CAP:
-        raise EnumerationCapError("lift radius %d is above the cap %d" % (radius, HARD_CAP))
     if rep not in _LIFTS or _LIFTS[rep][0].radius < radius:
         _LIFTS[rep] = (GroupBall(rep, radius), {})
     ball, by_word = _LIFTS[rep]
@@ -275,7 +266,7 @@ def stable_lifts(rep, mc, L, keep):
     lifts first-seen and keep decides per leaf, so a selection only
     grows with r: this is "two increments select no new leaf".  The
     first collect, at L + 2, builds the ball smaller radii read as a
-    prefix; leaf_lifts refuses a radius above the cap.  A leaf shared
+    prefix; GroupBall refuses a radius above the cap.  A leaf shared
     between classes keeps its first row; rows come in first-seen order."""
 
     def collect(radius):

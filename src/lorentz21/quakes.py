@@ -91,7 +91,7 @@ def shears(leaves, basepoint, scale, side):
 
 class EarthquakeMap:
     """Piecewise-isometric shear map along a finite lamination: its
-    `leaves` in base-outward order and their `shears`."""
+    `leaves` base-outward, by laminations.crossing_record, and their `shears`."""
 
     def __init__(self, lamination, side="left", scale=1.0):
         if side not in ("left", "right"):
@@ -101,8 +101,8 @@ class EarthquakeMap:
         self.lamination = lamination
         self.side = side
         self.scale = float(scale)
-        leaves, b = lamination.leaves, lamination.basepoint
-        self.leaves = leaves[np.argsort(np.abs(inner(leaves.normals, b)), kind="stable")]
+        b = lamination.basepoint
+        self.leaves = lamins.crossing_record(lamination.leaves, b, np.zeros((0, 3)))[0]
         self.shears = shears(self.leaves, b, self.scale, side)
 
     def shear_trace_error(self):

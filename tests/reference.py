@@ -8,10 +8,10 @@ developed surface, the per-face OBJ and convexity slack of a hull, the
 group ball's per-level dedup by `np.unique` and `np.isin`, and the
 conjugacy samples' lexsort and greedy loops; also the steep graphs the
 hull tests share, and the helpers several test modules use that no
-program path calls: word concatenation, a ball's words as tuples, the
-radii of the balls a block builds, the trivial representation, the
-apex, upper-half-plane points and boundary reals, and an earthquake's
-boundary extension."""
+program path calls: word concatenation, a ball's signed letters and
+its words as tuples, the radii of the balls a block builds, the
+trivial representation, the apex, upper-half-plane points and boundary
+reals, and an earthquake's boundary extension."""
 
 import contextlib
 import math
@@ -21,9 +21,9 @@ from unittest import mock
 import numpy as np
 
 from lorentz21.adshull import CircleGraph, attracting_thetas
+from lorentz21 import fuchsian, laminations
 from lorentz21.fuchsian import (GroupBall, Representation, reduce_word, signed_letters,
                                 surface_relator)
-from lorentz21 import laminations
 from lorentz21.laminations import LeafSet
 from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack, null_vectors,
                                  refuse_unnormalizable, row_keys, rp1_units)
@@ -66,12 +66,20 @@ def dehn_reduce(word, genus):
 _BALL_WORDS = weakref.WeakKeyDictionary()
 
 
+def ball_letters(ball):
+    """The signed generator index of each GroupBall element's last
+    letter, read from its step (0 for the identity)."""
+    letters = signed_letters(ball.genus)[ball.step]
+    letters[0] = 0
+    return letters
+
+
 def ball_words(ball):
     """The words of a GroupBall as tuples, in ball order: each element's
-    word is its parent's, then its letter."""
+    word is its parent's, then the letter of its step."""
     if ball not in _BALL_WORDS:
         words = [()]
-        for p, x in zip(ball.parent[1:].tolist(), ball.letter[1:].tolist()):
+        for p, x in zip(ball.parent[1:].tolist(), ball_letters(ball)[1:].tolist()):
             words.append(words[p] + (x,))
         _BALL_WORDS[ball] = words
     return list(_BALL_WORDS[ball])
@@ -79,13 +87,14 @@ def ball_words(ball):
 
 @contextlib.contextmanager
 def ball_radii():
-    """The radii of the GroupBalls built inside the block, in order."""
+    """The radii of the GroupBalls built inside the block, in order; a
+    refused ball is not built, so it is not recorded."""
     radii = []
     init = GroupBall.__init__
 
     def counted(self, rep, radius):
-        radii.append(radius)
         init(self, rep, radius)
+        radii.append(radius)
 
     with mock.patch.object(GroupBall, "__init__", counted):
         yield radii
@@ -194,13 +203,13 @@ def stable_lifts_by_increments(rep, mc, L, keep):
         leaves = leaves[laminations._first_rows(leaves.keys)]
         return leaves[keep(leaves)]
 
-    radius = min(L, laminations.HARD_CAP)
+    radius = min(L, fuchsian.HARD_CAP)
     leaves = collect(radius)
     stable = 0
     while stable < 2:
-        if radius >= laminations.HARD_CAP:
-            raise laminations.EnumerationCapError(
-                "leaf set did not stabilize at radius cap %d" % laminations.HARD_CAP)
+        if radius >= fuchsian.HARD_CAP:
+            raise fuchsian.EnumerationCapError(
+                "leaf set did not stabilize at radius cap %d" % fuchsian.HARD_CAP)
         radius += 1
         nxt = collect(radius)
         stable = stable + 1 if len(nxt) == len(leaves) else 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lorentz21
-from lorentz21 import adshull
+from lorentz21 import adshull, fuchsian
 from lorentz21 import laminations as lamins
 from lorentz21.cli import main
 from lorentz21.fuchsian import Representation, regular_polygon_rep
@@ -614,9 +614,7 @@ def test_report_json_is_stdout(tmp_path, capsys, name):
 
 
 def test_enumeration_cap_is_an_internal_failure(monkeypatch, capsys):
-    from lorentz21 import laminations
-
-    monkeypatch.setattr(laminations, "HARD_CAP", 3)
+    monkeypatch.setattr(fuchsian, "HARD_CAP", 3)
     code, report = run_cli(["flat", "check", lorentz21.bundled("octagon_rep.json"),
                             lorentz21.bundled("single_curve.json"), "--ball", "3"], capsys)
     assert code == 1
@@ -628,7 +626,7 @@ def test_enumeration_cap_is_an_internal_failure(monkeypatch, capsys):
 def test_flat_ball_above_the_cap_builds_no_ball_above_it(monkeypatch, capsys, cap, ball):
     # at --ball 3 under the cap 4, the basepoint's lift radius L + 2 = 5
     # is refused before any ball above the disjointness check's
-    monkeypatch.setattr(lamins, "HARD_CAP", cap)
+    monkeypatch.setattr(fuchsian, "HARD_CAP", cap)
     with ball_radii() as radii:
         code, report = run_cli(["flat", "check", lorentz21.bundled("octagon_rep.json"),
                                 lorentz21.bundled("single_curve.json"), "--ball", str(ball)],
@@ -636,6 +634,18 @@ def test_flat_ball_above_the_cap_builds_no_ball_above_it(monkeypatch, capsys, ca
     assert code == 1
     assert report["error"].startswith("EnumerationCapError: ")
     assert max(radii, default=0) <= 3
+
+
+def test_ads_between_ball_above_the_cap_builds_no_ball(monkeypatch, capsys):
+    # the conjugacy's ball is refused before it is built, as a lift's is
+    monkeypatch.setattr(fuchsian, "HARD_CAP", 3)
+    with ball_radii() as radii:
+        code, report = run_cli(["ads", "between", lorentz21.bundled("octagon_rep.json"),
+                                os.path.join(_GOLDEN, "sheared_b1.json"), "--ball", "4"],
+                               capsys)
+    assert code == 1
+    assert report["error"].startswith("EnumerationCapError: ")
+    assert radii == []
 
 
 @pytest.mark.parametrize("ball", [7, 12])
@@ -772,7 +782,7 @@ def _conjugated(path, t, out):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: conjugating the input changes the flat verdict "
+                   reason="ROADMAP item 1: conjugating the input changes the flat verdict "
                    "(cocycle-identity 6.3e-5, relator-residual 9.2e-6 at t = 2)")
 def test_flat_check_is_conjugation_invariant(tmp_path, capsys):
     rep = _conjugated(lorentz21.bundled("octagon_rep.json"), 2.0, tmp_path / "rep.json")
@@ -781,7 +791,7 @@ def test_flat_check_is_conjugation_invariant(tmp_path, capsys):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: conjugating both inputs changes the ads shear "
+                   reason="ROADMAP item 1: conjugating both inputs changes the ads shear "
                    "(0.2836 with 2 strata at t = 6, against 0.55)")
 def test_ads_between_is_conjugation_invariant(tmp_path, capsys):
     pair = [lorentz21.bundled("octagon_rep.json"), os.path.join(_GOLDEN, "sheared_b1.json")]

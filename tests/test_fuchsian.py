@@ -5,6 +5,8 @@ import pytest
 
 from lorentz21 import fuchsian
 from lorentz21.fuchsian import (
+    HARD_CAP,
+    EnumerationCapError,
     GroupBall,
     Representation,
     axis,
@@ -22,7 +24,7 @@ from lorentz21.fuchsian import (
 from lorentz21.laminations import WeightedMulticurve
 from lorentz21.minkowski import Mat2, RP1Point, mat2_stack, row_keys
 from lorentz21.quakes import rep_after_earthquake
-from reference import ball_words, concat, dehn_reduce, group_ball, trivial_rep
+from reference import ball_letters, ball_words, concat, dehn_reduce, group_ball, trivial_rep
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +122,16 @@ def test_group_ball_counts(octagon):
     assert len(ball) == 65
 
 
+def test_group_ball_refuses_a_radius_above_the_cap(octagon, monkeypatch):
+    # refused before its words are enumerated, so nothing is built
+    built = []
+    monkeypatch.setattr(fuchsian, "_word_ball", lambda *args: built.append(args))
+    with pytest.raises(EnumerationCapError, match="ball radius %d is above the cap %d"
+                       % (HARD_CAP + 1, HARD_CAP)):
+        GroupBall(octagon, HARD_CAP + 1)
+    assert built == []
+
+
 def test_group_ball_growth_series():
     assert growth_series(2, 5) == [1, 9, 65, 457, 3193, 22289]
     assert growth_series(3, 4) == [1, 13, 145, 1597, 17569]
@@ -201,7 +213,7 @@ def _assert_matches_reference(rep, radius):
     elements, parent, letter, offsets = group_ball(rep, radius)
     if offsets == ball.offsets:
         for got, want in ((ball.elements, elements), (ball.parent, parent),
-                          (ball.letter, letter)):
+                          (ball_letters(ball), letter)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         return
@@ -247,7 +259,7 @@ def test_group_ball_hash_never_decides_identity(octagon, sheared, collide, w, ra
     ball = GroupBall(rep, radius)
     flat = GroupBall(Representation(2, np.tile(collide, (4, 1, 1))), radius)
     assert flat.offsets == ball.offsets == fuchsian._word_ball(2, radius)[2]
-    for got, want in ((flat.parent, ball.parent), (flat.letter, ball.letter)):
+    for got, want in ((flat.parent, ball.parent), (flat.step, ball.step)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     parity = np.repeat(np.arange(radius + 1) % 2, np.diff(ball.offsets))
     assert np.array_equal(flat.elements, mat2_stack(np.stack([np.eye(2), collide]))[parity])

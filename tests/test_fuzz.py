@@ -4,7 +4,7 @@
 hull` write no non-finite number, `ads hull` writes an OBJ of its
 reported vertices and faces, `euler`, `flat check` and `ads between`
 raise no warning, `euler` and `ads between` refuse a malformed
-representation with exit 2, and `flat check` under a lift cap of 4
+representation with exit 2, and `flat check` under a ball cap of 4
 refuses at the cap only a valid curve at a --ball L with L + 2 above
 it, building no ball above L.
 Endpoints, weights, scales and points are drawn near the values that
@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 import lorentz21
+from lorentz21 import fuchsian
 from lorentz21 import laminations as lamins
 from lorentz21.cli import main
 from lorentz21.fuchsian import regular_polygon_rep
@@ -368,12 +369,12 @@ def test_flat_check_exit_contract(multicurve):
 @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @hypothesis.given(multicurve_files(), st.integers(0, 6))
 def test_flat_check_lift_cap(multicurve, ball):
-    """With the lift cap at 4, `flat check` at --ball L refuses with an
+    """With the ball cap at 4, `flat check` at --ball L refuses with an
     EnumerationCapError only for a multicurve that holds a valid curve,
     when L + 2 is above the cap, and then builds no ball above L.  The
     cap is patched per example: the monkeypatch fixture is not reset
     between examples."""
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(lamins, "HARD_CAP", 4), \
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fuchsian, "HARD_CAP", 4), \
             ball_radii() as radii:
         path = os.path.join(tmp, "multicurve.json")
         with open(path, "w") as fh:

@@ -6,10 +6,9 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from lorentz21.fuchsian import GroupBall, regular_polygon_rep
+from lorentz21 import fuchsian
+from lorentz21.fuchsian import HARD_CAP, EnumerationCapError, GroupBall, regular_polygon_rep
 from lorentz21.laminations import (
-    HARD_CAP,
-    EnumerationCapError,
     LeafSet,
     WeightedMulticurve,
     _separated_and_nested,
@@ -109,8 +108,8 @@ def test_leaf_lifts_rejects_out_of_range_generator(octagon):
 
 def test_leaf_lifts_refuses_a_radius_above_the_cap(octagon, monkeypatch):
     built = []
-    monkeypatch.setattr(GroupBall, "__init__", lambda self, rep, radius: built.append(radius))
-    with pytest.raises(EnumerationCapError, match="lift radius %d is above the cap %d"
+    monkeypatch.setattr(fuchsian, "_word_ball", lambda *args: built.append(args))
+    with pytest.raises(EnumerationCapError, match="ball radius %d is above the cap %d"
                        % (HARD_CAP + 1, HARD_CAP)):
         leaf_lifts(octagon, "a1", HARD_CAP + 1)
     assert built == []
