@@ -26,8 +26,9 @@ import sys
 import numpy as np
 
 from .fuchsian import EVALUATE_BLOCK, GroupBall
-from .minkowski import (EPS, adjugate, finite, mat2_stack, per_value, refuse_unnormalizable,
-                        rp1_from_thetas, rp1_stack, rp1_units, row_keys, sorted_unique)
+from .minkowski import (EPS, adjugate, circle_distance, finite, mat2_stack, per_value,
+                        refuse_unnormalizable, rp1_from_thetas, rp1_stack, rp1_units, row_keys,
+                        sorted_unique)
 from .quakes import CircleMap
 
 # derivative at 0 of the rotation subgroup [[cos t, sin t], [-sin t, cos t]];
@@ -573,8 +574,7 @@ def extract_left_earthquake(hull):
     vthetas = theta[vids]
     k = np.searchsorted(vthetas, theta)
     near = np.stack([(k - 1) % len(vids), k % len(vids)])
-    d = np.abs(vthetas[near] - theta)
-    d = np.minimum(d, 1.0 - d)
+    d = circle_distance(vthetas[near], theta)
     nearest = vids[np.where(d[1] < d[0], near[1], near[0])]
     pos = np.where(face_of >= 0, face_of, face_of[nearest])
     cm = CircleMap.of_mobius(theta, _face_mobius(duals)[pos])
@@ -679,9 +679,9 @@ def sample_conjugacy(rep_l, rep_r, L):
     representations: the attracting fixed point of rep_l(w) pairs with
     that of rep_r(w) over all nontrivial ball-L words.  Left angles
     closer than DEDUP to the last kept one are dropped; among exactly
-    equal left angles the smallest right angle is kept.  The graph's
-    `diagnostics` count the candidate words, the samples the dedup keeps
-    and those the jitter rule then drops.
+    equal left angles the smallest right angle is kept, and a kept right
+    angle that steps back from the one before is refused.  The graph's
+    `diagnostics` count the candidate words and the samples kept.
 
     The left matrices go once their angles are taken; rep_r is then
     evaluated in blocks along the ball's words, and only the rows the
@@ -704,28 +704,19 @@ def sample_conjugacy(rep_l, rep_r, L):
     keep = np.sort(rows)
     right = attracting_thetas((b for lo, b in ball.products(rep_r) if lo), keep)
     rights = np.minimum.reduceat(right[np.searchsorted(keep, rows)], starts)
-    kept = list(zip(lefts[heads].tolist(), rights.tolist()))
+    kept = np.stack([lefts[heads], rights], axis=1)
     # the per-element arrays go before the graph's arrays are made: made
     # above them on the heap, those would keep their memory from the system
     del ball, lefts, heads, runs, starts, rows, keep, right, rights
-    if len(kept) > 1 and (kept[0][0] - kept[-1][0]) % 1.0 < DEDUP:
-        kept.pop()
+    if len(kept) > 1 and (kept[0, 0] - kept[-1, 0]) % 1.0 < DEDUP:
+        kept = kept[:-1]
     if len(kept) < 3:
         raise ValueError("the radius-%d ball gives %d conjugacy samples; "
                          "need at least 3" % (L, len(kept)))
-
-    # cyclic monotonicity of the right angles, tolerating tiny jitter
-    clean = [kept[0]]
-    for tl, tr in kept[1:]:
-        step = (tr - clean[-1][1] + 0.5) % 1.0 - 0.5
-        if step < -1e-5:
-            raise ValueError("conjugacy samples are not cyclically monotone")
-        if step < 0:
-            continue
-        clean.append((tl, tr))
-    graph = CircleGraph(clean)
-    graph.diagnostics = {"conjugacy_candidates": candidates, "conjugacy_dedup_kept": len(kept),
-                         "conjugacy_jitter_dropped": len(kept) - len(clean)}
+    if np.any((np.diff(kept[:, 1]) + 0.5) % 1.0 - 0.5 < 0):
+        raise ValueError("conjugacy samples are not cyclically monotone")
+    graph = CircleGraph(kept)
+    graph.diagnostics = {"conjugacy_candidates": candidates, "conjugacy_dedup_kept": len(kept)}
     return graph
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import adshull, flatspace, quakes
 from . import laminations as lamins
 from .fuchsian import GroupBall, Representation, euler_class
-from .minkowski import CausalClass, classify, finite, inner
+from .minkowski import CausalClass, circle_distance, classify, finite, inner
 
 # SHA-256 from CPython's built-in module, not from hashlib, whose import
 # loads OpenSSL: _sha2 from Python 3.12, _sha256 before
@@ -212,8 +212,8 @@ def _hull_pipeline(args, graph, inputs, extra_values, sampling):
     hull = adshull.convex_hull(graph)
     quake = adshull.extract_left_earthquake(hull)
     spacing = 1.0 / len(graph)
-    d = np.abs(quake.boundary_map.samples[:, 1] - graph.samples[:, 1])
-    roundtrip = float(np.minimum(d, 1.0 - d).max(initial=0.0))
+    roundtrip = float(circle_distance(quake.boundary_map.samples[:, 1],
+                                      graph.samples[:, 1]).max(initial=0.0))
     lorentzian = int((hull.faces.classes == "lorentzian").sum())
     pairs, shared, start, weights = quake.bending
     bent = ~np.isnan(weights)

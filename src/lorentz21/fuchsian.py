@@ -527,12 +527,11 @@ def euler_class(rep):
     convention makes the discrete cocompact polygon representations come
     out at 2 - 2g.
     """
-    relator = surface_relator(rep.genus)
-    if not np.abs(rep.evaluate(relator) - np.eye(2)).max() < 1e-6:
+    if not rep.is_valid(1e-6):
         raise ValueError("relator is not central; representation invalid")
     steps = rep.steps()
     x = 0.0
-    for letter in reversed(relator):
+    for letter in reversed(surface_relator(rep.genus)):
         k = letter_step(letter)
         if letter > 0:
             x = _sigma(steps[k], x)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .minkowski import (
+    circle_distance,
     finite,
     geodesic_normal,
     hyperboloid_normalize,
@@ -127,8 +128,7 @@ class LeafSet:
         normalization is not idempotent), in input order with the given
         weights and one class per leaf; ends within 1e-12 are refused."""
         thetas = np.stack([rp1_thetas(end1), rp1_thetas(end2)], axis=1)
-        d = np.abs(thetas[:, 0] - thetas[:, 1])
-        if np.any(np.minimum(d, 1.0 - d) < 1e-12):
+        if np.any(circle_distance(thetas[:, 0], thetas[:, 1]) < 1e-12):
             raise ValueError("endpoints coincide")
         n = len(thetas)
         return cls(end1, end2, thetas, _leaf_keys(thetas),
@@ -156,10 +156,9 @@ def _lift_class(ball, base):
     the ball's matrices m, first-seen, as a one-class LeafSet of weight 1."""
     end1, theta1 = rp1_stack(ball.elements @ base[0])
     end2, theta2 = rp1_stack(ball.elements @ base[1])
-    d = np.abs(theta1 - theta2)
     # deep conjugates collapse toward the circle; such leaves subtend
     # a vanishing boundary arc and cannot meet a bounded query region
-    rows = np.flatnonzero(np.minimum(d, 1.0 - d) >= 1e-6)
+    rows = np.flatnonzero(circle_distance(theta1, theta2) >= 1e-6)
     thetas = np.stack([theta1[rows], theta2[rows]], axis=1)
     keys = _leaf_keys(thetas)
     keep = _first_rows(keys)
@@ -238,8 +237,8 @@ def first_crossing_pair(thetas, classes, same_tol=1e-7):
     for i in range(len(thetas) - 1):
         a, b = thetas[i]
         later = thetas[i + 1:]
-        d = np.abs(later[:, :, None] - thetas[i])  # d[j, k, l] = |later_jk - end_l|
-        near = np.minimum(d, 1.0 - d) < same_tol
+        # near[j, k, l]: later_jk is within same_tol of end_l
+        near = circle_distance(later[:, :, None], thetas[i]) < same_tol
         same = (near[:, 0, 0] & near[:, 1, 1]) | (near[:, 1, 0] & near[:, 0, 1])
         u, span = (later - a) % 1.0, (b - a) % 1.0
         # a shared endpoint is tangential, not linked

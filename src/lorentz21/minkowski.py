@@ -382,6 +382,13 @@ def rp1_thetas(units):
     return (np.where(a < 0, a + math.pi, a) / math.pi) % 1.0
 
 
+def circle_distance(a, b):
+    """Distance on the circle of parameters mod 1, broadcast:
+    min(|a - b|, 1 - |a - b|) for a and b in [0, 1)."""
+    d = np.abs(a - b)
+    return np.minimum(d, 1.0 - d)
+
+
 def rp1_stack(vs):
     """RP1Point(v).v and RP1Point(v).theta of each row v of a (N, 2) stack."""
     units = rp1_units(np.asarray(vs, dtype=float))

@@ -342,7 +342,8 @@ def group_ball(rep, radius):
 def sample_conjugacy(ball, rep_r, dedup=1e-4):
     """sample_conjugacy's graph from a built ball: both representations'
     attracting fixed points on every row, sorted by (left, right), then
-    the greedy dedup and jitter loops over (left, right) pairs."""
+    the greedy dedup loop over (left, right) pairs and a loop that
+    refuses any right angle stepping back from the one before."""
     thetas = np.stack([attracting_thetas([ball.elements[1:]]),
                        attracting_thetas([ball.evaluate(rep_r)[1:]])], axis=1)
     kept = []
@@ -352,15 +353,10 @@ def sample_conjugacy(ball, rep_r, dedup=1e-4):
         kept.append((tl, tr))
     if len(kept) > 1 and (kept[0][0] - kept[-1][0]) % 1.0 < dedup:
         kept.pop()
-    clean = [kept[0]]
-    for tl, tr in kept[1:]:
-        step = (tr - clean[-1][1] + 0.5) % 1.0 - 0.5
-        if step < -1e-5:
+    for (_, before), (_, tr) in zip(kept, kept[1:]):
+        if (tr - before + 0.5) % 1.0 - 0.5 < 0:
             raise ValueError("conjugacy samples are not cyclically monotone")
-        if step < 0:
-            continue
-        clean.append((tl, tr))
-    return CircleGraph(clean)
+    return CircleGraph(kept)
 
 
 def steep_graph_rows(seed, n=20):

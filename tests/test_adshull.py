@@ -487,6 +487,39 @@ def test_sample_conjugacy_refuses_a_dropped_row(monkeypatch, octagon, bad, messa
         attracting_thetas([ball.evaluate(octagon)[1:]])
 
 
+def test_sample_conjugacy_refuses_any_step_back(monkeypatch, octagon):
+    """A kept right angle 1e-9 below the one before it is refused: no
+    step back is small enough to be dropped as jitter."""
+    samples = sample_conjugacy(octagon, octagon, 3).samples
+    i = len(samples) // 2
+    thetas, moved = adshull.attracting_thetas, []
+
+    def stepped_back(stacks, keep=None):
+        out = thetas(stacks, keep)
+        if keep is not None:
+            hit = out == samples[i, 1]
+            out[hit] = samples[i - 1, 1] - 1e-9
+            moved.append(hit.sum())
+        return out
+
+    monkeypatch.setattr(adshull, "attracting_thetas", stepped_back)
+    with pytest.raises(ValueError, match="^conjugacy samples are not cyclically monotone$"):
+        sample_conjugacy(octagon, octagon, 3)
+    assert moved and moved[0] > 0
+
+
+def test_sample_conjugacy_refuses_the_mirrored_octagon(octagon):
+    """Conjugating by the reflection J = diag(1, -1) reverses the circle,
+    so the conjugacy from the octagon to J g J runs backwards."""
+    j = np.diag([1.0, -1.0])
+    mirrored = Representation(2, [j @ g @ j for g in octagon.generators])
+    message = "^conjugacy samples are not cyclically monotone$"
+    with pytest.raises(ValueError, match=message):
+        sample_conjugacy(octagon, mirrored, 3)
+    with pytest.raises(ValueError, match=message):
+        reference.sample_conjugacy(GroupBall(octagon, 3), mirrored)
+
+
 def test_right_fixed_points_only_on_the_dedup_runs(monkeypatch, octagon, conjugacy_pairs):
     """At radius 4 every nontrivial left row reaches rp1_stack, and of
     the right rows only the runs of left angles equal to a kept head's."""

@@ -266,6 +266,20 @@ def test_ads_between_ball_one_with_one_generator(tmp_path, capsys):
     assert report["error"] == "ValueError: element is not hyperbolic (trace 2.000000)"
 
 
+def test_ads_between_mirrored_octagon_is_not_monotone(tmp_path, capsys):
+    # J g J with J = diag(1, -1) reverses the circle, so the conjugacy
+    # from the octagon runs backwards
+    rep = lorentz21.bundled("octagon_rep.json")
+    j = np.diag([1.0, -1.0])
+    generators = [(j @ g @ j).tolist() for g in Representation.load(rep).generators]
+    mirrored = tmp_path / "mirrored.json"
+    mirrored.write_text(json.dumps({"genus": 2, "generators": generators}))
+    code, report = run_cli(["ads", "between", rep, str(mirrored), "--ball", "3"], capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"
+    assert report["error"] == "ValueError: conjugacy samples are not cyclically monotone"
+
+
 @pytest.mark.parametrize("genus", [1, 3])
 def test_ads_between_genus_mismatch(tmp_path, capsys, genus):
     if genus == 1:
@@ -714,8 +728,7 @@ def test_diagnostics_block(tmp_path, capsys):
     hull_keys = {"qhull_facets", "merged_faces", "qhull_joggled", "strata",
                  "null_future_faces_skipped"}
     keys = {"ads": hull_keys,
-            "between": hull_keys | {"conjugacy_candidates", "conjugacy_dedup_kept",
-                                    "conjugacy_jitter_dropped"},
+            "between": hull_keys | {"conjugacy_candidates", "conjugacy_dedup_kept"},
             "flat": {"leaf_lifts", "sweep_ball_radius", "perturbed_samples"},
             "quake": {"shear_trace_error"}}
     for name, argv in runs.items():
@@ -733,9 +746,8 @@ def test_diagnostics_block(tmp_path, capsys):
             assert diag["qhull_joggled"] is False
         elif name == "between":
             # every nontrivial element of the radius-3 ball is a candidate;
-            # at --density 0 the graph holds what the jitter rule leaves
+            # at --density 0 the graph holds every sample the dedup keeps
             assert diag["conjugacy_candidates"] == 456
-            assert diag["conjugacy_jitter_dropped"] == 0
             assert diag["conjugacy_dedup_kept"] == first["values"]["samples"]
         elif name == "flat":
             # the identity sweep stops at radius 2 whatever --ball says

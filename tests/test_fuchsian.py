@@ -445,6 +445,25 @@ def test_euler_class_relator_near_identity():
     assert euler_class(rep) == -4
 
 
+def test_euler_class_refuses_exactly_the_invalid_relator(octagon):
+    """euler_class refuses a representation exactly when is_valid(1e-6)
+    fails: Mat2's sign rule keeps the evaluated relator's first entry
+    non-negative, so its distance from +-I is its distance from I."""
+    refusals = []
+    for k in range(4, 10):
+        generators = octagon.generators.copy()
+        generators[0, 0, 1] += 10.0 ** -k
+        rep = Representation(2, generators)
+        try:
+            euler_class(rep)
+            refusals.append(False)
+        except ValueError as e:
+            assert str(e) == "relator is not central; representation invalid"
+            refusals.append(True)
+        assert refusals[-1] == (not rep.is_valid(1e-6))
+    assert set(refusals) == {False, True}
+
+
 def test_euler_class_index2_cover(octagon):
     """Pulling back along an index-2 cover doubles the Euler class.
 

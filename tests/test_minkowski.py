@@ -12,6 +12,7 @@ from lorentz21.minkowski import (
     RP1Point,
     adjoint_to_so21,
     boost_y_axis,
+    circle_distance,
     classify,
     geodesic_normal,
     hyperboloid_normalize,
@@ -177,6 +178,21 @@ def test_per_value_maps_across_chunks():
 def test_rp1_theta_roundtrip():
     for theta in [0.0, 0.1, 0.25, 0.5, 0.9, 0.999]:
         assert abs(RP1Point.from_theta(theta).theta - theta) < 1e-12
+
+
+def test_circle_distance():
+    """The circle metric on parameters mod 1: across 0, symmetric, and
+    broadcast, bit for bit the inline min(|a - b|, 1 - |a - b|)."""
+    assert circle_distance(0.02, 0.98) == pytest.approx(0.04, abs=1e-15)
+    rng = np.random.default_rng(3)
+    a, b = rng.random((2, 1000))
+    assert circle_distance(a, b).tobytes() == circle_distance(b, a).tobytes()
+    for x, y in ((a, b), (rng.random((7, 2, 1)), rng.random(2))):
+        d = np.abs(x - y)
+        want = np.minimum(d, 1.0 - d)
+        got = circle_distance(x, y)
+        assert got.shape == want.shape == np.broadcast_shapes(x.shape, y.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rp1_stacks_match_scalar_points():

@@ -299,6 +299,17 @@ def test_rep_after_earthquake_valid_and_traces(octagon):
     assert abs(t_old - t_new) > 1e-3
 
 
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="ROADMAP item 5: the composed shears reach entries of 8.4e6 "
+                          "and the relator product loses its digits")
+def test_rep_after_earthquake_long_separating_shear(octagon):
+    """A shear of 13.69 along the separating curve a1 b1 A1 B1 is a valid
+    representation; at scale 9 the relator defect is 6.1e-7, at 13.69
+    the holonomy is refused with a defect of 1.7e-2."""
+    mc = WeightedMulticurve([("a1 b1 A1 B1", 1.0)])
+    assert rep_after_earthquake(octagon, mc, 13.69, L=3).is_valid(1e-6)
+
+
 def test_equivariant_quake_equivariance(octagon):
     mc = WeightedMulticurve([("a1", 0.4)])
     quake = EquivariantEarthquakeMap(octagon, mc, scale=1.0, L=3)
