@@ -17,6 +17,7 @@ faces yield the left earthquake with the graph as boundary value.
 from __future__ import annotations
 
 import bisect
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -141,27 +142,25 @@ class CircleGraph(CircleMap):
         super().__init__(samples)
         s = self.samples % 1.0
         self.samples = s[np.lexsort((s[:, 1], s[:, 0]))]
-        self._points = None
         # counts from the sampling that made the graph, for a report
         self.diagnostics = {}
 
+    @functools.cached_property
     def points(self):
         """(N, 4) array of quadric points, one per sample, with
         representative signs aligned along the curve so that incidence
         sign patterns are meaningful."""
-        if self._points is None:
-            l, r = rp1_from_thetas(self.samples[:, 0]), rp1_from_thetas(self.samples[:, 1])
-            raw = (l[:, :, None] * r[:, None, :]).reshape(-1, 4)
-            # a point is negated when its dot product with the previous
-            # signed point is negative: a running product of the signs of
-            # consecutive raw dot products (the stacked matmul equals
-            # np.dot bit for bit), restarted at +1 after an exact zero
-            dots = (raw[1:, None, :] @ raw[:-1, :, None])[:, 0, 0]
-            flips = np.concatenate([[0], np.cumsum(dots < 0)])
-            restart = np.concatenate([[True], ~((dots < 0) | (dots > 0))])
-            start = np.maximum.accumulate(np.where(restart, np.arange(len(raw)), 0))
-            self._points = raw * np.where((flips - flips[start]) % 2 == 1, -1.0, 1.0)[:, None]
-        return self._points
+        l, r = rp1_from_thetas(self.samples[:, 0]), rp1_from_thetas(self.samples[:, 1])
+        raw = (l[:, :, None] * r[:, None, :]).reshape(-1, 4)
+        # a point is negated when its dot product with the previous
+        # signed point is negative: a running product of the signs of
+        # consecutive raw dot products (the stacked matmul equals
+        # np.dot bit for bit), restarted at +1 after an exact zero
+        dots = (raw[1:, None, :] @ raw[:-1, :, None])[:, 0, 0]
+        flips = np.concatenate([[0], np.cumsum(dots < 0)])
+        restart = np.concatenate([[True], ~((dots < 0) | (dots > 0))])
+        start = np.maximum.accumulate(np.where(restart, np.arange(len(raw)), 0))
+        return raw * np.where((flips - flips[start]) % 2 == 1, -1.0, 1.0)[:, None]
 
     def is_monotone(self, tol=1e-9):
         return super().is_monotone(tol)
@@ -169,7 +168,7 @@ class CircleGraph(CircleMap):
     def is_planar(self):
         """True iff all sample points lie on one projective plane, to a
         relative 1e-9 in the singular values."""
-        pts = self.points()
+        pts = self.points
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         s = np.linalg.svd(pts, compute_uv=False)
         return s[-1] < 1e-9 * s[0]
@@ -233,7 +232,7 @@ def disjoint_spacelike_plane(graph, cap=120):
     outward in |k|; if that family is exhausted the graph is first
     recentered so that the plane through three spread samples becomes
     the standard plane."""
-    pts = graph.points()
+    pts = graph.points
     label = _scan_z_family(pts, cap)
     if label is not None:
         return plane_label(label)
@@ -288,7 +287,7 @@ class HullComplex:
         self.qhull_facets, self.joggled = qhull_facets, joggled
 
     def vertex_on_quadric_error(self):
-        pts = self.graph.points()
+        pts = self.graph.points
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         return float(np.max(np.abs(qform(pts[self.vertex_ids]))))
 
@@ -387,7 +386,7 @@ def convex_hull(graph, chart_plane=None):
                               else chart_plane)
     m = _spacelike_dual(chart_plane, ValueError("chart plane must be spacelike"))
     minv = np.linalg.inv(m)
-    pts4 = np.einsum("ij,njk->nik", minv, graph.points().reshape(-1, 2, 2)).reshape(-1, 4)
+    pts4 = np.einsum("ij,njk->nik", minv, graph.points.reshape(-1, 2, 2)).reshape(-1, 4)
     w = 0.5 * (pts4[:, 0] + pts4[:, 3])
     scale = np.linalg.norm(pts4, axis=1)
     if np.min(np.abs(w)) < 1e-9 * np.max(scale):
@@ -398,7 +397,7 @@ def convex_hull(graph, chart_plane=None):
     centered = chart_pts - chart_pts.mean(axis=0)
     sv = np.linalg.svd(centered, compute_uv=False)
     if sv[-1] < 1e-9 * max(sv[0], 1.0):
-        plane = _plane_through(graph.points())
+        plane = _plane_through(graph.points)
         faces = HullFaces(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 4)), np.zeros(0, bool),
                           np.zeros(0, int), np.zeros(1, int))
         return HullComplex(graph, chart_plane, chart_pts, faces,
@@ -730,7 +729,7 @@ def dependence_membership(p, graph):
     p = np.asarray(p, dtype=float).reshape(4)
     if graph.is_planar():
         return None
-    pts = graph.points()
+    pts = graph.points
     inc = qpair(p, pts)
     scale = np.linalg.norm(p) * np.linalg.norm(pts, axis=1)
     if np.any(np.abs(inc) < EPS * scale):

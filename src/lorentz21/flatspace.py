@@ -40,11 +40,11 @@ def cyclic_boost_rep(lam_):
 class TranslationCocycle:
     """Affine holonomy w -> (f(w), t_w) with t_{ab} = t_a + f(a) t_b.
 
-    Stored as one augmented step [[f(x), t_x], [0, 1]] per signed letter,
-    folded along words (GroupBall.evaluate), so the cocycle identity
-    holds identically on free words.  relator_residual decides whether
-    the values descend to the group; cocycle_identity_sweep samples the
-    same question on canonical ball representatives.
+    Stored as `steps`, one augmented [[f(x), t_x], [0, 1]] per signed
+    letter, folded along words (GroupBall.evaluate), so the cocycle
+    identity holds identically on free words.  relator_residual decides
+    whether the values descend to the group; cocycle_identity_sweep
+    samples the same question on canonical ball representatives.
     """
 
     def __init__(self, rep, gen_vectors, basepoint=None):
@@ -59,22 +59,19 @@ class TranslationCocycle:
             raise ValueError("translation vectors must be finite")
         self.basepoint = basepoint
         # linear parts as rep.evaluate((x,)) folds them, normalized once more
-        f = adjoint_to_so21(mat2_stack(np.eye(2) @ rep.steps())).astype(np.longdouble)
+        f = adjoint_to_so21(mat2_stack(np.eye(2) @ rep.steps)).astype(np.longdouble)
         t = self.gen_vectors.repeat(2, axis=0)
         inverse = signed_letters(self.genus) < 0
         t[inverse] = -(f[inverse] @ t[inverse, :, None])[:, :, 0]
-        self._steps = np.zeros((4 * rep.genus, 4, 4), dtype=np.longdouble)
-        self._steps[:, :3, :3], self._steps[:, :3, 3], self._steps[:, 3, 3] = f, t, 1
-
-    def steps(self):
-        return self._steps
+        self.steps = np.zeros((4 * rep.genus, 4, 4), dtype=np.longdouble)
+        self.steps[:, :3, :3], self.steps[:, :3, 3], self.steps[:, 3, 3] = f, t, 1
 
     def affine(self, w):
         """The augmented 4x4 holonomy along the reduced word w, folded
         from the left; its last column holds t_w, its top left f(w)."""
         out = np.eye(4, dtype=np.longdouble)
         for x in reduce_word(w):
-            out = out @ self._steps[letter_step(x)]
+            out = out @ self.steps[letter_step(x)]
         return out
 
     def to_json(self):

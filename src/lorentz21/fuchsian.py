@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .minkowski import (adjugate, finite, json_array, json_fields, mat2_fold, mat2_of,
+from .minkowski import (adjugate, json_array, json_fields, json_numbers, mat2_fold, mat2_of,
                         mat2_stack, rp1_from_thetas, rp1_stack, rp1_units, unnormalizable,
                         unnormalizable_cause)
 
@@ -57,7 +57,7 @@ def reduce_word(w):
 
 def letter_step(x):
     """Index of the signed letter x (scalar or array) in the step order
-    a_1, a_1^-1, b_1, b_1^-1, .. of `steps()`."""
+    a_1, a_1^-1, b_1, b_1^-1, .. of `Representation.steps`."""
     return 2 * (np.abs(x) - 1) + (x < 0)
 
 
@@ -112,7 +112,7 @@ class Representation:
     """A genus-g surface group mapped into PSL(2,R), held as one
     (4g, 2, 2) stack of letter steps in letter_step order: each generator
     in Mat2's normal form, then its inverse, the Mat2-normalized
-    adjugate.  `generators` are the even rows."""
+    adjugate, read-only.  `generators` are the even rows."""
 
     def __init__(self, genus, generators):
         if genus < 1:
@@ -124,9 +124,9 @@ class Representation:
             raise ValueError("generators must have a finite positive determinant")
         gens = mat2_stack(gens)
         self.genus = genus
-        self._steps = np.stack([gens, mat2_stack(adjugate(gens))], axis=1).reshape(-1, 2, 2)
-        self._steps.flags.writeable = False  # generators and inverses stay paired
-        self.generators = self._steps[::2]
+        self.steps = np.stack([gens, mat2_stack(adjugate(gens))], axis=1).reshape(-1, 2, 2)
+        self.steps.flags.writeable = False  # generators and inverses stay paired
+        self.generators = self.steps[::2]
 
     def evaluate(self, w):
         """The (2, 2) matrix of the word w, Mat2-normalized after each letter."""
@@ -135,11 +135,7 @@ class Representation:
         if bad.any():
             raise ValueError("%d is not a generator index for genus %d"
                              % (w[np.argmax(bad)], self.genus))
-        return mat2_fold(self._steps[letter_step(w)])[0]
-
-    def steps(self):
-        """The (4g, 2, 2) letter-step stack."""
-        return self._steps
+        return mat2_fold(self.steps[letter_step(w)])[0]
 
     def relator_defect(self):
         """Max-norm distance of the evaluated relator from +-identity."""
@@ -162,8 +158,8 @@ class Representation:
         genus, generators = json_fields(data, ("genus", "generators"), "representation")
         if isinstance(genus, bool) or not isinstance(genus, int):
             raise ValueError("genus must be an integer, not %r" % (genus,))
-        return cls(genus, [finite(g, "generator entries")
-                           for g in json_array(generators, "generators")])
+        return cls(genus, [json_numbers(g, "generators[%d]" % i)
+                           for i, g in enumerate(json_array(generators, "generators"))])
 
     @classmethod
     def load(cls, path):
@@ -409,7 +405,7 @@ class GroupBall:
         self.genus = rep.genus
         children, self.step, self.offsets = _word_ball(rep.genus, radius)
         self.parent = np.concatenate([[-1], np.arange(len(children)).repeat(children)])
-        steps, step = rep.steps(), self.step
+        steps, step = rep.steps, self.step
         self.elements = elements = np.empty((len(self.parent), 2, 2))
         elements[0] = np.eye(2)
         for lo, hi in zip(self.offsets[1:-1], self.offsets[2:]):
@@ -452,7 +448,7 @@ class GroupBall:
                         dtype=int)
 
     def products(self, hol):
-        """A holonomy with a `genus` and a letter_step-ordered `steps()`
+        """A holonomy with a `genus` and a letter_step-ordered `steps`
         stack (Representation, flatspace.TranslationCocycle) along the
         ball's words: yields (first row, products) for the identity, then
         for blocks of at most EVALUATE_BLOCK rows in ball order, each
@@ -463,7 +459,7 @@ class GroupBall:
         if hol.genus != self.genus:
             raise ValueError("a genus-%d representation cannot be evaluated on "
                              "genus-%d words" % (hol.genus, self.genus))
-        steps, step = hol.steps(), self.step
+        steps, step = hol.steps, self.step
         level = np.eye(steps.shape[1], dtype=steps.dtype)[None]
         yield 0, level
         for lo, hi, up in zip(self.offsets[1:-1], self.offsets[2:], self.offsets):
@@ -529,7 +525,7 @@ def euler_class(rep):
     """
     if not rep.is_valid(1e-6):
         raise ValueError("relator is not central; representation invalid")
-    steps = rep.steps()
+    steps = rep.steps
     x = 0.0
     for letter in reversed(surface_relator(rep.genus)):
         k = letter_step(letter)

@@ -34,6 +34,7 @@ from .minkowski import (
     inner,
     json_array,
     json_fields,
+    json_number,
     null_vectors,
     rp1_stack,
     rp1_thetas,
@@ -75,8 +76,14 @@ class WeightedMulticurve:
     @classmethod
     def from_json(cls, data):
         (curves,) = json_fields(data, ("curves",), "multicurve")
-        return cls([json_fields(c, ("word", "weight"), "curves[%d]" % i)
-                    for i, c in enumerate(json_array(curves, "curves"))])
+        out = []
+        for i, c in enumerate(json_array(curves, "curves")):
+            word, weight = json_fields(c, ("word", "weight"), "curves[%d]" % i)
+            if not isinstance(word, str):
+                raise ValueError("curves[%d].word must be a JSON string, not %s"
+                                 % (i, type(word).__name__))
+            out.append((word, json_number(weight, "curves[%d].weight" % i)))
+        return cls(out)
 
     @classmethod
     def load(cls, path):
@@ -101,14 +108,12 @@ def closed_geodesic_of(rep, w):
 class LeafSet:
     """Leaves as arrays, one row per leaf: unit end vectors `end1`,
     `end2` (N, 2) normalized as RP1Point does, their circle parameters
-    `thetas` (N, 2), the identifying `keys` (N, 2) of `_leaf_keys`,
-    unit `normals` (N, 3), the ball index where each leaf was `first`
-    seen, and the multicurve `weights` and `classes`."""
+    `thetas` (N, 2), unit `normals` (N, 3), the ball index where each
+    leaf was `first` seen, and the multicurve `weights` and `classes`."""
 
     end1: np.ndarray
     end2: np.ndarray
     thetas: np.ndarray
-    keys: np.ndarray
     normals: np.ndarray
     first: np.ndarray
     weights: np.ndarray
@@ -131,14 +136,14 @@ class LeafSet:
         if np.any(circle_distance(thetas[:, 0], thetas[:, 1]) < 1e-12):
             raise ValueError("endpoints coincide")
         n = len(thetas)
-        return cls(end1, end2, thetas, _leaf_keys(thetas),
+        return cls(end1, end2, thetas,
                    geodesic_normal(null_vectors(end1), null_vectors(end2)),
                    np.arange(n), np.array(weights, dtype=float).reshape(n), np.arange(n))
 
 
 def _leaf_keys(thetas):
-    """The identifying key of each leaf of (N, 2) end parameters: both
-    rounded to 7 digits, mod 1, in ascending order."""
+    """Each leaf's identity in the `_lift_class` and `stable_lifts` dedups,
+    from (N, 2) end parameters: both rounded to 7 digits, mod 1, sorted."""
     return np.sort(np.round(thetas, 7) % 1.0, axis=1)
 
 
@@ -159,14 +164,9 @@ def _lift_class(ball, base):
     # deep conjugates collapse toward the circle; such leaves subtend
     # a vanishing boundary arc and cannot meet a bounded query region
     rows = np.flatnonzero(circle_distance(theta1, theta2) >= 1e-6)
-    thetas = np.stack([theta1[rows], theta2[rows]], axis=1)
-    keys = _leaf_keys(thetas)
-    keep = _first_rows(keys)
-    rows = rows[keep]
-    end1, end2 = end1[rows], end2[rows]
-    return LeafSet(end1, end2, thetas[keep], keys[keep],
-                   geodesic_normal(null_vectors(end1), null_vectors(end2)), rows,
-                   np.ones(len(rows)), np.zeros(len(rows), dtype=int))
+    rows = rows[_first_rows(_leaf_keys(np.stack([theta1[rows], theta2[rows]], axis=1)))]
+    return replace(LeafSet.from_ends(end1[rows], end2[rows], np.ones(len(rows))),
+                   first=rows, classes=np.zeros(len(rows), dtype=int))
 
 
 # representation -> (largest GroupBall so far, {class word: LeafSet})
@@ -270,7 +270,7 @@ def stable_lifts(rep, mc, L, keep):
 
     def collect(radius):
         leaves = multicurve_lifts(rep, mc, radius)
-        leaves = leaves[_first_rows(leaves.keys)]
+        leaves = leaves[_first_rows(_leaf_keys(leaves.thetas))]
         return leaves[keep(leaves)]
 
     radius = L + 2

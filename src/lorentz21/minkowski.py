@@ -87,6 +87,27 @@ def json_array(value, what):
     return value
 
 
+def json_numbers(value, what):
+    """value, a JSON number or nested JSON arrays of them in an input
+    file, named `what` there, as `finite` returns it; a boolean, string,
+    null or object anywhere in it is invalid input, reported by name."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack += item
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ValueError("%s takes only JSON numbers, not %s" % (what, type(item).__name__))
+    return finite(value, what)
+
+
+def json_number(value, what):
+    """The float of json_numbers(value, what); an array is invalid input."""
+    if isinstance(value, list):
+        raise ValueError("%s must be one JSON number, not list" % what)
+    return float(json_numbers(value, what))
+
+
 def inner(u, v):
     """Minkowski inner product <u,v> = ux vx + uy vy - ut vt."""
     u = np.asarray(u, dtype=float)

@@ -22,8 +22,9 @@ import numpy as np
 from . import laminations as lamins
 from .fuchsian import Representation
 from .minkowski import (G, adjoint_to_so21, finite, hyperboloid_normalize, inner, json_array,
-                        json_fields, mat2_fold, mat2_stack, null_vectors, per_value,
-                        rp1_from_thetas, rp1_stack, sorted_unique, unnormalizable)
+                        json_fields, json_number, json_numbers, mat2_fold, mat2_stack,
+                        null_vectors, per_value, rp1_from_thetas, rp1_stack, sorted_unique,
+                        unnormalizable)
 
 
 class FiniteLaminationH2:
@@ -51,13 +52,14 @@ class FiniteLaminationH2:
 
 def lamination_from_json(data):
     (leaves,) = json_fields(data, ("leaves",), "lamination")
-    rows = finite([list(map(float, json_fields(rec, ("end1", "end2", "weight"), "leaves[%d]" % i)))
-                   for i, rec in enumerate(json_array(leaves, "leaves"))],
-                  "leaf").reshape(-1, 3)
+    keys = ("end1", "end2", "weight")
+    rows = np.array([[json_number(v, "leaves[%d].%s" % (i, k))
+                      for k, v in zip(keys, json_fields(rec, keys, "leaves[%d]" % i))]
+                     for i, rec in enumerate(json_array(leaves, "leaves"))]).reshape(-1, 3)
     ends = rp1_from_thetas(rows[:, :2].ravel()).reshape(-1, 2, 2)
     basepoint = data.get("basepoint")
     if basepoint is not None:
-        basepoint = finite(basepoint, "basepoint")
+        basepoint = json_numbers(basepoint, "basepoint")
     return FiniteLaminationH2(
         lamins.LeafSet.from_ends(ends[:, 0], ends[:, 1], rows[:, 2]), basepoint)
 
@@ -169,9 +171,9 @@ class CircleMap:
     def is_monotone(self, tol=1e-12):
         """Cyclic monotonicity: going once around the source circle, the
         image angles also go once around, each step short of a turn."""
-        outs = [b for _, b in sorted(self.samples.tolist())]
-        steps = [(b - a) % 1.0 for a, b in zip(outs, outs[1:] + outs[:1])]
-        return len(outs) < 3 or (abs(sum(steps) - 1.0) < 1e-6 and max(steps) < 1.0 - tol)
+        outs = self.samples[np.lexsort((self.samples[:, 1], self.samples[:, 0])), 1]
+        steps = (np.roll(outs, -1) - outs) % 1.0
+        return len(outs) < 3 or bool(abs(steps.sum() - 1.0) < 1e-6 and steps.max() < 1.0 - tol)
 
     def to_csv_rows(self):
         return ["%.12f,%.12f" % (a, b) for a, b in self.samples.tolist()]

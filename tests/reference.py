@@ -5,13 +5,14 @@ against, helpers between them and a LeafSet, lift stabilization by
 unit radius increments, the per-pair cocycle residual of the identity
 sweep and the sweep one row at a time, the per-sample nudge of a
 developed surface, the per-face OBJ and convexity slack of a hull, the
-group ball's per-level dedup by `np.unique` and `np.isin`, and the
-conjugacy samples' lexsort and greedy loops; also the steep graphs the
-hull tests share, and the helpers several test modules use that no
-program path calls: word concatenation, a ball's signed letters and
-its words as tuples, the radii of the balls a block builds, the
-trivial representation, the apex, upper-half-plane points and boundary
-reals, and an earthquake's boundary extension."""
+group ball's per-level dedup by `np.unique` and `np.isin`, the
+conjugacy samples' lexsort and greedy loops, and a circle map's
+monotonicity over lists; also the steep graphs the hull tests share,
+and the helpers several test modules use that no program path calls:
+word concatenation, a ball's signed letters and its words as tuples,
+the radii of the balls a block builds, the trivial representation,
+the apex, upper-half-plane points and boundary reals, and an
+earthquake's boundary extension."""
 
 import contextlib
 import math
@@ -200,7 +201,7 @@ def stable_lifts_by_increments(rep, mc, L, keep):
 
     def collect(radius):
         leaves = laminations.multicurve_lifts(rep, mc, radius)
-        leaves = leaves[laminations._first_rows(leaves.keys)]
+        leaves = leaves[laminations._first_rows(laminations._leaf_keys(leaves.thetas))]
         return leaves[keep(leaves)]
 
     radius = min(L, fuchsian.HARD_CAP)
@@ -314,7 +315,7 @@ def group_ball(rep, radius):
     known ones.  On a faithful representation whose distinct elements
     round apart, its words are the shortlex normal forms."""
     digits = 6
-    letters, steps = signed_letters(rep.genus), rep.steps()
+    letters, steps = signed_letters(rep.genus), rep.steps
     mats, lets = np.eye(2)[None], np.array([0])
     levels = [(mats, np.array([-1]), lets)]
     keys = row_keys(mats.reshape(-1, 4), digits)
@@ -357,6 +358,15 @@ def sample_conjugacy(ball, rep_r, dedup=1e-4):
         if (tr - before + 0.5) % 1.0 - 0.5 < 0:
             raise ValueError("conjugacy samples are not cyclically monotone")
     return CircleGraph(kept)
+
+
+def is_monotone_rows(samples, tol=1e-12):
+    """CircleMap.is_monotone over Python lists: the (source, image)
+    samples sorted as tuples, the image steps around the circle, their
+    sum by Python's sum."""
+    outs = [b for _, b in sorted(np.asarray(samples).tolist())]
+    steps = [(b - a) % 1.0 for a, b in zip(outs, outs[1:] + outs[:1])]
+    return len(outs) < 3 or (abs(sum(steps) - 1.0) < 1e-6 and max(steps) < 1.0 - tol)
 
 
 def steep_graph_rows(seed, n=20):

@@ -167,7 +167,7 @@ def test_disjoint_spacelike_plane_properties():
     for graph in (shear_graph(2.0), identity_graph()):
         plane = disjoint_spacelike_plane(graph)
         assert plane_class(plane) == "spacelike"
-        pts = graph.points()
+        pts = graph.points
         inc = qpair(plane, pts)
         assert np.all(inc > 0) or np.all(inc < 0)
 
@@ -181,7 +181,7 @@ def test_disjoint_spacelike_plane_recentres(t):
     g = np.diag([math.exp(t / 2), math.exp(-t / 2)])
     graph = CircleGraph([(tl, RP1Point.from_theta(tr).apply(g).theta)
                          for tl, tr in shear_graph(2.0).samples])
-    pts = graph.points()
+    pts = graph.points
     assert not plane_separates(plane_z_equals(0.25), pts)
     assert not plane_separates(plane_z_equals(-0.25), pts)
     label = disjoint_spacelike_plane(graph, cap=1)
@@ -280,11 +280,11 @@ def test_graph_points_match_scalar_segre():
     assert float(np.dot(raw[1], raw[0])) < 0
     assert float(np.dot(raw[2], raw[1])) == 0.0
     ref = scalar_points(g.samples)
-    assert np.array_equal(g.points(), ref)
+    assert np.array_equal(g.points, ref)
     assert np.array_equal(ref, np.array(raw) * np.array([[1.0], [-1.0], [1.0]]))
     rng = np.random.default_rng(3)
     for graph in (shear_graph(3.0), CircleGraph(rng.random((40, 2)))):
-        assert np.array_equal(graph.points(), scalar_points(graph.samples))
+        assert np.array_equal(graph.points, scalar_points(graph.samples))
 
 
 def test_attracting_thetas_match_axis(octagon):
@@ -636,7 +636,7 @@ def test_dependence_membership_cases():
     assert dependence_membership(np.eye(2), identity_graph()) is None
     # so is a point whose dual plane passes within EPS of a sample: the
     # identity moved along (1, 0, 0, 0) until its plane meets sample 10
-    q, e, r = g.points()[10], np.eye(2).ravel(), np.array([1.0, 0.0, 0.0, 0.0])
+    q, e, r = g.points[10], np.eye(2).ravel(), np.array([1.0, 0.0, 0.0, 0.0])
     p = e - qpair(e, q) / qpair(r, q) * r
     assert 0.0 < abs(qpair(e, q)) and abs(qpair(p, q)) < 1e-15
     assert dependence_membership(p, g) is None
@@ -661,7 +661,7 @@ def scalar_hull_faces(hull):
     plane_label, one class, one Mat2 dual and one flow sum per face.
     Returns (normal, offset, label, class, dual or None, future, ids) per face."""
     minv = np.linalg.inv(plane_classes(hull.chart_plane[None])[1][0])
-    pts4 = np.einsum("ij,njk->nik", minv, hull.graph.points().reshape(-1, 2, 2)).reshape(-1, 4)
+    pts4 = np.einsum("ij,njk->nik", minv, hull.graph.points.reshape(-1, 2, 2)).reshape(-1, 4)
     pts4 = pts4 * np.sign(0.5 * (pts4[:, 0] + pts4[:, 3]))[:, None]
     simplices, equations = ConvexHull(hull.chart_points)
     groups = {}

@@ -554,6 +554,50 @@ def test_invalid_scalar_option_is_invalid(tmp_path, capsys, argv, message):
     assert message in report["error"]
 
 
+def _word(value):
+    return _malformed("flat", {"curves": [{"word": value, "weight": 1.0}]})
+
+
+def _generator(value, entry=True):
+    """The octagon with generators[1]'s top right entry, or all of
+    generators[1], replaced by value."""
+    data = json.load(open(lorentz21.bundled("octagon_rep.json")))
+    if entry:
+        data["generators"][1][0][1] = value
+    else:
+        data["generators"][1] = value
+    return _malformed("euler", data)
+
+
+@pytest.mark.parametrize("make_argv, message", [
+    (_weight(True), "curves[0].weight takes only JSON numbers, not bool"),
+    (_weight("2.5"), "curves[0].weight takes only JSON numbers, not str"),
+    (_weight(None), "curves[0].weight takes only JSON numbers, not NoneType"),
+    (_weight({"value": 2.5}), "curves[0].weight takes only JSON numbers, not dict"),
+    (_weight([2.5]), "curves[0].weight must be one JSON number, not list"),
+    (_word([1, 2]), "curves[0].word must be a JSON string, not list"),
+    (_word(5), "curves[0].word must be a JSON string, not int"),
+    (_generator("-0.8662103659328324"), "generators[1] takes only JSON numbers, not str"),
+    (_generator(False), "generators[1] takes only JSON numbers, not bool"),
+    (_generator(None), "generators[1] takes only JSON numbers, not NoneType"),
+    (_generator("a1", entry=False), "generators[1] takes only JSON numbers, not str"),
+    (_lamination("end1", "0.1"), "leaves[0].end1 takes only JSON numbers, not str"),
+    (_lamination("end2", [0.3]), "leaves[0].end2 must be one JSON number, not list"),
+    (_lamination("weight", True), "leaves[0].weight takes only JSON numbers, not bool"),
+    (_lamination("basepoint", ["0.1", 0.0, 1.0]), "basepoint takes only JSON numbers, not str"),
+    (_lamination("basepoint", {"x": 0.1}), "basepoint takes only JSON numbers, not dict")],
+    ids=["weight-true", "weight-text", "weight-null", "weight-object", "weight-array",
+         "word-array", "word-int", "entry-text", "entry-false", "entry-null", "generator-text",
+         "end1-text", "end2-array", "leaf-weight-true", "basepoint-text", "basepoint-object"])
+def test_numeric_json_fields_take_only_numbers(tmp_path, capsys, make_argv, message):
+    """A numeric field holds JSON numbers and a word a JSON string; any
+    other JSON value is invalid input, named by its field."""
+    code, report = run_cli(make_argv(tmp_path / "input"), capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"
+    assert message in report["error"]
+
+
 def test_refused_points_write_no_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     code, report = run_cli(_point(_LEAF, "2,0,1")(tmp_path / "pts.csv") + ["--out", str(out)],

@@ -90,7 +90,7 @@ def test_rep_json_roundtrip(octagon):
 
 def test_letter_steps(octagon):
     """One stack holds every letter: a generator, then its Mat2 inverse."""
-    steps = octagon.steps()
+    steps = octagon.steps
     assert steps.shape == (8, 2, 2)
     assert np.array_equal(steps[::2], octagon.generators)
     for x in signed_letters(2):

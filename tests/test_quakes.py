@@ -7,7 +7,7 @@ import pytest
 
 import lorentz21
 from lorentz21.fuchsian import regular_polygon_rep
-from lorentz21.laminations import WeightedMulticurve, closed_geodesic_of, crossings
+from lorentz21.laminations import WeightedMulticurve, _leaf_keys, closed_geodesic_of, crossings
 from lorentz21.minkowski import (
     G,
     Mat2,
@@ -29,7 +29,8 @@ from lorentz21.quakes import (
     quadric_action_example,
     rep_after_earthquake,
 )
-from reference import GeodesicH2, boundary_point, leaves_of, real_boundary_point, uhp_point
+from reference import (GeodesicH2, boundary_point, is_monotone_rows, leaves_of,
+                       real_boundary_point, uhp_point)
 
 
 def lamination_to_json(lamination):
@@ -210,7 +211,7 @@ def test_lamination_record_matches_scalar_reference(path):
     assert np.array_equal(leaves.end1, [g.end1.v for g in geos])
     assert np.array_equal(leaves.end2, [g.end2.v for g in geos])
     assert leaves.thetas.tolist() == [[g.end1.theta, g.end2.theta] for g in geos]
-    assert [tuple(k) for k in leaves.keys.tolist()] == [g.key(7) for g in geos]
+    assert [tuple(k) for k in _leaf_keys(leaves.thetas).tolist()] == [g.key(7) for g in geos]
     assert np.array_equal(leaves.normals, [g.normal for g in geos])
     assert leaves.weights.tolist() == [rec["weight"] for rec in data["leaves"]]
 
@@ -267,6 +268,36 @@ def test_circle_map_monotone_and_eval():
     assert cm.is_monotone()
     bad = CircleMap([(0.1, 0.5), (0.4, 0.2), (0.8, 0.9)])
     assert not bad.is_monotone()
+
+
+def test_is_monotone_matches_the_list_form():
+    """CircleMap.is_monotone on its (N, 2) array agrees with the list
+    form of tests/reference.py, at both tolerances in use, on random
+    maps given in random order: monotone ones with the image rotated
+    (so it wraps), reversed ones, ones with one image stepped back from
+    the one before by 1e-13 to 1e-8, ones with a repeated source, and
+    nearly constant ones whose images span 1e-13 to 1e-8, so that the
+    step back to the first image is a turn short by about tol."""
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for _ in range(1000):
+        n = int(rng.integers(1, 10))
+        source, image = np.sort(rng.random(n)), (np.sort(rng.random(n)) + rng.random()) % 1.0
+        kind, k = int(rng.integers(5)), int(rng.integers(n))
+        if kind == 1:
+            image = image[::-1]
+        elif kind == 2:
+            image[k] = (image[k - 1] - 10.0 ** rng.uniform(-13, -8)) % 1.0
+        elif kind == 3:
+            source[k] = source[k - 1]
+        elif kind == 4:
+            image = image[0] + np.sort(rng.random(n)) * 10.0 ** rng.uniform(-13, -8)
+        samples = np.stack([source, image], axis=1)[rng.permutation(n)]
+        for tol in (1e-12, 1e-9):
+            verdict = CircleMap(samples).is_monotone(tol)
+            assert verdict == is_monotone_rows(samples, tol)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.fixture(scope="module")
@@ -341,13 +372,13 @@ def test_equivariant_lamination_holds_leaves_within_reach(octagon):
     assert all(abs(side) < math.sinh(1.5) and w == 0.4 for side, w in
                zip(inner(lamination.leaves.normals, b), lamination.leaves.weights))
     # every leaf met on a geodesic segment of length 1.4 from b is held
-    held = set(map(tuple, lamination.leaves.keys.tolist()))
+    held = set(map(tuple, _leaf_keys(lamination.leaves.thetas).tolist()))
     crossed = []
     for k in range(8):
         v = np.array([math.cos(k * math.pi / 4), math.sin(k * math.pi / 4), 0.0])
         u = v + inner(v, b) * b
         q = math.cosh(1.4) * b + math.sinh(1.4) * u / math.sqrt(inner(u, u))
-        crossed += map(tuple, crossings(octagon, mc, b, q, 3).keys.tolist())
+        crossed += map(tuple, _leaf_keys(crossings(octagon, mc, b, q, 3).thetas).tolist())
     assert crossed and set(crossed) <= held
 
 
