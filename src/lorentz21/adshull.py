@@ -293,14 +293,31 @@ class HullComplex:
 
     def convexity_slack(self):
         """Most negative signed distance of any vertex inside any face
-        half-space (0 for an exactly convex complex)."""
-        worst, normals, offsets = 0.0, self.faces.normals[:, :, None], self.faces.offsets
-        # a batched matmul makes the same matvec per face, where P @ N.T
-        # changes the per-face maxima; max then add is exact, as rounding
-        # is monotone.  16 faces of 7k points stay in cache
-        for lo in range(0, len(offsets), 16):
-            top = np.matmul(self.chart_points, normals[lo:lo + 16])[..., 0].max(axis=1)
-            worst = min(worst, -float(np.max(top + offsets[lo:lo + 16])))
+        half-space (0 for an exactly convex complex).  Only a positive
+        distance can change it, so a (face, block) pair is scored only
+        where its capsule bound (see _capsules) reaches -tol; below that
+        the distance is negative after rounding, as tol, 1e-9 of the
+        points' and offsets' scale, is far above the rounding of bound
+        and distance.  Each kept pair is a batched matmul of the block's
+        64 rows: a gemv of 2 or more rows gives each row the bits of one
+        gemv over all points, where P @ N.T or a one-row dot changes
+        them.  Max then add is exact, as rounding is monotone."""
+        worst, normals, offsets = 0.0, self.faces.normals, self.faces.offsets
+        blocks, heads, tails, radii = _capsules(self.chart_points)
+        tol = 1e-9 * (1.0 + np.abs(self.chart_points).max() + np.abs(offsets).max(initial=0.0))
+        # 256 faces' bounds, then 256 kept pairs' blocks, at a time: the
+        # temporaries stay below 0.5 MB
+        for lo in range(0, len(offsets), 256):
+            n = normals[lo:lo + 256]
+            bound = np.maximum(n @ heads.T, n @ tails.T)
+            bound += radii
+            bound += offsets[lo:lo + 256, None]
+            face, block = np.nonzero(bound > -tol)
+            face += lo
+            for k in range(0, len(face), 256):
+                f, b = face[k:k + 256], block[k:k + 256]
+                top = np.matmul(blocks[b], normals[f][:, :, None])[..., 0].max(axis=1)
+                worst = min(worst, -float(np.max(top + offsets[f])))
         return worst
 
     def to_obj(self):
@@ -325,6 +342,25 @@ class HullComplex:
         lines += ["f " + " ".join(cycles[lo:hi])
                   for lo, hi in zip(faces.start[:-1].tolist(), faces.start[1:].tolist())]
         return "\n".join(lines) + "\n"
+
+
+def _capsules(points):
+    """The (N, 3) points cut into blocks of 64 consecutive rows, the last
+    padded with copies of the last point, and each block's capsule:
+    its first and last rows a and e and the radius r = max |p - a - s d|,
+    d = e - a and s in [0, 1] the projection of p - a on d.  So
+    n . p <= max(n . a, n . e) + r for unit n.  Consecutive graph points
+    are close, so the capsules are thin."""
+    pad = np.repeat(points[-1:], -len(points) % 64, axis=0)
+    blocks = np.concatenate([points, pad]).reshape(-1, 64, 3)
+    heads, tails = blocks[:, 0], blocks[:, -1]
+    d = tails - heads
+    rel = blocks - heads[:, None]
+    dd = _rowdot(d, d)[:, None]
+    s = (rel @ d[:, :, None])[..., 0]
+    s = np.clip(np.divide(s, dd, out=np.zeros_like(s), where=dd > 0), 0.0, 1.0)
+    rel -= s[..., None] * d[:, None]
+    return blocks, heads, tails, np.sqrt((rel * rel).sum(axis=2).max(axis=1))
 
 
 def _scipy_extension(name):

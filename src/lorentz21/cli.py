@@ -112,6 +112,9 @@ def cmd_flat(args):
         raise ValueError("--density must be >= 2")
     rep = Representation.load(args.rep)
     mc = lamins.WeightedMulticurve.load(args.multicurve)
+    # the basepoint's lift radius is refused before the disjointness
+    # check builds a ball below it
+    lamins.first_collect_radius(mc, args.ball)
     disjoint = lamins.disjointness_check(rep, mc, args.ball)
     checks = [_check("multicurve-disjoint", 0.0 if disjoint else 1.0, 0)]
     values = {"mode": args.flat_mode, "curves": len(mc)}

@@ -158,7 +158,7 @@ class Representation:
         genus, generators = json_fields(data, ("genus", "generators"), "representation")
         if isinstance(genus, bool) or not isinstance(genus, int):
             raise ValueError("genus must be an integer, not %r" % (genus,))
-        return cls(genus, [json_numbers(g, "generators[%d]" % i)
+        return cls(genus, [json_numbers(g, "generators[%d]" % i, shape=(2, 2))
                            for i, g in enumerate(json_array(generators, "generators"))])
 
     @classmethod
@@ -220,6 +220,13 @@ EVALUATE_BLOCK = 2 ** 14
 
 # the largest GroupBall radius (the radius-8 genus-2 ball has 7,579,441 words)
 HARD_CAP = 8
+
+
+def capped(radius):
+    """radius; one above HARD_CAP is refused, the one rule of every ball."""
+    if radius > HARD_CAP:
+        raise EnumerationCapError("ball radius %d is above the cap %d" % (radius, HARD_CAP))
+    return radius
 
 
 def growth_series(genus, radius):
@@ -399,9 +406,7 @@ class GroupBall:
     def __init__(self, rep, radius):
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        if radius > HARD_CAP:
-            raise EnumerationCapError("ball radius %d is above the cap %d" % (radius, HARD_CAP))
-        self.radius = radius
+        self.radius = capped(radius)
         self.genus = rep.genus
         children, self.step, self.offsets = _word_ball(rep.genus, radius)
         self.parent = np.concatenate([[-1], np.arange(len(children)).repeat(children)])

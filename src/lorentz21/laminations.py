@@ -39,7 +39,7 @@ from .minkowski import (
     rp1_stack,
     rp1_thetas,
 )
-from .fuchsian import GroupBall, axis, parse_word, format_word, reduce_word
+from .fuchsian import GroupBall, axis, capped, parse_word, format_word, reduce_word
 
 # ends of two distinct leaves closer than this are one shared end: tangent
 TOUCH_TOL = 1e-9
@@ -264,16 +264,17 @@ def stable_lifts(rep, mc, L, keep):
     selection has as many leaves as at r - 2.  Balls are prefix-closed,
     lifts first-seen and keep decides per leaf, so a selection only
     grows with r: this is "two increments select no new leaf".  The
-    first collect, at L + 2, builds the ball smaller radii read as a
-    prefix; GroupBall refuses a radius above the cap.  A leaf shared
-    between classes keeps its first row; rows come in first-seen order."""
+    first collect, at first_collect_radius's L + 2, builds the ball
+    smaller radii read as a prefix; a radius above the cap is refused.
+    A leaf shared between classes keeps its first row; rows come in
+    first-seen order."""
 
     def collect(radius):
         leaves = multicurve_lifts(rep, mc, radius)
         leaves = leaves[_first_rows(_leaf_keys(leaves.thetas))]
         return leaves[keep(leaves)]
 
-    radius = L + 2
+    radius = first_collect_radius(mc, L)
     leaves = collect(radius)
     while len(leaves) != len(collect(radius - 2)):
         radius += 1
@@ -350,7 +351,14 @@ def basepoint_off(normals):
     raise RuntimeError("no basepoint off all leaves within 33 nudges")
 
 
+def first_collect_radius(mc, L):
+    """L + 2, the ball radius of the first collect of every lift query
+    on mc (default_basepoint, stable_lifts); with a curve in mc, one
+    above the cap is refused here, before any ball is built."""
+    return capped(L + 2) if len(mc) else L + 2
+
+
 def default_basepoint(rep, mc, L):
     """Hyperboloid apex, nudged off all leaf planes if necessary, over
-    the radius-(L + 2) ball of every query's first collect."""
-    return basepoint_off(multicurve_lifts(rep, mc, L + 2).normals)
+    the ball of every query's first collect."""
+    return basepoint_off(multicurve_lifts(rep, mc, first_collect_radius(mc, L)).normals)

@@ -87,10 +87,12 @@ def json_array(value, what):
     return value
 
 
-def json_numbers(value, what):
+def json_numbers(value, what, shape=None):
     """value, a JSON number or nested JSON arrays of them in an input
     file, named `what` there, as `finite` returns it; a boolean, string,
-    null or object anywhere in it is invalid input, reported by name."""
+    null or object anywhere in it is invalid input, reported by name, as
+    are arrays of unequal lengths and, given a (rows, columns) shape,
+    arrays of any other shape."""
     stack = [value]
     while stack:
         item = stack.pop()
@@ -98,7 +100,15 @@ def json_numbers(value, what):
             stack += item
         elif isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ValueError("%s takes only JSON numbers, not %s" % (what, type(item).__name__))
-    return finite(value, what)
+    try:
+        out = np.asarray(value, dtype=float)
+    except ValueError:  # nested arrays of unequal lengths
+        out = None
+    if shape is not None and (out is None or out.shape != shape):
+        raise ValueError("%s must be a %dx%d matrix of numbers" % ((what,) + shape))
+    if out is None:
+        raise ValueError("%s must hold arrays of equal lengths" % what)
+    return finite(out, what)
 
 
 def json_number(value, what):

@@ -463,6 +463,59 @@ def test_convexity_slack_matches_reference(conjugacy_graphs):
         assert same_bits(hull.convexity_slack(), reference.convexity_slack(hull))
 
 
+def _with_points(hull, points):
+    return adshull.HullComplex(hull.graph, hull.chart_plane, points, hull.faces,
+                               hull.vertex_ids)
+
+
+def _moved_out(hull, row, face, by=1e-3):
+    """hull with chart point `row` moved `by` outward along face's normal."""
+    points = hull.chart_points.copy()
+    points[row] += by * hull.faces.normals[face]
+    return _with_points(hull, points)
+
+
+def test_convexity_slack_sees_a_point_outside_a_face(conjugacy_graphs):
+    """A vertex moved 1e-3 outside one of its faces, for faces spread over
+    the hull: the slack reads about -1e-3, the reference's bits."""
+    hull = convex_hull(conjugacy_graphs[0])
+    for face in np.linspace(0, len(hull.faces) - 1, 7).astype(int):
+        moved = _moved_out(hull, hull.faces.ids[hull.faces.start[face]], face)
+        slack = moved.convexity_slack()
+        assert -1.1e-3 < slack < -0.9e-3
+        assert same_bits(slack, reference.convexity_slack(moved))
+
+
+def test_convexity_slack_ignores_the_point_order(conjugacy_graphs):
+    """The blocks follow chart_points' order, the graph's; any other
+    order widens the capsules, and keeps the bits."""
+    hull = convex_hull(conjugacy_graphs[0])
+    order = np.random.default_rng(0).permutation(len(hull.chart_points))
+    for h in (hull, _moved_out(hull, hull.faces.ids[0], 0)):
+        shuffled = _with_points(h, h.chart_points[order])
+        assert same_bits(shuffled.convexity_slack(), h.convexity_slack())
+        assert same_bits(shuffled.convexity_slack(), reference.convexity_slack(shuffled))
+
+
+@pytest.mark.parametrize("tail", [1, 2])
+def test_convexity_slack_last_block(conjugacy_graphs, tail):
+    """N = 64 k + 1 and 64 k + 2 points: the last block is padded to 64
+    rows, as a one-row product is a dot, whose bits differ from the
+    gemv's on a fifth to a third of rows.  The last point is moved
+    outside each of its faces by 8 distances in turn, so its row sets
+    the slack."""
+    samples = conjugacy_graphs[0].samples
+    n = 64 * 8 + tail
+    hull = convex_hull(CircleGraph(samples[np.linspace(0, len(samples) - 1, n).astype(int)]))
+    assert len(hull.chart_points) == n
+    assert same_bits(hull.convexity_slack(), reference.convexity_slack(hull))
+    faces = hull.faces.owner[hull.faces.ids == n - 1]
+    assert len(faces) >= 3
+    for face, by in itertools.product(faces, 2.5e-4 * np.arange(1, 9)):
+        moved = _moved_out(hull, n - 1, face, by)
+        assert same_bits(moved.convexity_slack(), reference.convexity_slack(moved))
+
+
 @pytest.mark.parametrize("bad, message", [
     (np.eye(2), "not hyperbolic"),
     (np.diag([1e200, 1e-200]), "a trace is too large")])

@@ -581,14 +581,20 @@ def _generator(value, entry=True):
     (_generator(False), "generators[1] takes only JSON numbers, not bool"),
     (_generator(None), "generators[1] takes only JSON numbers, not NoneType"),
     (_generator("a1", entry=False), "generators[1] takes only JSON numbers, not str"),
+    (_generator([[0.5, 0.2], [0.86]], entry=False), "generators[1] must be a 2x2 matrix"),
+    (_generator([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], entry=False),
+     "generators[1] must be a 2x2 matrix"),
+    (_generator([], entry=False), "generators[1] must be a 2x2 matrix"),
     (_lamination("end1", "0.1"), "leaves[0].end1 takes only JSON numbers, not str"),
     (_lamination("end2", [0.3]), "leaves[0].end2 must be one JSON number, not list"),
     (_lamination("weight", True), "leaves[0].weight takes only JSON numbers, not bool"),
     (_lamination("basepoint", ["0.1", 0.0, 1.0]), "basepoint takes only JSON numbers, not str"),
-    (_lamination("basepoint", {"x": 0.1}), "basepoint takes only JSON numbers, not dict")],
+    (_lamination("basepoint", {"x": 0.1}), "basepoint takes only JSON numbers, not dict"),
+    (_lamination("basepoint", [[0.1], 0.0, 1.0]), "basepoint must hold arrays of equal lengths")],
     ids=["weight-true", "weight-text", "weight-null", "weight-object", "weight-array",
          "word-array", "word-int", "entry-text", "entry-false", "entry-null", "generator-text",
-         "end1-text", "end2-array", "leaf-weight-true", "basepoint-text", "basepoint-object"])
+         "generator-ragged", "generator-two-by-three", "generator-empty", "end1-text", "end2-array", "leaf-weight-true", "basepoint-text", "basepoint-object",
+         "basepoint-ragged"])
 def test_numeric_json_fields_take_only_numbers(tmp_path, capsys, make_argv, message):
     """A numeric field holds JSON numbers and a word a JSON string; any
     other JSON value is invalid input, named by its field."""
@@ -680,18 +686,20 @@ def test_enumeration_cap_is_an_internal_failure(monkeypatch, capsys):
     assert report["error"].startswith("EnumerationCapError: ")
 
 
-@pytest.mark.parametrize("cap, ball", [(3, 4), (4, 3)])
+@pytest.mark.parametrize("cap, ball", [(3, 4), (4, 3), (8, 7), (8, 8)])
 def test_flat_ball_above_the_cap_builds_no_ball_above_it(monkeypatch, capsys, cap, ball):
-    # at --ball 3 under the cap 4, the basepoint's lift radius L + 2 = 5
-    # is refused before any ball above the disjointness check's
+    # the basepoint's lift radius L + 2, above the cap, is refused before
+    # the disjointness check builds the radius-L ball (at the real cap 8,
+    # 1.08 M elements for --ball 7)
     monkeypatch.setattr(fuchsian, "HARD_CAP", cap)
     with ball_radii() as radii:
         code, report = run_cli(["flat", "check", lorentz21.bundled("octagon_rep.json"),
                                 lorentz21.bundled("single_curve.json"), "--ball", str(ball)],
                                capsys)
     assert code == 1
-    assert report["error"].startswith("EnumerationCapError: ")
-    assert max(radii, default=0) <= 3
+    assert report["error"] == ("EnumerationCapError: ball radius %d is above the cap %d"
+                               % (ball + 2, cap))
+    assert radii == []
 
 
 def test_ads_between_ball_above_the_cap_builds_no_ball(monkeypatch, capsys):
