@@ -76,9 +76,8 @@ def plane_classes(labels):
     "spacelike", "null" or "lorentzian" as qform(label) is above EPS
     |label|^2, within it or below minus it, and its dual point as a
     Mat2-normalized determinant-one matrix (NaN unless spacelike)."""
-    q, scale = qform(labels), _rowdot(labels, labels)
-    classes = np.where(q > EPS * scale, "spacelike",
-                       np.where(q < -EPS * scale, "lorentzian", "null"))
+    q, bound = qform(labels), EPS * _rowdot(labels, labels)
+    classes = np.array(["null", "spacelike", "lorentzian"])[(q > bound) + 2 * (q < -bound)]
     spacelike = classes == "spacelike"
     duals = np.full((len(labels), 2, 2), np.nan)
     duals[spacelike] = mat2_stack(
@@ -465,24 +464,28 @@ def _merged_faces(simplices, eqs, pts4, chart_pts, chart_mat):
     record, each stacked step equal to the per-face arithmetic bit for
     bit.  Facets whose equations agree to 6 decimals form one face,
     numbered by first appearance, with the mean equation; chart_mat is
-    the chart transport m."""
+    the chart transport m.  Each temporary goes once it is spent."""
     keys = row_keys(eqs, 6)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     face = np.argsort(np.argsort(first))[inverse]
+    del keys, first, inverse
     mean = _group_means(eqs, face)
     normals = mean[:, :3] / np.sqrt(_rowdot(mean[:, :3], mean[:, :3]))[:, None]
-    offsets = mean[:, 3]
+    offsets = mean[:, 3].copy()
+    del mean
 
     # in transported (a,b,c,d) a face reads n1*y + n2*z + n3*u + offset*w = 0,
     # i.e. tr(C^T m^{-1} v) = 0; the label's adjugate matches 2 C^T m^{-1}
     n1, n2, n3 = normals.T
     cov = 0.5 * np.stack([offsets + n2, n1 + n3, n1 - n3, offsets - n2], axis=1)
     labels = (chart_mat @ adjugate(cov.reshape(-1, 2, 2).transpose(0, 2, 1))).reshape(-1, 4)
-    labels = labels / np.max(np.abs(labels), axis=1, keepdims=True)
+    del cov
+    labels /= np.max(np.abs(labels), axis=1, keepdims=True)
 
     n = len(chart_pts)
     code = sorted_unique(face[:, None] * n + simplices)
-    ids, start = code % n, np.searchsorted(code, np.arange(len(mean) + 1) * n)
+    ids, start = code % n, np.searchsorted(code, np.arange(len(offsets) + 1) * n)
+    del face, code
 
     # time orientation: the rotation flow v -> v . R(t) points to the
     # future; a face sums its chart velocity over its first <= 8 vertices
@@ -491,7 +494,8 @@ def _merged_faces(simplices, eqs, pts4, chart_pts, chart_mat):
     wp, dw = 0.5 * (pts4[:, 0] + pts4[:, 3]), 0.5 * (dp[:, 0] + dp[:, 3])
     d3 = 0.5 * np.stack([dp[:, 1] + dp[:, 2], dp[:, 0] - dp[:, 3], dp[:, 1] - dp[:, 2]], axis=1)
     velocity = (d3 - chart_pts * dw[:, None]) / wp[:, None]
-    flow = np.zeros(len(mean))
+    del dp, wp, dw, d3
+    flow = np.zeros(len(offsets))
     for j in range(8):
         has = np.flatnonzero(np.diff(start) > j)
         flow[has] += _rowdot(normals[has], velocity[ids[start[has] + j]])
@@ -505,22 +509,27 @@ def face_adjacency(hull):
     faces = hull.faces
     future = faces.future[faces.owner]
     face, v = faces.owner[future], faces.ids[future]
+    del future
     _, first, inverse = np.unique(v, return_index=True, return_inverse=True)
     seen = first[inverse]
+    degree = np.bincount(inverse, minlength=1).max()
+    del first, inverse
     o = np.argsort(seen, kind="stable")
     seen, face, v = seen[o], face[o], v[o]
     # every pair (a, b) of one vertex's incidences, a before b, in scan order
-    a, b = np.zeros((2, 0), int)
-    for d in range(1, np.bincount(inverse, minlength=1).max()):
-        same = np.flatnonzero(seen[d:] == seen[:-d])
-        a, b = np.concatenate([a, same]), np.concatenate([b, same + d])
+    hits = [np.flatnonzero(seen[d:] == seen[:-d]) for d in range(1, degree)]
+    a = np.concatenate([np.zeros(0, int)] + hits)
+    b = a + np.repeat(np.arange(1, degree), [len(h) for h in hits])
+    del hits
     o = np.lexsort((face[b], face[a], seen[a]))
     a, b = a[o], b[o]
+    del seen, o
     _, first, inverse, count = np.unique(face[a] * len(faces) + face[b], return_index=True,
                                          return_inverse=True, return_counts=True)
     # each pair's occurrences together, pairs in the order first met
     o = np.argsort(first[inverse], kind="stable")
     o = o[count[inverse[o]] >= 2]
+    del count
     head, start = np.unique(first[inverse[o]], return_index=True)
     return np.stack([face[a[head]], face[b[head]]], axis=1), v[a[o]], np.append(start, len(o))
 

@@ -12,8 +12,10 @@ input (a RuntimeError), and 2 when an input is invalid.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -54,8 +56,14 @@ def _check(name, residual, tolerance):
     }
 
 
-def _json(data):
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+def _dump(data, fh):
+    """JSON text of data (sorted keys, indent 2, a final newline) written
+    to fh 4096 encoder chunks at a time: never held whole, and one write
+    per batch, not per chunk, to an unbuffered stdout."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(data)
+    for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
+        fh.write(batch)
+    fh.write("\n")
 
 
 def _lines(rows):
@@ -63,12 +71,14 @@ def _lines(rows):
 
 
 def _finish(name, args, inputs, values, checks, diagnostics=None, artifacts=None):
-    """The one exit of every command: format the report; with --out,
-    write each artifact ({file name: text}), then report.json, and only
-    then print the report.  A failed write removes the files this call
-    wrote, so it leaves none of them and the error document is the only
-    JSON on stdout."""
-    text = _json({
+    """The one exit of every command: stream the report to stdout; with
+    --out, first write each artifact ({file name: text, or a JSON
+    document}), then the report as report.json, and copy that file to
+    stdout.  A failed write removes the files this call wrote, so it
+    leaves none of them and the error document is the only JSON on
+    stdout.  Reports and documents hold JSON values only, so a stream
+    cannot stop halfway."""
+    report = {
         "schema": "%s/%s/1" % (SCHEMA_PREFIX, name),
         "command": [name] + ["%s=%s" % (k, v) for k, v in sorted(vars(args).items())
                              if k != "func"],
@@ -77,20 +87,26 @@ def _finish(name, args, inputs, values, checks, diagnostics=None, artifacts=None
         "checks": checks,
         # what the run did (counts, fallbacks that fired), kept out of values
         "diagnostics": diagnostics or {},
-    })
-    if args.out is not None:
+    }
+    if args.out is None:
+        _dump(report, sys.stdout)
+    else:
         os.makedirs(args.out, exist_ok=True)
         written = []
         try:
-            for fname, body in {**(artifacts or {}), "report.json": text}.items():
+            for fname, body in {**(artifacts or {}), "report.json": report}.items():
                 with open(os.path.join(args.out, fname), "w") as fh:
                     written.append(fh.name)
-                    fh.write(body)
+                    if isinstance(body, dict):
+                        _dump(body, fh)
+                    else:
+                        fh.write(body)
         except OSError:
             for path in written:
                 os.remove(path)
             raise
-    sys.stdout.write(text)
+        with open(written[-1]) as fh:
+            shutil.copyfileobj(fh, sys.stdout)
     return 0 if all(c["ok"] for c in checks) else 1
 
 
@@ -149,15 +165,14 @@ def cmd_flat(args):
         diagnostics["perturbed_samples"] = int(patch.perturbed.sum())
         values["support_planes"] = len(offsets)
         artifacts = {
-            "cocycle.json": _json({"schema": "%s/cocycle/1" % SCHEMA_PREFIX,
-                                   "t": values["generator_vectors"],
-                                   "basepoint": values["basepoint"]}),
+            "cocycle.json": {"schema": "%s/cocycle/1" % SCHEMA_PREFIX,
+                             "t": values["generator_vectors"],
+                             "basepoint": values["basepoint"]},
             "surface.obj": _lines(["# developed surface point cloud, coordinates (x, y, t)"]
                                   + ["v %.9f %.9f %.9f" % tuple(p) for p in patch.fvals]),
-            "support_planes.json": _json(
-                {"schema": "%s/support-planes/1" % SCHEMA_PREFIX,
-                 "planes": [{"normal": n, "offset": c}
-                            for n, c in zip(normals.tolist(), offsets.tolist())]}),
+            "support_planes.json": {"schema": "%s/support-planes/1" % SCHEMA_PREFIX,
+                                    "planes": [{"normal": n, "offset": c} for n, c
+                                               in zip(normals.tolist(), offsets.tolist())]},
         }
     return _finish("flat", args, {"rep": args.rep, "multicurve": args.multicurve},
                    values, checks, diagnostics, artifacts)
@@ -252,8 +267,7 @@ def _hull_pipeline(args, graph, inputs, extra_values, sampling):
                  "shared_vertices": shared[lo:hi]} for (i, j), w, ok, lo, hi
                 in zip(pairs.tolist(), weights.tolist(), bent.tolist(), start[:-1], start[1:])]
         artifacts = {"hull.obj": hull.to_obj(),
-                     "bending.json": _json({"schema": "%s/bending/1" % SCHEMA_PREFIX,
-                                            "edges": bend}),
+                     "bending.json": {"schema": "%s/bending/1" % SCHEMA_PREFIX, "edges": bend},
                      "boundary.csv": _lines(quake.boundary_map.to_csv_rows()),
                      "graph.csv": _lines(graph.to_csv_rows())}
     return _finish("ads", args, inputs, values, checks, diagnostics, artifacts)
@@ -340,8 +354,8 @@ def main(argv=None):
             raise ValueError("--tol must be >= 0")
         code = args.func(args)
     except (OSError, ValueError, KeyError, TypeError, RuntimeError) as exc:
-        sys.stdout.write(_json({"schema": "%s/error/1" % SCHEMA_PREFIX,
-                                "error": "%s: %s" % (type(exc).__name__, exc)}))
+        _dump({"schema": "%s/error/1" % SCHEMA_PREFIX,
+               "error": "%s: %s" % (type(exc).__name__, exc)}, sys.stdout)
         # invalid input (JSON errors are ValueErrors) exits 2; an internal
         # failure, such as an enumeration cap or Qhull, exits 1
         return 1 if isinstance(exc, RuntimeError) else 2

@@ -258,6 +258,21 @@ def disjointness_check(rep, mc, L):
     return first_crossing_pair(leaves.thetas, leaves.classes) is None
 
 
+def _class_keys(mc, leaves):
+    """_leaf_keys of a multicurve's lifts, refusing two classes that are
+    conjugate up to inverse, one set of leaves: a class whose axis (its
+    first == 0 row) shares its key with a lift of another class; deep
+    lifts whose keys collide do not decide it."""
+    keys = _leaf_keys(leaves.thetas)
+    for i in np.flatnonzero(leaves.first == 0):
+        shared = leaves.classes[(keys == keys[i]).all(axis=1)]
+        if shared.min() < shared.max():
+            raise ValueError("curves %s and %s have the same leaves: their classes are "
+                             "conjugate, up to inverse"
+                             % tuple(format_word(mc.curves[c][0]) for c in shared[[0, -1]]))
+    return keys
+
+
 def stable_lifts(rep, mc, L, keep):
     """The leaf lifts selected by keep(leaves), a boolean mask over a
     LeafSet, over the radius-r ball at the least r >= L + 2 whose
@@ -267,11 +282,12 @@ def stable_lifts(rep, mc, L, keep):
     first collect, at first_collect_radius's L + 2, builds the ball
     smaller radii read as a prefix; a radius above the cap is refused.
     A leaf shared between classes keeps its first row; rows come in
-    first-seen order."""
+    first-seen order.  Two classes conjugate up to inverse, one set of
+    leaves, are refused (_class_keys)."""
 
     def collect(radius):
         leaves = multicurve_lifts(rep, mc, radius)
-        leaves = leaves[_first_rows(_leaf_keys(leaves.thetas))]
+        leaves = leaves[_first_rows(_class_keys(mc, leaves))]
         return leaves[keep(leaves)]
 
     radius = first_collect_radius(mc, L)

@@ -2,17 +2,17 @@
 pair, which CircleGraph.points stacks, the leaf type GeodesicH2 and
 the pairwise linking test the stacked leaf routines are checked
 against, helpers between them and a LeafSet, lift stabilization by
-unit radius increments, the per-pair cocycle residual of the identity
-sweep and the sweep one row at a time, the per-sample nudge of a
-developed surface, the per-face OBJ and convexity slack of a hull, the
-group ball's per-level dedup by `np.unique` and `np.isin`, the
-conjugacy samples' lexsort and greedy loops, and a circle map's
-monotonicity over lists; also the steep graphs the hull tests share,
-and the helpers several test modules use that no program path calls:
-word concatenation, a ball's signed letters and its words as tuples,
-the radii of the balls a block builds, the trivial representation,
-the apex, upper-half-plane points and boundary reals, and an
-earthquake's boundary extension."""
+unit radius increments, the Margulis invariant of a cocycle, the
+per-pair cocycle residual of the identity sweep and the sweep one row
+at a time, the per-sample nudge of a developed surface, the per-face
+OBJ and convexity slack of a hull, the group ball's per-level dedup by
+`np.unique` and `np.isin`, the conjugacy samples' lexsort and greedy
+loops, and a circle map's monotonicity over lists; also the steep
+graphs the hull tests share, and the helpers several test modules use
+that no program path calls: word concatenation, a ball's signed
+letters and its words as tuples, the radii of the balls a block
+builds, the trivial representation, the apex, upper-half-plane points
+and boundary reals, and an earthquake's boundary extension."""
 
 import contextlib
 import math
@@ -26,8 +26,9 @@ from lorentz21 import fuchsian, laminations
 from lorentz21.fuchsian import (GroupBall, Representation, reduce_word, signed_letters,
                                 surface_relator)
 from lorentz21.laminations import LeafSet
-from lorentz21.minkowski import (RP1Point, geodesic_normal, inner, mat2_stack, null_vectors,
-                                 refuse_unnormalizable, row_keys, rp1_units)
+from lorentz21.minkowski import (RP1Point, adjoint_to_so21, geodesic_normal, inner,
+                                 mat2_stack, null_vectors, refuse_unnormalizable, row_keys,
+                                 rp1_units)
 
 
 def concat(*words):
@@ -197,10 +198,20 @@ def geodesic(leaves, i):
 def stable_lifts_by_increments(rep, mc, L, keep):
     """laminations.stable_lifts as a loop of unit increments from radius
     L, up to the cap, until two increments in a row select no new leaf;
-    also the radius it stops at."""
+    also the radius it stops at.  A class whose axis, its first lift, is
+    a lift of another class is refused at every collect, as there."""
 
     def collect(radius):
         leaves = laminations.multicurve_lifts(rep, mc, radius)
+        keys = [tuple(k) for k in laminations._leaf_keys(leaves.thetas).tolist()]
+        classes = leaves.classes.tolist()
+        for i in np.flatnonzero(leaves.first == 0).tolist():
+            for j, key in enumerate(keys):
+                if key == keys[i] and classes[j] != classes[i]:
+                    words = [fuchsian.format_word(mc.curves[c][0])
+                             for c in sorted((classes[i], classes[j]))]
+                    raise ValueError("curves %s and %s have the same leaves: their classes "
+                                     "are conjugate, up to inverse" % tuple(words))
         leaves = leaves[laminations._first_rows(laminations._leaf_keys(leaves.thetas))]
         return leaves[keep(leaves)]
 
@@ -216,6 +227,24 @@ def stable_lifts_by_increments(rep, mc, L, keep):
         stable = stable + 1 if len(nxt) == len(leaves) else 0
         leaves = nxt
     return leaves, radius
+
+
+def margulis(coc, rep, w):
+    """The Margulis invariant of the word w: <t_w, x0>, t_w the
+    cocycle's translation and x0 the unit spacelike fixed vector of
+    adjoint_to_so21(rep(w)), oriented so that det[x-, x+, x0] > 0, where
+    x+ and x- are its future-pointing null eigenvectors of eigenvalue
+    above and below 1.  Unchanged by conjugation and by a coboundary,
+    it is the first variation of the length of w under the earthquake
+    whose infinitesimal form the cocycle is (Goldman-Margulis)."""
+    f = adjoint_to_so21(rep.evaluate(w))
+    values, vectors = np.linalg.eig(f)
+    below, fixed, above = (vectors[:, i].real for i in np.argsort(values.real))
+    below, above = below * np.sign(below[2]), above * np.sign(above[2])
+    fixed = fixed / math.sqrt(inner(fixed, fixed))
+    if np.linalg.det(np.stack([below, above, fixed], axis=1)) < 0:
+        fixed = -fixed
+    return float(inner(coc.affine(w)[:3, 3].astype(float), fixed))
 
 
 def cocycle_residual(rep, coc, alpha, beta, ball=None):

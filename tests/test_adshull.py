@@ -902,6 +902,31 @@ def test_sample_conjugacy_peak_memory(octagon, conjugacy_pairs):
     assert peak <= 12.5e6
 
 
+def test_ball_six_hull_and_extraction_peak_memory(conjugacy_graphs):
+    """On the radius-6 octagon to golden b1 graph (6,996 samples, 12,427
+    merged faces), _merged_faces drops each temporary once spent and
+    face_adjacency concatenates its per-distance hits once: the
+    tracemalloc peaks of convex_hull and extract_left_earthquake were
+    8.34 and 4.37 MB, and are 6.05 and 3.79 MB (numpy 2.4, scipy 1.17).
+    Each bound is that peak plus about 12%."""
+    graph = conjugacy_graphs[1]
+    assert len(graph) == 6996
+    convex_hull(graph)  # load Qhull and cache the graph points first
+    tracemalloc.start()
+    try:
+        hull = convex_hull(graph)
+        hull_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        extract_left_earthquake(hull)
+        extract_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert len(hull.faces) == 12427
+    assert hull_peak <= 6.8e6
+    assert extract_peak <= 4.25e6
+
+
 @pytest.mark.parametrize("radius, message", [
     (1, r"element is not hyperbolic \(trace 2\.000000\)"),
     (2, "a trace is too large for its fixed points"),

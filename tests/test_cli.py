@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lorentz21
-from lorentz21 import adshull, fuchsian
+from lorentz21 import adshull, cli, fuchsian
 from lorentz21 import laminations as lamins
 from lorentz21.cli import main
 from lorentz21.fuchsian import Representation, regular_polygon_rep
@@ -80,6 +80,20 @@ def test_flat_check_crossing_curves_fails(tmp_path, capsys):
     lifts = lamins.multicurve_lifts(Representation.load(lorentz21.bundled("octagon_rep.json")),
                                     lamins.WeightedMulticurve.load(str(mc)), 3)
     assert report["diagnostics"] == {"leaf_lifts": len(lifts)} and len(lifts) > 0
+
+
+@pytest.mark.parametrize("mode", ["check", "build"])
+@pytest.mark.parametrize("curves", [[("a1", 0.7), ("B1 a1 b1", 0.4)],
+                                    [("B1 a1 b1", 0.4), ("a1", 0.7)]],
+                         ids=["a1-first", "a1-second"])
+def test_flat_conjugate_classes_fail_disjointness(tmp_path, capsys, mode, curves):
+    """Two conjugate classes share their leaves: flat fails the
+    disjointness check (exit 1) before any lift query could refuse them."""
+    mc = tmp_path / "mc.json"
+    mc.write_text(json.dumps({"curves": [{"word": w, "weight": x} for w, x in curves]}))
+    code, report = run_cli(["flat", mode, lorentz21.bundled("octagon_rep.json"), str(mc)], capsys)
+    assert code == 1
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["multicurve-disjoint"]
 
 
 def test_flat_build_empty_multicurve(tmp_path, capsys):
@@ -632,7 +646,8 @@ def test_unread_flag_is_refused(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-_FINISHING = ["euler", "flat check", "flat build", "quake", "ads hull"]
+_FINISHING = ["euler", "flat check", "flat build", "quake", "quake points", "ads hull",
+              "ads between"]
 
 
 def _finishing(name, tmp_path):
@@ -644,7 +659,10 @@ def _finishing(name, tmp_path):
             "flat check": ["flat", "check", _OCTAGON, curve, "--ball", "2"],
             "flat build": ["flat", "build", _OCTAGON, curve, "--ball", "2", "--density", "8"],
             "quake": ["quake", _LEAF, "1.0", "--density", "8"],
-            "ads hull": ["ads", "hull", str(graph)]}[name]
+            "quake points": ["quake", _GOLDEN_LAMINATION, "0.7", "--density", "8", "--points",
+                             os.path.join(_GOLDEN, "quake_points.csv")],
+            "ads hull": ["ads", "hull", str(graph)],
+            "ads between": _BETWEEN}[name]
 
 
 @pytest.mark.parametrize("name", _FINISHING)
@@ -675,6 +693,54 @@ def test_report_json_is_stdout(tmp_path, capsys, name):
     out = tmp_path / "out"
     assert main(_finishing(name, tmp_path) + ["--out", str(out)]) in (0, 1)
     assert (out / "report.json").read_bytes() == capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("name", _FINISHING)
+def test_stdout_without_out_is_report_json(tmp_path, capsys, name):
+    """The report streams to stdout, or with --out into report.json,
+    which is then copied to stdout: the two paths give the same bytes,
+    but for the one `command` entry that records --out."""
+    argv = _finishing(name, tmp_path)
+    assert main(argv) in (0, 1)
+    plain = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    report = (out / "report.json").read_text()
+    entry = '"out=%s"' % out
+    assert report.count(entry) == 1
+    assert report.replace(entry, '"out=None"') == plain
+
+
+def _json_native(value):
+    """Whether value is built from dict (str keys), list, str, int,
+    float, bool and None alone, by exact type."""
+    if type(value) is dict:
+        return all(type(k) is str and _json_native(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_json_native(v) for v in value)
+    return type(value) in (str, int, float, bool, type(None))
+
+
+@pytest.mark.parametrize("name", _FINISHING)
+def test_reports_hold_json_values_only(tmp_path, capsys, monkeypatch, name):
+    """Reports and JSON artifacts are streamed, so a value the encoder
+    refuses (a numpy integer, a tuple key) would stop one halfway, and
+    the error document would follow a partial report on stdout: every
+    report part and JSON artifact handed to _finish holds JSON values
+    only, by exact type (a numpy float would encode, but is not one)."""
+    finish, handed = cli._finish, []
+
+    def recording(name, args, inputs, values, checks, diagnostics=None, artifacts=None):
+        documents = [body for body in (artifacts or {}).values() if isinstance(body, dict)]
+        handed.append([inputs, values, checks, diagnostics] + documents)
+        return finish(name, args, inputs, values, checks, diagnostics, artifacts)
+
+    monkeypatch.setattr(cli, "_finish", recording)
+    assert main(_finishing(name, tmp_path) + ["--out", str(tmp_path / "out")]) in (0, 1)
+    json.loads(capsys.readouterr().out)
+    assert len(handed) == 1
+    assert all(_json_native(part) for part in handed[0])
 
 
 def test_enumeration_cap_is_an_internal_failure(monkeypatch, capsys):

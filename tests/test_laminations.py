@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from lorentz21 import fuchsian
+from lorentz21 import fuchsian, laminations
 from lorentz21.fuchsian import HARD_CAP, EnumerationCapError, GroupBall, regular_polygon_rep
 from lorentz21.laminations import (
     LeafSet,
@@ -117,7 +117,7 @@ def test_leaf_lifts_refuses_a_radius_above_the_cap(octagon, monkeypatch):
 
 
 STABLE_CURVES = [[("a1", 1.0)], [("b1", 1.0)], [("a1 A2", 1.0)], [("a1", 0.7), ("a2", 0.4)],
-                 [("a1 b1 A1 B1", 1.0)], [("a1", 0.7), ("B1 a1 b1", 0.4)]]
+                 [("a1 b1 A1 B1", 1.0)]]
 
 
 def test_stable_lifts_match_unit_increments(octagon):
@@ -143,6 +143,51 @@ def test_stable_lifts_match_unit_increments(octagon):
                     assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
                 stops[L].add(radius)
     assert stops == {L: set(range(L + 2, 7)) for L in stops}
+
+
+@pytest.mark.parametrize("curves, named", [
+    ([("a1", 0.7), ("B1 a1 b1", 0.4)], ("a1", "B1 a1 b1")),
+    ([("B1 a1 b1", 0.4), ("a1", 0.7)], ("B1 a1 b1", "a1")),
+    ([("a1", 0.7), ("A1", 0.4)], ("a1", "A1")),
+    ([("a2", 1.0), ("a1", 0.7), ("B1 B1 a1 b1 b1", 0.4)], ("a1", "B1 B1 a1 b1 b1"))],
+    ids=["conjugate", "conjugate-swapped", "inverse", "conjugate-by-b1-squared"])
+def test_stable_lifts_refuses_conjugate_classes(octagon, curves, named):
+    """Two classes conjugate up to inverse are one set of leaves: the
+    axis of one is a lift of the other, and stable_lifts and the unit
+    increments both refuse them, naming both, in either order."""
+    mc = WeightedMulticurve(curves)
+    message = "curves %s and %s have the same leaves" % named
+    for run in (stable_lifts, lambda *args: stable_lifts_by_increments(*args)[0]):
+        with pytest.raises(ValueError, match=message):
+            run(octagon, mc, 1, lambda lv: np.ones(len(lv), dtype=bool))
+
+
+def test_stable_lifts_keeps_distinct_classes_whose_deep_keys_collide(octagon, monkeypatch):
+    """Only an axis row decides conjugacy: a deep lift of a2 given the
+    end parameters of a deep lift of a1, an isolated key collision, is
+    not refused, and the dedup keeps a1's row, as the unit increments do."""
+    lifts, apex = multicurve_lifts, np.array([0.0, 0.0, 1.0])
+
+    def near(lv):
+        return np.abs(inner(lv.normals, apex)) < math.sinh(2.5)
+
+    def colliding(rep, mc, radius):
+        # the first near deep lift of a2 takes the ends of the first of a1
+        leaves = lifts(rep, mc, radius)
+        deep = np.flatnonzero((leaves.first > 0) & near(leaves))
+        p, q = deep[leaves.classes[deep] == 0][0], deep[leaves.classes[deep] == 1][0]
+        thetas = leaves.thetas.copy()
+        thetas[q] = thetas[p]
+        return replace(leaves, thetas=thetas)
+
+    mc = WeightedMulticurve([("a1", 0.7), ("a2", 0.4)])
+    plain = stable_lifts(octagon, mc, 1, near)
+    monkeypatch.setattr(laminations, "multicurve_lifts", colliding)
+    got = stable_lifts(octagon, mc, 1, near)
+    want = stable_lifts_by_increments(octagon, mc, 1, near)[0]
+    assert len(got) == len(plain) - 1
+    for f in fields(LeafSet):
+        assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
 
 
 def test_stable_lifts_builds_one_ball():

@@ -341,6 +341,21 @@ def test_rep_after_earthquake_long_separating_shear(octagon):
     assert rep_after_earthquake(octagon, mc, 13.69, L=3).is_valid(1e-6)
 
 
+@pytest.mark.parametrize("curves, named", [
+    ([("a1", 0.7), ("B1 a1 b1", 0.4)], ("a1", "B1 a1 b1")),
+    ([("B1 a1 b1", 0.4), ("a1", 0.7)], ("B1 a1 b1", "a1"))], ids=["a1-first", "a1-second"])
+def test_conjugate_classes_are_refused(octagon, curves, named):
+    """a1 and B1 a1 b1 are one set of leaves, so neither the sheared
+    holonomy nor the lifted lamination takes them as two curves, in
+    either order."""
+    mc = WeightedMulticurve(curves)
+    message = "curves %s and %s have the same leaves" % named
+    with pytest.raises(ValueError, match=message):
+        rep_after_earthquake(octagon, mc, 1.0)
+    with pytest.raises(ValueError, match=message):
+        equivariant_lamination(octagon, mc)
+
+
 def test_equivariant_quake_equivariance(octagon):
     mc = WeightedMulticurve([("a1", 0.4)])
     quake = EquivariantEarthquakeMap(octagon, mc, scale=1.0, L=3)
