@@ -163,8 +163,13 @@ class Representation:
 
     @classmethod
     def load(cls, path):
+        """The representation in a JSON file, refused if it fails
+        is_valid(1e-6); every command reads its representations here."""
         with open(path) as fh:
-            return cls.from_json(json.load(fh))
+            rep = cls.from_json(json.load(fh))
+        if not rep.is_valid(1e-6):
+            raise ValueError("relator is not central; representation invalid")
+        return rep
 
 
 def _disc_rotation(phi):

@@ -39,7 +39,8 @@ from .minkowski import (
     rp1_stack,
     rp1_thetas,
 )
-from .fuchsian import GroupBall, axis, capped, parse_word, format_word, reduce_word
+from .fuchsian import (GroupBall, axis, capped, format_word, growth_series, parse_word,
+                       reduce_word)
 
 # ends of two distinct leaves closer than this are one shared end: tangent
 TOUCH_TOL = 1e-9
@@ -142,18 +143,12 @@ class LeafSet:
 
 
 def _leaf_keys(thetas):
-    """Each leaf's identity in the `_lift_class` and `stable_lifts` dedups,
+    """Leaf identity in `_lift_class`'s dedup and `_refuse_shared_leaves`,
     from (N, 2) end parameters: both rounded to 7 digits, mod 1, sorted."""
     return np.sort(np.round(thetas, 7) % 1.0, axis=1)
 
 
 EMPTY = LeafSet.from_ends(np.zeros((0, 2)), np.zeros((0, 2)), [])
-
-
-def _first_rows(keys):
-    """Ascending index of the first row of each distinct (N, 2) key."""
-    rows = np.ascontiguousarray(keys).view(np.dtype((np.void, 2 * keys.itemsize)))
-    return np.sort(np.unique(rows.ravel(), return_index=True)[1])
 
 
 def _lift_class(ball, base):
@@ -164,7 +159,9 @@ def _lift_class(ball, base):
     # deep conjugates collapse toward the circle; such leaves subtend
     # a vanishing boundary arc and cannot meet a bounded query region
     rows = np.flatnonzero(circle_distance(theta1, theta2) >= 1e-6)
-    rows = rows[_first_rows(_leaf_keys(np.stack([theta1[rows], theta2[rows]], axis=1)))]
+    keys = _leaf_keys(np.stack([theta1[rows], theta2[rows]], axis=1))
+    keys = keys.view(np.dtype((np.void, 2 * keys.itemsize))).ravel()  # a row as one value
+    rows = rows[np.sort(np.unique(keys, return_index=True)[1])]
     return replace(LeafSet.from_ends(end1[rows], end2[rows], np.ones(len(rows))),
                    first=rows, classes=np.zeros(len(rows), dtype=int))
 
@@ -258,11 +255,10 @@ def disjointness_check(rep, mc, L):
     return first_crossing_pair(leaves.thetas, leaves.classes) is None
 
 
-def _class_keys(mc, leaves):
-    """_leaf_keys of a multicurve's lifts, refusing two classes that are
-    conjugate up to inverse, one set of leaves: a class whose axis (its
-    first == 0 row) shares its key with a lift of another class; deep
-    lifts whose keys collide do not decide it."""
+def _refuse_shared_leaves(mc, leaves):
+    """Refuse two classes conjugate up to inverse, one set of leaves: a
+    class whose axis (its first == 0 row) shares its _leaf_keys with a
+    lift of another class; deep lifts whose keys collide do not decide."""
     keys = _leaf_keys(leaves.thetas)
     for i in np.flatnonzero(leaves.first == 0):
         shared = leaves.classes[(keys == keys[i]).all(axis=1)]
@@ -270,29 +266,27 @@ def _class_keys(mc, leaves):
             raise ValueError("curves %s and %s have the same leaves: their classes are "
                              "conjugate, up to inverse"
                              % tuple(format_word(mc.curves[c][0]) for c in shared[[0, -1]]))
-    return keys
 
 
 def stable_lifts(rep, mc, L, keep):
     """The leaf lifts selected by keep(leaves), a boolean mask over a
     LeafSet, over the radius-r ball at the least r >= L + 2 whose
-    selection has as many leaves as at r - 2.  Balls are prefix-closed,
-    lifts first-seen and keep decides per leaf, so a selection only
-    grows with r: this is "two increments select no new leaf".  The
-    first collect, at first_collect_radius's L + 2, builds the ball
-    smaller radii read as a prefix; a radius above the cap is refused.
-    A leaf shared between classes keeps its first row; rows come in
-    first-seen order.  Two classes conjugate up to inverse, one set of
-    leaves, are refused (_class_keys)."""
+    selection has no leaf first seen outside the radius-(r - 2) ball.
+    Balls are prefix-closed, each class's lifts first-seen and keep
+    decides per leaf, so the selection at r - 2 is these rows: "two
+    increments select no new leaf", one collect per radius from
+    first_collect_radius's L + 2; a radius above the cap is refused.
+    Rows come class by class, first-seen.  Classes conjugate up to
+    inverse are refused, so rows of two classes are two leaves."""
 
     def collect(radius):
         leaves = multicurve_lifts(rep, mc, radius)
-        leaves = leaves[_first_rows(_class_keys(mc, leaves))]
+        _refuse_shared_leaves(mc, leaves)
         return leaves[keep(leaves)]
 
     radius = first_collect_radius(mc, L)
     leaves = collect(radius)
-    while len(leaves) != len(collect(radius - 2)):
+    while np.any(leaves.first >= growth_series(rep.genus, radius - 2)[-1]):
         radius += 1
         leaves = collect(radius)
     return leaves

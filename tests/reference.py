@@ -2,7 +2,8 @@
 pair, which CircleGraph.points stacks, the leaf type GeodesicH2 and
 the pairwise linking test the stacked leaf routines are checked
 against, helpers between them and a LeafSet, lift stabilization by
-unit radius increments, the Margulis invariant of a cocycle, the
+unit radius increments, the Margulis invariant of a cocycle, a word's
+translation length on the tree dual to a lifted multicurve, the
 per-pair cocycle residual of the identity sweep and the sweep one row
 at a time, the per-sample nudge of a developed surface, the per-face
 OBJ and convexity slack of a hull, the group ball's per-level dedup by
@@ -212,7 +213,6 @@ def stable_lifts_by_increments(rep, mc, L, keep):
                              for c in sorted((classes[i], classes[j]))]
                     raise ValueError("curves %s and %s have the same leaves: their classes "
                                      "are conjugate, up to inverse" % tuple(words))
-        leaves = leaves[laminations._first_rows(laminations._leaf_keys(leaves.thetas))]
         return leaves[keep(leaves)]
 
     radius = min(L, fuchsian.HARD_CAP)
@@ -245,6 +245,29 @@ def margulis(coc, rep, w):
     if np.linalg.det(np.stack([below, above, fixed], axis=1)) < 0:
         fixed = -fixed
     return float(inner(coc.affine(w)[:3, 3].astype(float), fixed))
+
+
+def tree_length(rep, mc, w, start=0.0):
+    """The translation length of w on the tree dual to the lifted
+    multicurve mc: the summed weights of the one mask row of
+    lifted_crossings(rep, mc, b, rho(w) b, 3), with b = c (e^s u+ +
+    e^-s u-) on w's axis, u+ and u- the null vectors of its attracting
+    and repelling ends and c^2 = -1 / (2 <u+, u->).  s steps by 0.1
+    from start until b is off every leaf; if no step is, w's axis is a
+    leaf, and the length is 0."""
+    g = rep.evaluate(w)
+    plus, minus = null_vectors(np.stack(fuchsian.axis(g)[:2]))
+    c = math.sqrt(-1.0 / (2.0 * float(inner(plus, minus))))
+    for s in start + 0.1 * np.arange(8):
+        b = c * (math.exp(s) * plus + math.exp(-s) * minus)
+        try:
+            leaves, mask = laminations.lifted_crossings(rep, mc, b, adjoint_to_so21(g) @ b, 3)
+        except ValueError as exc:
+            if "lies on a leaf" not in str(exc):
+                raise
+            continue
+        return float(leaves.weights[mask[0]].sum())
+    return 0.0
 
 
 def cocycle_residual(rep, coc, alpha, beta, ball=None):

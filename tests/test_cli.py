@@ -294,6 +294,28 @@ def test_ads_between_mirrored_octagon_is_not_monotone(tmp_path, capsys):
     assert report["error"] == "ValueError: conjugacy samples are not cyclically monotone"
 
 
+_OCTAGON, _CURVE = lorentz21.bundled("octagon_rep.json"), lorentz21.bundled("single_curve.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["euler", "BAD"], ["flat", "check", "BAD", _CURVE], ["flat", "build", "BAD", _CURVE],
+    ["ads", "between", _OCTAGON, "BAD", "--ball", "4"],
+    ["ads", "between", "BAD", _OCTAGON, "--ball", "4"]],
+    ids=["euler", "flat-check", "flat-build", "ads-between-right", "ads-between-left"])
+def test_every_command_refuses_a_representation_failing_the_relator(tmp_path, capsys, argv):
+    """Every command reads a representation through Representation.load,
+    which refuses one failing is_valid(1e-6), as the Euler class does:
+    here the octagon with b1 right-multiplied by [[1, 1e-5], [0, 1]],
+    whose relator is 1.4e-4 from the identity."""
+    generators = Representation.load(_OCTAGON).generators.copy()
+    generators[1] = generators[1] @ np.array([[1.0, 1e-5], [0.0, 1.0]])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"genus": 2, "generators": generators.tolist()}))
+    code, report = run_cli([str(bad) if arg == "BAD" else arg for arg in argv], capsys)
+    assert code == 2
+    assert report["error"] == "ValueError: relator is not central; representation invalid"
+
+
 @pytest.mark.parametrize("genus", [1, 3])
 def test_ads_between_genus_mismatch(tmp_path, capsys, genus):
     if genus == 1:

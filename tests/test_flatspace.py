@@ -24,7 +24,7 @@ from lorentz21.minkowski import (G, CausalClass, adjoint_to_so21, classify,
                                  hyperboloid_normalize, inner, null_vectors)
 from lorentz21.quakes import rep_after_earthquake
 from reference import (apex, ball_words, cocycle_identity_sweep_rows, cocycle_residual, concat,
-                       margulis, nudge_off)
+                       margulis, nudge_off, tree_length)
 
 
 @pytest.fixture(scope="module")
@@ -274,6 +274,35 @@ def test_margulis_invariant_of_b1(octagon, lam_cocycle):
     """For the earthquake along a1 (weight 1), b1 crosses a1 once."""
     assert margulis(lam_cocycle, octagon, parse_word("b1")) == pytest.approx(0.261203875,
                                                                              abs=1e-9)
+
+
+TREE_LENGTHS = {
+    "a1": ([("a1", 1.0)], {"a1 b2 A2": 0, "a1": 0, "b1": 1, "a1 b1": 1, "b1 b1 a2": 2,
+                           "B1 a2 b1 b2": 2, "b1 a1 b1": 2}),
+    "a1-a2": ([("a1", 0.5), ("a2", 2.0)], {"a1 b2 A2": 2, "b1 b2": 2.5, "B1 a2 b1 b2": 3}),
+    "a1b1A1B1": ([("a1 b1 A1 B1", 1.0)], {"a1": 0, "b1": 0, "a1 b1": 0, "b1 b2": 2,
+                                          "B1 a2 b1 b2": 4}),
+}
+
+
+@pytest.mark.parametrize("curves, lengths", TREE_LENGTHS.values(), ids=list(TREE_LENGTHS))
+def test_tree_length_is_the_intersection_number(octagon, curves, lengths):
+    """The translation length of a word on the tree dual to the lifted
+    lamination is its weighted intersection number with it, an integer
+    combination of the weights, 0 for a curve of the lamination (every
+    point of its axis lies on a leaf): the same at two points of the
+    axis and for every cyclic rotation of the word, a conjugate.  It
+    bounds the Margulis invariant, the sum of weight times cosine over
+    the same crossings."""
+    mc = WeightedMulticurve(curves)
+    coc = cocycle_from_lamination(octagon, mc, L=3)
+    for word, want in lengths.items():
+        w = parse_word(word)
+        for turn in range(len(w)):
+            for start in (0.0, 0.37):
+                got = tree_length(octagon, mc, w[turn:] + w[:turn], start)
+                assert abs(got - want) < 1e-12, (word, turn, start, got)
+        assert abs(margulis(coc, octagon, w)) <= want + 1e-9
 
 
 def test_cyclic_boost_cocycle_value():

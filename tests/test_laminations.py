@@ -165,7 +165,7 @@ def test_stable_lifts_refuses_conjugate_classes(octagon, curves, named):
 def test_stable_lifts_keeps_distinct_classes_whose_deep_keys_collide(octagon, monkeypatch):
     """Only an axis row decides conjugacy: a deep lift of a2 given the
     end parameters of a deep lift of a1, an isolated key collision, is
-    not refused, and the dedup keeps a1's row, as the unit increments do."""
+    not refused, and both rows stay, as in the unit increments."""
     lifts, apex = multicurve_lifts, np.array([0.0, 0.0, 1.0])
 
     def near(lv):
@@ -185,15 +185,34 @@ def test_stable_lifts_keeps_distinct_classes_whose_deep_keys_collide(octagon, mo
     monkeypatch.setattr(laminations, "multicurve_lifts", colliding)
     got = stable_lifts(octagon, mc, 1, near)
     want = stable_lifts_by_increments(octagon, mc, 1, near)[0]
-    assert len(got) == len(plain) - 1
+    assert len(got) == len(plain)
     for f in fields(LeafSet):
         assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
 
 
+@pytest.mark.parametrize("word, L, reach, radii", [
+    ("a1", 3, 2.0, [5]), ("a1", 0, 3.0, [2, 3]), ("a1 b1 A1 B1", 1, 3.0, [3, 4])])
+def test_stable_lifts_collects_each_radius_once(octagon, monkeypatch, word, L, reach, radii):
+    """stable_lifts collects each radius once, in increasing order from
+    L + 2: the selection at r - 2 is read from the rows' first index,
+    not from a second collect."""
+    seen, lifts = [], multicurve_lifts
+
+    def recorded(rep, mc, radius):
+        seen.append(radius)
+        return lifts(rep, mc, radius)
+
+    def near(lv):
+        return np.abs(inner(lv.normals, np.array([0.0, 0.0, 1.0]))) < math.sinh(reach)
+
+    monkeypatch.setattr(laminations, "multicurve_lifts", recorded)
+    stable_lifts(octagon, WeightedMulticurve([(word, 1.0)]), L, near)
+    assert seen == radii
+
+
 def test_stable_lifts_builds_one_ball():
     """A query from L = 3 that stops at radius 5 builds the radius-5 ball
-    alone and reads radius 3 as its prefix; unit increments from L
-    build radii 3, 4 and 5."""
+    alone; unit increments from L build radii 3, 4 and 5."""
     rep = regular_polygon_rep(2)
 
     def near(lv):
