@@ -166,11 +166,12 @@ class CircleGraph(CircleMap):
 
     def is_planar(self):
         """True iff all sample points lie on one projective plane, to a
-        relative 1e-9 in the singular values."""
+        relative 1e-9 in the singular values; at most three samples
+        always do."""
         pts = self.points
         pts = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         s = np.linalg.svd(pts, compute_uv=False)
-        return s[-1] < 1e-9 * s[0]
+        return len(s) < 4 or s[-1] < 1e-9 * s[0]
 
     def spacelike_consecutive(self):
         """Consecutive samples must be mutually spacelike on the quadric,

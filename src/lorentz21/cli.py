@@ -6,7 +6,8 @@ reports plus OBJ/CSV artifacts.  Stdout carries exactly one JSON
 document, the report or the error.  Every invariant check appears in the
 report with its numeric residual.  The exit status is 0 when every
 check passes, 1 when a check fails or the computation fails on its
-input (a RuntimeError), and 2 when an input is invalid.
+input (a RuntimeError, or a MemoryError), and 2 when an input is invalid
+(a RecursionError is a JSON input nested too deep).
 """
 
 from __future__ import annotations
@@ -353,12 +354,16 @@ def main(argv=None):
         if finite(getattr(args, "tol", 0.0), "--tol") < 0:
             raise ValueError("--tol must be >= 0")
         code = args.func(args)
-    except (OSError, ValueError, KeyError, TypeError, RuntimeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RuntimeError, MemoryError) as exc:
         _dump({"schema": "%s/error/1" % SCHEMA_PREFIX,
                "error": "%s: %s" % (type(exc).__name__, exc)}, sys.stdout)
-        # invalid input (JSON errors are ValueErrors) exits 2; an internal
-        # failure, such as an enumeration cap or Qhull, exits 1
-        return 1 if isinstance(exc, RuntimeError) else 2
+        # invalid input exits 2: JSON errors are ValueErrors, and the JSON
+        # decoder is the program's only recursion, so a RecursionError is
+        # an input nested too deep; a failure on valid input, such as an
+        # enumeration cap, Qhull or an allocation, exits 1
+        if isinstance(exc, RecursionError):
+            return 2
+        return 1 if isinstance(exc, (RuntimeError, MemoryError)) else 2
     # timing goes to stderr so reports stay byte-identical across runs
     sys.stderr.write("elapsed %.3fs\n" % (time.perf_counter() - t0))
     return code

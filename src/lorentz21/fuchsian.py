@@ -31,8 +31,7 @@ import math
 import numpy as np
 
 from .minkowski import (adjugate, json_array, json_fields, json_numbers, mat2_fold, mat2_of,
-                        mat2_stack, rp1_from_thetas, rp1_stack, rp1_units, unnormalizable,
-                        unnormalizable_cause)
+                        mat2_stack, rp1_from_thetas, rp1_stack, rp1_units, unnormalizable)
 
 
 class EllipticDegeneracyError(RuntimeError):
@@ -120,7 +119,7 @@ class Representation:
         gens = np.array(generators, dtype=float)
         if gens.shape != (2 * genus, 2, 2):
             raise ValueError("expected %d generator 2x2 matrices" % (2 * genus))
-        if unnormalizable(gens).any():
+        if unnormalizable(gens):
             raise ValueError("generators must have a finite positive determinant")
         gens = mat2_stack(gens)
         self.genus = genus
@@ -425,7 +424,7 @@ class GroupBall:
                 with np.errstate(over="ignore", invalid="ignore"):
                     prods = (np.take(elements, self.parent[a:b], axis=0)
                              @ np.take(steps, step[a:b], axis=0))
-                block_cause = unnormalizable_cause(prods)
+                block_cause = unnormalizable(prods)
                 if block_cause == "overflows":
                     raise ValueError("a product of the generators overflows")
                 cause = cause or block_cause

@@ -132,10 +132,9 @@ class LeafSet:
         """The record of a finite lamination from (N, 2) unit end vectors
         already in RP1Point's normal form, kept as they are (that
         normalization is not idempotent), in input order with the given
-        weights and one class per leaf; ends within 1e-12 are refused."""
+        weights and one class per leaf; `geodesic_normal` refuses ends that
+        coincide (closer than about 1.8e-7 in circle parameter)."""
         thetas = np.stack([rp1_thetas(end1), rp1_thetas(end2)], axis=1)
-        if np.any(circle_distance(thetas[:, 0], thetas[:, 1]) < 1e-12):
-            raise ValueError("endpoints coincide")
         n = len(thetas)
         return cls(end1, end2, thetas,
                    geodesic_normal(null_vectors(end1), null_vectors(end2)),

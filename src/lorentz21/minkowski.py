@@ -215,21 +215,12 @@ def _det(mats):
 
 
 def unnormalizable(mats):
-    """Whether the determinant of a 2x2 matrix, or of each matrix in a
-    stack, is not finite and positive, so Mat2's normalization is
-    undefined or overflows; the one determinant rule of the package,
-    which `refuse_unnormalizable` applies to products, naming the cause."""
+    """Why a 2x2 matrix, or a stack of them, cannot be Mat2-normalized:
+    "overflows" if a determinant is not finite, else "lost its
+    determinant to rounding" if one is not positive, else None.  The one
+    determinant rule of the package; `refuse_unnormalizable` raises it."""
     with np.errstate(over="ignore", invalid="ignore"):
         det = _det(mats)
-    return ~(np.isfinite(det) & (det > 0))
-
-
-def unnormalizable_cause(prods):
-    """Why a stack of products of determinant-one factors cannot be
-    Mat2-normalized: "overflows" if a determinant is not finite, else
-    "lost its determinant to rounding" if one is not positive, else None."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = _det(prods)
     if not np.isfinite(det).all():
         return "overflows"
     if (det <= 0).any():
@@ -240,7 +231,7 @@ def unnormalizable_cause(prods):
 def refuse_unnormalizable(prods, what, error=ValueError):
     """Raise `error` if a product in a stack of products of
     determinant-one factors is unnormalizable: `what`, then the cause."""
-    cause = unnormalizable_cause(prods)
+    cause = unnormalizable(prods)
     if cause is not None:
         raise error("%s %s" % (what, cause))
 

@@ -23,8 +23,8 @@ from . import laminations as lamins
 from .fuchsian import Representation
 from .minkowski import (G, adjoint_to_so21, finite, hyperboloid_normalize, inner, json_array,
                         json_fields, json_number, json_numbers, mat2_fold, mat2_stack,
-                        null_vectors, per_value, rp1_from_thetas, rp1_stack, sorted_unique,
-                        unnormalizable)
+                        null_vectors, per_value, refuse_unnormalizable, rp1_from_thetas,
+                        rp1_stack, sorted_unique)
 
 
 class FiniteLaminationH2:
@@ -76,18 +76,16 @@ def shears(leaves, basepoint, scale, side):
                   np.where(first, leaves.end2, leaves.end1)], axis=-1)
     m[..., 1] *= np.where(np.linalg.det(m) < 0, -1.0, 1.0)[:, None]
     amounts = scale * leaves.weights
-    overflow = "a shear of %.6g along a leaf overflows"
+    what = "a shear of %.6g along a leaf" % amounts.max(initial=0.0)
     try:
         d = per_value(math.exp, amounts / 2.0)
     except OverflowError:
-        raise ValueError(overflow % amounts.max()) from None
+        raise ValueError(what + " overflows") from None
     diag = np.zeros_like(m)
     diag[:, 0, 0], diag[:, 1, 1] = d, 1.0 / d
     with np.errstate(over="ignore", invalid="ignore"):
         out = m @ diag @ np.linalg.inv(m)
-    bad = unnormalizable(out)
-    if bad.any():
-        raise ValueError(overflow % amounts[np.argmax(bad)])
+    refuse_unnormalizable(out, what)
     return mat2_stack(out)
 
 

@@ -356,6 +356,13 @@ def test_graph_monotone_and_spacelike():
     assert not bad.is_monotone()
 
 
+def test_three_samples_are_planar():
+    # any three points lie on a plane, though their SVD has three values
+    g = CircleGraph([(0.1, 0.15), (0.4, 0.5), (0.7, 0.8)])
+    assert g.is_planar()
+    assert dependence_membership(plane_z_equals(5.0), g) is None
+
+
 def test_graph_csv_roundtrip():
     g = shear_graph(2.0, 16)
     g2 = CircleGraph.from_csv_rows(g.to_csv_rows())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lorentz21
-from lorentz21 import adshull, cli, fuchsian
+from lorentz21 import adshull, cli, flatspace, fuchsian
 from lorentz21 import laminations as lamins
 from lorentz21.cli import main
 from lorentz21.fuchsian import Representation, regular_polygon_rep
@@ -430,9 +430,11 @@ def _lamination(field, value):
     return argv
 
 
-def _general_leaf(path):
-    path.write_text(json.dumps({"leaves": [{"end1": 0.1, "end2": 0.3, "weight": 1.0}]}))
-    return ["quake", str(path), "1000", "--density", "8"]
+def _general_leaf(scale):
+    def argv(path):
+        path.write_text(json.dumps({"leaves": [{"end1": 0.1, "end2": 0.3, "weight": 1.0}]}))
+        return ["quake", str(path), scale, "--density", "8"]
+    return argv
 
 
 def _rep(genus, generators):
@@ -520,8 +522,12 @@ def _golden_point(scale):
     # shears past exp's range: a huge scale, or a huge leaf weight
     (["quake", _LEAF, "2500", "--density", "8"], "overflows"),
     (_lamination("weight", 1e300), "overflows"),
-    # a shear within exp's range whose matrix overflows
-    (_general_leaf, "overflows"),
+    # shears within exp's range whose matrix overflows, or whose
+    # recomputed determinant cancels to <= 0 (from about scale 38), and
+    # one past exp's range
+    (_general_leaf("1000"), "a shear of 1000 along a leaf overflows"),
+    (_general_leaf("38"), "a shear of 38 along a leaf lost its determinant to rounding"),
+    (_general_leaf("2500"), "a shear of 2500 along a leaf overflows"),
     # a generator whose determinant overflows; a genus that is not a JSON integer
     (_rep(2, [[[1e200, 0.0], [0.0, 1e200]]] + [_I] * 3), "finite positive determinant"),
     (_rep(2.7, [_I] * 4), "genus must be an integer"),
@@ -572,7 +578,8 @@ def _golden_point(scale):
     (["quake", _LEAF, "-1"], "scale must be >= 0")],
     ids=["tol-nan", "tol-negative", "flat-tol-nan", "scale-nan", "scale-inf",
          "density-zero", "density-negative", "scale-overflow", "weight-overflow",
-         "matrix-overflow", "generator-overflow", "genus-float", "genus-bool",
+         "matrix-overflow", "shear-determinant-lost", "leaf-scale-overflow",
+         "generator-overflow", "genus-float", "genus-bool",
          "curve-not-object", "curve-without-weight", "leaf-not-object", "rep-not-object",
          "curves-object", "curves-int", "leaves-int", "generators-int",
          "basepoint-spacelike", "basepoint-on-leaf", "basepoint-overflow", "point-spacelike",
@@ -842,6 +849,36 @@ def test_qhull_failure_is_an_internal_failure(tmp_path, monkeypatch, capsys):
     assert report["schema"] == "lorentz21/error/1"
     # the failure is retried with the QJ joggle, whose failure is reported
     assert report["error"] == "QhullError: QH6154 initial simplex is flat, options 'QJ'"
+
+
+def test_failed_allocation_is_an_internal_failure(monkeypatch, capsys):
+    # a --density too large to allocate; patched, as a real allocation
+    # of that size may succeed lazily on a system that overcommits
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 146. TiB")
+
+    monkeypatch.setattr(flatspace, "develop_surface", fail)
+    code, report = run_cli(["flat", "build", lorentz21.bundled("octagon_rep.json"),
+                            lorentz21.bundled("single_curve.json"), "--ball", "1",
+                            "--density", "10000000000000"], capsys)
+    assert code == 1
+    assert report == {"schema": "lorentz21/error/1",
+                      "error": "MemoryError: Unable to allocate 146. TiB"}
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda deep: ["euler", deep],
+    lambda deep: ["quake", deep, "0.5"],
+    lambda deep: ["ads", "between", _OCTAGON, deep],
+    lambda deep: ["flat", "check", _OCTAGON, deep],
+], ids=["euler", "quake", "ads-between", "flat-check"])
+def test_too_deeply_nested_input_is_invalid(tmp_path, capsys, make_argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, report = run_cli(make_argv(str(deep)), capsys)
+    assert code == 2
+    assert report["schema"] == "lorentz21/error/1"
+    assert report["error"].startswith("RecursionError: ")
 
 
 def _staircase_rows(steps=3, m=5):

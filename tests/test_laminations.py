@@ -412,6 +412,18 @@ def chord_leaves(thetas, classes=None):
     return leaves if classes is None else replace(leaves, classes=np.asarray(classes))
 
 
+@pytest.mark.parametrize("gap", [1e-13, 1e-9, 1e-7])
+def test_from_ends_refuses_coincident_ends(gap):
+    # geodesic_normal alone refuses ends closer than about 1.8e-7
+    with pytest.raises(ValueError, match="^ideal endpoints coincide$"):
+        chord_leaves(np.array([[0.3, 0.3 + gap]]))
+
+
+def test_from_ends_accepts_ends_3e_7_apart():
+    leaves = chord_leaves(np.array([[0.3, 0.3 + 3e-7]]))
+    assert np.all(np.isfinite(leaves.normals))
+
+
 def inserted(thetas, rng, row):
     """thetas with row inserted at a random position."""
     at = rng.integers(0, len(thetas) + 1)

@@ -21,6 +21,7 @@ from lorentz21.minkowski import (
     per_value,
     rp1_from_thetas,
     rp1_stack,
+    unnormalizable,
 )
 from reference import apex
 
@@ -267,3 +268,19 @@ def test_mat2_fold_names_the_cause_of_a_refusal():
     with pytest.raises(ValueError, match="a product of the matrices lost its determinant"):
         mat2_fold(shears)
     assert mat2_fold(shears[:1]).tolist() == [shears[0].tolist()]
+
+
+def test_unnormalizable_names_the_cause():
+    # an infinite or NaN determinant overflows, a non-positive one lost
+    # its determinant, for one matrix and for a stack; overflow wins
+    ok, lost = np.eye(2), np.array([[1.0 + 1e18, 1e9], [1e9, 1.0]])
+    for big in (np.diag([1e200, 1e200]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        assert unnormalizable(big) == "overflows"
+        assert unnormalizable(np.array([lost, big, ok])) == "overflows"
+    for bad in (lost, np.diag([1.0, -1.0]), np.zeros((2, 2))):
+        assert unnormalizable(bad) == "lost its determinant to rounding"
+        assert unnormalizable(np.array([ok, bad])) == "lost its determinant to rounding"
+    assert unnormalizable(ok) is None
+    assert unnormalizable(np.array([ok, 3.0 * ok])) is None
+    assert unnormalizable(np.zeros((0, 2, 2))) is None
